@@ -98,6 +98,5 @@ from .engine import (
     tensor_oracle,
     term_counts,
 )
-from .kernels import BACKEND
 
 __version__ = "0.1.0"

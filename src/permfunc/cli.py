@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import engine, kernels
+from . import engine
 from .characters import CharacterSpec, parse_character
 from .errors import ParseError, PermfuncError
 from .gaussian import GaussianRational
@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="permfunc",
         description="exact generalized matrix functions of a*P_theta + b*P_tau",
     )
-    parser.add_argument("--threads", type=int, default=1, help="reserved; must be >= 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p, scalars=True):
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--character", required=True)
 
-    p = sub.add_parser("bench", help="compare evaluation routes and kernel backends")
+    p = sub.add_parser("bench", help="compare evaluation routes")
     add_instance_flags(p)
     p.add_argument("--reps", type=int, default=3, help="repetitions per timing")
 
@@ -386,26 +385,19 @@ def _cmd_bench(args) -> int:
     }
     rows = []
     for method, fn in jobs.items():
-        for backend_name in sorted(kernels.available_backends()):
-            with kernels.use_backend(backend_name):
-                seconds = _median_seconds(fn, args.reps)
-            rows.append(
-                {
-                    "method": method,
-                    "backend": backend_name,
-                    "terms": terms[method],
-                    "median_seconds": seconds,
-                }
-            )
+        rows.append(
+            {
+                "method": method,
+                "terms": terms[method],
+                "median_seconds": _median_seconds(fn, args.reps),
+            }
+        )
     if args.json:
         print(json.dumps(rows))
     else:
-        print(f"{'method':<14}{'backend':<10}{'terms':>8}  median")
+        print(f"{'method':<14}{'terms':>8}  median")
         for row in rows:
-            print(
-                f"{row['method']:<14}{row['backend']:<10}{row['terms']:>8}"
-                f"  {row['median_seconds']:.6f}s"
-            )
+            print(f"{row['method']:<14}{row['terms']:>8}  {row['median_seconds']:.6f}s")
     return EXIT_OK
 
 
@@ -429,9 +421,6 @@ def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(_merge_scalar_flags(raw))
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_DOMAIN
     try:
         return _HANDLERS[args.command](args)
     except ParseError as exc:

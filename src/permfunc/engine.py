@@ -7,7 +7,8 @@ permanent (S_n, trivial), immanants (S_n, irreducible chi).
 
 Routes provided, all exact unless stated otherwise:
 
-* naive summation over an enumerated group (the defining formula);
+* naive summation of the defining formula, visiting only the
+  permutations whose entry product is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, which sums only the
   2^r permutations that agree pointwise with theta or tau;
 * closed forms for determinant and permanent straight from the cycle
@@ -25,7 +26,6 @@ Routes provided, all exact unless stated otherwise:
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +34,7 @@ from math import comb, lcm
 
 from .characters import CharacterSpec
 from .errors import (
+    CapacityError,
     CharacterDomainError,
     DegreeMismatchError,
     DisjointnessError,
@@ -121,21 +122,6 @@ def _weights_to_int(values) -> tuple[list[int], list[int], int]:
     return wre, wim, den
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_weights(
-    chi: CharacterSpec, group: GroupSpec, cap: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Character values over an enumerated group, as scaled integers.
-
-    Keyed by the symbolic group spec (cheap to hash) rather than the
-    element list; enumeration order is deterministic, so the key is
-    sound.
-    """
-    subgroup = enumerate_group(group, cap)
-    wre, wim, den = _weights_to_int([chi.evaluate(s) for s in subgroup.elements])
-    return tuple(wre), tuple(wim), den
-
-
 def det_exact(a: Matrix) -> GaussianRational:
     """Exact determinant by fraction-free elimination."""
     if not a.is_square:
@@ -146,29 +132,53 @@ def det_exact(a: Matrix) -> GaussianRational:
     return GaussianRational(dre * scale, dim * scale)
 
 
+def _nonzero_images(pre, pim) -> list[tuple[int, ...]]:
+    """0-based image tuples of the permutations with a nonzero entry product.
+
+    Built row by row: row i extends every partial tuple by each of its
+    nonzero columns not already taken.
+    """
+    n = len(pre)
+    partial: list[tuple[int, ...]] = [()]
+    for i in range(n):
+        columns = [j for j in range(n) if pre[i][j] or pim[i][j]]
+        partial = [p + (j,) for p in partial for j in columns if j not in p]
+    return partial
+
+
 def gmf_naive(
     a: Matrix,
     group: GroupSpec,
     chi: CharacterSpec,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> GmfResult:
-    """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group."""
+    """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
+
+    Only permutations with a nonzero entry product are visited, and of
+    those only the group members are weighed; the term count is still
+    |G|.  Raises CapacityError when |G| exceeds ``cap``.
+    """
     if not a.is_square:
         raise DegreeMismatchError("generalized matrix functions need square matrices")
     if group.degree != a.rows:
         raise DegreeMismatchError(
             f"matrix degree {a.rows}, group degree {group.degree}"
         )
-    subgroup = enumerate_group(group, cap)
-    wre, wim, wden = _cached_weights(chi, group, cap)
+    order = group.order()
+    if order > cap:
+        raise CapacityError(f"group order {order} exceeds cap {cap}")
     pre, pim, den = integer_grid(a)
-    sre, sim = kernels.gmf_sum(
-        list(subgroup.zero_based()), list(wre), list(wim), pre, pim
-    )
+    perms = []
+    weights = []
+    for images in _nonzero_images(pre, pim):
+        sigma = Permutation(tuple(j + 1 for j in images))
+        if group.contains(sigma):
+            perms.append(images)
+            weights.append(chi.evaluate(sigma))
+    wre, wim, wden = _weights_to_int(weights)
+    sre, sim = kernels.gmf_sum(perms, wre, wim, pre, pim)
     scale = Fraction(1, wden * den**a.rows)
-    return GmfResult(
-        GaussianRational(sre * scale, sim * scale), Method.NAIVE, subgroup.order
-    )
+    return GmfResult(GaussianRational(sre * scale, sim * scale), Method.NAIVE, order)
 
 
 def gmf_linear_sum(
@@ -269,33 +279,57 @@ def per_linear_sum(
     return _closed_form(a, b, theta, tau, signed=False)
 
 
+def _column_mask(columns) -> int:
+    """Bitmask of 1-based column indices."""
+    return sum(1 << (j - 1) for j in columns)
+
+
+def _row_masks(pre, pim) -> list[int]:
+    """Per row, the bitmask of its nonzero columns."""
+    return [
+        _column_mask(j + 1 for j, (re, im) in enumerate(zip(row_re, row_im)) if re or im)
+        for row_re, row_im in zip(pre, pim)
+    ]
+
+
 def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
     """det(a+b) expanded over all complementary minor pairs.
 
     Sums (-1)^(r(alpha)+r(beta)) det(a[alpha|beta]) det(b(alpha|beta))
     over all k and all strictly increasing index pairs; the inner
-    determinants run fraction-free on Gaussian integers.
+    determinants run fraction-free on Gaussian integers.  A pair is
+    skipped when a selected row of either minor has no nonzero entry in
+    the selected columns, since that minor vanishes; the term count is
+    still the full pair count.
     """
     if not a.is_square or not b.is_square or a.rows != b.rows:
         raise DegreeMismatchError("need two square matrices of equal size")
     n = a.rows
     pre_a, pim_a, den_a = integer_grid(a)
     pre_b, pim_b, den_b = integer_grid(b)
+    rows_a = _row_masks(pre_a, pim_a)
+    rows_b = _row_masks(pre_b, pim_b)
     total = ZERO
     terms = 0
     everything = frozenset(range(1, n + 1))
     for k in range(n + 1):
         scale = Fraction(1, den_a**k * den_b ** (n - k))
-        selectors = [
-            (t, sorted(everything - set(t.indices)), t.rank_sum)
-            for t in index_tuples(k, n)
-        ]
-        for alpha, alpha_rest, alpha_rank in selectors:
-            for beta, beta_rest, beta_rank in selectors:
-                terms += 1
+        selectors = []
+        for t in index_tuples(k, n):
+            rest = sorted(everything - set(t.indices))
+            selectors.append(
+                (t.indices, rest, t.rank_sum, _column_mask(t.indices), _column_mask(rest))
+            )
+        terms += len(selectors) ** 2
+        for alpha, alpha_rest, alpha_rank, _, _ in selectors:
+            for beta, beta_rest, beta_rank, beta_mask, rest_mask in selectors:
+                if not all(rows_a[i - 1] & beta_mask for i in alpha):
+                    continue
+                if not all(rows_b[i - 1] & rest_mask for i in alpha_rest):
+                    continue
                 da = kernels.det_gaussian_int(
-                    [[pre_a[i - 1][j - 1] for j in beta.indices] for i in alpha.indices],
-                    [[pim_a[i - 1][j - 1] for j in beta.indices] for i in alpha.indices],
+                    [[pre_a[i - 1][j - 1] for j in beta] for i in alpha],
+                    [[pim_a[i - 1][j - 1] for j in beta] for i in alpha],
                 )
                 db = kernels.det_gaussian_int(
                     [[pre_b[i - 1][j - 1] for j in beta_rest] for i in alpha_rest],

@@ -2,8 +2,10 @@
 
 Membership tests never force an enumeration when the variant admits a
 direct predicate; generated subgroups memoize their closure the first
-time it is needed.  Enumeration is capped (10! by default) so that the
-naive generalized-matrix-function oracle stays desk-scale.
+time it is needed.  Enumeration is capped (10! by default); the naive
+generalized-matrix-function oracle applies the same cap to the group
+order, though it visits only the permutations with a nonzero entry
+product and never enumerates the group.
 """
 
 from __future__ import annotations
@@ -241,17 +243,6 @@ class FiniteSubgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def zero_based(self) -> tuple[tuple[int, ...], ...]:
-        """Elements as 0-based image tuples (the kernels' working form)."""
-        try:
-            return self._zero_based  # type: ignore[attr-defined]
-        except AttributeError:
-            converted = tuple(
-                tuple(v - 1 for v in p.images) for p in self.elements
-            )
-            object.__setattr__(self, "_zero_based", converted)
-            return converted
-
 
 def enumerate_group(
     spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP
@@ -260,14 +251,7 @@ def enumerate_group(
 
     Raises CapacityError when the group order exceeds ``cap``; the check
     runs before any enumeration for variants with a known order formula.
-    Results are memoized (they are immutable and reused heavily by the
-    naive summation route).
     """
-    return _enumerate_group_cached(spec, cap)
-
-
-@functools.lru_cache(maxsize=64)
-def _enumerate_group_cached(spec: GroupSpec, cap: int) -> FiniteSubgroup:
     if isinstance(spec, GeneratedSubgroup):
         elements = spec._closure(cap)
     else:

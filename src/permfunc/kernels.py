@@ -1,49 +1,88 @@
-"""Backend selection for the exact kernels.
+"""Exact-arithmetic kernels behind the naive and minor-expansion routes.
 
-The compiled extension is preferred when importable; the pure-Python
-module is the drop-in fallback.  ``available_backends`` exposes every
-importable backend so benchmarks and parity tests can compare them.
+Both work on Gaussian integers held as plain Python ints (real and
+imaginary parts separately) so that values never leave exact arithmetic.
 """
 
 from __future__ import annotations
 
-import contextlib
 
-from . import _kernels_py
+def gmf_sum(perms, wre, wim, pre, pim):
+    """Weighted sum over permutations of entry products.
 
-try:
-    from . import _kernels  # compiled extension, optional
-except ImportError:  # pragma: no cover - depends on the build
-    _kernels = None
+    Computes sum_k w_k * prod_i A[i][perm_k[i]] over Gaussian-integer
+    entries (pre + pim*i), with permutations as 0-based image tuples.
+    Returns the (real, imaginary) integer pair.
+    """
+    n = len(pre)
+    acc_re = 0
+    acc_im = 0
+    for k, perm in enumerate(perms):
+        wr = wre[k]
+        wi = wim[k]
+        if not wr and not wi:
+            continue
+        prod_re = 1
+        prod_im = 0
+        for i in range(n):
+            j = perm[i]
+            er = pre[i][j]
+            ei = pim[i][j]
+            prod_re, prod_im = (
+                prod_re * er - prod_im * ei,
+                prod_re * ei + prod_im * er,
+            )
+        acc_re += wr * prod_re - wi * prod_im
+        acc_im += wr * prod_im + wi * prod_re
+    return acc_re, acc_im
 
-_active = _kernels if _kernels is not None else _kernels_py
 
-BACKEND = _active.BACKEND_NAME
-gmf_sum = _active.gmf_sum
-det_gaussian_int = _active.det_gaussian_int
+def det_gaussian_int(pre, pim):
+    """Exact determinant of a Gaussian-integer matrix.
 
-
-def available_backends() -> dict[str, object]:
-    """Importable kernel backends keyed by name."""
-    found: dict[str, object] = {_kernels_py.BACKEND_NAME: _kernels_py}
-    if _kernels is not None:
-        found[_kernels.BACKEND_NAME] = _kernels
-    return found
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily route kernel calls through the named backend."""
-    global BACKEND, gmf_sum, det_gaussian_int
-    backends = available_backends()
-    if name not in backends:
-        raise ValueError(f"unknown backend {name!r}; have {sorted(backends)}")
-    module = backends[name]
-    saved = (BACKEND, gmf_sum, det_gaussian_int)
-    BACKEND = module.BACKEND_NAME
-    gmf_sum = module.gmf_sum
-    det_gaussian_int = module.det_gaussian_int
-    try:
-        yield module
-    finally:
-        BACKEND, gmf_sum, det_gaussian_int = saved
+    Fraction-free elimination: every intermediate entry is a minor of the
+    input, so the divisions below are exact in the Gaussian integers and
+    entry growth stays polynomial.  Returns the (real, imaginary) pair.
+    """
+    n = len(pre)
+    if n == 0:
+        return 1, 0
+    are = [list(row) for row in pre]
+    aim = [list(row) for row in pim]
+    sign = 1
+    prev_re, prev_im = 1, 0
+    for k in range(n - 1):
+        if not are[k][k] and not aim[k][k]:
+            for i in range(k + 1, n):
+                if are[i][k] or aim[i][k]:
+                    are[k], are[i] = are[i], are[k]
+                    aim[k], aim[i] = aim[i], aim[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, 0
+        pkk_re, pkk_im = are[k][k], aim[k][k]
+        nrm = prev_re * prev_re + prev_im * prev_im
+        for i in range(k + 1, n):
+            aik_re, aik_im = are[i][k], aim[i][k]
+            for j in range(k + 1, n):
+                t_re = (
+                    are[i][j] * pkk_re
+                    - aim[i][j] * pkk_im
+                    - aik_re * are[k][j]
+                    + aik_im * aim[k][j]
+                )
+                t_im = (
+                    are[i][j] * pkk_im
+                    + aim[i][j] * pkk_re
+                    - aik_re * aim[k][j]
+                    - aik_im * are[k][j]
+                )
+                if k:
+                    are[i][j] = (t_re * prev_re + t_im * prev_im) // nrm
+                    aim[i][j] = (t_im * prev_re - t_re * prev_im) // nrm
+                else:
+                    are[i][j] = t_re
+                    aim[i][j] = t_im
+        prev_re, prev_im = pkk_re, pkk_im
+    return sign * are[n - 1][n - 1], sign * aim[n - 1][n - 1]

@@ -61,6 +61,21 @@ def naive_det_expansion(matrix: pf.Matrix) -> GaussianRational:
     return total
 
 
+def brute_gmf(matrix: pf.Matrix, group, chi) -> GaussianRational:
+    """Generalized matrix function by scanning all of S_n and filtering by membership."""
+    n = matrix.rows
+    total = ZERO
+    for images in permutations(range(1, n + 1)):
+        sigma = pf.Permutation(images)
+        if not group.contains(sigma):
+            continue
+        product = chi.evaluate(sigma)
+        for i in range(1, n + 1):
+            product = product * matrix.entry(i, sigma(i))
+        total = total + product
+    return total
+
+
 def is_hermitian(matrix: pf.Matrix) -> bool:
     return matrix == pf.conjugate_transpose(matrix)
 

@@ -175,12 +175,14 @@ def test_domain_error_exit_code(capsys):
     assert "degree" in err
 
 
+def test_naive_group_cap_exit_code(capsys):
+    code, _, err = run(capsys, "gmf", "--method", "naive", "--group", "S11",
+                       "--character", "sign", "--theta", "(1 2)", "--tau", "id", "--n", "11")
+    assert code == 3
+    assert "exceeds cap" in err
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-
-
-def test_threads_validation(capsys):
-    code, _, err = run(capsys, "--threads", "0", "s-det", "--theta", "id", "--n", "2")
-    assert code == 3

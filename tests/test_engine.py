@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 import permfunc as pf
-from permfunc import engine
+from permfunc import engine, groups, kernels
 from permfunc.characters import (
     IrreducibleCharacter,
     Partition,
     SignCharacter,
     TrivialCharacter,
+    parse_character,
     partitions,
 )
 from permfunc.errors import (
@@ -27,6 +28,7 @@ from permfunc.groups import (
     CyclicGroup,
     PointwiseStabilizer,
     SymmetricGroup,
+    parse_group,
 )
 from permfunc.matrices import (
     BlockSpec,
@@ -39,7 +41,13 @@ from permfunc.matrices import (
     scalar_mul,
 )
 from permfunc.perm import Permutation, compose, cycle_structure, parse_permutation
-from support import naive_det_expansion, rand_involution, rand_perm, rand_scalar
+from support import (
+    brute_gmf,
+    naive_det_expansion,
+    rand_involution,
+    rand_perm,
+    rand_scalar,
+)
 
 
 def P(text, n):
@@ -75,6 +83,46 @@ class TestNaive:
     def test_degree_checks(self):
         with pytest.raises(DegreeMismatchError):
             pf.gmf_naive(Matrix.identity(3), SymmetricGroup(4), SignCharacter())
+
+    def test_dense_matches_brute_force(self):
+        rng = random.Random(913)
+        nonzero = [v for v in range(-3, 4) if v]
+        for n in (4, 5, 6):
+            matrix = Matrix(
+                [
+                    [gauss(rng.choice(nonzero), rng.randint(-3, 3)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+            specs = [
+                AlternatingGroup(n),
+                parse_group(f"stab:1,{n}@{n}"),
+                parse_group(f"gens:(1 2)(3 4),(1 3 2)@{n}"),
+                SymmetricGroup(n),
+            ]
+            characters = [
+                TrivialCharacter(),
+                SignCharacter(),
+                parse_character(f"irr:[{n - 2},2]", n),
+            ]
+            for group in specs:
+                for chi in characters:
+                    result = pf.gmf_naive(matrix, group, chi)
+                    assert result.value == brute_gmf(matrix, group, chi)
+                    assert result.term_count == group.order()
+
+    def test_sparse_input_skips_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the naive route enumerated the group")
+
+        monkeypatch.setattr(groups, "enumerate_group", refuse)
+        monkeypatch.setattr(engine, "enumerate_group", refuse)
+        ident = Permutation.identity(10)
+        cycle = Permutation.from_cycles(10, [tuple(range(1, 11))])
+        matrix = linear_sum(ONE, ONE, ident, cycle)
+        result = pf.gmf_naive(matrix, SymmetricGroup(10), TrivialCharacter())
+        assert result.value == gauss(2)
+        assert result.term_count == math.factorial(10)
 
 
 class TestLinearSumFormula:
@@ -242,6 +290,24 @@ class TestCauchyBinet:
             matrix = Matrix(grid)
             negated = scalar_mul(gauss(-1), matrix)
             assert pf.det_cauchy_binet_sum(matrix, negated).value == ZERO
+
+    def test_prunes_vanishing_minors_on_bench_instance(self, monkeypatch):
+        theta = P("(1 2 3 4 5 6 7 8)", 8)
+        tau = P("(1 3 5 7)(2 4 6 8)", 8)
+        calls = []
+        det = kernels.det_gaussian_int
+
+        def counted(pre, pim):
+            calls.append(len(pre))
+            return det(pre, pim)
+
+        monkeypatch.setattr(kernels, "det_gaussian_int", counted)
+        result = pf.det_cauchy_binet_sum(
+            scalar_mul(gauss(3), perm_matrix(theta)), scalar_mul(gauss(2), perm_matrix(tau))
+        )
+        assert result.term_count == 12870
+        assert result.value == pf.det_linear_sum(gauss(3), gauss(2), theta, tau).value
+        assert len(calls) == 4
 
     def test_matches_expansion_on_dense_random(self):
         rng = random.Random(18)

@@ -1,20 +1,12 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones."""
+"""The exact kernels against independent expansions."""
 
 import random
 
-import pytest
-
 import permfunc as pf
-from permfunc import kernels
-from permfunc._kernels_py import det_gaussian_int as py_det, gmf_sum as py_gmf
 from permfunc.gaussian import gauss
+from permfunc.kernels import det_gaussian_int, gmf_sum
 from permfunc.matrices import Matrix
 from support import naive_det_expansion, rand_perm
-
-compiled = kernels.available_backends().get("compiled")
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled backend not built"
-)
 
 
 def random_int_matrix(rng, n, span=6):
@@ -29,15 +21,15 @@ def test_python_det_matches_expansion_oracle():
         n = rng.randint(1, 5)
         pre, pim = random_int_matrix(rng, n)
         matrix = Matrix([[gauss(pre[i][j], pim[i][j]) for j in range(n)] for i in range(n)])
-        dre, dim = py_det([row[:] for row in pre], [row[:] for row in pim])
+        dre, dim = det_gaussian_int([row[:] for row in pre], [row[:] for row in pim])
         assert gauss(dre, dim) == naive_det_expansion(matrix)
 
 
 def test_python_det_handles_zero_pivots():
     # column of zeros, and a case needing a row swap
-    assert py_det([[0, 1], [0, 2]], [[0, 0], [0, 0]]) == (0, 0)
-    assert py_det([[0, 1], [1, 0]], [[0, 0], [0, 0]]) == (-1, 0)
-    assert py_det([], []) == (1, 0)
+    assert det_gaussian_int([[0, 1], [0, 2]], [[0, 0], [0, 0]]) == (0, 0)
+    assert det_gaussian_int([[0, 1], [1, 0]], [[0, 0], [0, 0]]) == (-1, 0)
+    assert det_gaussian_int([], []) == (1, 0)
 
 
 def test_python_gmf_sum_early_exit_consistency():
@@ -48,7 +40,7 @@ def test_python_gmf_sum_early_exit_consistency():
         perms = [tuple(v - 1 for v in rand_perm(rng, n).images) for _ in range(12)]
         wre = [rng.randint(-3, 3) for _ in perms]
         wim = [rng.randint(-3, 3) for _ in perms]
-        sre, sim = py_gmf(perms, wre, wim, pre, pim)
+        sre, sim = gmf_sum(perms, wre, wim, pre, pim)
         expected = gauss(0)
         for k, perm in enumerate(perms):
             product = gauss(1)
@@ -58,64 +50,21 @@ def test_python_gmf_sum_early_exit_consistency():
         assert gauss(sre, sim) == expected
 
 
-@needs_compiled
-def test_backend_parity_det():
-    rng = random.Random(79)
-    for _ in range(80):
-        n = rng.randint(0, 6)
-        pre, pim = random_int_matrix(rng, n) if n else ([], [])
-        got = compiled.det_gaussian_int([row[:] for row in pre], [row[:] for row in pim])
-        want = py_det([row[:] for row in pre], [row[:] for row in pim])
-        assert got == want
-
-
-@needs_compiled
-def test_backend_parity_gmf_sum():
-    rng = random.Random(80)
-    for _ in range(40):
-        n = rng.randint(2, 6)
-        pre, pim = random_int_matrix(rng, n, span=3)
-        perms = [tuple(v - 1 for v in rand_perm(rng, n).images) for _ in range(20)]
-        wre = [rng.randint(-4, 4) for _ in perms]
-        wim = [rng.randint(-4, 4) for _ in perms]
-        assert compiled.gmf_sum(perms, wre, wim, pre, pim) == py_gmf(
-            perms, wre, wim, pre, pim
-        )
-
-
-@needs_compiled
 def test_big_integer_growth_is_exact():
     # entries large enough that intermediate products exceed 64-bit range
     rng = random.Random(81)
     n = 5
     pre = [[rng.randint(-10**12, 10**12) for _ in range(n)] for _ in range(n)]
     pim = [[rng.randint(-10**12, 10**12) for _ in range(n)] for _ in range(n)]
-    assert compiled.det_gaussian_int(
-        [row[:] for row in pre], [row[:] for row in pim]
-    ) == py_det([row[:] for row in pre], [row[:] for row in pim])
+    matrix = Matrix([[gauss(pre[i][j], pim[i][j]) for j in range(n)] for i in range(n)])
+    dre, dim = det_gaussian_int([row[:] for row in pre], [row[:] for row in pim])
+    assert gauss(dre, dim) == naive_det_expansion(matrix)
 
 
-def test_use_backend_context():
-    with kernels.use_backend("python") as module:
-        assert module.BACKEND_NAME == "python"
-        assert kernels.BACKEND == "python"
-    assert kernels.BACKEND in {"python", "compiled"}
-    with pytest.raises(ValueError):
-        with kernels.use_backend("missing"):
-            pass
-
-
-def test_engine_results_identical_across_backends():
+def test_engine_reference_value():
     theta = pf.parse_permutation("(1 5 3)(2 6)", 6)
     tau = pf.parse_permutation("(2 4 6)", 6)
     matrix = pf.linear_sum(gauss(2), gauss(0, -1), theta, tau)
-    values = {}
-    for name in kernels.available_backends():
-        with kernels.use_backend(name):
-            values[name] = (
-                pf.gmf_naive(matrix, pf.SymmetricGroup(6), pf.SignCharacter()).value,
-                pf.det_exact(matrix),
-            )
-    results = set(values.values())
-    assert len(results) == 1
-    assert results.pop() == (gauss(-85, 30), gauss(-85, 30))
+    naive = pf.gmf_naive(matrix, pf.SymmetricGroup(6), pf.SignCharacter())
+    assert naive.value == gauss(-85, 30)
+    assert pf.det_exact(matrix) == gauss(-85, 30)
