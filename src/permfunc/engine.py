@@ -34,7 +34,6 @@ from math import comb, lcm
 
 from .characters import CharacterSpec
 from .errors import (
-    CapacityError,
     CharacterDomainError,
     DegreeMismatchError,
     DisjointnessError,
@@ -46,6 +45,7 @@ from .groups import (
     DEFAULT_ENUMERATION_CAP,
     GroupSpec,
     SymmetricGroup,
+    checked_order,
     enumerate_group,
 )
 from .matrices import (
@@ -132,18 +132,30 @@ def det_exact(a: Matrix) -> GaussianRational:
     return GaussianRational(dre * scale, dim * scale)
 
 
-def _nonzero_images(pre, pim) -> list[tuple[int, ...]]:
-    """0-based image tuples of the permutations with a nonzero entry product.
+_to_zero_based = (-1).__add__
 
-    Built row by row: row i extends every partial tuple by each of its
-    nonzero columns not already taken.
+
+def _nonzero_members(pre, pim, group: GroupSpec, order: int):
+    """Yield the members of ``group`` whose entry product is nonzero.
+
+    Walks the smaller of two sets, so the work stays within |G|: the
+    image tuples built row by row from each row's nonzero columns, kept
+    when injective and in the group, when there are at most |G| of them;
+    otherwise the group's elements, skipping those with a zero entry.
     """
     n = len(pre)
-    partial: list[tuple[int, ...]] = [()]
-    for i in range(n):
-        columns = [j for j in range(n) if pre[i][j] or pim[i][j]]
-        partial = [p + (j,) for p in partial for j in columns if j not in p]
-    return partial
+    columns = [[j for j in range(n) if pre[i][j] or pim[i][j]] for i in range(n)]
+    if math.prod(map(len, columns)) <= order:
+        for images in itertools.product(*columns):
+            if len(set(images)) == n:
+                sigma = Permutation(tuple(j + 1 for j in images))
+                if group.contains(sigma):
+                    yield sigma
+    else:
+        dense = all(len(row) == n for row in columns)
+        for sigma in group._generate():
+            if dense or all(pre[i][k - 1] or pim[i][k - 1] for i, k in enumerate(sigma.images)):
+                yield sigma
 
 
 def gmf_naive(
@@ -154,9 +166,9 @@ def gmf_naive(
 ) -> GmfResult:
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
-    Only permutations with a nonzero entry product are visited, and of
-    those only the group members are weighed; the term count is still
-    |G|.  Raises CapacityError when |G| exceeds ``cap``.
+    Only group members with a nonzero entry product are visited and
+    weighed; the term count is still |G|.  Raises CapacityError when |G|
+    exceeds ``cap``, before the search starts.
     """
     if not a.is_square:
         raise DegreeMismatchError("generalized matrix functions need square matrices")
@@ -164,17 +176,13 @@ def gmf_naive(
         raise DegreeMismatchError(
             f"matrix degree {a.rows}, group degree {group.degree}"
         )
-    order = group.order()
-    if order > cap:
-        raise CapacityError(f"group order {order} exceeds cap {cap}")
+    order = checked_order(group, cap)
     pre, pim, den = integer_grid(a)
     perms = []
     weights = []
-    for images in _nonzero_images(pre, pim):
-        sigma = Permutation(tuple(j + 1 for j in images))
-        if group.contains(sigma):
-            perms.append(images)
-            weights.append(chi.evaluate(sigma))
+    for sigma in _nonzero_members(pre, pim, group, order):
+        perms.append(tuple(map(_to_zero_based, sigma.images)))
+        weights.append(chi.evaluate(sigma))
     wre, wim, wden = _weights_to_int(weights)
     sre, sim = kernels.gmf_sum(perms, wre, wim, pre, pim)
     scale = Fraction(1, wden * den**a.rows)

@@ -4,8 +4,9 @@ Membership tests never force an enumeration when the variant admits a
 direct predicate; generated subgroups memoize their closure the first
 time it is needed.  Enumeration is capped (10! by default); the naive
 generalized-matrix-function oracle applies the same cap to the group
-order, though it visits only the permutations with a nonzero entry
-product and never enumerates the group.
+order, and its work stays within |G|: it walks the candidates with a
+nonzero entry product or the group's elements, whichever set is
+smaller.
 """
 
 from __future__ import annotations
@@ -244,23 +245,31 @@ class FiniteSubgroup:
         return len(self.elements)
 
 
+def checked_order(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """The group order; raises CapacityError when it exceeds ``cap``.
+
+    Variants with an order formula are checked before anything is built;
+    a generated subgroup's closure stops as soon as it passes ``cap``.
+    """
+    if isinstance(spec, GeneratedSubgroup):
+        order = len(spec._closure(cap))
+    else:
+        order = spec.order()
+    if order > cap:
+        raise CapacityError(f"group order {order} exceeds cap {cap}")
+    return order
+
+
 def enumerate_group(
     spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> FiniteSubgroup:
     """List all elements of the subgroup, sorted by image sequence.
 
-    Raises CapacityError when the group order exceeds ``cap``; the check
-    runs before any enumeration for variants with a known order formula.
+    Raises CapacityError when the group order exceeds ``cap``, before any
+    enumeration.
     """
-    if isinstance(spec, GeneratedSubgroup):
-        elements = spec._closure(cap)
-    else:
-        if spec.order() > cap:
-            raise CapacityError(f"group order {spec.order()} exceeds cap {cap}")
-        elements = spec._generate()
-    ordered = tuple(sorted(elements, key=lambda p: p.images))
-    if len(ordered) > cap:
-        raise CapacityError(f"group order {len(ordered)} exceeds cap {cap}")
+    checked_order(spec, cap)
+    ordered = tuple(sorted(spec._generate(), key=lambda p: p.images))
     return FiniteSubgroup(spec, ordered)
 
 

@@ -17,6 +17,7 @@ from permfunc.characters import (
     partitions,
 )
 from permfunc.errors import (
+    CapacityError,
     CharacterDomainError,
     DegreeMismatchError,
     DisjointnessError,
@@ -26,6 +27,7 @@ from permfunc.gaussian import ONE, ZERO, gauss
 from permfunc.groups import (
     AlternatingGroup,
     CyclicGroup,
+    GeneratedSubgroup,
     PointwiseStabilizer,
     SymmetricGroup,
     parse_group,
@@ -123,6 +125,76 @@ class TestNaive:
         result = pf.gmf_naive(matrix, SymmetricGroup(10), TrivialCharacter())
         assert result.value == gauss(2)
         assert result.term_count == math.factorial(10)
+
+
+    def test_partly_sparse_matches_brute_force(self):
+        # Row supports of one to n entries take the naive route through both
+        # of its walks: candidates built from nonzero columns, or the group.
+        rng = random.Random(2207)
+        for n in (4, 5, 6):
+            specs = [
+                SymmetricGroup(n),
+                AlternatingGroup(n),
+                parse_group(f"stab:2@{n}"),
+                parse_group(f"gens:(1 2 3),(3 4)@{n}"),
+            ]
+            characters = [SignCharacter(), parse_character(f"irr:[{n - 2},2]", n)]
+            for _ in range(4):
+                rows = []
+                for _ in range(n):
+                    support = set(rng.sample(range(n), rng.randint(1, n)))
+                    rows.append(
+                        [
+                            gauss(rng.randint(1, 3), rng.randint(-2, 2)) if j in support else ZERO
+                            for j in range(n)
+                        ]
+                    )
+                matrix = Matrix(rows)
+                for group in specs:
+                    for chi in characters:
+                        result = pf.gmf_naive(matrix, group, chi)
+                        assert result.value == brute_gmf(matrix, group, chi)
+
+    def test_small_group_at_high_degree_walks_the_group(self, monkeypatch):
+        # 2^20 entry products are nonzero but the group has two elements.
+        n = 40
+        theta = Permutation.from_cycles(n, [(2 * k + 1, 2 * k + 2) for k in range(n // 2)])
+        matrix = linear_sum(gauss(2), gauss(-1), theta, Permutation.identity(n))
+        built = []
+
+        def counted(images):
+            built.append(images)
+            assert len(built) <= 2, "the naive route searched beyond |G|"
+            return Permutation(images)
+
+        monkeypatch.setattr(engine, "Permutation", counted)
+        result = pf.gmf_naive(matrix, CyclicGroup(theta), TrivialCharacter())
+        assert result.value == gauss(2**n + 1)
+        assert result.term_count == 2
+
+    def test_small_stabilizer_at_high_degree(self):
+        n = 24
+        theta = Permutation.from_cycles(n, [(2 * k + 1, 2 * k + 2) for k in range(n // 2)])
+        tau = Permutation.identity(n)
+        group = PointwiseStabilizer(n, frozenset(range(1, n - 4)))
+        chi = SignCharacter()
+        result = pf.gmf_naive(linear_sum(gauss(2), gauss(-1), theta, tau), group, chi)
+        expected = pf.gmf_linear_sum(gauss(2), gauss(-1), theta, tau, group, chi)
+        assert result.value == expected.value
+        assert result.term_count == 120
+
+    def test_cap_stops_a_generated_closure_early(self, monkeypatch):
+        steps = []
+
+        def counted(p, q):
+            steps.append(1)
+            return compose(p, q)
+
+        monkeypatch.setattr(groups, "compose", counted)
+        group = GeneratedSubgroup(7, (P("(2 5)", 7), P("(1 2 3 4 5 6 7)", 7)))
+        with pytest.raises(CapacityError):
+            pf.gmf_naive(Matrix.identity(7), group, SignCharacter(), cap=100)
+        assert len(steps) < 1000
 
 
 class TestLinearSumFormula:
