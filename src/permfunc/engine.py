@@ -189,6 +189,53 @@ def gmf_naive(
     return GmfResult(GaussianRational(sre * scale, sim * scale), Method.NAIVE, order)
 
 
+def _subset_products(factors) -> list:
+    """One product per bitmask over the (a_c, b_c) pairs: b_c where the bit is set, else a_c."""
+    products = [1]
+    for a_c, b_c in factors:
+        products = [p * a_c for p in products] + [p * b_c for p in products]
+    return products
+
+
+def _mixture_sum(alpha, beta, coeff_a, coeff_b, group: GroupSpec, weigh, zero=ZERO):
+    """Sum weigh(sigma) times the entry product over the mixtures of alpha and beta.
+
+    Column y carries coeff_a[y-1] in row alpha(y) and coeff_b[y-1] in row
+    beta(y).  A mixture sigma of x_set(alpha, beta) takes each cycle of
+    alpha^-1*beta from alpha or from beta, so its entry product is the
+    prefactor, the product of coeff_a + coeff_b over the fixed points,
+    times one factor per cycle: the product of coeff_b over the cycle if
+    sigma takes it from beta, else that of coeff_a.  Returns the total
+    over the in-group mixtures and the number of them with a nonzero
+    entry product; a zero prefactor gives ``zero`` with no terms.
+    """
+    dec = disjoint_cycles(compose(alpha.inverse(), beta))
+    prefactor = math.prod(coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points)
+    if not prefactor:
+        return zero, 0
+    factors = [
+        (math.prod(coeff_a[y - 1] for y in cycle), math.prod(coeff_b[y - 1] for y in cycle))
+        for cycle in dec.cycles
+    ]
+    # x_set lists the mixtures by increasing bitmask of the cycles taken
+    # from beta; the product over each half of the cycles is tabulated
+    # once, so a mixture's weight costs one multiplication
+    half = len(factors) // 2
+    low = _subset_products(factors[:half])
+    high = _subset_products(factors[half:])
+    total = zero
+    terms = 0
+    for mask, element in enumerate(x_set(alpha, beta)):
+        if not group.contains(element.sigma):
+            continue
+        weight = low[mask & ((1 << half) - 1)] * high[mask >> half]
+        if not weight:
+            continue
+        terms += 1
+        total = total + weigh(element.sigma) * weight
+    return prefactor * total, terms
+
+
 def gmf_linear_sum(
     a: GaussianRational,
     b: GaussianRational,
@@ -212,22 +259,10 @@ def gmf_linear_sum(
             f"permutation degree {theta.degree}, group degree {group.degree}"
         )
     n = theta.degree
-    f_count = len(compose(theta.inverse(), tau).fixed_points())
-    prefactor = (a + b) ** f_count
-    if prefactor.is_zero():
-        return GmfResult(ZERO, Method.FORMULA, 0)
-    total = ZERO
-    terms = 0
-    for element in x_set(theta, tau):
-        if not group.contains(element.sigma):
-            continue
-        t = element.t_sigma
-        monomial = a ** (n - t - f_count) * b**t
-        if monomial.is_zero():
-            continue
-        terms += 1
-        total = total + chi.conjugate_evaluate(element.sigma) * monomial
-    return GmfResult(prefactor * total, Method.FORMULA, terms)
+    value, terms = _mixture_sum(
+        theta, tau, [a] * n, [b] * n, group, chi.conjugate_evaluate
+    )
+    return GmfResult(value, Method.FORMULA, terms)
 
 
 def _closed_form(
@@ -238,31 +273,19 @@ def _closed_form(
     signed: bool,
 ) -> GmfResult:
     cs = cycle_structure(compose(theta.inverse(), tau))
-    n = theta.degree
-    lengths = cs.lengths
-    f_count = cs.fixed_count
-    prefactor = (a + b) ** f_count
-    if prefactor.is_zero():
+    value = (a + b) ** cs.fixed_count
+    if value.is_zero():
         return GmfResult(ZERO, Method.CLOSED_FORM, 0)
-    total = ZERO
-    terms = 0
-    for mask in range(1 << len(lengths)):
-        moved = 0
-        size = 0
-        for i, length in enumerate(lengths):
-            if mask >> i & 1:
-                moved += length
-                size += 1
-        monomial = a ** (n - moved - f_count) * b**moved
-        if monomial.is_zero():
-            continue
-        terms += 1
-        if signed and (size + moved) % 2:
-            monomial = -monomial
-        total = total + monomial
+    for length in cs.lengths:
+        if signed:
+            value = value * (a**length - (-b) ** length)
+        else:
+            value = value * (a**length + b**length)
     if signed and theta.sign() < 0:
-        total = -total
-    return GmfResult(prefactor * total, Method.CLOSED_FORM, terms)
+        value = -value
+    # each cycle picks a^l or b^l; only a nonzero coefficient gives a nonzero monomial
+    terms = (bool(a) + bool(b)) ** len(cs.lengths)
+    return GmfResult(value, Method.CLOSED_FORM, terms)
 
 
 def det_linear_sum(
@@ -270,8 +293,8 @@ def det_linear_sum(
 ) -> GmfResult:
     """det(a*P_theta + b*P_tau) from the cycle structure of theta^-1*tau alone.
 
-    Each subset of cycles contributes with sign (-1)^(count + moved); the
-    whole sum carries sign(theta).
+    The value is sign(theta) * (a+b)^F * prod over the cycles of
+    (a^l - (-b)^l), F the fixed-point count and l the cycle length.
     """
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
@@ -281,7 +304,7 @@ def det_linear_sum(
 def per_linear_sum(
     a: GaussianRational, b: GaussianRational, theta: Permutation, tau: Permutation
 ) -> GmfResult:
-    """per(a*P_theta + b*P_tau) from the cycle structure of theta^-1*tau alone."""
+    """per(a*P_theta + b*P_tau) = (a+b)^F * prod over the cycles of (a^l + b^l)."""
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
     return _closed_form(a, b, theta, tau, signed=False)
@@ -355,53 +378,25 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
     """Fast route for the block assembly described by ``spec``.
 
     With alpha, beta the induced permutations of [1..m*n], only the
-    2^r pointwise mixtures of the two contribute.  A cycle (or fixed
-    point) of alpha^-1*beta supported on column y collects the
-    coefficient of the block row containing alpha(y); agreement points
-    contribute (a_j + b_j) factors.
+    2^r pointwise mixtures of the two contribute.  Column y carries the
+    coefficient a_j of the block row j containing alpha(y) and the
+    coefficient b_k of the block row k containing beta(y); agreement
+    points contribute (a_j + b_j) factors.
     """
     if group.degree != spec.size:
         raise DegreeMismatchError(
             f"group degree {group.degree} != block matrix size {spec.size}"
         )
     alpha, beta = spec.induced_pair()
-    dec = disjoint_cycles(compose(alpha.inverse(), beta))
-
-    def image_block(point: int) -> int:
-        return (alpha(point) - 1) // spec.m
-
-    fixed_per_block = [0] * spec.n
-    for point in dec.fixed_points:
-        fixed_per_block[image_block(point)] += 1
-    counts = [
-        [0] * spec.n for _ in dec.cycles
-    ]  # counts[i][j]: cycle i's points landing in block row j+1
-    for i, cycle in enumerate(dec.cycles):
-        for point in cycle:
-            counts[i][image_block(point)] += 1
-
-    prefactor = ONE
-    for j in range(spec.n):
-        prefactor = prefactor * (spec.a[j] + spec.b[j]) ** fixed_per_block[j]
-    if prefactor.is_zero():
-        return GmfResult(ZERO, Method.BLOCK, 0)
-
-    total = ZERO
-    terms = 0
-    for element in x_set(alpha, beta):
-        if not group.contains(element.sigma):
-            continue
-        weight = ONE
-        for i in range(len(dec.cycles)):
-            coeffs = spec.b if (i + 1) in element.chosen else spec.a
-            for j in range(spec.n):
-                if counts[i][j]:
-                    weight = weight * coeffs[j] ** counts[i][j]
-        if weight.is_zero():
-            continue
-        terms += 1
-        total = total + chi.conjugate_evaluate(element.sigma) * weight
-    return GmfResult(prefactor * total, Method.BLOCK, terms)
+    value, terms = _mixture_sum(
+        alpha,
+        beta,
+        [spec.a[(row - 1) // spec.m] for row in alpha.images],
+        [spec.b[(row - 1) // spec.m] for row in beta.images],
+        group,
+        chi.conjugate_evaluate,
+    )
+    return GmfResult(value, Method.BLOCK, terms)
 
 
 def gmf_s_matrix(
@@ -529,28 +524,6 @@ class BoundReport:
         return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
 
 
-def _linear_sum_value_float(
-    a: GaussianRational,
-    b: GaussianRational,
-    theta: Permutation,
-    tau: Permutation,
-    group: GroupSpec,
-    chi: CharacterSpec,
-) -> complex:
-    """Floating twin of gmf_linear_sum for characters outside Q(i)."""
-    n = theta.degree
-    f_count = len(compose(theta.inverse(), tau).fixed_points())
-    af, bf = complex(a.re, a.im), complex(b.re, b.im)
-    total = 0j
-    for element in x_set(theta, tau):
-        if not group.contains(element.sigma):
-            continue
-        t = element.t_sigma
-        weight = chi.evaluate_float(element.sigma.inverse())
-        total += weight * af ** (n - t - f_count) * bf**t
-    return total * (af + bf) ** f_count
-
-
 def check_singular_bound(
     a: GaussianRational,
     b: GaussianRational,
@@ -574,7 +547,17 @@ def check_singular_bound(
         value = gmf_linear_sum(a, b, theta, tau, group, chi).value
         lhs = float(value.abs_squared())
     except ExactnessError:
-        lhs = abs(_linear_sum_value_float(a, b, theta, tau, group, chi)) ** 2
+        # the same walk in floating point, for characters outside Q(i)
+        value, _ = _mixture_sum(
+            theta,
+            tau,
+            [complex(a.re, a.im)] * n,
+            [complex(b.re, b.im)] * n,
+            group,
+            lambda sigma: chi.evaluate_float(sigma.inverse()),
+            zero=0j,
+        )
+        lhs = abs(value) ** 2
     spectrum = singular_values(a, b, theta, tau)
     rhs = sum((v * v) ** n for v in spectrum.values) / n
     holds = lhs <= rhs + REL_TOL * max(1.0, abs(lhs), abs(rhs))

@@ -168,32 +168,33 @@ class GaussianRational:
     def parse(cls, text: str) -> "GaussianRational":
         """Parse literals like "2", "-1i", "2-1i", "1/2+3/4i", "-i".
 
-        No floating point forms are accepted; this keeps every CLI input
-        inside the exact field.
+        A literal has at most one real and one imaginary term, the second
+        one signed, and every denominator is nonzero; whitespace is
+        allowed only around a sign.  No floating point forms are
+        accepted; this keeps every CLI input inside the exact field.
         """
-        s = text.strip().replace(" ", "")
+        s = _re.sub(r"\s*([+-])\s*", r"\1", text.strip())
         if not s:
             raise ParseError("empty scalar literal")
-        re_part = Fraction(0)
-        im_part = Fraction(0)
+        parts: dict[bool, Fraction] = {}  # keyed by "is imaginary"
         pos = 0
-        seen = 0
         while pos < len(s):
             m = cls._TERM.match(s, pos)
-            if not m or m.end() == pos or (m["num"] is None and m["imag"] is None):
+            if (
+                not m
+                or m.end() == pos
+                or (m["num"] is None and m["imag"] is None)
+                or (pos and not m["sign"])
+                or bool(m["imag"]) in parts
+            ):
                 raise ParseError(f"bad scalar literal: {text!r}")
-            mag = Fraction(m["num"]) if m["num"] is not None else Fraction(1)
-            if m["sign"] == "-":
-                mag = -mag
-            if m["imag"]:
-                im_part += mag
-            else:
-                re_part += mag
+            try:
+                mag = Fraction(m["num"]) if m["num"] is not None else Fraction(1)
+            except ZeroDivisionError as exc:
+                raise ParseError(f"zero denominator in scalar literal: {text!r}") from exc
+            parts[bool(m["imag"])] = -mag if m["sign"] == "-" else mag
             pos = m.end()
-            seen += 1
-            if seen > 2:
-                raise ParseError(f"bad scalar literal: {text!r}")
-        return cls(re_part, im_part)
+        return cls(parts.get(False, 0), parts.get(True, 0))
 
     def to_json(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}

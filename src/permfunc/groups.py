@@ -275,6 +275,9 @@ def enumerate_group(
 
 _SYM_RE = _re.compile(r"^([SA])(\d+)$")
 
+# a comma outside parentheses: "(1,2),(1 2 3)" splits into two cycles
+_GENERATOR_SEP = _re.compile(r",(?![^(]*\))")
+
 
 def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     """Parse "S6", "A6", "cyclic:(1 2 3 4)", "stab:1,3,5@6", "gens:(1 2),(1 2 3)@3".
@@ -286,6 +289,8 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     m = _SYM_RE.match(s)
     if m:
         n = int(m.group(2))
+        if n < 1:
+            raise ParseError(f"group degree must be positive in {text!r}")
         return SymmetricGroup(n) if m.group(1) == "S" else AlternatingGroup(n)
     body = s
     degree = default_degree
@@ -312,7 +317,7 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     if body.startswith("gens:"):
         gens = tuple(
             parse_permutation(tok, degree)
-            for tok in body[len("gens:") :].split(",")
+            for tok in _GENERATOR_SEP.split(body[len("gens:") :])
             if tok.strip()
         )
         if not gens:

@@ -1,9 +1,14 @@
 """Command-line interface: output contracts and exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import permfunc
 from permfunc.cli import main
 from permfunc.gaussian import GaussianRational
 from permfunc.matrices import BlockSpec
@@ -166,6 +171,39 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "det", "--a", "oops", "--b", "1", *REF)
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "--a", "1/0", "--b", "1", *REF],
+        ["det", "--a", "2+3", "--b", "1", *REF],
+        ["gmf", "--a", "1", "--b", "1", *REF, "--group", "S0", "--character", "sign"],
+    ],
+    ids=["zero-denominator", "two-real-terms", "degree-zero-group"],
+)
+def test_malformed_input_exits_two_without_traceback(argv):
+    src = pathlib.Path(permfunc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "permfunc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_denominator_in_block_spec(tmp_path, capsys):
+    spec = {
+        "m": 1, "n": 2, "theta": "id", "tau": "(1 2)", "inner_thetas": ["id", "id"],
+        "inner_taus": ["id", "id"], "a": ["1/0", "2"], "b": ["1", "1"],
+    }
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "block-gmf", "--spec", str(path), "--character", "trivial")
+    assert code == 2
+    assert "1/0" in err
 
 
 def test_domain_error_exit_code(capsys):

@@ -248,6 +248,17 @@ class TestLinearSumFormula:
         assert result.term_count == 1
         assert result.value == gauss(theta.sign())
 
+    def test_no_mixture_in_group(self):
+        # theta^-1*tau is one 3-cycle (F = 0) and both mixtures move 1
+        theta, tau = P("(1 2 3)", 3), P("(1 3 2)", 3)
+        result = pf.gmf_linear_sum(
+            gauss(2), gauss(3), theta, tau, parse_group("stab:1@3"), TrivialCharacter()
+        )
+        assert isinstance(result.value, pf.GaussianRational)
+        assert result.value == ZERO
+        assert result.to_json() == {"value": {"re": "0", "im": "0"}, "method": "formula", "terms": 0}
+        assert result.term_count == 0
+
     def test_matches_naive_on_random_instances(self):
         rng = random.Random(911)
         for _ in range(60):
@@ -315,18 +326,19 @@ class TestClosedForms:
 
     def test_matches_formula_route(self):
         rng = random.Random(323)
-        for _ in range(40):
+        for _ in range(80):
             n = rng.randint(2, 6)
             theta, tau = rand_perm(rng, n), rand_perm(rng, n)
             a, b = rand_scalar(rng), rand_scalar(rng)
-            assert (
-                pf.det_linear_sum(a, b, theta, tau).value
-                == pf.gmf_linear_sum(a, b, theta, tau, SymmetricGroup(n), SignCharacter()).value
-            )
-            assert (
-                pf.per_linear_sum(a, b, theta, tau).value
-                == pf.gmf_linear_sum(a, b, theta, tau, SymmetricGroup(n), TrivialCharacter()).value
-            )
+            a, b = rng.choice([(a, b), (ZERO, b), (a, ZERO), (a, -a)])
+            for closed, chi in (
+                (pf.det_linear_sum, SignCharacter()),
+                (pf.per_linear_sum, TrivialCharacter()),
+            ):
+                fast = closed(a, b, theta, tau)
+                formula = pf.gmf_linear_sum(a, b, theta, tau, SymmetricGroup(n), chi)
+                assert fast.value == formula.value
+                assert fast.term_count == formula.term_count
 
 
 class TestCauchyBinet:
@@ -645,6 +657,8 @@ class TestSingularBound:
         chi = pf.CyclicRootCharacter(g, 1)
         report = pf.check_singular_bound(ONE, ONE, Permutation.identity(3), g, CyclicGroup(g), chi)
         assert report.holds
+        # the value is 1 + omega^2 = -omega, of modulus 1
+        assert abs(report.lhs - 1) < 1e-12
 
 
 class TestDominance:

@@ -66,13 +66,16 @@ def test_str_forms():
         ("i", I),
         ("0", ZERO),
         ("-3/7", gauss(Fraction(-3, 7))),
+        (" 2 - 1i ", gauss(2, -1)),
     ],
 )
 def test_parse_literals(text, expected):
     assert GaussianRational.parse(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "2+", "1.5", "2i+3i+4", "x", "1//2", "+"])
+@pytest.mark.parametrize(
+    "bad", ["", "2+", "1.5", "2i+3i+4", "x", "1//2", "+", "2+3", "1ii", "i i", "3i+4i", "1/0", "2 3"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         GaussianRational.parse(bad)

@@ -118,6 +118,7 @@ def test_order_without_enumeration():
         ("S6", SymmetricGroup(6)),
         ("A6", AlternatingGroup(6)),
         ("stab:1,3,5@6", PointwiseStabilizer(6, frozenset({1, 3, 5}))),
+        ("gens:(1,2),(1 2 3)@3", GeneratedSubgroup(3, (P("(1 2)", 3), P("(1 2 3)", 3)))),
     ],
 )
 def test_parse_group(text, expected):
@@ -138,3 +139,6 @@ def test_parse_group_errors():
         parse_group("wat@4")
     with pytest.raises(ParseError):
         parse_group("stab:9@4")
+    for text in ("S0", "A0", "gens:(1,2@3"):
+        with pytest.raises(ParseError):
+            parse_group(text)
