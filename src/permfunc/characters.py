@@ -211,6 +211,8 @@ class TableCharacter(CharacterSpec):
 
     def __post_init__(self):
         mapping = dict(self.table)
+        # evaluation looks values up here, in O(1)
+        object.__setattr__(self, "_values", mapping)
         if set(mapping) != set(self.subgroup.elements):
             raise ValueError("table domain must equal the subgroup's element set")
         if self.validate:
@@ -227,10 +229,10 @@ class TableCharacter(CharacterSpec):
                         raise ValueError("table is not a class function")
 
     def _lookup(self, sigma: Permutation) -> GaussianRational:
-        for p, value in self.table:
-            if p == sigma:
-                return value
-        raise CharacterDomainError(f"{sigma} not in the character's table")
+        try:
+            return self._values[sigma]
+        except KeyError:
+            raise CharacterDomainError(f"{sigma} not in the character's table") from None
 
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         return self._lookup(sigma)

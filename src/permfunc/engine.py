@@ -10,7 +10,9 @@ Routes provided, all exact unless stated otherwise:
 * naive summation of the defining formula, visiting only the
   permutations whose entry product is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, which sums only the
-  2^r permutations that agree pointwise with theta or tau;
+  2^r permutations that agree pointwise with theta or tau, and for the
+  trivial and sign characters on S_n, A_n and pointwise stabilizers
+  multiplies that sum out as an O(r) product over the cycles;
 * closed forms for determinant and permanent straight from the cycle
   structure of theta^-1*tau;
 * a minor-expansion oracle for det(A+B) over all complementary index
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .characters import CharacterSpec
+from .characters import CharacterSpec, SignCharacter, TrivialCharacter
 from .errors import (
     CharacterDomainError,
     DegreeMismatchError,
@@ -43,7 +45,9 @@ from .errors import (
 from .gaussian import GaussianRational, ONE, ZERO, gauss
 from .groups import (
     DEFAULT_ENUMERATION_CAP,
+    AlternatingGroup,
     GroupSpec,
+    PointwiseStabilizer,
     SymmetricGroup,
     checked_order,
     enumerate_group,
@@ -197,8 +201,66 @@ def _subset_products(factors) -> list:
     return products
 
 
-def _mixture_sum(alpha, beta, coeff_a, coeff_b, group: GroupSpec, weigh, zero=ZERO):
-    """Sum weigh(sigma) times the entry product over the mixtures of alpha and beta.
+# groups whose membership, and characters whose value, a mixture's parity
+# and the points it fixes decide cycle by cycle
+_PARITY_GROUPS = (SymmetricGroup, AlternatingGroup, PointwiseStabilizer)
+_PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
+
+
+def _parity_split(factors, lengths, even, odd):
+    """Multiply out prod_c (A_c + B_c z^(l_c - 1)) with z^2 = 1, starting from even + odd*z.
+
+    Returns the even and the odd part: the sums over the mixtures whose
+    cycles taken from beta make an even or an odd permutation.
+    """
+    for (a_c, b_c), length in zip(factors, lengths):
+        if length % 2:
+            even, odd = even * (a_c + b_c), odd * (a_c + b_c)
+        else:
+            even, odd = even * a_c + odd * b_c, odd * a_c + even * b_c
+    return even, odd
+
+
+def _parity_product(alpha, beta, dec, factors, group: GroupSpec, chi: CharacterSpec, zero):
+    """The mixture sum without its prefactor, and its term count, in O(r).
+
+    For the groups of _PARITY_GROUPS and the characters of
+    _PARITY_CHARACTERS.  A mixture's sign is sign(alpha) times (-1)^(l-1)
+    for each cycle of length l it takes from beta, which decides A_n and
+    the sign character.  A stabilized point fixed by alpha^-1*beta must be
+    fixed by alpha; one on a cycle forbids the half of that cycle that
+    moves it.  The count is the same product over [A_c != 0], [B_c != 0].
+    """
+    if isinstance(group, PointwiseStabilizer):
+        points = group.points
+        if any(alpha.images[p - 1] != p for p in points & dec.fixed_points):
+            return zero, 0
+        factors = [
+            (
+                a_c if all(alpha.images[y - 1] == y for y in cycle if y in points) else zero,
+                b_c if all(beta.images[y - 1] == y for y in cycle if y in points) else zero,
+            )
+            for cycle, (a_c, b_c) in zip(dec.cycles, factors)
+        ]
+    lengths = [len(cycle) for cycle in dec.cycles]
+    even, odd = _parity_split(factors, lengths, zero + 1, zero)
+    even_terms, odd_terms = _parity_split(
+        [(bool(a_c), bool(b_c)) for a_c, b_c in factors], lengths, 1, 0
+    )
+    positive = alpha.sign() > 0
+    if isinstance(group, AlternatingGroup):
+        return (even, even_terms) if positive else (odd, odd_terms)
+    if isinstance(chi, SignCharacter):
+        value = even - odd if positive else odd - even
+    else:
+        value = even + odd
+    return value, even_terms + odd_terms
+
+
+def _mixture_sum(
+    alpha, beta, coeff_a, coeff_b, group: GroupSpec, chi: CharacterSpec, floating=False
+):
+    """Sum conj-chi(sigma) times the entry product over the mixtures of alpha and beta.
 
     Column y carries coeff_a[y-1] in row alpha(y) and coeff_b[y-1] in row
     beta(y).  A mixture sigma of x_set(alpha, beta) takes each cycle of
@@ -207,8 +269,13 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, group: GroupSpec, weigh, zero=ZE
     times one factor per cycle: the product of coeff_b over the cycle if
     sigma takes it from beta, else that of coeff_a.  Returns the total
     over the in-group mixtures and the number of them with a nonzero
-    entry product; a zero prefactor gives ``zero`` with no terms.
+    entry product; a zero prefactor gives zero with no terms.  A trivial
+    or sign character on S_n, A_n or a pointwise stabilizer takes the
+    O(r) product of _parity_product; every other case walks the 2^r
+    mixtures.  ``floating`` weighs with chi.evaluate_float, in complex
+    arithmetic.
     """
+    zero = 0j if floating else ZERO
     dec = disjoint_cycles(compose(alpha.inverse(), beta))
     prefactor = math.prod(coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points)
     if not prefactor:
@@ -217,15 +284,23 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, group: GroupSpec, weigh, zero=ZE
         (math.prod(coeff_a[y - 1] for y in cycle), math.prod(coeff_b[y - 1] for y in cycle))
         for cycle in dec.cycles
     ]
+    if isinstance(group, _PARITY_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
+        value, terms = _parity_product(alpha, beta, dec, factors, group, chi, zero)
+        return prefactor * value, terms
+    weigh = (
+        (lambda sigma: chi.evaluate_float(sigma.inverse())) if floating else chi.conjugate_evaluate
+    )
     # x_set lists the mixtures by increasing bitmask of the cycles taken
-    # from beta; the product over each half of the cycles is tabulated
-    # once, so a mixture's weight costs one multiplication
+    # from beta (and refuses more cycles than a bitmask holds, before the
+    # tables are built); the product over each half of the cycles is
+    # tabulated once, so a mixture's weight costs one multiplication
+    mixtures = x_set(alpha, beta)
     half = len(factors) // 2
     low = _subset_products(factors[:half])
     high = _subset_products(factors[half:])
     total = zero
     terms = 0
-    for mask, element in enumerate(x_set(alpha, beta)):
+    for mask, element in enumerate(mixtures):
         if not group.contains(element.sigma):
             continue
         weight = low[mask & ((1 << half) - 1)] * high[mask >> half]
@@ -259,9 +334,7 @@ def gmf_linear_sum(
             f"permutation degree {theta.degree}, group degree {group.degree}"
         )
     n = theta.degree
-    value, terms = _mixture_sum(
-        theta, tau, [a] * n, [b] * n, group, chi.conjugate_evaluate
-    )
+    value, terms = _mixture_sum(theta, tau, [a] * n, [b] * n, group, chi)
     return GmfResult(value, Method.FORMULA, terms)
 
 
@@ -394,7 +467,7 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
         [spec.a[(row - 1) // spec.m] for row in alpha.images],
         [spec.b[(row - 1) // spec.m] for row in beta.images],
         group,
-        chi.conjugate_evaluate,
+        chi,
     )
     return GmfResult(value, Method.BLOCK, terms)
 
@@ -554,8 +627,8 @@ def check_singular_bound(
             [complex(a.re, a.im)] * n,
             [complex(b.re, b.im)] * n,
             group,
-            lambda sigma: chi.evaluate_float(sigma.inverse()),
-            zero=0j,
+            chi,
+            floating=True,
         )
         lhs = abs(value) ** 2
     spectrum = singular_values(a, b, theta, tau)
@@ -744,6 +817,11 @@ def term_counts(theta: Permutation, tau: Permutation, group: GroupSpec) -> TermC
     if theta.degree != tau.degree or group.degree != theta.degree:
         raise DegreeMismatchError("degrees must agree")
     n = theta.degree
-    in_group = sum(1 for el in x_set(theta, tau) if group.contains(el.sigma))
+    if isinstance(group, _PARITY_GROUPS):
+        # unit coefficients give every mixture a nonzero entry product, so
+        # the product's term count is the number of in-group mixtures
+        _, in_group = _mixture_sum(theta, tau, [ONE] * n, [ONE] * n, group, TrivialCharacter())
+    else:
+        in_group = sum(1 for el in x_set(theta, tau) if group.contains(el.sigma))
     minor_pairs = sum(comb(n, k) ** 2 for k in range(n + 1))
     return TermCounts(group.order(), in_group, minor_pairs)

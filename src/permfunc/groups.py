@@ -279,6 +279,19 @@ _SYM_RE = _re.compile(r"^([SA])(\d+)$")
 _GENERATOR_SEP = _re.compile(r",(?![^(]*\))")
 
 
+def _list_items(listing: str, separator, text: str) -> list[str]:
+    """The comma-separated items of ``listing``; none when it is blank.
+
+    An empty item (a doubled, leading or trailing comma) is a ParseError.
+    """
+    if not listing.strip():
+        return []
+    items = _re.split(separator, listing)
+    if not all(item.strip() for item in items):
+        raise ParseError(f"empty list item in {text!r}")
+    return items
+
+
 def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     """Parse "S6", "A6", "cyclic:(1 2 3 4)", "stab:1,3,5@6", "gens:(1 2),(1 2 3)@3".
 
@@ -305,9 +318,10 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     if body.startswith("cyclic:"):
         return CyclicGroup(parse_permutation(body[len("cyclic:") :], degree))
     if body.startswith("stab:"):
-        items = body[len("stab:") :].split(",")
+        # "stab:@n" stabilizes no point, the whole S_n
+        items = _list_items(body[len("stab:") :], ",", text)
         try:
-            points = frozenset(int(tok) for tok in items if tok.strip())
+            points = frozenset(int(tok) for tok in items)
         except ValueError as exc:
             raise ParseError(f"bad stabilizer points in {text!r}") from exc
         try:
@@ -317,8 +331,7 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     if body.startswith("gens:"):
         gens = tuple(
             parse_permutation(tok, degree)
-            for tok in _GENERATOR_SEP.split(body[len("gens:") :])
-            if tok.strip()
+            for tok in _list_items(body[len("gens:") :], _GENERATOR_SEP, text)
         )
         if not gens:
             raise ParseError(f"no generators in {text!r}")

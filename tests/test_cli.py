@@ -179,8 +179,9 @@ def test_parse_error_exit_code(capsys):
         ["det", "--a", "1/0", "--b", "1", *REF],
         ["det", "--a", "2+3", "--b", "1", *REF],
         ["gmf", "--a", "1", "--b", "1", *REF, "--group", "S0", "--character", "sign"],
+        ["gmf", "--a", "1", "--b", "1", *REF, "--group", "stab:1,,3@6", "--character", "sign"],
     ],
-    ids=["zero-denominator", "two-real-terms", "degree-zero-group"],
+    ids=["zero-denominator", "two-real-terms", "degree-zero-group", "empty-stabilizer-item"],
 )
 def test_malformed_input_exits_two_without_traceback(argv):
     src = pathlib.Path(permfunc.__file__).resolve().parents[1]
@@ -211,6 +212,16 @@ def test_domain_error_exit_code(capsys):
                        "--group", "S5", "--character", "sign")
     assert code == 3
     assert "degree" in err
+
+
+def test_gmf_beyond_subset_enumeration(capsys):
+    # 70 cycles exceed the 62 a subset bitmask holds; sign on S_n needs none
+    tau = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(70))
+    inst = ["--a", "2", "--b", "-1i", "--theta", "id", "--tau", tau, "--n", "140"]
+    code, out, _ = run(capsys, "gmf", *inst, "--group", "S140", "--character", "sign")
+    assert code == 0
+    _, det, _ = run(capsys, "det", *inst)
+    assert out == det
 
 
 def test_naive_group_cap_exit_code(capsys):

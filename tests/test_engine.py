@@ -793,3 +793,244 @@ class TestTermCounts:
         nine = Permutation.from_cycles(9, [tuple(range(1, 10))])
         counts = pf.term_counts(Permutation.identity(9), nine, SymmetricGroup(9))
         assert counts.formula == 2
+
+
+def gens_presentation(group):
+    """The same group as a gens: closure, which the mixture walk serves."""
+    n = group.degree
+    if isinstance(group, AlternatingGroup):
+        cycles = [(1, 2, k) for k in range(3, n + 1)]
+    else:
+        free = sorted(set(range(1, n + 1)) - getattr(group, "points", frozenset()))
+        cycles = list(zip(free, free[1:]))
+    gens = tuple(Permutation.from_cycles(n, [c]) for c in cycles)
+    return GeneratedSubgroup(n, gens or (Permutation.identity(n),))
+
+
+def walk_characters(n):
+    """irr:[n] and irr:[1^n], the trivial and sign characters as the walk sees them."""
+    return {
+        "trivial": IrreducibleCharacter(Partition((n,))),
+        "sign": IrreducibleCharacter(Partition((1,) * n)),
+    }
+
+
+def stabilizer_cases(alpha, beta, points):
+    """How the stabilized points constrain the mixtures of alpha and beta."""
+    if not points:
+        return {"no points"}
+    rho = compose(alpha.inverse(), beta)
+    cases = set()
+    if any(rho(p) == p and alpha(p) != p for p in points):
+        cases.add("fixed by rho, moved by alpha")
+    for cycle in pf.disjoint_cycles(rho).cycles:
+        on_cycle = points & set(cycle)
+        forced = any(alpha(p) != p for p in on_cycle)
+        forbidden = any(beta(p) != p for p in on_cycle)
+        if forced and forbidden:
+            cases.add("conflicting")
+        elif forced:
+            cases.add("forced")
+        elif forbidden:
+            cases.add("forbidden")
+    return cases
+
+
+def draw_scalars(rng):
+    """(a, b, kind) with a = 0, b = 0 and b = -a each drawn often."""
+    a, b = rand_scalar(rng, 2), rand_scalar(rng, 2)
+    kind = rng.choice(["a = 0", "b = 0", "b = -a", "random"])
+    if kind == "a = 0":
+        a = ZERO
+    elif kind == "b = 0":
+        b = ZERO
+    elif kind == "b = -a":
+        b = -a
+    return a, b, kind
+
+
+def parity_groups(rng, n):
+    points = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+    return [SymmetricGroup(n), AlternatingGroup(n), PointwiseStabilizer(n, points)]
+
+
+def assert_same_result(fast, slow):
+    assert type(fast.value) is pf.GaussianRational
+    assert type(slow.value) is pf.GaussianRational
+    assert fast.value == slow.value
+    assert fast.term_count == slow.term_count
+    assert fast.method is slow.method
+
+
+class TestParityProduct:
+    """The O(r) product for trivial and sign on S_n, A_n and stabilizers
+    against the 2^r mixture walk on the same instance."""
+
+    @pytest.fixture
+    def product_calls(self, monkeypatch):
+        calls = []
+        product = engine._parity_product
+
+        def spy(*args):
+            calls.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(engine, "_parity_product", spy)
+        return calls
+
+    def check_routes(self, evaluate, group, product_calls):
+        """Trivial and sign on ``group`` against irr:[n], irr:[1^n] and a gens: presentation."""
+        n = group.degree
+        generated = gens_presentation(group)
+        for name, irr in walk_characters(n).items():
+            chi = TrivialCharacter() if name == "trivial" else SignCharacter()
+            fast = evaluate(group, chi)
+            before = len(product_calls)
+            assert_same_result(fast, evaluate(group, irr))
+            assert_same_result(fast, evaluate(generated, chi))
+            assert len(product_calls) == before
+
+    def test_linear_sum_matches_walk(self, product_calls):
+        rng = random.Random(5151)
+        stab_cases, scalar_kinds = set(), set()
+        for _ in range(250):
+            n = rng.randint(1, 7)
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            a, b, kind = draw_scalars(rng)
+            scalar_kinds.add(kind)
+            for group in parity_groups(rng, n):
+                if isinstance(group, PointwiseStabilizer):
+                    stab_cases |= stabilizer_cases(theta, tau, group.points)
+                self.check_routes(
+                    lambda g, chi: pf.gmf_linear_sum(a, b, theta, tau, g, chi),
+                    group,
+                    product_calls,
+                )
+        assert product_calls
+        assert scalar_kinds == {"a = 0", "b = 0", "b = -a", "random"}
+        assert stab_cases == {
+            "no points", "forced", "forbidden", "conflicting", "fixed by rho, moved by alpha",
+        }
+
+    def test_stabilizer_cases_by_hand(self):
+        # theta^-1*tau = (1 2)(3 4 5), 6 fixed by both
+        theta, tau = Permutation.identity(6), P("(1 2)(3 4 5)", 6)
+        a, b = gauss(2), gauss(3)
+        cases = {
+            "6": (a + b) * (a**2 + b**2) * (a**3 + b**3),  # no constraint
+            "1": (a + b) * a**2 * (a**3 + b**3),  # tau moves 1: (1 2) from theta
+            "": (a + b) * (a**2 + b**2) * (a**3 + b**3),
+        }
+        for points, value in cases.items():
+            group = parse_group(f"stab:{points}@6")
+            result = pf.gmf_linear_sum(a, b, theta, tau, group, TrivialCharacter())
+            assert result.value == value
+        # theta^-1*tau = (1 2 3); theta moves 1 and 2, tau moves 2 and 3
+        theta, tau = P("(1 2)", 3), P("(2 3)", 3)
+        for points, terms in (("1", 1), ("3", 1), ("1,3", 0), ("2", 0)):
+            result = pf.gmf_linear_sum(
+                a, b, theta, tau, parse_group(f"stab:{points}@3"), SignCharacter()
+            )
+            slow = pf.gmf_naive(
+                linear_sum(a, b, theta, tau), parse_group(f"stab:{points}@3"), SignCharacter()
+            )
+            assert result.value == slow.value
+            assert result.term_count == terms
+        # a point fixed by theta^-1*tau but moved by theta: no mixture survives
+        theta = P("(1 2)", 3)
+        result = pf.gmf_linear_sum(a, b, theta, theta, parse_group("stab:1@3"), SignCharacter())
+        assert (result.value, result.term_count) == (ZERO, 0)
+        assert type(result.value) is pf.GaussianRational
+
+    def test_block_matches_walk(self, product_calls):
+        rng = random.Random(5252)
+        shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 7), (7, 1)]
+        for _ in range(60):
+            m, blocks = rng.choice(shapes)
+            spec = random_block_spec(rng, m, blocks)
+            for group in parity_groups(rng, m * blocks):
+                self.check_routes(lambda g, chi: pf.gmf_block(spec, g, chi), group, product_calls)
+        assert product_calls
+
+    def test_det_and_per_closed_forms(self):
+        rng = random.Random(5353)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            a, b, _ = draw_scalars(rng)
+            group = SymmetricGroup(n)
+            for chi, closed in (
+                (SignCharacter(), pf.det_linear_sum),
+                (TrivialCharacter(), pf.per_linear_sum),
+            ):
+                fast = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                expected = closed(a, b, theta, tau)
+                assert fast.value == expected.value
+                assert fast.term_count == expected.term_count
+
+    def test_term_counts_match_listing(self):
+        rng = random.Random(5454)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            for group in parity_groups(rng, n):
+                listed = sum(1 for el in pf.x_set(theta, tau) if group.contains(el.sigma))
+                assert pf.term_counts(theta, tau, group).formula == listed
+                generated = gens_presentation(group)
+                assert pf.term_counts(theta, tau, generated).formula == listed
+
+
+def transpositions(count, n):
+    return Permutation.from_cycles(n, [(2 * k + 1, 2 * k + 2) for k in range(count)])
+
+
+class TestParityProductScale:
+    """The product neither lists x_set nor tests membership."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        from permfunc import perm
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the O(r) product must not walk the mixtures")
+
+        monkeypatch.setattr(engine, "x_set", refuse)
+        monkeypatch.setattr(perm, "x_set", refuse)
+        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+
+    def test_sixty_points_sixteen_cycles(self, no_walk):
+        theta, tau = Permutation.identity(60), transpositions(16, 60)
+        a, b = gauss(1), gauss(2)
+        det = pf.det_linear_sum(a, b, theta, tau).value
+        per = pf.per_linear_sum(a, b, theta, tau).value
+        stab_per = (a + b) ** 28 * a**2 * (a**2 + b**2) ** 15
+        stab_det = (a + b) ** 28 * a**2 * (a**2 - b**2) ** 15
+        expected = {
+            "S60": ({"sign": det, "trivial": per}, 2**16),
+            "A60": ({"sign": (det + per) / 2, "trivial": (det + per) / 2}, 2**15),
+            "stab:1,40@60": ({"sign": stab_det, "trivial": stab_per}, 2**15),
+        }
+        spec = BlockSpec(
+            m=60, n=1, theta=Permutation.identity(1), tau=Permutation.identity(1),
+            inner_thetas=(theta,), inner_taus=(tau,), a=(a,), b=(b,),
+        )
+        for text, (values, terms) in expected.items():
+            group = parse_group(text)
+            for name, value in values.items():
+                chi = parse_character(name)
+                result = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                assert (result.value, result.term_count) == (value, terms)
+                block = pf.gmf_block(spec, group, chi)
+                assert (block.value, block.term_count) == (value, terms)
+            assert pf.term_counts(theta, tau, group).formula == terms
+
+    def test_more_cycles_than_a_bitmask_holds(self, no_walk):
+        # r = 70 > perm.MAX_CYCLES: the product needs no subset enumeration
+        n = 140
+        theta, tau = Permutation.identity(n), transpositions(70, n)
+        a, b = gauss(2), gauss(0, -1)
+        group = SymmetricGroup(n)
+        det = pf.gmf_linear_sum(a, b, theta, tau, group, SignCharacter())
+        closed = pf.det_linear_sum(a, b, theta, tau)
+        assert (det.value, det.term_count) == (closed.value, closed.term_count)
+        assert closed.term_count == 2**70

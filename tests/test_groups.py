@@ -139,6 +139,20 @@ def test_parse_group_errors():
         parse_group("wat@4")
     with pytest.raises(ParseError):
         parse_group("stab:9@4")
-    for text in ("S0", "A0", "gens:(1,2@3"):
+    for text in (
+        "S0",
+        "A0",
+        "gens:(1,2@3",
+        "stab:1,,3@6",
+        "stab:1,3,@6",
+        "stab:,1@6",
+        "gens:(1 2),,(1 2 3)@3",
+        "gens:(1 2),@3",
+    ):
         with pytest.raises(ParseError):
             parse_group(text)
+
+
+def test_parse_group_stabilizing_no_point():
+    assert parse_group("stab:@6") == PointwiseStabilizer(6, frozenset())
+    assert parse_group("stab:@6").order() == math.factorial(6)
