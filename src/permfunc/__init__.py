@@ -23,13 +23,13 @@ from .perm import (
     CycleDecomposition,
     CycleStructure,
     Permutation,
-    XSetElement,
     compose,
     cycle_structure,
     disjoint_cycles,
     disjoint_union,
     format_permutation,
     inverse,
+    mixtures,
     parse_permutation,
     shift_embed,
     x_set,

@@ -316,20 +316,37 @@ def parse_character(text: str, degree: int | None = None) -> CharacterSpec:
     raise ParseError(f"unrecognized character spec: {text!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key that occurs twice is a ParseError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"key {key!r} repeated in character table")
+        out[key] = value
+    return out
+
+
 def _load_table_character(path: str, degree: int) -> TableCharacter:
     """Load a JSON map from cycle notation to {"re": "p/q", "im": "p/q"}."""
     from .groups import GeneratedSubgroup, enumerate_group
 
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read character table {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("character table must be a JSON object")
     entries = {}
+    spelled = {}
     for key, value in raw.items():
-        entries[parse_permutation(key, degree)] = GaussianRational.from_json(value)
+        sigma = parse_permutation(key, degree)
+        if sigma in entries:
+            raise ParseError(
+                f"character table names {sigma} twice, as {spelled[sigma]!r} and {key!r}"
+            )
+        entries[sigma] = GaussianRational.from_json(value)
+        spelled[sigma] = key
     subgroup = enumerate_group(GeneratedSubgroup(degree, tuple(entries)))
     if set(subgroup.elements) != set(entries):
         raise ParseError("character table domain is not closed under the group laws")

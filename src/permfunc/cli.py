@@ -20,7 +20,7 @@ from .errors import ParseError, PermfuncError
 from .gaussian import GaussianRational
 from .groups import GroupSpec, SymmetricGroup, parse_group
 from .matrices import BlockSpec, psd_classify
-from .perm import Permutation, format_permutation, parse_permutation, x_set
+from .perm import Permutation, format_permutation, mixtures, parse_permutation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -166,12 +166,12 @@ def _emit_result(args, result: engine.GmfResult) -> int:
 
 def _cmd_xset(args) -> int:
     theta, tau = _instance(args)
-    elements = x_set(theta, tau)
+    walk = mixtures(theta, tau)
     if args.json:
-        print(json.dumps([format_permutation(el.sigma) for el in elements]))
+        print(json.dumps([format_permutation(sigma) for sigma in walk]))
     else:
-        for el in elements:
-            print(format_permutation(el.sigma))
+        for sigma in walk:
+            print(format_permutation(sigma))
     return EXIT_OK
 
 

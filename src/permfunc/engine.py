@@ -30,9 +30,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .characters import CharacterSpec, SignCharacter, TrivialCharacter
 from .errors import (
@@ -66,7 +67,7 @@ from .perm import (
     compose,
     cycle_structure,
     disjoint_cycles,
-    x_set,
+    mixtures,
 )
 from . import kernels
 
@@ -79,7 +80,6 @@ class Method(str, enum.Enum):
     CLOSED_FORM = "closed"
     CAUCHY_BINET = "cauchy-binet"
     BLOCK = "block"
-    TENSOR = "tensor"
 
 
 @dataclass(frozen=True)
@@ -96,36 +96,6 @@ class GmfResult:
         }
 
 
-@dataclass(frozen=True)
-class IndexTuple:
-    """Strictly increasing 1-based column/row selector."""
-
-    indices: tuple[int, ...]
-
-    @property
-    def rank_sum(self) -> int:
-        return sum(self.indices)
-
-
-def index_tuples(k: int, n: int):
-    """All strictly increasing k-tuples from [1..n]."""
-    for combo in itertools.combinations(range(1, n + 1), k):
-        yield IndexTuple(combo)
-
-
-def _weights_to_int(values) -> tuple[list[int], list[int], int]:
-    den = 1
-    for v in values:
-        den = lcm(den, v.re.denominator, v.im.denominator)
-    if den == 1:
-        wre = [v.re.numerator for v in values]
-        wim = [v.im.numerator for v in values]
-    else:
-        wre = [int(v.re * den) for v in values]
-        wim = [int(v.im * den) for v in values]
-    return wre, wim, den
-
-
 def det_exact(a: Matrix) -> GaussianRational:
     """Exact determinant by fraction-free elimination."""
     if not a.is_square:
@@ -134,9 +104,6 @@ def det_exact(a: Matrix) -> GaussianRational:
     dre, dim = kernels.det_gaussian_int(pre, pim)
     scale = Fraction(1, den**a.rows)
     return GaussianRational(dre * scale, dim * scale)
-
-
-_to_zero_based = (-1).__add__
 
 
 def _nonzero_members(pre, pim, group: GroupSpec, order: int):
@@ -171,7 +138,9 @@ def gmf_naive(
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
     Only group members with a nonzero entry product are visited and
-    weighed; the term count is still |G|.  Raises CapacityError when |G|
+    weighed.  Their Gaussian-integer entry products are summed per
+    character value, and each distinct value is multiplied in once at the
+    end.  The term count is still |G|.  Raises CapacityError when |G|
     exceeds ``cap``, before the search starts.
     """
     if not a.is_square:
@@ -182,15 +151,19 @@ def gmf_naive(
         )
     order = checked_order(group, cap)
     pre, pim, den = integer_grid(a)
-    perms = []
-    weights = []
+    sums = defaultdict(lambda: [0, 0])
     for sigma in _nonzero_members(pre, pim, group, order):
-        perms.append(tuple(map(_to_zero_based, sigma.images)))
-        weights.append(chi.evaluate(sigma))
-    wre, wim, wden = _weights_to_int(weights)
-    sre, sim = kernels.gmf_sum(perms, wre, wim, pre, pim)
-    scale = Fraction(1, wden * den**a.rows)
-    return GmfResult(GaussianRational(sre * scale, sim * scale), Method.NAIVE, order)
+        prod_re, prod_im = 1, 0
+        for row_re, row_im, j in zip(pre, pim, sigma.images):
+            er, ei = row_re[j - 1], row_im[j - 1]
+            prod_re, prod_im = prod_re * er - prod_im * ei, prod_re * ei + prod_im * er
+        acc = sums[chi.evaluate(sigma)]
+        acc[0] += prod_re
+        acc[1] += prod_im
+    total = ZERO
+    for weight, (sre, sim) in sums.items():
+        total = total + weight * GaussianRational(sre, sim)
+    return GmfResult(total * Fraction(1, den**a.rows), Method.NAIVE, order)
 
 
 def _subset_products(factors) -> list:
@@ -263,7 +236,7 @@ def _mixture_sum(
     """Sum conj-chi(sigma) times the entry product over the mixtures of alpha and beta.
 
     Column y carries coeff_a[y-1] in row alpha(y) and coeff_b[y-1] in row
-    beta(y).  A mixture sigma of x_set(alpha, beta) takes each cycle of
+    beta(y).  A mixture sigma of alpha and beta takes each cycle of
     alpha^-1*beta from alpha or from beta, so its entry product is the
     prefactor, the product of coeff_a + coeff_b over the fixed points,
     times one factor per cycle: the product of coeff_b over the cycle if
@@ -290,24 +263,24 @@ def _mixture_sum(
     weigh = (
         (lambda sigma: chi.evaluate_float(sigma.inverse())) if floating else chi.conjugate_evaluate
     )
-    # x_set lists the mixtures by increasing bitmask of the cycles taken
-    # from beta (and refuses more cycles than a bitmask holds, before the
-    # tables are built); the product over each half of the cycles is
-    # tabulated once, so a mixture's weight costs one multiplication
-    mixtures = x_set(alpha, beta)
+    # mixtures walks by increasing bitmask of the cycles taken from beta
+    # (and refuses a walk over the cap before the tables are built); the
+    # product over each half of the cycles is tabulated once, so a
+    # mixture's weight costs one multiplication
+    walk = mixtures(alpha, beta)
     half = len(factors) // 2
     low = _subset_products(factors[:half])
     high = _subset_products(factors[half:])
     total = zero
     terms = 0
-    for mask, element in enumerate(mixtures):
-        if not group.contains(element.sigma):
+    for mask, sigma in enumerate(walk):
+        if not group.contains(sigma):
             continue
         weight = low[mask & ((1 << half) - 1)] * high[mask >> half]
         if not weight:
             continue
         terms += 1
-        total = total + weigh(element.sigma) * weight
+        total = total + weigh(sigma) * weight
     return prefactor * total, terms
 
 
@@ -419,11 +392,9 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
     for k in range(n + 1):
         scale = Fraction(1, den_a**k * den_b ** (n - k))
         selectors = []
-        for t in index_tuples(k, n):
-            rest = sorted(everything - set(t.indices))
-            selectors.append(
-                (t.indices, rest, t.rank_sum, _column_mask(t.indices), _column_mask(rest))
-            )
+        for t in itertools.combinations(range(1, n + 1), k):
+            rest = sorted(everything - set(t))
+            selectors.append((t, rest, sum(t), _column_mask(t), _column_mask(rest)))
         terms += len(selectors) ** 2
         for alpha, alpha_rest, alpha_rank, _, _ in selectors:
             for beta, beta_rest, beta_rank, beta_mask, rest_mask in selectors:
@@ -817,11 +788,8 @@ def term_counts(theta: Permutation, tau: Permutation, group: GroupSpec) -> TermC
     if theta.degree != tau.degree or group.degree != theta.degree:
         raise DegreeMismatchError("degrees must agree")
     n = theta.degree
-    if isinstance(group, _PARITY_GROUPS):
-        # unit coefficients give every mixture a nonzero entry product, so
-        # the product's term count is the number of in-group mixtures
-        _, in_group = _mixture_sum(theta, tau, [ONE] * n, [ONE] * n, group, TrivialCharacter())
-    else:
-        in_group = sum(1 for el in x_set(theta, tau) if group.contains(el.sigma))
+    # unit coefficients give every mixture a nonzero entry product, so the
+    # term count is the number of in-group mixtures
+    _, in_group = _mixture_sum(theta, tau, [ONE] * n, [ONE] * n, group, TrivialCharacter())
     minor_pairs = sum(comb(n, k) ** 2 for k in range(n + 1))
     return TermCounts(group.order(), in_group, minor_pairs)

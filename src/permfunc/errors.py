@@ -14,7 +14,7 @@ class DegreeMismatchError(PermfuncError):
 
 
 class CapacityError(PermfuncError):
-    """Group enumeration would exceed the configured cap."""
+    """An enumeration (a group, or the mixtures of a pair) would exceed the cap."""
 
 
 class DisjointnessError(PermfuncError):

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import CapacityError, DegreeMismatchError, ParseError
-from .perm import Permutation, compose, parse_permutation
-
-DEFAULT_ENUMERATION_CAP = factorial(10)
+from .perm import DEFAULT_ENUMERATION_CAP, Permutation, compose, parse_permutation
 
 
 @dataclass(frozen=True)
@@ -321,11 +319,14 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
         # "stab:@n" stabilizes no point, the whole S_n
         items = _list_items(body[len("stab:") :], ",", text)
         try:
-            points = frozenset(int(tok) for tok in items)
+            points = [int(tok) for tok in items]
         except ValueError as exc:
             raise ParseError(f"bad stabilizer points in {text!r}") from exc
+        repeated = [p for k, p in enumerate(points) if p in points[:k]]
+        if repeated:
+            raise ParseError(f"stabilizer point {repeated[0]} repeated in {text!r}")
         try:
-            return PointwiseStabilizer(degree, points)
+            return PointwiseStabilizer(degree, frozenset(points))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     if body.startswith("gens:"):

@@ -1,40 +1,10 @@
-"""Exact-arithmetic kernels behind the naive and minor-expansion routes.
+"""The exact determinant kernel behind det_exact and the minor-expansion route.
 
-Both work on Gaussian integers held as plain Python ints (real and
+It works on Gaussian integers held as plain Python ints (real and
 imaginary parts separately) so that values never leave exact arithmetic.
 """
 
 from __future__ import annotations
-
-
-def gmf_sum(perms, wre, wim, pre, pim):
-    """Weighted sum over permutations of entry products.
-
-    Computes sum_k w_k * prod_i A[i][perm_k[i]] over Gaussian-integer
-    entries (pre + pim*i), with permutations as 0-based image tuples.
-    Returns the (real, imaginary) integer pair.
-    """
-    n = len(pre)
-    acc_re = 0
-    acc_im = 0
-    for k, perm in enumerate(perms):
-        wr = wre[k]
-        wi = wim[k]
-        if not wr and not wi:
-            continue
-        prod_re = 1
-        prod_im = 0
-        for i in range(n):
-            j = perm[i]
-            er = pre[i][j]
-            ei = pim[i][j]
-            prod_re, prod_im = (
-                prod_re * er - prod_im * ei,
-                prod_re * ei + prod_im * er,
-            )
-        acc_re += wr * prod_re - wi * prod_im
-        acc_im += wr * prod_im + wi * prod_re
-    return acc_re, acc_im
 
 
 def det_gaussian_int(pre, pim):

@@ -1,7 +1,7 @@
 """Exact permutation algebra on the point set {1, ..., n}.
 
 Permutations are immutable; interfaces are 1-based to match the usual
-cycle notation "(1 5 3)(2 6)".  The module also builds, for a pair
+cycle notation "(1 5 3)(2 6)".  The module also walks, for a pair
 (theta, tau), the set of all permutations that agree pointwise with one
 of the two; that set has exactly 2^r elements, one per subset of the
 disjoint cycles of theta^-1 * tau, and indexes the fast evaluation of
@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 
-from .errors import DegreeMismatchError, DisjointnessError, ParseError
+from .errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 
-# Subsets of the cycle list are enumerated through a bitmask.
-MAX_CYCLES = 62
+# The most elements any enumeration (a group, or the mixtures of a pair) may visit.
+DEFAULT_ENUMERATION_CAP = factorial(10)
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,6 @@ class CycleStructure:
         return self.lengths + (1,) * self.fixed_count
 
 
-@dataclass(frozen=True)
-class XSetElement:
-    """One permutation agreeing pointwise with theta or tau everywhere.
-
-    ``chosen`` is the 1-based subset of canonical cycles of theta^-1*tau
-    multiplied onto theta, and ``t_sigma`` the number of points where the
-    element follows tau rather than theta (outside the overlap).
-    """
-
-    sigma: Permutation
-    chosen: frozenset[int]
-    t_sigma: int
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p*q)(i) = p(q(i))."""
     if p.degree != q.degree:
@@ -193,36 +179,43 @@ def cycle_structure(p: Permutation) -> CycleStructure:
     return CycleStructure(lengths, len(dec.fixed_points))
 
 
-def x_set(theta: Permutation, tau: Permutation) -> list[XSetElement]:
-    """All permutations sigma with sigma(i) in {theta(i), tau(i)} for every i.
+def mixtures(theta: Permutation, tau: Permutation):
+    """Lazily yield every sigma with sigma(i) in {theta(i), tau(i)} for every i.
 
     They are exactly theta times a product of any subset of the disjoint
-    cycles of theta^-1*tau; subsets are enumerated by increasing bitmask
-    over the canonically ordered cycle list, so element 0 is theta and the
-    last element is tau.
+    cycles of theta^-1*tau.  Element k takes cycle j of the canonically
+    ordered cycle list exactly when bit j of k is set, so element 0 is
+    theta and the last element is tau.  Raises CapacityError, before
+    anything is built, when the 2^r elements exceed the enumeration cap.
     """
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    dec = disjoint_cycles(compose(theta.inverse(), tau))
-    r = len(dec.cycles)
-    if r > MAX_CYCLES:
-        raise ValueError(f"too many cycles for subset enumeration: {r} > {MAX_CYCLES}")
-    n = theta.degree
-    out = []
-    for mask in range(1 << r):
-        images = list(theta.images)
-        chosen = []
-        t = 0
-        for i in range(r):
-            if mask >> i & 1:
-                chosen.append(i + 1)
-                cycle = dec.cycles[i]
-                t += len(cycle)
-                for k, point in enumerate(cycle):
-                    # sigma = theta * cycle: point -> theta(cycle(point))
-                    images[point - 1] = theta.images[cycle[(k + 1) % len(cycle)] - 1]
-        out.append(XSetElement(Permutation(tuple(images)), frozenset(chosen), t))
-    return out
+    cycles = disjoint_cycles(compose(theta.inverse(), tau)).cycles
+    if 1 << len(cycles) > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(
+            f"walk of 2^{len(cycles)} mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}"
+        )
+    # sigma = theta * cycle on the points of each cycle: point -> theta(cycle(point))
+    moves = [
+        [(p - 1, theta.images[cycle[(k + 1) % len(cycle)] - 1]) for k, p in enumerate(cycle)]
+        for cycle in cycles
+    ]
+    return _walk(theta.images, moves)
+
+
+def _walk(base, moves):
+    for mask in range(1 << len(moves)):
+        images = list(base)
+        for j, cycle in enumerate(moves):
+            if mask >> j & 1:
+                for index, image in cycle:
+                    images[index] = image
+        yield Permutation(tuple(images))
+
+
+def x_set(theta: Permutation, tau: Permutation) -> list[Permutation]:
+    """The elements of mixtures(theta, tau) as a list, in the same order."""
+    return list(mixtures(theta, tau))
 
 
 def shift_embed(f: Permutation, x: int, y: int) -> dict[int, int]:

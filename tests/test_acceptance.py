@@ -101,7 +101,7 @@ def test_criterion_01_reference_det_all_routes():
 def test_criterion_02_reference_subgroup_value():
     a, b, theta, tau = reference_instance()
     group = PointwiseStabilizer(6, frozenset({1, 3, 5}))
-    survivors = {el.sigma for el in pf.x_set(theta, tau) if group.contains(el.sigma)}
+    survivors = {sigma for sigma in pf.x_set(theta, tau) if group.contains(sigma)}
     expected_set = {tau, P("(2 6)", 6)}
     one, two = gauss(1), gauss(2)
     chi = TrivialCharacter()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,23 @@ def test_table_character_from_json(tmp_path):
     assert chi.evaluate(P("(1 2 3)", 3)) == ONE
     with pytest.raises(ParseError):
         parse_character(f"table:{tmp_path / 'missing.json'}", 3)
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        # two spellings of one transposition; the last used to win
+        ('{"id": {"re": "1"}, "(1 2)": {"re": "-1"}, "(2 1)": {"re": "1"}}', "(2 1)"),
+        # a literal key repeated, which json.load alone keeps silently
+        ('{"id": {"re": "1"}, "(1 2)": {"re": "-1"}, "(1 2)": {"re": "1"}}', "(1 2)"),
+    ],
+    ids=["two-spellings", "repeated-key"],
+)
+def test_table_naming_a_permutation_twice_is_rejected(tmp_path, body, named):
+    path = tmp_path / "chi.json"
+    path.write_text(body)
+    with pytest.raises(ParseError, match=re.escape(named)):
+        parse_character(f"table:{path}", 2)
 
 
 def test_partition_validation():

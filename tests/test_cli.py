@@ -180,10 +180,32 @@ def test_parse_error_exit_code(capsys):
         ["det", "--a", "2+3", "--b", "1", *REF],
         ["gmf", "--a", "1", "--b", "1", *REF, "--group", "S0", "--character", "sign"],
         ["gmf", "--a", "1", "--b", "1", *REF, "--group", "stab:1,,3@6", "--character", "sign"],
+        ["gmf", "--a", "1", "--b", "1", *REF, "--group", "stab:1,1@6", "--character", "sign"],
+        ["gmf", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1 2)", "--tau", "id",
+         "--group", "S3", "--character", "table:{two_spellings}"],
+        ["gmf", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1 2)", "--tau", "id",
+         "--group", "S3", "--character", "table:{repeated_key}"],
     ],
-    ids=["zero-denominator", "two-real-terms", "degree-zero-group", "empty-stabilizer-item"],
+    ids=[
+        "zero-denominator",
+        "two-real-terms",
+        "degree-zero-group",
+        "empty-stabilizer-item",
+        "repeated-stabilizer-point",
+        "table-two-spellings",
+        "table-repeated-key",
+    ],
 )
-def test_malformed_input_exits_two_without_traceback(argv):
+def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
+    tables = {
+        "two_spellings": '{"id": {"re": "1"}, "(1 2)": {"re": "-1"}, "(2 1)": {"re": "1"}}',
+        "repeated_key": '{"id": {"re": "1"}, "(1 2)": {"re": "-1"}, "(1 2)": {"re": "1"}}',
+    }
+    paths = {}
+    for name, body in tables.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(body)
+    argv = [arg.format(**paths) for arg in argv]
     src = pathlib.Path(permfunc.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
@@ -222,6 +244,30 @@ def test_gmf_beyond_subset_enumeration(capsys):
     assert code == 0
     _, det, _ = run(capsys, "det", *inst)
     assert out == det
+
+
+def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
+    # 2^28 and 2^22 mixtures exceed the cap: refused before any is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership tested before the cap was checked")
+
+    monkeypatch.setattr(permfunc.groups.GroupSpec, "contains", refuse)
+    many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
+    code, out, err = run(capsys, "gmf", "--n", "60", "--theta", "id", "--tau", many,
+                         "--group", "S60", "--character", "irr:[59,1]")
+    assert (code, out) == (3, "")
+    assert "exceeds cap" in err
+    fewer = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(22))
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "xset", "--n", "44", "--theta", "id", "--tau", fewer, *extra)
+        assert (code, out) == (3, "")
+        assert "exceeds cap" in err
+
+
+def test_xset_json_lists_the_walk_in_order(capsys):
+    code, out, _ = run(capsys, "xset", *REF, "--json")
+    assert code == 0
+    assert json.loads(out) == ["(1 5 3)(2 6)", "(2 6)", "(1 5 3)(2 4 6)", "(2 4 6)"]
 
 
 def test_naive_group_cap_exit_code(capsys):

@@ -9,9 +9,11 @@ import pytest
 import permfunc as pf
 from permfunc import engine, groups, kernels
 from permfunc.characters import (
+    CyclicRootCharacter,
     IrreducibleCharacter,
     Partition,
     SignCharacter,
+    TableCharacter,
     TrivialCharacter,
     parse_character,
     partitions,
@@ -127,6 +129,38 @@ class TestNaive:
         assert result.term_count == math.factorial(10)
 
 
+    def test_fractional_weights_and_entries_match_brute_force(self):
+        # character values +-1, +-i and non-integers, on dense matrices whose
+        # entries are not Gaussian integers: the per-value sums are exact
+        rng = random.Random(3131)
+
+        def entry():
+            return gauss(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+        cycle = P("(1 2 3 4)", 4)
+        cyclic = [(CyclicGroup(cycle), CyclicRootCharacter(cycle, k)) for k in range(4)]
+        s4 = pf.enumerate_group(SymmetricGroup(4))
+        by_type = {
+            (): gauss(3),
+            (2,): gauss(Fraction(1, 2)),
+            (2, 2): gauss(Fraction(-2, 3), Fraction(1, 3)),
+            (3,): gauss(Fraction(-1, 4)),
+            (4,): gauss(0, Fraction(5, 6)),
+        }
+        table = TableCharacter(
+            s4, tuple((sigma, by_type[cycle_structure(sigma).lengths]) for sigma in s4.elements)
+        )
+        cases = cyclic + [(SymmetricGroup(4), table), (AlternatingGroup(4), table)]
+        for _ in range(5):
+            matrix = Matrix([[entry() for _ in range(4)] for _ in range(4)])
+            for group, chi in cases:
+                result = pf.gmf_naive(matrix, group, chi)
+                assert result.value == brute_gmf(matrix, group, chi)
+                assert type(result.value) is pf.GaussianRational
+                assert result.term_count == group.order()
+        assert {chi.evaluate(cycle) for _, chi in cyclic} == {ONE, -ONE, gauss(0, 1), gauss(0, -1)}
+
     def test_partly_sparse_matches_brute_force(self):
         # Row supports of one to n entries take the naive route through both
         # of its walks: candidates built from nonzero columns, or the group.
@@ -221,9 +255,7 @@ class TestLinearSumFormula:
         # at a=1, b=2 the value is (a+b)(b^5 + a^2 b^3) = 120
         _, _, theta, tau = reference_instance()
         group = PointwiseStabilizer(6, frozenset({1, 3, 5}))
-        survivors = [
-            el.sigma for el in pf.x_set(theta, tau) if group.contains(el.sigma)
-        ]
+        survivors = [sigma for sigma in pf.x_set(theta, tau) if group.contains(sigma)]
         assert set(survivors) == {tau, P("(2 6)", 6)}
         result = pf.gmf_linear_sum(gauss(1), gauss(2), theta, tau, group, TrivialCharacter())
         assert result.value == gauss(120)
@@ -342,14 +374,6 @@ class TestClosedForms:
 
 
 class TestCauchyBinet:
-    def test_index_tuples(self):
-        tuples = list(engine.index_tuples(2, 4))
-        assert [t.indices for t in tuples] == [
-            (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-        ]
-        assert [t.rank_sum for t in tuples] == [3, 4, 5, 5, 6, 7]
-        assert [t.indices for t in engine.index_tuples(0, 3)] == [()]
-
     def test_identity_plus_zero(self):
         result = pf.det_cauchy_binet_sum(Matrix.identity(3), Matrix.zero(3, 3))
         assert result.value == ONE
@@ -974,7 +998,7 @@ class TestParityProduct:
             n = rng.randint(1, 7)
             theta, tau = rand_perm(rng, n), rand_perm(rng, n)
             for group in parity_groups(rng, n):
-                listed = sum(1 for el in pf.x_set(theta, tau) if group.contains(el.sigma))
+                listed = sum(1 for sigma in pf.x_set(theta, tau) if group.contains(sigma))
                 assert pf.term_counts(theta, tau, group).formula == listed
                 generated = gens_presentation(group)
                 assert pf.term_counts(theta, tau, generated).formula == listed
@@ -985,7 +1009,7 @@ def transpositions(count, n):
 
 
 class TestParityProductScale:
-    """The product neither lists x_set nor tests membership."""
+    """The product neither walks the mixtures nor tests membership."""
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
@@ -994,8 +1018,8 @@ class TestParityProductScale:
         def refuse(*args, **kwargs):
             raise AssertionError("the O(r) product must not walk the mixtures")
 
-        monkeypatch.setattr(engine, "x_set", refuse)
-        monkeypatch.setattr(perm, "x_set", refuse)
+        monkeypatch.setattr(engine, "mixtures", refuse)
+        monkeypatch.setattr(perm, "mixtures", refuse)
         monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
 
     def test_sixty_points_sixteen_cycles(self, no_walk):
@@ -1025,7 +1049,7 @@ class TestParityProductScale:
             assert pf.term_counts(theta, tau, group).formula == terms
 
     def test_more_cycles_than_a_bitmask_holds(self, no_walk):
-        # r = 70 > perm.MAX_CYCLES: the product needs no subset enumeration
+        # r = 70: 2^70 mixtures are far over the cap, and the product walks none
         n = 140
         theta, tau = Permutation.identity(n), transpositions(70, n)
         a, b = gauss(2), gauss(0, -1)
@@ -1034,3 +1058,28 @@ class TestParityProductScale:
         closed = pf.det_linear_sum(a, b, theta, tau)
         assert (det.value, det.term_count) == (closed.value, closed.term_count)
         assert closed.term_count == 2**70
+
+
+class TestWalkCap:
+    """The walk refuses more mixtures than the cap before it builds anything."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(engine, "_subset_products", refuse)
+        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+
+    def test_over_the_cap_is_refused(self, nothing_built):
+        n = 60
+        theta, tau = Permutation.identity(n), transpositions(28, n)
+        irr = parse_character("irr:[59,1]", n)
+        cycle = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+        for call in (
+            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, SymmetricGroup(n), irr),
+            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, CyclicGroup(cycle), TrivialCharacter()),
+            lambda: pf.term_counts(theta, tau, CyclicGroup(cycle)),
+        ):
+            with pytest.raises(CapacityError, match="exceeds cap"):
+                call()

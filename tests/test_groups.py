@@ -153,6 +153,13 @@ def test_parse_group_errors():
             parse_group(text)
 
 
+@pytest.mark.parametrize("text, point", [("stab:1,1@6", 1), ("stab:2,5,3,5@6", 5)])
+def test_parse_group_repeated_stabilizer_point(text, point):
+    # used to parse silently as the stabilizer of the distinct points
+    with pytest.raises(ParseError, match=f"point {point} repeated"):
+        parse_group(text)
+
+
 def test_parse_group_stabilizing_no_point():
     assert parse_group("stab:@6") == PointwiseStabilizer(6, frozenset())
     assert parse_group("stab:@6").order() == math.factorial(6)

@@ -4,9 +4,9 @@ import random
 
 import permfunc as pf
 from permfunc.gaussian import gauss
-from permfunc.kernels import det_gaussian_int, gmf_sum
+from permfunc.kernels import det_gaussian_int
 from permfunc.matrices import Matrix
-from support import naive_det_expansion, rand_perm
+from support import naive_det_expansion
 
 
 def random_int_matrix(rng, n, span=6):
@@ -30,24 +30,6 @@ def test_python_det_handles_zero_pivots():
     assert det_gaussian_int([[0, 1], [0, 2]], [[0, 0], [0, 0]]) == (0, 0)
     assert det_gaussian_int([[0, 1], [1, 0]], [[0, 0], [0, 0]]) == (-1, 0)
     assert det_gaussian_int([], []) == (1, 0)
-
-
-def test_python_gmf_sum_early_exit_consistency():
-    rng = random.Random(78)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        pre, pim = random_int_matrix(rng, n, span=2)
-        perms = [tuple(v - 1 for v in rand_perm(rng, n).images) for _ in range(12)]
-        wre = [rng.randint(-3, 3) for _ in perms]
-        wim = [rng.randint(-3, 3) for _ in perms]
-        sre, sim = gmf_sum(perms, wre, wim, pre, pim)
-        expected = gauss(0)
-        for k, perm in enumerate(perms):
-            product = gauss(1)
-            for i in range(n):
-                product = product * gauss(pre[i][perm[i]], pim[i][perm[i]])
-            expected = expected + gauss(wre[k], wim[k]) * product
-        assert gauss(sre, sim) == expected
 
 
 def test_big_integer_growth_is_exact():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permfunc.errors import DegreeMismatchError, DisjointnessError, ParseError
+from permfunc.errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 from permfunc.perm import (
     Permutation,
     compose,
@@ -13,6 +13,7 @@ from permfunc.perm import (
     disjoint_cycles,
     disjoint_union,
     format_permutation,
+    mixtures,
     parse_permutation,
     shift_embed,
     x_set,
@@ -107,47 +108,45 @@ class TestCycles:
         assert p.sign() == (-1) ** (p.degree - cycles_total)
 
 
+def transpositions(count, n):
+    return Permutation.from_cycles(n, [(2 * k + 1, 2 * k + 2) for k in range(count)])
+
+
 class TestXSet:
     def test_reference_instance(self):
         theta, tau = P("(1 5 3)(2 6)", 6), P("(2 4 6)", 6)
         elements = x_set(theta, tau)
-        assert len(elements) == 4
-        assert elements[0].sigma == theta
-        assert elements[-1].sigma == tau
-        as_set = {format_permutation(el.sigma) for el in elements}
-        assert as_set == {"(1 5 3)(2 6)", "(2 4 6)", "(2 6)", "(1 5 3)(2 4 6)"}
-        t_by_perm = {format_permutation(el.sigma): el.t_sigma for el in elements}
-        assert t_by_perm == {
-            "(1 5 3)(2 6)": 0,
-            "(2 6)": 3,
-            "(1 5 3)(2 4 6)": 2,
-            "(2 4 6)": 5,
-        }
+        assert [format_permutation(sigma) for sigma in elements] == [
+            "(1 5 3)(2 6)",
+            "(2 6)",
+            "(1 5 3)(2 4 6)",
+            "(2 4 6)",
+        ]
+        # element k follows tau on the cycles of theta^-1*tau whose bit is set in k
+        moved = [len(compose(theta.inverse(), sigma).support()) for sigma in elements]
+        assert moved == [0, 3, 2, 5]
 
     def test_equal_arguments(self):
         theta = P("(1 2 3)", 5)
-        elements = x_set(theta, theta)
-        assert len(elements) == 1
-        assert elements[0].sigma == theta
-        assert elements[0].t_sigma == 0
+        assert x_set(theta, theta) == [theta]
 
     def test_two_transpositions(self):
         elements = x_set(Permutation.identity(4), P("(1 2)(3 4)", 4))
-        got = {el.sigma for el in elements}
-        assert got == brute_x_set(Permutation.identity(4), P("(1 2)(3 4)", 4))
-        assert len(got) == 4
+        assert set(elements) == brute_x_set(Permutation.identity(4), P("(1 2)(3 4)", 4))
+        assert len(elements) == 4
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             x_set(Permutation.identity(3), Permutation.identity(4))
+        with pytest.raises(DegreeMismatchError):
+            mixtures(Permutation.identity(3), Permutation.identity(4))
 
     def test_membership_against_brute_force(self):
         rng = random.Random(101)
         for _ in range(40):
             n = rng.randint(2, 6)
             theta, tau = rand_perm(rng, n), rand_perm(rng, n)
-            got = {el.sigma for el in x_set(theta, tau)}
-            assert got == brute_x_set(theta, tau)
+            assert set(x_set(theta, tau)) == brute_x_set(theta, tau)
 
     def test_size_and_inverse_set(self):
         rng = random.Random(202)
@@ -157,20 +156,38 @@ class TestXSet:
             elements = x_set(theta, tau)
             r = len(disjoint_cycles(compose(theta.inverse(), tau)).cycles)
             assert len(elements) == 2**r
-            inverses = {el.sigma.inverse() for el in elements}
-            other = {el.sigma for el in x_set(theta.inverse(), tau.inverse())}
-            assert inverses == other
+            inverses = {sigma.inverse() for sigma in elements}
+            assert inverses == set(x_set(theta.inverse(), tau.inverse()))
 
-    def test_t_values(self):
+    def test_bit_j_takes_cycle_j(self):
+        # the contract the engine's half tables rely on
         rng = random.Random(303)
         for _ in range(30):
             n = rng.randint(2, 7)
             theta, tau = rand_perm(rng, n), rand_perm(rng, n)
-            dec = disjoint_cycles(compose(theta.inverse(), tau))
-            for el in x_set(theta, tau):
-                moved = compose(theta.inverse(), el.sigma)
-                assert el.t_sigma == n - len(moved.fixed_points())
-                assert el.t_sigma == sum(len(dec.cycles[i - 1]) for i in el.chosen)
+            cycles = disjoint_cycles(compose(theta.inverse(), tau)).cycles
+            walked = list(mixtures(theta, tau))
+            assert walked == x_set(theta, tau)
+            assert walked[0] == theta and walked[-1] == tau
+            for k, sigma in enumerate(walked):
+                chosen = {p for j, cycle in enumerate(cycles) if k >> j & 1 for p in cycle}
+                assert compose(theta.inverse(), sigma).support() == chosen
+
+    def test_refuses_over_the_cap_before_building(self):
+        # 2^22 > 10!: refused by the call itself, before any mixture exists
+        n = 44
+        with pytest.raises(CapacityError, match="exceeds cap"):
+            mixtures(Permutation.identity(n), transpositions(22, n))
+        with pytest.raises(CapacityError, match="exceeds cap"):
+            x_set(Permutation.identity(n), transpositions(22, n))
+
+    def test_accepts_the_largest_walk_under_the_cap(self):
+        # 2^21 <= 10!: accepted; only its first two mixtures are built here
+        n = 42
+        theta, tau = Permutation.identity(n), transpositions(21, n)
+        walk = mixtures(theta, tau)
+        assert next(walk) == theta
+        assert next(walk) == transpositions(1, n)
 
 
 class TestEmbeddings:
