@@ -23,7 +23,14 @@ from math import factorial, prod
 from .errors import CharacterDomainError, ExactnessError, ParseError
 from .gaussian import GaussianRational, I, ONE, gauss
 from .groups import FiniteSubgroup
-from .perm import CycleStructure, Permutation, cycle_structure, parse_permutation
+from .perm import (
+    CycleStructure,
+    Permutation,
+    cycle_structure,
+    disjoint_cycles,
+    parse_permutation,
+    power_exponent,
+)
 
 
 @dataclass(frozen=True)
@@ -201,13 +208,11 @@ class TableCharacter(CharacterSpec):
     """Explicit value table over an enumerated subgroup.
 
     Construction validates the class-function property and the bound
-    |chi(sigma)| <= chi(id) unless ``validate`` is off (useful only for
-    adversarial tests).
+    |chi(sigma)| <= chi(id).
     """
 
     subgroup: FiniteSubgroup
     table: tuple[tuple[Permutation, GaussianRational], ...]
-    validate: bool = True
 
     def __post_init__(self):
         mapping = dict(self.table)
@@ -215,18 +220,17 @@ class TableCharacter(CharacterSpec):
         object.__setattr__(self, "_values", mapping)
         if set(mapping) != set(self.subgroup.elements):
             raise ValueError("table domain must equal the subgroup's element set")
-        if self.validate:
-            ident = Permutation.identity(self.subgroup.spec.degree)
-            top = mapping[ident]
-            if not top.is_real():
-                raise ValueError("chi(id) must be real")
-            for sigma, value in mapping.items():
-                if value.abs_squared() > top.re * top.re:
-                    raise ValueError(f"|chi({sigma})| exceeds chi(id)")
-                for g in self.subgroup.elements:
-                    conj = g * sigma * g.inverse()
-                    if mapping[conj] != value:
-                        raise ValueError("table is not a class function")
+        ident = Permutation.identity(self.subgroup.spec.degree)
+        top = mapping[ident]
+        if not top.is_real():
+            raise ValueError("chi(id) must be real")
+        for sigma, value in mapping.items():
+            if value.abs_squared() > top.re * top.re:
+                raise ValueError(f"|chi({sigma})| exceeds chi(id)")
+            for g in self.subgroup.elements:
+                conj = g * sigma * g.inverse()
+                if mapping[conj] != value:
+                    raise ValueError("table is not a class function")
 
     def _lookup(self, sigma: Permutation) -> GaussianRational:
         try:
@@ -257,13 +261,14 @@ class CyclicRootCharacter(CharacterSpec):
     generator: Permutation
     index: int = 1
 
+    def __post_init__(self):
+        object.__setattr__(self, "_cycles", disjoint_cycles(self.generator))
+
     def _power_of(self, sigma: Permutation) -> int:
-        current = Permutation.identity(self.generator.degree)
-        for k in range(self.generator.order()):
-            if current == sigma:
-                return k
-            current = current * self.generator
-        raise CharacterDomainError(f"{sigma} is not a power of the generator")
+        k = power_exponent(self._cycles, sigma)
+        if k is None:
+            raise CharacterDomainError(f"{sigma} is not a power of the generator")
+        return k
 
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         order = self.generator.order()

@@ -15,12 +15,12 @@ import time
 from fractions import Fraction
 
 from . import engine
-from .characters import CharacterSpec, parse_character
+from .characters import CharacterSpec, SignCharacter, TrivialCharacter, parse_character
 from .errors import ParseError, PermfuncError
 from .gaussian import GaussianRational
 from .groups import GroupSpec, SymmetricGroup, parse_group
-from .matrices import BlockSpec, psd_classify
-from .perm import Permutation, format_permutation, mixtures, parse_permutation
+from .matrices import BlockSpec, block_matrix, linear_sum, perm_matrix, psd_classify, scalar_mul
+from .perm import format_permutation, mixtures, parse_permutation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -126,10 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_scalar(text: str) -> GaussianRational:
-    return GaussianRational.parse(text)
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -137,36 +133,47 @@ def _parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational literal: {text!r}") from exc
 
 
-def _instance(args) -> tuple[Permutation, Permutation]:
+def _instance(args):
+    """theta, tau, a and b, parsed in that order."""
     theta = parse_permutation(args.theta, args.n)
     tau = parse_permutation(args.tau, args.n)
-    return theta, tau
+    return theta, tau, GaussianRational.parse(args.a), GaussianRational.parse(args.b)
 
 
-def _group_for(args, degree: int) -> GroupSpec:
-    spec = parse_group(args.group, degree)
-    if spec.degree != degree:
+def _group_and_character(args, degree: int) -> tuple[GroupSpec, CharacterSpec]:
+    group = parse_group(args.group, degree)
+    if group.degree != degree:
         raise PermfuncError(
-            f"group degree {spec.degree} does not match instance degree {degree}"
+            f"group degree {group.degree} does not match instance degree {degree}"
         )
-    return spec
+    return group, parse_character(args.character, degree)
 
 
-def _character_for(args, degree: int) -> CharacterSpec:
-    return parse_character(args.character, degree)
+def _routes(theta, tau, a, b, group: GroupSpec, chi: CharacterSpec) -> dict:
+    """The evaluation calls for a*P_theta + b*P_tau by --method, built but not run.
+
+    Each call builds its own input matrix.  "closed" is the determinant
+    for the sign character and the permanent otherwise.
+    """
+    closed = engine.det_linear_sum if isinstance(chi, SignCharacter) else engine.per_linear_sum
+    return {
+        "closed": lambda: closed(a, b, theta, tau),
+        "formula": lambda: engine.gmf_linear_sum(a, b, theta, tau, group, chi),
+        "cauchy-binet": lambda: engine.det_cauchy_binet_sum(
+            scalar_mul(a, perm_matrix(theta)), scalar_mul(b, perm_matrix(tau))
+        ),
+        "naive": lambda: engine.gmf_naive(linear_sum(a, b, theta, tau), group, chi),
+    }
 
 
-def _emit_result(args, result: engine.GmfResult) -> int:
-    if args.json:
-        print(json.dumps(result.to_json()))
-    else:
-        print(result.value)
-    return EXIT_OK
+def _emit(args, payload, text, code: int = EXIT_OK) -> int:
+    """Print ``payload`` as JSON under --json, else ``text``; return ``code``."""
+    print(json.dumps(payload) if args.json else text)
+    return code
 
 
 def _cmd_xset(args) -> int:
-    theta, tau = _instance(args)
-    walk = mixtures(theta, tau)
+    walk = mixtures(parse_permutation(args.theta, args.n), parse_permutation(args.tau, args.n))
     if args.json:
         print(json.dumps([format_permutation(sigma) for sigma in walk]))
     else:
@@ -175,60 +182,20 @@ def _cmd_xset(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gmf(args) -> int:
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-    group = _group_for(args, args.n)
-    chi = _character_for(args, args.n)
-    if args.method == "naive":
-        from .matrices import linear_sum
+def _cmd_route(args) -> int:
+    """det, per and gmf: run the --method entry of the route table.
 
-        result = engine.gmf_naive(linear_sum(a, b, theta, tau), group, chi)
+    det fixes the group and character to (S_n, sign), per to (S_n,
+    trivial); gmf reads them from --group and --character.
+    """
+    theta, tau, a, b = _instance(args)
+    if args.command == "gmf":
+        group, chi = _group_and_character(args, args.n)
     else:
-        result = engine.gmf_linear_sum(a, b, theta, tau, group, chi)
-    return _emit_result(args, result)
-
-
-def _cmd_det(args) -> int:
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-    from .characters import SignCharacter
-    from .matrices import linear_sum, perm_matrix, scalar_mul
-
-    if args.method == "closed":
-        result = engine.det_linear_sum(a, b, theta, tau)
-    elif args.method == "formula":
-        result = engine.gmf_linear_sum(
-            a, b, theta, tau, SymmetricGroup(args.n), SignCharacter()
-        )
-    elif args.method == "cauchy-binet":
-        result = engine.det_cauchy_binet_sum(
-            scalar_mul(a, perm_matrix(theta)), scalar_mul(b, perm_matrix(tau))
-        )
-    else:
-        result = engine.gmf_naive(
-            linear_sum(a, b, theta, tau), SymmetricGroup(args.n), SignCharacter()
-        )
-    return _emit_result(args, result)
-
-
-def _cmd_per(args) -> int:
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-    from .characters import TrivialCharacter
-    from .matrices import linear_sum
-
-    if args.method == "closed":
-        result = engine.per_linear_sum(a, b, theta, tau)
-    elif args.method == "formula":
-        result = engine.gmf_linear_sum(
-            a, b, theta, tau, SymmetricGroup(args.n), TrivialCharacter()
-        )
-    else:
-        result = engine.gmf_naive(
-            linear_sum(a, b, theta, tau), SymmetricGroup(args.n), TrivialCharacter()
-        )
-    return _emit_result(args, result)
+        group = SymmetricGroup(args.n)
+        chi = SignCharacter() if args.command == "det" else TrivialCharacter()
+    result = _routes(theta, tau, a, b, group, chi)[args.method]()
+    return _emit(args, result.to_json(), result.value)
 
 
 def _cmd_block_gmf(args) -> int:
@@ -248,107 +215,67 @@ def _cmd_block_gmf(args) -> int:
         )
     chi = parse_character(args.character, spec.size)
     if args.method == "naive":
-        from .matrices import block_matrix
-
         result = engine.gmf_naive(block_matrix(spec), group, chi)
     else:
         result = engine.gmf_block(spec, group, chi)
-    return _emit_result(args, result)
+    return _emit(args, result.to_json(), result.value)
 
 
 def _cmd_s_det(args) -> int:
-    theta = parse_permutation(args.theta, args.n)
-    value = engine.det_s_closed(theta)
-    if args.json:
-        print(json.dumps({"value": value.to_json()}))
-    else:
-        print(value)
-    return EXIT_OK
+    value = engine.det_s_closed(parse_permutation(args.theta, args.n))
+    return _emit(args, {"value": value.to_json()}, value)
 
 
 def _cmd_psd(args) -> int:
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
+    theta, tau, a, b = _instance(args)
     verdict = psd_classify(a, b, theta, tau)
-    if args.json:
-        payload = {"psd": verdict.psd}
-        if verdict.psd:
-            payload.update(
-                k=str(verdict.k),
-                m=str(verdict.m),
-                pi=format_permutation(verdict.pi),
-                condition=verdict.condition,
-            )
-        print(json.dumps(payload))
-    elif verdict.psd:
-        print(
-            f"PSD: k={verdict.k} m={verdict.m} pi={format_permutation(verdict.pi)}"
-            f" (condition {verdict.condition})"
-        )
-    else:
-        print("not PSD")
-    return EXIT_OK
+    if not verdict.psd:
+        return _emit(args, {"psd": False}, "not PSD")
+    pi = format_permutation(verdict.pi)
+    return _emit(
+        args,
+        {"psd": True, "k": str(verdict.k), "m": str(verdict.m), "pi": pi,
+         "condition": verdict.condition},
+        f"PSD: k={verdict.k} m={verdict.m} pi={pi} (condition {verdict.condition})",
+    )
 
 
 def _cmd_singvals(args) -> int:
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
+    theta, tau, a, b = _instance(args)
     spectrum = engine.singular_values(a, b, theta, tau)
-    if args.json:
-        print(json.dumps(spectrum.to_json()))
-    else:
-        print(" ".join(f"{v:.12g}" for v in spectrum.values))
-    return EXIT_OK
+    return _emit(args, spectrum.to_json(), " ".join(f"{v:.12g}" for v in spectrum.values))
 
 
 def _cmd_dominance(args) -> int:
     pi = parse_permutation(args.pi, args.n)
-    chi = _character_for(args, args.n)
+    chi = parse_character(args.character, args.n)
     report = engine.check_dominance(
         _parse_rational(args.k), _parse_rational(args.m), pi, chi
     )
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        relation = "<=" if report.holds else ">"
-        print(f"{report.lhs} {relation} {report.rhs}: {'holds' if report.holds else 'VIOLATED'}")
-    return EXIT_OK if report.holds else EXIT_CHECK
+    relation = "<=" if report.holds else ">"
+    text = f"{report.lhs} {relation} {report.rhs}: {'holds' if report.holds else 'VIOLATED'}"
+    return _emit(args, report.to_json(), text, EXIT_OK if report.holds else EXIT_CHECK)
 
 
 def _cmd_bound(args) -> int:
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-    group = _group_for(args, args.n)
-    chi = _character_for(args, args.n)
-    report = engine.check_singular_bound(a, b, theta, tau, group, chi)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(f"lhs={report.lhs:.12g} rhs={report.rhs:.12g} holds={report.holds}")
-    return EXIT_OK if report.holds else EXIT_CHECK
+    theta, tau, a, b = _instance(args)
+    report = engine.check_singular_bound(a, b, theta, tau, *_group_and_character(args, args.n))
+    text = f"lhs={report.lhs:.12g} rhs={report.rhs:.12g} holds={report.holds}"
+    return _emit(args, report.to_json(), text, EXIT_OK if report.holds else EXIT_CHECK)
 
 
 def _cmd_tensor_check(args) -> int:
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-    group = _group_for(args, args.n)
-    chi = _character_for(args, args.n)
+    theta, tau, a, b = _instance(args)
+    group, chi = _group_and_character(args, args.n)
     tensor_value = engine.tensor_oracle(a, b, theta, tau, group, chi)
     formula_value = engine.gmf_linear_sum(a, b, theta, tau, group, chi).value
     match = tensor_value == formula_value
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "tensor": tensor_value.to_json(),
-                    "formula": formula_value.to_json(),
-                    "match": match,
-                }
-            )
-        )
-    else:
-        print(f"tensor={tensor_value} formula={formula_value} match={match}")
-    return EXIT_OK if match else EXIT_CHECK
+    return _emit(
+        args,
+        {"tensor": tensor_value.to_json(), "formula": formula_value.to_json(), "match": match},
+        f"tensor={tensor_value} formula={formula_value} match={match}",
+        EXIT_OK if match else EXIT_CHECK,
+    )
 
 
 def _median_seconds(fn, reps: int) -> float:
@@ -361,51 +288,26 @@ def _median_seconds(fn, reps: int) -> float:
 
 
 def _cmd_bench(args) -> int:
-    from .characters import SignCharacter
-    from .matrices import linear_sum, perm_matrix, scalar_mul
-
-    theta, tau = _instance(args)
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
+    """Time three rows of the route table for the determinant over S_n."""
+    theta, tau, a, b = _instance(args)
     group = SymmetricGroup(args.n)
-    chi = SignCharacter()
-    counts = engine.term_counts(theta, tau, group)
-    matrix = linear_sum(a, b, theta, tau)
-    layer_a = scalar_mul(a, perm_matrix(theta))
-    layer_b = scalar_mul(b, perm_matrix(tau))
-
-    jobs = {
-        "formula": lambda: engine.gmf_linear_sum(a, b, theta, tau, group, chi),
-        "cauchy-binet": lambda: engine.det_cauchy_binet_sum(layer_a, layer_b),
-        "naive": lambda: engine.gmf_naive(matrix, group, chi),
-    }
-    terms = {
-        "formula": counts.formula,
-        "cauchy-binet": counts.cauchy_binet,
-        "naive": counts.naive,
-    }
-    rows = []
-    for method, fn in jobs.items():
-        rows.append(
-            {
-                "method": method,
-                "terms": terms[method],
-                "median_seconds": _median_seconds(fn, args.reps),
-            }
-        )
-    if args.json:
-        print(json.dumps(rows))
-    else:
-        print(f"{'method':<14}{'terms':>8}  median")
-        for row in rows:
-            print(f"{row['method']:<14}{row['terms']:>8}  {row['median_seconds']:.6f}s")
-    return EXIT_OK
+    terms = engine.term_counts(theta, tau, group).to_json()
+    routes = _routes(theta, tau, a, b, group, SignCharacter())
+    rows = [
+        {"method": method, "terms": terms[method],
+         "median_seconds": _median_seconds(routes[method], args.reps)}
+        for method in ("formula", "cauchy-binet", "naive")
+    ]
+    lines = [f"{'method':<14}{'terms':>8}  median"]
+    lines += [f"{r['method']:<14}{r['terms']:>8}  {r['median_seconds']:.6f}s" for r in rows]
+    return _emit(args, rows, "\n".join(lines))
 
 
 _HANDLERS = {
     "xset": _cmd_xset,
-    "gmf": _cmd_gmf,
-    "det": _cmd_det,
-    "per": _cmd_per,
+    "gmf": _cmd_route,
+    "det": _cmd_route,
+    "per": _cmd_route,
     "block-gmf": _cmd_block_gmf,
     "s-det": _cmd_s_det,
     "psd": _cmd_psd,

@@ -12,7 +12,8 @@ Routes provided, all exact unless stated otherwise:
 * the structured fast route for a*P_theta + b*P_tau, which sums only the
   2^r permutations that agree pointwise with theta or tau, and for the
   trivial and sign characters on S_n, A_n and pointwise stabilizers
-  multiplies that sum out as an O(r) product over the cycles;
+  multiplies that sum out as an O(r) product over the cycles (a
+  stabilizer as S_n with the coefficients that move its points zeroed);
 * closed forms for determinant and permanent straight from the cycle
   structure of theta^-1*tau;
 * a minor-expansion oracle for det(A+B) over all complementary index
@@ -175,8 +176,8 @@ def _subset_products(factors) -> list:
 
 
 # groups whose membership, and characters whose value, a mixture's parity
-# and the points it fixes decide cycle by cycle
-_PARITY_GROUPS = (SymmetricGroup, AlternatingGroup, PointwiseStabilizer)
+# decides cycle by cycle
+_PARITY_GROUPS = (SymmetricGroup, AlternatingGroup)
 _PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
 
 
@@ -194,27 +195,15 @@ def _parity_split(factors, lengths, even, odd):
     return even, odd
 
 
-def _parity_product(alpha, beta, dec, factors, group: GroupSpec, chi: CharacterSpec, zero):
+def _parity_product(alpha, dec, factors, group: GroupSpec, chi: CharacterSpec, zero):
     """The mixture sum without its prefactor, and its term count, in O(r).
 
     For the groups of _PARITY_GROUPS and the characters of
     _PARITY_CHARACTERS.  A mixture's sign is sign(alpha) times (-1)^(l-1)
     for each cycle of length l it takes from beta, which decides A_n and
-    the sign character.  A stabilized point fixed by alpha^-1*beta must be
-    fixed by alpha; one on a cycle forbids the half of that cycle that
-    moves it.  The count is the same product over [A_c != 0], [B_c != 0].
+    the sign character.  The count is the same product over [A_c != 0],
+    [B_c != 0].
     """
-    if isinstance(group, PointwiseStabilizer):
-        points = group.points
-        if any(alpha.images[p - 1] != p for p in points & dec.fixed_points):
-            return zero, 0
-        factors = [
-            (
-                a_c if all(alpha.images[y - 1] == y for y in cycle if y in points) else zero,
-                b_c if all(beta.images[y - 1] == y for y in cycle if y in points) else zero,
-            )
-            for cycle, (a_c, b_c) in zip(dec.cycles, factors)
-        ]
     lengths = [len(cycle) for cycle in dec.cycles]
     even, odd = _parity_split(factors, lengths, zero + 1, zero)
     even_terms, odd_terms = _parity_split(
@@ -242,13 +231,22 @@ def _mixture_sum(
     times one factor per cycle: the product of coeff_b over the cycle if
     sigma takes it from beta, else that of coeff_a.  Returns the total
     over the in-group mixtures and the number of them with a nonzero
-    entry product; a zero prefactor gives zero with no terms.  A trivial
-    or sign character on S_n, A_n or a pointwise stabilizer takes the
-    O(r) product of _parity_product; every other case walks the 2^r
-    mixtures.  ``floating`` weighs with chi.evaluate_float, in complex
-    arithmetic.
+    entry product; a zero prefactor gives zero with no terms.  A
+    pointwise stabilizer becomes S_n with a zero coefficient wherever alpha
+    or beta moves a stabilized point, so every mixture outside it weighs
+    zero.  A trivial or sign character on S_n or A_n takes the O(r)
+    product of _parity_product; every other case walks the 2^r mixtures.
+    ``floating`` weighs with chi.evaluate_float, in complex arithmetic.
     """
     zero = 0j if floating else ZERO
+    if isinstance(group, PointwiseStabilizer):
+        coeff_a, coeff_b = list(coeff_a), list(coeff_b)
+        for y in group.points:
+            if alpha.images[y - 1] != y:
+                coeff_a[y - 1] = zero
+            if beta.images[y - 1] != y:
+                coeff_b[y - 1] = zero
+        group = SymmetricGroup(group.n)
     dec = disjoint_cycles(compose(alpha.inverse(), beta))
     prefactor = math.prod(coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points)
     if not prefactor:
@@ -258,7 +256,7 @@ def _mixture_sum(
         for cycle in dec.cycles
     ]
     if isinstance(group, _PARITY_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
-        value, terms = _parity_product(alpha, beta, dec, factors, group, chi, zero)
+        value, terms = _parity_product(alpha, dec, factors, group, chi, zero)
         return prefactor * value, terms
     weigh = (
         (lambda sigma: chi.evaluate_float(sigma.inverse())) if floating else chi.conjugate_evaluate
@@ -273,8 +271,10 @@ def _mixture_sum(
     high = _subset_products(factors[half:])
     total = zero
     terms = 0
+    # S_n holds every mixture (a stabilizer became S_n above): no membership test
+    test_membership = not isinstance(group, SymmetricGroup)
     for mask, sigma in enumerate(walk):
-        if not group.contains(sigma):
+        if test_membership and not group.contains(sigma):
             continue
         weight = low[mask & ((1 << half) - 1)] * high[mask >> half]
         if not weight:

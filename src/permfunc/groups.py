@@ -11,7 +11,6 @@ smaller.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re as _re
 import threading
@@ -19,7 +18,14 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import CapacityError, DegreeMismatchError, ParseError
-from .perm import DEFAULT_ENUMERATION_CAP, Permutation, compose, parse_permutation
+from .perm import (
+    DEFAULT_ENUMERATION_CAP,
+    Permutation,
+    compose,
+    disjoint_cycles,
+    parse_permutation,
+    power_exponent,
+)
 
 
 @dataclass(frozen=True)
@@ -101,35 +107,29 @@ class AlternatingGroup(GroupSpec):
         return f"A{self.n}"
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclic_powers(generator: Permutation) -> frozenset[Permutation]:
-    powers = [Permutation.identity(generator.degree)]
-    current = generator
-    while not current.is_identity():
-        powers.append(current)
-        current = compose(current, generator)
-    return frozenset(powers)
-
-
 @dataclass(frozen=True)
 class CyclicGroup(GroupSpec):
     generator: Permutation
+
+    def __post_init__(self):
+        # membership solves for the exponent on these cycles, in O(n)
+        object.__setattr__(self, "_cycles", disjoint_cycles(self.generator))
 
     @property
     def degree(self) -> int:
         return self.generator.degree
 
-    def _powers(self) -> frozenset[Permutation]:
-        return _cyclic_powers(self.generator)
-
     def _contains(self, sigma: Permutation) -> bool:
-        return sigma in self._powers()
+        return power_exponent(self._cycles, sigma) is not None
 
     def order(self) -> int:
         return self.generator.order()
 
     def _generate(self):
-        return iter(self._powers())
+        power = Permutation.identity(self.degree)
+        for _ in range(self.order()):
+            yield power
+            power = compose(power, self.generator)
 
     def __str__(self):
         return f"cyclic:{self.generator}"

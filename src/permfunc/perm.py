@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 
@@ -171,6 +171,36 @@ def disjoint_cycles(p: Permutation) -> CycleDecomposition:
         else:
             cycles.append(tuple(cycle))
     return CycleDecomposition(n, tuple(cycles), frozenset(fixed))
+
+
+def power_exponent(dec: CycleDecomposition, sigma: Permutation) -> int | None:
+    """The least k >= 0 with g^k = sigma, where ``dec`` decomposes g; None if none.
+
+    sigma is a power of g exactly when it fixes the fixed points of g and
+    turns each cycle of g by a single shift s_c.  Then k solves
+    k = s_c (mod len(c)) for every cycle, and the congruences are merged
+    one cycle at a time, in O(n) overall.
+    """
+    images = sigma.images
+    if sigma.degree != dec.degree or any(images[p - 1] != p for p in dec.fixed_points):
+        return None
+    k, modulus = 0, 1
+    for cycle in dec.cycles:
+        moved = tuple(images[p - 1] for p in cycle)
+        if moved[0] not in cycle:
+            return None
+        shift = cycle.index(moved[0])
+        if moved != cycle[shift:] + cycle[:shift]:
+            return None
+        # k + modulus*t = shift (mod len(cycle)) is solvable iff step divides shift - k
+        length = len(cycle)
+        step = gcd(modulus, length)
+        if (shift - k) % step:
+            return None
+        t = (shift - k) // step * pow(modulus // step, -1, length // step)
+        k = (k + modulus * t) % (modulus * length // step)
+        modulus = modulus * length // step
+    return k
 
 
 def cycle_structure(p: Permutation) -> CycleStructure:

@@ -191,7 +191,6 @@ class TestTable:
         )
         with pytest.raises(ValueError):
             TableCharacter(sub, bad)
-        TableCharacter(sub, bad, validate=False)  # adversarial escape hatch
 
     def test_rejects_non_class_function(self):
         from permfunc.groups import SymmetricGroup

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -264,6 +265,22 @@ def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
         assert "exceeds cap" in err
 
 
+def test_cyclic_membership_lists_no_powers(capsys, monkeypatch):
+    # g has cycles of lengths 2, 3, 5, ..., 19, so |<g>| = 9699690
+    def refuse(*args, **kwargs):
+        raise AssertionError("powers of the generator listed")
+
+    monkeypatch.setattr(permfunc.groups, "compose", refuse)
+    cycles, start = [], 1
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        cycles.append("(" + " ".join(map(str, range(start, start + length))) + ")")
+        start += length
+    code, out, _ = run(capsys, "gmf", "--n", "77", "--theta", "id", "--tau", "(1 2)",
+                       "--group", f"cyclic:{''.join(cycles)}@77", "--character", "trivial")
+    # both mixtures, id and (1 2) = g^(3*5*...*19), lie in <g>: the value is per, 2^76
+    assert (code, out) == (0, f"{2**76}\n")
+
+
 def test_xset_json_lists_the_walk_in_order(capsys):
     code, out, _ = run(capsys, "xset", *REF, "--json")
     assert code == 0
@@ -281,3 +298,116 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Pinned output: every subcommand, every --method, text and --json, and the
+# input errors; stdout, stderr and the exit code are fixed literals.
+# bench timings vary, so they are masked to 0.
+AB = ["--a", "2", "--b", "-1i"]
+TEXT_AND_JSON = {"": [], "-json": ["--json"]}
+
+
+def _pinned_argv():
+    cases = {"xset": ["xset", *REF], "xset-json": ["xset", *REF, "--json"]}
+    for tag, fmt in TEXT_AND_JSON.items():
+        for m in ["closed", "formula", "cauchy-binet", "naive"]:
+            cases[f"det-{m}{tag}"] = ["det", *AB, *REF, "--method", m, *fmt]
+        for m in ["closed", "formula", "naive"]:
+            cases[f"per-{m}{tag}"] = ["per", *AB, *REF, "--method", m, *fmt]
+        for m in ["formula", "naive"]:
+            cases[f"gmf-{m}{tag}"] = ["gmf", *AB, *REF, "--group", "stab:1,3@6",
+                                      "--character", "irr:[4,2]", "--method", m, *fmt]
+        for m in ["block", "naive"]:
+            cases[f"block-gmf-{m}{tag}"] = ["block-gmf", "--spec", "{spec}", "--character",
+                                            "sign", "--group", "stab:2@8", "--method", m, *fmt]
+        cases[f"s-det{tag}"] = ["s-det", "--theta", "(1 2 3 4 5 6)", "--n", "6", *fmt]
+        cases[f"psd{tag}"] = ["psd", "--a", "3", "--b", "-2", "--theta", "id",
+                              "--tau", "(1 2)(3 4)", "--n", "4", *fmt]
+        cases[f"not-psd{tag}"] = ["psd", *AB, *REF, *fmt]
+        cases[f"singvals{tag}"] = ["singvals", *AB, *REF, *fmt]
+        cases[f"dominance{tag}"] = ["dominance", "--k", "3/2", "--m", "-1", "--pi",
+                                    "(1 2)(3 4)", "--n", "5", "--character", "irr:[3,2]", *fmt]
+        cases[f"bound{tag}"] = ["bound", *AB, *REF, "--group", "A6", "--character", "sign", *fmt]
+        cases[f"tensor-check{tag}"] = ["tensor-check", "--a", "1", "--b", "2", "--theta",
+                                       "(1 2)", "--tau", "(2 3)", "--n", "3", "--group", "S3",
+                                       "--character", "sign", *fmt]
+        cases[f"tensor-mismatch{tag}"] = ["tensor-check", "--a", "1", "--b", "1", "--theta",
+                                          "id", "--tau", "(1 2 3)", "--n", "3", "--group", "S3",
+                                          "--character", "irr:[2,1]", *fmt]
+        cases[f"bench{tag}"] = ["bench", "--a", "3", "--b", "2", "--theta", "(1 2 3 4)",
+                                "--tau", "(1 3)(2 4)", "--n", "4", "--reps", "1", *fmt]
+    cases["block-gmf-unreadable"] = ["block-gmf", "--spec", "{missing}", "--character", "sign"]
+    cases["block-gmf-bad-json"] = ["block-gmf", "--spec", "{bad_json}", "--character", "sign"]
+    cases["block-gmf-wrong-degree"] = ["block-gmf", "--spec", "{spec}", "--character", "sign",
+                                       "--group", "S5"]
+    cases["bad-k"] = ["dominance", "--k", "1.5x", "--m", "1", "--pi", "(1 2)", "--n", "2",
+                      "--character", "sign"]
+    return cases
+
+
+PINNED = {
+    'xset': (0, '(1 5 3)(2 6)\n(2 6)\n(1 5 3)(2 4 6)\n(2 4 6)\n', ''),
+    'det-closed': (0, '-85+30i\n', ''),
+    'det-formula': (0, '-85+30i\n', ''),
+    'det-cauchy-binet': (0, '-85+30i\n', ''),
+    'det-naive': (0, '-85+30i\n', ''),
+    'per-closed': (0, '51-18i\n', ''),
+    'per-formula': (0, '51-18i\n', ''),
+    'per-naive': (0, '51-18i\n', ''),
+    'gmf-formula': (0, '12+24i\n', ''),
+    'gmf-naive': (0, '12+24i\n', ''),
+    'block-gmf-block': (0, '-416-288i\n', ''),
+    'block-gmf-naive': (0, '-416-288i\n', ''),
+    's-det': (0, '-4\n', ''),
+    'psd': (0, 'PSD: k=3 m=-2 pi=(1 2)(3 4) (condition 2)\n', ''),
+    'not-psd': (0, 'not PSD\n', ''),
+    'singvals': (0, '2.90931291118 2.2360679775 2.2360679775 2.2360679775 2.2360679775 1.23931367493\n', ''),
+    'dominance': (0, '493/160 <= 169/32: holds\n', ''),
+    'bound': (0, 'lhs=325 rhs=71701 holds=True\n', ''),
+    'tensor-check': (0, 'tensor=-9 formula=-9 match=True\n', ''),
+    'tensor-mismatch': (4, 'tensor=1/2 formula=1 match=False\n', ''),
+    'bench': (0, 'method           terms  median\nformula              2  0s\ncauchy-binet        70  0s\nnaive               24  0s\n', ''),
+    'det-closed-json': (0, '{"value": {"re": "-85", "im": "30"}, "method": "closed", "terms": 4}\n', ''),
+    'det-formula-json': (0, '{"value": {"re": "-85", "im": "30"}, "method": "formula", "terms": 4}\n', ''),
+    'det-cauchy-binet-json': (0, '{"value": {"re": "-85", "im": "30"}, "method": "cauchy-binet", "terms": 924}\n', ''),
+    'det-naive-json': (0, '{"value": {"re": "-85", "im": "30"}, "method": "naive", "terms": 720}\n', ''),
+    'per-closed-json': (0, '{"value": {"re": "51", "im": "-18"}, "method": "closed", "terms": 4}\n', ''),
+    'per-formula-json': (0, '{"value": {"re": "51", "im": "-18"}, "method": "formula", "terms": 4}\n', ''),
+    'per-naive-json': (0, '{"value": {"re": "51", "im": "-18"}, "method": "naive", "terms": 720}\n', ''),
+    'gmf-formula-json': (0, '{"value": {"re": "12", "im": "24"}, "method": "formula", "terms": 2}\n', ''),
+    'gmf-naive-json': (0, '{"value": {"re": "12", "im": "24"}, "method": "naive", "terms": 24}\n', ''),
+    'block-gmf-block-json': (0, '{"value": {"re": "-416", "im": "-288"}, "method": "block", "terms": 8}\n', ''),
+    'block-gmf-naive-json': (0, '{"value": {"re": "-416", "im": "-288"}, "method": "naive", "terms": 5040}\n', ''),
+    's-det-json': (0, '{"value": {"re": "-4", "im": "0"}}\n', ''),
+    'psd-json': (0, '{"psd": true, "k": "3", "m": "-2", "pi": "(1 2)(3 4)", "condition": 2}\n', ''),
+    'not-psd-json': (0, '{"psd": false}\n', ''),
+    'singvals-json': (0, '{"values": [2.9093129111764098, 2.23606797749979, 2.23606797749979, 2.23606797749979, 2.23606797749979, 1.2393136749274762]}\n', ''),
+    'dominance-json': (0, '{"lhs": "493/160", "rhs": "169/32", "holds": true}\n', ''),
+    'bound-json': (0, '{"lhs": 325.0, "rhs": 71701.0000000001, "holds": true}\n', ''),
+    'tensor-check-json': (0, '{"tensor": {"re": "-9", "im": "0"}, "formula": {"re": "-9", "im": "0"}, "match": true}\n', ''),
+    'tensor-mismatch-json': (4, '{"tensor": {"re": "1/2", "im": "0"}, "formula": {"re": "1", "im": "0"}, "match": false}\n', ''),
+    'bench-json': (0, '[{"method": "formula", "terms": 2, "median_seconds": 0}, {"method": "cauchy-binet", "terms": 70, "median_seconds": 0}, {"method": "naive", "terms": 24, "median_seconds": 0}]\n', ''),
+    'xset-json': (0, '["(1 5 3)(2 6)", "(2 6)", "(1 5 3)(2 4 6)", "(2 4 6)"]\n', ''),
+    'block-gmf-unreadable': (2, '', "parse error: cannot read '{missing}': [Errno 2] No such file or directory: '{missing}'\n"),
+    'block-gmf-bad-json': (2, '', "parse error: bad JSON in '{bad_json}': Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    'block-gmf-wrong-degree': (3, '', 'error: group degree 5 does not match block size 8\n'),
+    'bad-k': (2, '', "parse error: bad rational literal: '1.5x'\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_pinned_argv()))
+def test_pinned_output(case, tmp_path, capsys):
+    spec = {
+        "m": 4, "n": 2, "theta": "id", "tau": "(1 2)",
+        "inner_thetas": ["(1 4 3)", "(1 4)(2 3)"], "inner_taus": ["(1 3 2)", "id"],
+        "a": ["-1i", "2"], "b": ["-2", "3"],
+    }
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("spec", "bad_json", "missing")}
+    pathlib.Path(paths["spec"]).write_text(json.dumps(spec))
+    pathlib.Path(paths["bad_json"]).write_text("{not json")
+    argv = [arg.format(**paths) for arg in _pinned_argv()[case]]
+    code, out, err = run(capsys, *argv)
+    out = re.sub(r'"median_seconds": [0-9.e-]+', '"median_seconds": 0', out)
+    out = re.sub(r"\d+\.\d{6}s", "0s", out)
+    want_code, want_out, want_err = PINNED[case]
+    assert (code, out, err) == (want_code, want_out, want_err.format(**paths))

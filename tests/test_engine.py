@@ -314,6 +314,29 @@ class TestLinearSumFormula:
             assert fast.value == slow.value
 
 
+class TestStabilizerAsZeroedCoefficients:
+    def test_irreducible_characters_need_no_membership_test(self, monkeypatch):
+        # a stabilizer walks S_n with the coefficients that move its points
+        # zeroed, so the walk never asks the stabilizer for membership
+        rng = random.Random(6161)
+        cases = []
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            a, b = rand_scalar(rng), rand_scalar(rng)
+            group = PointwiseStabilizer(n, frozenset(rng.sample(range(1, n + 1), rng.randint(1, 2))))
+            chi = IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+            expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
+            cases.append((a, b, theta, tau, group, chi, expected))
+
+        def refuse(*args):
+            raise AssertionError("stabilizer membership tested")
+
+        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        for a, b, theta, tau, group, chi, expected in cases:
+            assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected
+
+
 class TestClosedForms:
     def test_full_cycle_specialization(self):
         # when theta^-1*tau is one n-cycle the determinant splits as
@@ -1083,3 +1106,14 @@ class TestWalkCap:
         ):
             with pytest.raises(CapacityError, match="exceeds cap"):
                 call()
+
+    def test_stabilizer_emptied_before_the_walk(self, nothing_built):
+        # theta and tau both send the stabilized point 45 to 46, so no
+        # mixture lies in the stabilizer: the zeroed prefactor answers
+        # before the 2^22 walk is refused
+        n = 46
+        theta = Permutation.from_cycles(n, [(45, 46)])
+        tau = compose(theta, transpositions(22, n))
+        group = PointwiseStabilizer(n, frozenset({45}))
+        result = pf.gmf_linear_sum(ONE, ONE, theta, tau, group, parse_character("irr:[45,1]", n))
+        assert (result.value, result.term_count) == (ZERO, 0)

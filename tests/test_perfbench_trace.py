@@ -1,17 +1,24 @@
-"""The benchmark's traced path: every fast_routes request, answered under the tracer.
+"""The benchmark's traced paths, answered under the tracer.
 
 perfbench's traced run wraps package functions by name (perfbench/spans.py)
 and reads their results, so a change of what a wrapped name returns can
 fail requests there while the untraced routes still pass.  This runs the
-same wrappers over one seeded pass, without editing perfbench.
+same wrappers over one seeded fast_routes pass in process, and the traced
+CLI launcher over one request of each cold_cli route, without editing
+perfbench.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import permfunc as pf
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_traced_fast_routes_match_their_checks(monkeypatch):
@@ -40,3 +47,29 @@ def test_traced_fast_routes_match_their_checks(monkeypatch):
         tracer.uninstall()
     mismatched = [req.label for req, g, e in zip(requests, got, expected) if g != e]
     assert not mismatched
+
+
+def test_traced_cli_answers_each_cold_cli_route(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    requests = workloads.cold_cli(1)
+    workloads.write_spec_files(requests, str(tmp_path))
+    cheapest = {}
+    for req in sorted(requests, key=lambda req: (req.n, workloads.mixture_count(req))):
+        cheapest.setdefault(req.route, req)
+    assert len(cheapest) == 10
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for route, req in cheapest.items():
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced_cli.py"), str(tmp_path / "spans.bin"),
+             *workloads.argv(req)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, (route, proc.stderr)
+        value = json.loads(proc.stdout)["value"]
+        expected = workloads.oracle_value(req)
+        if expected is None:
+            result = workloads.bind(req, pf).call().value
+            expected = (result.re, result.im)
+        assert (Fraction(value["re"]), Fraction(value["im"])) == tuple(map(Fraction, expected))

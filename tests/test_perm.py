@@ -1,5 +1,6 @@
 """Permutation algebra: composition, cycles, pointwise mixtures, embeddings."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from permfunc.perm import (
     format_permutation,
     mixtures,
     parse_permutation,
+    power_exponent,
     shift_embed,
     x_set,
 )
@@ -188,6 +190,39 @@ class TestXSet:
         walk = mixtures(theta, tau)
         assert next(walk) == theta
         assert next(walk) == transpositions(1, n)
+
+
+class TestPowerExponent:
+    """power_exponent against the listed powers of the generator."""
+
+    @staticmethod
+    def listed_powers(g):
+        powers, current, k = {}, Permutation.identity(g.degree), 0
+        while current not in powers:
+            powers[current] = k
+            current, k = compose(current, g), k + 1
+        return powers
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_pair(self, n):
+        group = [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+        for g in group:
+            powers, dec = self.listed_powers(g), disjoint_cycles(g)
+            for sigma in group:
+                assert power_exponent(dec, sigma) == powers.get(sigma)
+
+    def test_sampled_pairs(self):
+        rng = random.Random(404)
+        for _ in range(600):
+            n = rng.randint(6, 7)
+            g = rand_perm(rng, n)
+            powers, dec = self.listed_powers(g), disjoint_cycles(g)
+            sigma = rng.choice([rand_perm(rng, n), rng.choice(list(powers))])
+            assert power_exponent(dec, sigma) == powers.get(sigma)
+
+    def test_other_degree_is_no_power(self):
+        dec = disjoint_cycles(P("(1 2 3)", 3))
+        assert power_exponent(dec, P("(1 2 3)", 4)) is None
 
 
 class TestEmbeddings:
