@@ -18,13 +18,12 @@ import functools
 import json
 import re as _re
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import CharacterDomainError, ExactnessError, ParseError
 from .gaussian import GaussianRational, I, ONE, gauss
 from .groups import FiniteSubgroup
 from .perm import (
-    CycleStructure,
     Permutation,
     cycle_structure,
     disjoint_cycles,
@@ -186,15 +185,17 @@ class IrreducibleCharacter(CharacterSpec):
 
     partition: Partition
 
-    def value(self, structure: CycleStructure) -> int:
-        return mn_value(self.partition.parts, structure.full_type())
+    def class_value(self, cycle_type: tuple[int, ...]) -> int:
+        """The value on the class of ``cycle_type``: every cycle length, 1s
+        included, in descending order (``CycleStructure.full_type``)."""
+        if sum(cycle_type) != self.partition.size:
+            raise CharacterDomainError(
+                f"degree {sum(cycle_type)} element for a character of S_{self.partition.size}"
+            )
+        return mn_value(self.partition.parts, cycle_type)
 
     def evaluate(self, sigma: Permutation) -> GaussianRational:
-        if sigma.degree != self.partition.size:
-            raise CharacterDomainError(
-                f"degree {sigma.degree} element for a character of S_{self.partition.size}"
-            )
-        return _gauss_int(self.value(cycle_structure(sigma)))
+        return _gauss_int(self.class_value(cycle_structure(sigma).full_type()))
 
     def degree(self) -> int:
         return hook_length_degree(self.partition.parts)
@@ -249,6 +250,10 @@ class TableCharacter(CharacterSpec):
         return "table"
 
 
+# i^e for e = 0, 1, 2, 3
+_FOURTH_ROOTS = (ONE, I, _MINUS_ONE, -I)
+
+
 @dataclass(frozen=True)
 class CyclicRootCharacter(CharacterSpec):
     """Linear character of <generator> mapping it to exp(2*pi*i*k/order).
@@ -262,7 +267,9 @@ class CyclicRootCharacter(CharacterSpec):
     index: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "_cycles", disjoint_cycles(self.generator))
+        cycles = disjoint_cycles(self.generator)
+        object.__setattr__(self, "_cycles", cycles)
+        object.__setattr__(self, "_order", lcm(1, *map(len, cycles.cycles)))
 
     def _power_of(self, sigma: Permutation) -> int:
         k = power_exponent(self._cycles, sigma)
@@ -271,24 +278,19 @@ class CyclicRootCharacter(CharacterSpec):
         return k
 
     def evaluate(self, sigma: Permutation) -> GaussianRational:
-        order = self.generator.order()
+        order = self._order
         k = self._power_of(sigma)
-        e = (k * self.index) % order
-        if order == 1:
-            return ONE
-        if order == 2:
-            return gauss(1 - 2 * e)
-        if order == 4:
-            return I**e
-        raise ExactnessError(
-            f"root of unity of order {order} is not exactly representable; "
-            "use evaluate_float"
-        )
+        if 4 % order:
+            raise ExactnessError(
+                f"root of unity of order {order} is not exactly representable; "
+                "use evaluate_float"
+            )
+        # exp(2*pi*i*k*index/order) = i^(k*index*4/order)
+        return _FOURTH_ROOTS[k * self.index * (4 // order) % 4]
 
     def evaluate_float(self, sigma: Permutation) -> complex:
-        order = self.generator.order()
         k = self._power_of(sigma)
-        return cmath.exp(2j * cmath.pi * k * self.index / order)
+        return cmath.exp(2j * cmath.pi * k * self.index / self._order)
 
     def degree(self) -> int:
         return 1
@@ -301,7 +303,11 @@ _IRR_RE = _re.compile(r"^irr:\[([\d,\s]*)\]$")
 
 
 def parse_character(text: str, degree: int | None = None) -> CharacterSpec:
-    """Parse "trivial", "sign", "irr:[3,1]" or "table:<path>"."""
+    """Parse "trivial", "sign", "irr:[3,1]" or "table:<path>".
+
+    An ``irr:`` partition must be nonempty and, when ``degree`` is given,
+    a partition of ``degree``.
+    """
     s = text.strip()
     if s == "trivial":
         return TrivialCharacter()
@@ -311,9 +317,14 @@ def parse_character(text: str, degree: int | None = None) -> CharacterSpec:
     if m:
         try:
             parts = tuple(int(tok) for tok in m.group(1).split(",") if tok.strip())
-            return IrreducibleCharacter(Partition(parts))
+            partition = Partition(parts)
         except ValueError as exc:
             raise ParseError(f"bad partition in {text!r}") from exc
+        if not parts:
+            raise ParseError(f"empty partition in {text!r}")
+        if degree is not None and partition.size != degree:
+            raise ParseError(f"partition of {partition.size} in {text!r} for degree {degree}")
+        return IrreducibleCharacter(partition)
     if s.startswith("table:"):
         if degree is None:
             raise ParseError("table characters need an explicit degree")

@@ -10,10 +10,12 @@ Routes provided, all exact unless stated otherwise:
 * naive summation of the defining formula, visiting only the
   permutations whose entry product is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, which sums only the
-  2^r permutations that agree pointwise with theta or tau, and for the
-  trivial and sign characters on S_n, A_n and pointwise stabilizers
-  multiplies that sum out as an O(r) product over the cycles (a
-  stabilizer as S_n with the coefficients that move its points zeroed);
+  2^r permutations that agree pointwise with theta or tau; on S_n, A_n
+  and pointwise stabilizers (a stabilizer as S_n with the coefficients
+  that move its points zeroed) it multiplies that sum out as an O(r)
+  product over the cycles for the trivial and sign characters, and sums
+  it by cycle type, orbit by orbit of <theta, tau>, for the irreducible
+  characters;
 * closed forms for determinant and permanent straight from the cycle
   structure of theta^-1*tau;
 * a minor-expansion oracle for det(A+B) over all complementary index
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .characters import CharacterSpec, SignCharacter, TrivialCharacter
+from .characters import CharacterSpec, IrreducibleCharacter, SignCharacter, TrivialCharacter
 from .errors import (
     CharacterDomainError,
     DegreeMismatchError,
@@ -167,11 +169,23 @@ def gmf_naive(
     return GmfResult(total * Fraction(1, den**a.rows), Method.NAIVE, order)
 
 
+def _gaussian_integers(factors):
+    """The (a_c, b_c) factors as Gaussian-integer pairs over one common denominator.
+
+    Returns [((a_re, a_im), (b_re, b_im)), ...] and the denominator.
+    """
+    den = math.lcm(*(x.denominator for pair in factors for z in pair for x in (z.re, z.im)))
+    return [tuple((int(z.re * den), int(z.im * den)) for z in pair) for pair in factors], den
+
+
 def _subset_products(factors) -> list:
-    """One product per bitmask over the (a_c, b_c) pairs: b_c where the bit is set, else a_c."""
-    products = [1]
-    for a_c, b_c in factors:
-        products = [p * a_c for p in products] + [p * b_c for p in products]
+    """One (re, im) product per bitmask over the (a_c, b_c) pairs of (re, im) pairs:
+    b_c where the bit is set, else a_c."""
+    products = [(1, 0)]
+    for (ar, ai), (br, bi) in factors:
+        products = [(pr * ar - pi * ai, pr * ai + pi * ar) for pr, pi in products] + [
+            (pr * br - pi * bi, pr * bi + pi * br) for pr, pi in products
+        ]
     return products
 
 
@@ -219,6 +233,154 @@ def _parity_product(alpha, dec, factors, group: GroupSpec, chi: CharacterSpec, z
     return value, even_terms + odd_terms
 
 
+def _orbits(alpha, beta):
+    """The orbits of <alpha, beta> as lists of 0-based points, and each point's orbit index."""
+    a, b = alpha.images, beta.images
+    label = [None] * len(a)
+    orbits = []
+    for start in range(len(a)):
+        if label[start] is None:
+            label[start] = len(orbits)
+            orbit = [start]
+            for p in orbit:
+                for q in (a[p] - 1, b[p] - 1):
+                    if label[q] is None:
+                        label[q] = len(orbits)
+                        orbit.append(q)
+            orbits.append(orbit)
+    return orbits, label
+
+
+def _orbit_classes(orbit, alpha, beta, moves) -> dict:
+    """Cycle type on one orbit -> [re, im, count] over the orbit's mixtures.
+
+    ``moves`` holds the orbit's cycles of alpha^-1*beta with their
+    (a_c, b_c) Gaussian-integer pairs.  The 2^(r_O) choices are walked
+    depth first on one image list, a cycle at a time; a choice whose
+    factor is zero is not entered, so every mixture reached has a nonzero
+    weight and counts once.
+    """
+    where = {p: i for i, p in enumerate(orbit)}
+    from_alpha = [where[alpha.images[p] - 1] for p in orbit]
+    from_beta = [where[beta.images[p] - 1] for p in orbit]
+    choices = [
+        ([where[p - 1] for p in cycle], ((from_alpha, a_c), (from_beta, b_c)))
+        for cycle, (a_c, b_c) in moves
+    ]
+    images = list(from_alpha)
+    size = len(orbit)
+    classes = {}
+
+    def visit(j, re, im):
+        if j == len(choices):
+            seen = [False] * size
+            lengths = []
+            for start in range(size):
+                length, p = 0, start
+                while not seen[p]:
+                    seen[p] = True
+                    p = images[p]
+                    length += 1
+                if length:
+                    lengths.append(length)
+            acc = classes.setdefault(tuple(sorted(lengths, reverse=True)), [0, 0, 0])
+            acc[0] += re
+            acc[1] += im
+            acc[2] += 1
+            return
+        points, options = choices[j]
+        for source, (fr, fi) in options:
+            if fr or fi:
+                for p in points:
+                    images[p] = source[p]
+                visit(j + 1, re * fr - im * fi, re * fi + im * fr)
+
+    visit(0, 1, 0)
+    return classes
+
+
+def _convolve(left: dict, right: dict) -> dict:
+    """Classes of two disjoint orbits combined: types merged, weights multiplied."""
+    out = {}
+    for t1, (r1, i1, c1) in left.items():
+        for t2, (r2, i2, c2) in right.items():
+            acc = out.setdefault(tuple(sorted(t1 + t2, reverse=True)), [0, 0, 0])
+            acc[0] += r1 * r2 - i1 * i2
+            acc[1] += r1 * i2 + i1 * r2
+            acc[2] += c1 * c2
+    return out
+
+
+def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCharacter):
+    """The mixture sum for an irreducible character of S_n on S_n or A_n, by cycle type.
+
+    A mixture agrees with alpha or beta at every point, so it maps each
+    orbit of <alpha, beta> onto itself: its cycle type is the union of its
+    types on the orbits, and its weight the product of its (a_c, b_c)
+    factors there.  Each orbit's 2^(r_O) cycle choices are summed by type
+    (_orbit_classes), the orbits' dicts convolved, the odd types dropped
+    for A_n, and chi, an integer-valued class function, evaluated once
+    per class.  Returns the Gaussian-integer sum (re, im) and the number
+    of in-group mixtures with a nonzero weight.
+
+    Returns None, and the caller walks the mixtures instead, when the
+    orbits' walks (2^(r_O) choices of |O| points each, summed) or a
+    convolved table (n times the product of the sizes of its two
+    inputs) could exceed the enumeration cap.  The first is checked
+    before any orbit is walked, the second before each convolution, so
+    time and memory stay within the cap; the walk then refuses 2^r
+    mixtures over the cap just as it does for any other character.
+    """
+    orbits, label = _orbits(alpha, beta)
+    moves = [[] for _ in orbits]
+    for cycle, pair in zip(cycles, pairs):
+        moves[label[cycle[0] - 1]].append((cycle, pair))
+    if sum(len(orbit) << len(m) for orbit, m in zip(orbits, moves)) > DEFAULT_ENUMERATION_CAP:
+        return None
+    n = alpha.degree
+    totals = {(): [1, 0, 1]}
+    for orbit, orbit_moves in zip(orbits, moves):
+        classes = _orbit_classes(orbit, alpha, beta, orbit_moves)
+        if n * len(totals) * len(classes) > DEFAULT_ENUMERATION_CAP:
+            return None
+        totals = _convolve(totals, classes)
+    alternating = isinstance(group, AlternatingGroup)
+    sum_re = sum_im = terms = 0
+    for cycle_type, (re, im, count) in totals.items():
+        if alternating and (n - len(cycle_type)) % 2:
+            continue
+        value = chi.class_value(cycle_type)
+        sum_re += value * re
+        sum_im += value * im
+        terms += count
+    return sum_re, sum_im, terms
+
+
+def _walk(alpha, beta, pairs, group: GroupSpec):
+    """Yield (sigma, re, im) for each in-group mixture with a nonzero (re, im) weight.
+
+    ``pairs`` holds the (a_c, b_c) factors as (re, im) pairs.
+    """
+    # mixtures walks by increasing bitmask of the cycles taken from beta
+    # (and refuses a walk over the cap before the tables are built); the
+    # product over each half of the cycles is tabulated once, so a
+    # mixture's weight costs one multiplication
+    walk = mixtures(alpha, beta)
+    half = len(pairs) // 2
+    low = _subset_products(pairs[:half])
+    high = _subset_products(pairs[half:])
+    # S_n holds every mixture (_mixture_sum turned a stabilizer into S_n)
+    test_membership = not isinstance(group, SymmetricGroup)
+    for mask, sigma in enumerate(walk):
+        if test_membership and not group.contains(sigma):
+            continue
+        lr, li = low[mask & ((1 << half) - 1)]
+        hr, hi = high[mask >> half]
+        re, im = lr * hr - li * hi, lr * hi + li * hr
+        if re or im:
+            yield sigma, re, im
+
+
 def _mixture_sum(
     alpha, beta, coeff_a, coeff_b, group: GroupSpec, chi: CharacterSpec, floating=False
 ):
@@ -234,9 +396,13 @@ def _mixture_sum(
     entry product; a zero prefactor gives zero with no terms.  A
     pointwise stabilizer becomes S_n with a zero coefficient wherever alpha
     or beta moves a stabilized point, so every mixture outside it weighs
-    zero.  A trivial or sign character on S_n or A_n takes the O(r)
-    product of _parity_product; every other case walks the 2^r mixtures.
-    ``floating`` weighs with chi.evaluate_float, in complex arithmetic.
+    zero.  On S_n and A_n a trivial or sign character takes the O(r)
+    product of _parity_product and an irreducible character the class
+    sums of _class_sums, unless their tables would exceed the cap; every
+    other case walks the 2^r mixtures and sums their weights per
+    character value, multiplying each value in once.
+    Exact weights are Gaussian integers over one common denominator;
+    ``floating`` weighs with chi.evaluate_float, mixture by mixture.
     """
     zero = 0j if floating else ZERO
     if isinstance(group, PointwiseStabilizer):
@@ -258,30 +424,30 @@ def _mixture_sum(
     if isinstance(group, _PARITY_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
         value, terms = _parity_product(alpha, dec, factors, group, chi, zero)
         return prefactor * value, terms
-    weigh = (
-        (lambda sigma: chi.evaluate_float(sigma.inverse())) if floating else chi.conjugate_evaluate
-    )
-    # mixtures walks by increasing bitmask of the cycles taken from beta
-    # (and refuses a walk over the cap before the tables are built); the
-    # product over each half of the cycles is tabulated once, so a
-    # mixture's weight costs one multiplication
-    walk = mixtures(alpha, beta)
-    half = len(factors) // 2
-    low = _subset_products(factors[:half])
-    high = _subset_products(factors[half:])
-    total = zero
-    terms = 0
-    # S_n holds every mixture (a stabilizer became S_n above): no membership test
-    test_membership = not isinstance(group, SymmetricGroup)
-    for mask, sigma in enumerate(walk):
-        if test_membership and not group.contains(sigma):
-            continue
-        weight = low[mask & ((1 << half) - 1)] * high[mask >> half]
-        if not weight:
-            continue
-        terms += 1
-        total = total + weigh(sigma) * weight
-    return prefactor * total, terms
+    if floating:
+        pairs = [((a_c.real, a_c.imag), (b_c.real, b_c.imag)) for a_c, b_c in factors]
+        total, terms = 0j, 0
+        for sigma, re, im in _walk(alpha, beta, pairs, group):
+            terms += 1
+            total += chi.evaluate_float(sigma.inverse()) * complex(re, im)
+        return prefactor * total, terms
+    pairs, den = _gaussian_integers(factors)
+    summed = None
+    if isinstance(group, _PARITY_GROUPS) and isinstance(chi, IrreducibleCharacter):
+        summed = _class_sums(alpha, beta, dec.cycles, pairs, group, chi)
+    if summed is not None:
+        re, im, terms = summed
+        total = GaussianRational(re, im)
+    else:
+        sums = defaultdict(lambda: [0, 0])
+        terms = 0
+        for sigma, re, im in _walk(alpha, beta, pairs, group):
+            terms += 1
+            acc = sums[chi.conjugate_evaluate(sigma)]
+            acc[0] += re
+            acc[1] += im
+        total = sum((value * GaussianRational(re, im) for value, (re, im) in sums.items()), ZERO)
+    return prefactor * total * Fraction(1, den ** len(pairs)), terms
 
 
 def gmf_linear_sum(

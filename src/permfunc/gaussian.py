@@ -135,9 +135,13 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # an integral component hashes as its int, equal to the Fraction's
+        # hash but without Fraction.__hash__
+        re = self.re.numerator if self.re.denominator == 1 else self.re
         if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+            return hash(re)
+        im = self.im.numerator if self.im.denominator == 1 else self.im
+        return hash((re, im))
 
     # -- text and JSON forms --------------------------------------------------
 

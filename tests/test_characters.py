@@ -153,6 +153,30 @@ class TestCyclicRoot:
         with pytest.raises(CharacterDomainError):
             chi.evaluate(P("(1 3)", 3))
 
+    def test_values_match_the_root_formula(self):
+        # exp(2*pi*i*k*index/order) in its exact form, for every power k
+        # of generators of order 1, 2 and 4 and every index residue
+        def formula(order, k, index):
+            e = (k * index) % order
+            if order == 1:
+                return ONE
+            if order == 2:
+                return gauss(1 - 2 * e)
+            return I**e
+
+        for text, order in (("id", 1), ("(1 2)", 2), ("(1 2 3 4)", 4), ("(1 2 3 4)(5 6)", 4)):
+            g = P(text, 6)
+            powers = [Permutation.identity(6)]
+            for _ in range(order - 1):
+                powers.append(powers[-1] * g)
+            for index in range(-9, 10):
+                chi = CyclicRootCharacter(g, index)
+                for k, sigma in enumerate(powers):
+                    value = chi.evaluate(sigma)
+                    assert value == formula(order, k, index)
+                    assert type(value.re) is type(value.im) is Fraction
+                    assert abs(chi.evaluate_float(sigma) - complex(value.re, value.im)) < 1e-12
+
     def test_is_homomorphism_order_four(self):
         g = P("(1 2 3 4)", 4)
         chi = CyclicRootCharacter(g, 3)
@@ -213,6 +237,21 @@ def test_parse_character():
         parse_character("irr:[1,3]")
     with pytest.raises(ParseError):
         parse_character("nope")
+
+
+@pytest.mark.parametrize(
+    "text, degree, named",
+    [
+        ("irr:[3,2]", 4, "partition of 5"),
+        ("irr:[3,1]", 5, "partition of 4"),
+        ("irr:[]", 4, "empty"),
+    ],
+)
+def test_parse_character_rejects_partition_of_another_size(text, degree, named):
+    with pytest.raises(ParseError, match=re.escape(named)) as info:
+        parse_character(text, degree)
+    assert text in str(info.value)
+    assert parse_character("irr:[3,1]", 4) == IrreducibleCharacter(Partition((3, 1)))
 
 
 def test_table_character_from_json(tmp_path):

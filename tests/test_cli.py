@@ -186,6 +186,10 @@ def test_parse_error_exit_code(capsys):
          "--group", "S3", "--character", "table:{two_spellings}"],
         ["gmf", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1 2)", "--tau", "id",
          "--group", "S3", "--character", "table:{repeated_key}"],
+        ["gmf", "--a", "1", "--b", "1", "--n", "4", "--theta", "(1 2)", "--tau", "id",
+         "--group", "S4", "--character", "irr:[3,2]"],
+        ["gmf", "--a", "1", "--b", "1", "--n", "4", "--theta", "(1 2)", "--tau", "id",
+         "--group", "S4", "--character", "irr:[]"],
     ],
     ids=[
         "zero-denominator",
@@ -195,6 +199,8 @@ def test_parse_error_exit_code(capsys):
         "repeated-stabilizer-point",
         "table-two-spellings",
         "table-repeated-key",
+        "irr-partition-of-another-size",
+        "irr-empty-partition",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
@@ -216,6 +222,8 @@ def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
     assert proc.returncode == 2
     assert "parse error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if argv[-1].startswith("irr:"):
+        assert argv[-1] in proc.stderr
 
 
 def test_zero_denominator_in_block_spec(tmp_path, capsys):
@@ -253,16 +261,42 @@ def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
         raise AssertionError("membership tested before the cap was checked")
 
     monkeypatch.setattr(permfunc.groups.GroupSpec, "contains", refuse)
+    monkeypatch.setattr(permfunc.engine, "_orbit_classes", refuse)
     many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
+    cycle = "(" + " ".join(map(str, range(1, 61))) + ")"
     code, out, err = run(capsys, "gmf", "--n", "60", "--theta", "id", "--tau", many,
-                         "--group", "S60", "--character", "irr:[59,1]")
+                         "--group", f"cyclic:{cycle}@60", "--character", "trivial")
     assert (code, out) == (3, "")
     assert "exceeds cap" in err
+    # theta is one 44-cycle, so the 22 transpositions of theta^-1*tau lie
+    # on one orbit of <theta, tau>, whose 2^22 cycle choices irr: would walk
     fewer = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(22))
+    long_cycle = "(" + " ".join(map(str, range(1, 45))) + ")"
+    perm = permfunc.perm
+    tau = perm.format_permutation(
+        perm.parse_permutation(long_cycle, 44) * perm.parse_permutation(fewer, 44)
+    )
+    code, out, err = run(capsys, "gmf", "--n", "44", "--theta", long_cycle, "--tau", tau,
+                         "--group", "S44", "--character", "irr:[43,1]")
+    assert (code, out) == (3, "")
+    assert "walk of 2^22 mixtures exceeds cap" in err
     for extra in ([], ["--json"]):
         code, out, err = run(capsys, "xset", "--n", "44", "--theta", "id", "--tau", fewer, *extra)
         assert (code, out) == (3, "")
         assert "exceeds cap" in err
+
+
+def test_class_tables_over_the_cap_exit_three(capsys):
+    # one cycle of each length 2..23 on 275 points: every orbit of
+    # <id, tau> is small, but the 2^22 mixtures have 2^22 cycle types
+    cycles, start = [], 1
+    for length in range(2, 24):
+        cycles.append("(" + " ".join(map(str, range(start, start + length))) + ")")
+        start += length
+    code, out, err = run(capsys, "gmf", "--n", "275", "--theta", "id", "--tau", "".join(cycles),
+                         "--group", "S275", "--character", "irr:[274,1]")
+    assert (code, out) == (3, "")
+    assert "walk of 2^22 mixtures exceeds cap" in err
 
 
 def test_cyclic_membership_lists_no_powers(capsys, monkeypatch):

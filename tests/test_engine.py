@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from permfunc.characters import (
     SignCharacter,
     TableCharacter,
     TrivialCharacter,
+    mn_value,
     parse_character,
     partitions,
 )
@@ -734,6 +736,21 @@ class TestDominance:
                 chi = IrreducibleCharacter(Partition(lam))
                 assert pf.check_dominance(k, m, pi, chi).holds
 
+    def test_every_shape_of_twenty(self):
+        # permanent dominance for k*I + m*P_pi, pi eight transpositions of
+        # S_20, over all 627 irreducible characters
+        n, k, m = 20, Fraction(3, 2), Fraction(-1)
+        pi = transpositions(8, n)
+        shapes = list(partitions(n))
+        assert len(shapes) == 627
+        for lam in shapes:
+            report = pf.check_dominance(k, m, pi, IrreducibleCharacter(Partition(lam)))
+            assert report.holds, lam
+            if lam == (n,):
+                assert report.lhs == report.rhs == (k + m) ** 4 * (k**2 + m**2) ** 8
+            if lam == (1,) * n:
+                assert report.lhs == (k + m) ** 4 * (k**2 - m**2) ** 8
+
 
 class TestSuperadditivity:
     def test_double_identity(self):
@@ -855,7 +872,7 @@ def gens_presentation(group):
 
 
 def walk_characters(n):
-    """irr:[n] and irr:[1^n], the trivial and sign characters as the walk sees them."""
+    """irr:[n] and irr:[1^n], the trivial and sign characters as the class sums see them."""
     return {
         "trivial": IrreducibleCharacter(Partition((n,))),
         "sign": IrreducibleCharacter(Partition((1,) * n)),
@@ -911,7 +928,8 @@ def assert_same_result(fast, slow):
 
 class TestParityProduct:
     """The O(r) product for trivial and sign on S_n, A_n and stabilizers
-    against the 2^r mixture walk on the same instance."""
+    against the class sums of irr:[n] and irr:[1^n] and the 2^r mixture
+    walk on a gens: presentation, on the same instance."""
 
     @pytest.fixture
     def product_calls(self, monkeypatch):
@@ -1092,20 +1110,55 @@ class TestWalkCap:
             raise AssertionError("built before the cap was checked")
 
         monkeypatch.setattr(engine, "_subset_products", refuse)
+        monkeypatch.setattr(engine, "_orbit_classes", refuse)
         monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
 
     def test_over_the_cap_is_refused(self, nothing_built):
         n = 60
         theta, tau = Permutation.identity(n), transpositions(28, n)
-        irr = parse_character("irr:[59,1]", n)
         cycle = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+        # theta is one 44-cycle, so the 22 transpositions of theta^-1*tau
+        # lie on one orbit of <theta, tau>, which the class sums walk whole
+        long_cycle = Permutation.from_cycles(44, [tuple(range(1, 45))])
+        one_orbit = compose(long_cycle, transpositions(22, 44))
+        irr = parse_character("irr:[43,1]", 44)
         for call in (
-            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, SymmetricGroup(n), irr),
             lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, CyclicGroup(cycle), TrivialCharacter()),
             lambda: pf.term_counts(theta, tau, CyclicGroup(cycle)),
+            lambda: pf.gmf_linear_sum(ONE, ONE, long_cycle, one_orbit, SymmetricGroup(44), irr),
+            lambda: pf.gmf_linear_sum(ONE, ONE, long_cycle, one_orbit, AlternatingGroup(44), irr),
         ):
             with pytest.raises(CapacityError, match="exceeds cap"):
                 call()
+
+    def test_class_tables_stay_under_the_cap(self, monkeypatch):
+        # theta = id and tau has one cycle of each length 2..23, so every
+        # orbit holds one cycle and passes alone, but the 2^22 mixtures
+        # have 2^22 cycle types: the merged table stops short of the cap
+        # and the walk refuses the 2^22 mixtures
+        cycles, start = [], 1
+        for length in range(2, 24):
+            cycles.append(tuple(range(start, start + length)))
+            start += length
+        n = start - 1
+        theta, tau = Permutation.identity(n), Permutation.from_cycles(n, cycles)
+        tables = []
+        convolve = engine._convolve
+
+        def spy(left, right):
+            tables.append(len(left) * len(right))
+            return convolve(left, right)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("membership tested before the cap was checked")
+
+        monkeypatch.setattr(engine, "_convolve", spy)
+        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        chi = parse_character(f"irr:[{n - 1},1]", n)
+        for group in (SymmetricGroup(n), AlternatingGroup(n)):
+            with pytest.raises(CapacityError, match=r"walk of 2\^22 mixtures exceeds cap"):
+                pf.gmf_linear_sum(ONE, ONE, theta, tau, group, chi)
+        assert tables and n * max(tables) <= groups.DEFAULT_ENUMERATION_CAP
 
     def test_stabilizer_emptied_before_the_walk(self, nothing_built):
         # theta and tau both send the stabilized point 45 to 46, so no
@@ -1117,3 +1170,140 @@ class TestWalkCap:
         group = PointwiseStabilizer(n, frozenset({45}))
         result = pf.gmf_linear_sum(ONE, ONE, theta, tau, group, parse_character("irr:[45,1]", n))
         assert (result.value, result.term_count) == (ZERO, 0)
+
+
+class TestClassSums:
+    """Irreducible characters on S_n, A_n and stabilizers, summed by cycle
+    type over the orbits of <theta, tau>, against the brute-force sum and
+    the mixture walk on a gens: presentation of the same group."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        from permfunc import perm
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the class sums must not walk the mixtures")
+
+        monkeypatch.setattr(engine, "mixtures", refuse)
+        monkeypatch.setattr(perm, "mixtures", refuse)
+        monkeypatch.setattr(engine, "_subset_products", refuse)
+        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+
+    @pytest.fixture
+    def class_sum_calls(self, monkeypatch):
+        calls = []
+        class_sums = engine._class_sums
+
+        def spy(*args):
+            calls.append(args)
+            return class_sums(*args)
+
+        monkeypatch.setattr(engine, "_class_sums", spy)
+        return calls
+
+    @staticmethod
+    def binomial_sum(a, b, n, m, parts):
+        """gmf of a*I + b*P_tau, tau m disjoint transpositions of S_n, at irr:parts.
+
+        A mixture takes j of the transpositions, weight a^(2(m-j)) b^(2j),
+        class 2^j 1^(n-2j); the F = n - 2m common fixed points give (a+b)^F.
+        """
+        total = ZERO
+        for j in range(m + 1):
+            value = mn_value(parts, (2,) * j + (1,) * (n - 2 * j))
+            total = total + gauss(comb(m, j) * value) * a ** (2 * (m - j)) * b ** (2 * j)
+        return (a + b) ** (n - 2 * m) * total
+
+    def test_twenty_eight_transpositions(self, no_walk):
+        # 2^28 mixtures exceed the cap, but each orbit holds one transposition
+        n, m = 60, 28
+        theta, tau = Permutation.identity(n), transpositions(m, n)
+        for parts in ((59, 1), (58, 2), (30, 30)):
+            chi = IrreducibleCharacter(Partition(parts))
+            for a, b in ((ONE, ONE), (gauss(2), gauss(1, -1)), (gauss(Fraction(1, 2)), gauss(-3))):
+                result = pf.gmf_linear_sum(a, b, theta, tau, SymmetricGroup(n), chi)
+                assert result.value == self.binomial_sum(a, b, n, m, parts)
+                assert result.term_count == 2**m
+                assert type(result.value) is pf.GaussianRational
+
+    def test_wrong_degree_is_a_domain_error(self, no_walk):
+        theta, tau = Permutation.identity(4), P("(1 2)", 4)
+        chi = IrreducibleCharacter(Partition((3, 2)))
+        stabilizer = PointwiseStabilizer(4, frozenset({3}))
+        message = "degree 4 element for a character of S_5"
+        for group in (SymmetricGroup(4), AlternatingGroup(4), stabilizer):
+            with pytest.raises(CharacterDomainError, match=message):
+                pf.gmf_linear_sum(ONE, ONE, theta, tau, group, chi)
+
+    def test_linear_sum_matches_brute_force_and_walk(self, class_sum_calls):
+        rng = random.Random(8181)
+        scalar_kinds = set()
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            if rng.random() < 0.3:
+                theta = Permutation.identity(n)
+            a, b, kind = draw_scalars(rng)
+            if rng.random() < 0.3:
+                a, b = a / 2, b / 3
+            scalar_kinds.add(kind)
+            chi = IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+            for group in parity_groups(rng, n):
+                fast = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                walk = pf.gmf_linear_sum(a, b, theta, tau, gens_presentation(group), chi)
+                assert_same_result(fast, walk)
+                if n <= 5:
+                    assert fast.value == brute_gmf(linear_sum(a, b, theta, tau), group, chi)
+        assert scalar_kinds == {"a = 0", "b = 0", "b = -a", "random"}
+        assert class_sum_calls
+
+    def test_tables_over_the_cap_fall_back_to_the_walk(self, monkeypatch):
+        # the same draws with the table bound lowered: some are refused
+        # before any orbit is walked, some before a convolution, and the
+        # walk then gives the same result
+        rng = random.Random(8383)
+        cases = []
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            if rng.random() < 0.5:
+                theta = Permutation.identity(n)
+            a, b, _ = draw_scalars(rng)
+            chi = IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+            for group in parity_groups(rng, n):
+                expected = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                cases.append(((a, b, theta, tau, group, chi), expected))
+        calls = []
+        orbit_classes, mixtures = engine._orbit_classes, engine.mixtures
+
+        def spy_orbit(*args):
+            calls.append("orbit")
+            return orbit_classes(*args)
+
+        def spy_walk(*args):
+            calls.append("walk")
+            return mixtures(*args)
+
+        monkeypatch.setattr(engine, "_orbit_classes", spy_orbit)
+        monkeypatch.setattr(engine, "mixtures", spy_walk)
+        outcomes = set()
+        for cap in (0, 15, 30, 60):
+            monkeypatch.setattr(engine, "DEFAULT_ENUMERATION_CAP", cap)
+            for args, expected in cases:
+                calls.clear()
+                assert_same_result(pf.gmf_linear_sum(*args), expected)
+                outcomes.add(("orbit" in calls, "walk" in calls))
+        # (False, False) is a zero prefactor, answered before either
+        assert outcomes >= {(False, True), (True, True), (True, False)}
+
+    def test_block_matches_walk(self, class_sum_calls):
+        rng = random.Random(8282)
+        shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 6), (6, 1)]
+        for _ in range(40):
+            m, blocks = rng.choice(shapes)
+            spec = random_block_spec(rng, m, blocks)
+            chi = IrreducibleCharacter(Partition(rng.choice(list(partitions(m * blocks)))))
+            for group in parity_groups(rng, m * blocks):
+                fast = pf.gmf_block(spec, group, chi)
+                assert_same_result(fast, pf.gmf_block(spec, gens_presentation(group), chi))
+        assert class_sum_calls

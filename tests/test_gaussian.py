@@ -110,3 +110,24 @@ def test_multiplicative_inverse(z):
 def test_conjugation_is_multiplicative(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     assert x.abs_squared() == (x * x.conjugate()).re
+
+
+@given(rationals, rationals)
+def test_hash_agrees_with_equal_numbers(re, im):
+    z = GaussianRational(re, im)
+    assert hash(z) == hash(GaussianRational(re, im))
+    if not im:
+        assert hash(z) == hash(re)
+        if re.denominator == 1:
+            assert hash(z) == hash(int(re)) == hash(Fraction(int(re)))
+    else:
+        assert hash(z) == hash((re, im))
+
+
+def test_hash_of_integral_components():
+    assert hash(gauss(3)) == hash(3) == hash(Fraction(3))
+    assert hash(gauss(3, -2)) == hash((3, -2)) == hash((Fraction(3), Fraction(-2)))
+    assert hash(gauss(Fraction(1, 2), 3)) == hash((Fraction(1, 2), 3))
+    values = {gauss(3): "three", gauss(0, 1): "i"}
+    assert values[3] == values[Fraction(3)] == "three"
+    assert values[I] == "i"
