@@ -25,6 +25,7 @@ from .gaussian import GaussianRational, I, ONE, gauss
 from .groups import FiniteSubgroup
 from .perm import (
     Permutation,
+    _list_items,
     cycle_structure,
     disjoint_cycles,
     parse_permutation,
@@ -102,13 +103,20 @@ def _strip_removals(parts: tuple[int, ...], size: int):
         yield _partition_from_beta(new_beta), height
 
 
-@functools.cache
+# The memo's bound: a sweep over every lambda |- 20 holds 12,975 pairs and
+# one over every lambda |- 30 (8 transpositions) 128,868, about 0.4 KB each.
+_MN_CACHE_SIZE = 1 << 15
+
+
+@functools.lru_cache(maxsize=_MN_CACHE_SIZE)
 def mn_value(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
     """Irreducible character value for shape ``parts`` at ``cycle_type``.
 
     ``cycle_type`` lists all cycle lengths including fixed points as 1s.
     Border strips are removed for the largest cycle first; the recursion
-    is memoized because dominance sweeps revisit the same pairs heavily.
+    is memoized because dominance sweeps revisit the same pairs heavily,
+    and the memo is bounded so that a long-lived process does not grow
+    with every shape it has evaluated.
     """
     if sum(parts) != sum(cycle_type):
         raise ValueError(
@@ -316,7 +324,7 @@ def parse_character(text: str, degree: int | None = None) -> CharacterSpec:
     m = _IRR_RE.match(s)
     if m:
         try:
-            parts = tuple(int(tok) for tok in m.group(1).split(",") if tok.strip())
+            parts = tuple(int(tok) for tok in _list_items(m.group(1), ",", text))
             partition = Partition(parts)
         except ValueError as exc:
             raise ParseError(f"bad partition in {text!r}") from exc

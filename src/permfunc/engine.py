@@ -15,11 +15,11 @@ Routes provided, all exact unless stated otherwise:
   that move its points zeroed) it multiplies that sum out as an O(r)
   product over the cycles for the trivial and sign characters, and sums
   it by cycle type, orbit by orbit of <theta, tau>, for the irreducible
-  characters;
+  characters; every case adds Gaussian integers over one denominator;
 * closed forms for determinant and permanent straight from the cycle
   structure of theta^-1*tau;
 * a minor-expansion oracle for det(A+B) over all complementary index
-  pairs;
+  pairs, each size's minor products summed as Gaussian integers;
 * the block generalization for sums of two scaled block-permutation
   layers;
 * relations and closed forms for the symmetric companion S_theta;
@@ -110,7 +110,7 @@ def det_exact(a: Matrix) -> GaussianRational:
 
 
 def _nonzero_members(pre, pim, group: GroupSpec, order: int):
-    """Yield the members of ``group`` whose entry product is nonzero.
+    """Yield (sigma, re, im) for each member of ``group`` with a nonzero entry product re + im*i.
 
     Walks the smaller of two sets, so the work stays within |G|: the
     image tuples built row by row from each row's nonzero columns, kept
@@ -120,16 +120,22 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
     n = len(pre)
     columns = [[j for j in range(n) if pre[i][j] or pim[i][j]] for i in range(n)]
     if math.prod(map(len, columns)) <= order:
-        for images in itertools.product(*columns):
-            if len(set(images)) == n:
-                sigma = Permutation(tuple(j + 1 for j in images))
-                if group.contains(sigma):
-                    yield sigma
+        injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
+        members = filter(group.contains, (Permutation(tuple(j + 1 for j in t)) for t in injective))
+    elif all(len(row) == n for row in columns):
+        members = group._generate()
     else:
-        dense = all(len(row) == n for row in columns)
-        for sigma in group._generate():
-            if dense or all(pre[i][k - 1] or pim[i][k - 1] for i, k in enumerate(sigma.images)):
-                yield sigma
+        members = (
+            sigma
+            for sigma in group._generate()
+            if all(pre[i][k - 1] or pim[i][k - 1] for i, k in enumerate(sigma.images))
+        )
+    for sigma in members:
+        re, im = 1, 0
+        for row_re, row_im, j in zip(pre, pim, sigma.images):
+            er, ei = row_re[j - 1], row_im[j - 1]
+            re, im = re * er - im * ei, re * ei + im * er
+        yield sigma, re, im
 
 
 def gmf_naive(
@@ -154,19 +160,28 @@ def gmf_naive(
         )
     order = checked_order(group, cap)
     pre, pim, den = integer_grid(a)
+    re, im, _ = _value_sums(chi.evaluate, _nonzero_members(pre, pim, group, order))
+    return GmfResult(GaussianRational(re, im) * Fraction(1, den**a.rows), Method.NAIVE, order)
+
+
+def _value_sums(value, weighted):
+    """Sum value(sigma) * (re + im*i) over (sigma, re, im) triples; returns (re, im, count).
+
+    The Gaussian integers are summed per character value first, so each
+    distinct value is multiplied in once.
+    """
     sums = defaultdict(lambda: [0, 0])
-    for sigma in _nonzero_members(pre, pim, group, order):
-        prod_re, prod_im = 1, 0
-        for row_re, row_im, j in zip(pre, pim, sigma.images):
-            er, ei = row_re[j - 1], row_im[j - 1]
-            prod_re, prod_im = prod_re * er - prod_im * ei, prod_re * ei + prod_im * er
-        acc = sums[chi.evaluate(sigma)]
-        acc[0] += prod_re
-        acc[1] += prod_im
-    total = ZERO
-    for weight, (sre, sim) in sums.items():
-        total = total + weight * GaussianRational(sre, sim)
-    return GmfResult(total * Fraction(1, den**a.rows), Method.NAIVE, order)
+    count = 0
+    for sigma, re, im in weighted:
+        acc = sums[value(sigma)]
+        acc[0] += re
+        acc[1] += im
+        count += 1
+    total_re = total_im = 0
+    for v, (re, im) in sums.items():
+        total_re += v.re * re - v.im * im
+        total_im += v.re * im + v.im * re
+    return total_re, total_im, count
 
 
 def _gaussian_integers(factors):
@@ -195,42 +210,37 @@ _PARITY_GROUPS = (SymmetricGroup, AlternatingGroup)
 _PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
 
 
-def _parity_split(factors, lengths, even, odd):
-    """Multiply out prod_c (A_c + B_c z^(l_c - 1)) with z^2 = 1, starting from even + odd*z.
-
-    Returns the even and the odd part: the sums over the mixtures whose
-    cycles taken from beta make an even or an odd permutation.
-    """
-    for (a_c, b_c), length in zip(factors, lengths):
-        if length % 2:
-            even, odd = even * (a_c + b_c), odd * (a_c + b_c)
-        else:
-            even, odd = even * a_c + odd * b_c, odd * a_c + even * b_c
-    return even, odd
+def _times(x, y):
+    """Product of two (re, im, count) triples: Gaussian integers times, counts times."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] * y[2]
 
 
-def _parity_product(alpha, dec, factors, group: GroupSpec, chi: CharacterSpec, zero):
-    """The mixture sum without its prefactor, and its term count, in O(r).
+def _plus(x, y):
+    """Sum of two (re, im, count) triples."""
+    return x[0] + y[0], x[1] + y[1], x[2] + y[2]
+
+
+def _parity_product(alpha, cycles, pairs, group: GroupSpec, chi: CharacterSpec):
+    """The mixture sum without its prefactor, as (re, im, terms), in O(r).
 
     For the groups of _PARITY_GROUPS and the characters of
     _PARITY_CHARACTERS.  A mixture's sign is sign(alpha) times (-1)^(l-1)
     for each cycle of length l it takes from beta, which decides A_n and
-    the sign character.  The count is the same product over [A_c != 0],
-    [B_c != 0].
+    the sign character.  The Gaussian-integer (a_c, b_c) ``pairs`` are
+    multiplied out into an even and an odd part, each an (re, im, count)
+    triple, the count being that of the mixtures with a nonzero weight.
     """
-    lengths = [len(cycle) for cycle in dec.cycles]
-    even, odd = _parity_split(factors, lengths, zero + 1, zero)
-    even_terms, odd_terms = _parity_split(
-        [(bool(a_c), bool(b_c)) for a_c, b_c in factors], lengths, 1, 0
-    )
-    positive = alpha.sign() > 0
+    parts = [(1, 0, 1), (0, 0, 0)]  # the mixtures of alpha's sign, of the other sign
+    for cycle, (a_c, b_c) in zip(cycles, pairs):
+        a_c, b_c = (*a_c, int(any(a_c))), (*b_c, int(any(b_c)))
+        flip = 1 - len(cycle) % 2  # a cycle of even length is an odd permutation
+        parts = [_plus(_times(parts[p], a_c), _times(parts[p ^ flip], b_c)) for p in (0, 1)]
+    even, odd = parts if alpha.sign() > 0 else parts[::-1]
     if isinstance(group, AlternatingGroup):
-        return (even, even_terms) if positive else (odd, odd_terms)
+        return even
     if isinstance(chi, SignCharacter):
-        value = even - odd if positive else odd - even
-    else:
-        value = even + odd
-    return value, even_terms + odd_terms
+        odd = _times(odd, (-1, 0, 1))
+    return _plus(even, odd)
 
 
 def _orbits(alpha, beta):
@@ -396,58 +406,50 @@ def _mixture_sum(
     entry product; a zero prefactor gives zero with no terms.  A
     pointwise stabilizer becomes S_n with a zero coefficient wherever alpha
     or beta moves a stabilized point, so every mixture outside it weighs
-    zero.  On S_n and A_n a trivial or sign character takes the O(r)
-    product of _parity_product and an irreducible character the class
-    sums of _class_sums, unless their tables would exceed the cap; every
-    other case walks the 2^r mixtures and sums their weights per
-    character value, multiplying each value in once.
-    Exact weights are Gaussian integers over one common denominator;
-    ``floating`` weighs with chi.evaluate_float, mixture by mixture.
+    zero.  The factors become Gaussian integers over one denominator den,
+    and each exact route sums them as integers (re, im, terms): on S_n
+    and A_n the O(r) _parity_product for a trivial or sign character and
+    the _class_sums for an irreducible one, unless their tables would
+    exceed the cap; otherwise the walk of the 2^r mixtures, summed per
+    character value (_value_sums).  The total is prefactor / den^r times
+    that sum.  ``floating`` walks the same weights, each scaled exactly
+    before it and chi.evaluate_float are taken as complex numbers.
     """
-    zero = 0j if floating else ZERO
     if isinstance(group, PointwiseStabilizer):
         coeff_a, coeff_b = list(coeff_a), list(coeff_b)
         for y in group.points:
             if alpha.images[y - 1] != y:
-                coeff_a[y - 1] = zero
+                coeff_a[y - 1] = ZERO
             if beta.images[y - 1] != y:
-                coeff_b[y - 1] = zero
+                coeff_b[y - 1] = ZERO
         group = SymmetricGroup(group.n)
     dec = disjoint_cycles(compose(alpha.inverse(), beta))
     prefactor = math.prod(coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points)
     if not prefactor:
-        return zero, 0
-    factors = [
-        (math.prod(coeff_a[y - 1] for y in cycle), math.prod(coeff_b[y - 1] for y in cycle))
-        for cycle in dec.cycles
-    ]
-    if isinstance(group, _PARITY_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
-        value, terms = _parity_product(alpha, dec, factors, group, chi, zero)
-        return prefactor * value, terms
+        return ZERO, 0
+    pairs, den = _gaussian_integers(
+        [
+            (math.prod(coeff_a[y - 1] for y in cycle), math.prod(coeff_b[y - 1] for y in cycle))
+            for cycle in dec.cycles
+        ]
+    )
+    scale = prefactor * Fraction(1, den ** len(pairs))
     if floating:
-        pairs = [((a_c.real, a_c.imag), (b_c.real, b_c.imag)) for a_c, b_c in factors]
         total, terms = 0j, 0
         for sigma, re, im in _walk(alpha, beta, pairs, group):
+            weight = scale * GaussianRational(re, im)
+            total += chi.evaluate_float(sigma.inverse()) * complex(weight.re, weight.im)
             terms += 1
-            total += chi.evaluate_float(sigma.inverse()) * complex(re, im)
-        return prefactor * total, terms
-    pairs, den = _gaussian_integers(factors)
+        return total, terms
     summed = None
-    if isinstance(group, _PARITY_GROUPS) and isinstance(chi, IrreducibleCharacter):
+    if isinstance(group, _PARITY_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
+        summed = _parity_product(alpha, dec.cycles, pairs, group, chi)
+    elif isinstance(group, _PARITY_GROUPS) and isinstance(chi, IrreducibleCharacter):
         summed = _class_sums(alpha, beta, dec.cycles, pairs, group, chi)
-    if summed is not None:
-        re, im, terms = summed
-        total = GaussianRational(re, im)
-    else:
-        sums = defaultdict(lambda: [0, 0])
-        terms = 0
-        for sigma, re, im in _walk(alpha, beta, pairs, group):
-            terms += 1
-            acc = sums[chi.conjugate_evaluate(sigma)]
-            acc[0] += re
-            acc[1] += im
-        total = sum((value * GaussianRational(re, im) for value, (re, im) in sums.items()), ZERO)
-    return prefactor * total * Fraction(1, den ** len(pairs)), terms
+    if summed is None:
+        summed = _value_sums(chi.conjugate_evaluate, _walk(alpha, beta, pairs, group))
+    re, im, terms = summed
+    return scale * GaussianRational(re, im), terms
 
 
 def gmf_linear_sum(
@@ -540,7 +542,8 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
 
     Sums (-1)^(r(alpha)+r(beta)) det(a[alpha|beta]) det(b(alpha|beta))
     over all k and all strictly increasing index pairs; the inner
-    determinants run fraction-free on Gaussian integers.  A pair is
+    determinants run fraction-free on Gaussian integers, and each k sums
+    its products as integers over den_a^k * den_b^(n-k).  A pair is
     skipped when a selected row of either minor has no nonzero entry in
     the selected columns, since that minor vanishes; the term count is
     still the full pair count.
@@ -562,6 +565,7 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
             rest = sorted(everything - set(t))
             selectors.append((t, rest, sum(t), _column_mask(t), _column_mask(rest)))
         terms += len(selectors) ** 2
+        sum_re = sum_im = 0
         for alpha, alpha_rest, alpha_rank, _, _ in selectors:
             for beta, beta_rest, beta_rank, beta_mask, rest_mask in selectors:
                 if not all(rows_a[i - 1] & beta_mask for i in alpha):
@@ -576,11 +580,10 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
                     [[pre_b[i - 1][j - 1] for j in beta_rest] for i in alpha_rest],
                     [[pim_b[i - 1][j - 1] for j in beta_rest] for i in alpha_rest],
                 )
-                prod_re = da[0] * db[0] - da[1] * db[1]
-                prod_im = da[0] * db[1] + da[1] * db[0]
-                if (alpha_rank + beta_rank) % 2:
-                    prod_re, prod_im = -prod_re, -prod_im
-                total = total + GaussianRational(prod_re * scale, prod_im * scale)
+                sign = -1 if (alpha_rank + beta_rank) % 2 else 1
+                sum_re += sign * (da[0] * db[0] - da[1] * db[1])
+                sum_im += sign * (da[0] * db[1] + da[1] * db[0])
+        total = total + GaussianRational(sum_re * scale, sum_im * scale)
     return GmfResult(total, Method.CAUCHY_BINET, terms)
 
 
@@ -757,16 +760,9 @@ def check_singular_bound(
         value = gmf_linear_sum(a, b, theta, tau, group, chi).value
         lhs = float(value.abs_squared())
     except ExactnessError:
-        # the same walk in floating point, for characters outside Q(i)
-        value, _ = _mixture_sum(
-            theta,
-            tau,
-            [complex(a.re, a.im)] * n,
-            [complex(b.re, b.im)] * n,
-            group,
-            chi,
-            floating=True,
-        )
+        # the same walk with chi's values as floats, for characters outside
+        # Q(i); only the walk evaluates chi, so the prefactor is nonzero here
+        value, _ = _mixture_sum(theta, tau, [a] * n, [b] * n, group, chi, floating=True)
         lhs = abs(value) ** 2
     spectrum = singular_values(a, b, theta, tau)
     rhs = sum((v * v) ** n for v in spectrum.values) / n

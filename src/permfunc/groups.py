@@ -21,6 +21,7 @@ from .errors import CapacityError, DegreeMismatchError, ParseError
 from .perm import (
     DEFAULT_ENUMERATION_CAP,
     Permutation,
+    _list_items,
     compose,
     disjoint_cycles,
     parse_permutation,
@@ -275,19 +276,6 @@ _SYM_RE = _re.compile(r"^([SA])(\d+)$")
 
 # a comma outside parentheses: "(1,2),(1 2 3)" splits into two cycles
 _GENERATOR_SEP = _re.compile(r",(?![^(]*\))")
-
-
-def _list_items(listing: str, separator, text: str) -> list[str]:
-    """The comma-separated items of ``listing``; none when it is blank.
-
-    An empty item (a doubled, leading or trailing comma) is a ParseError.
-    """
-    if not listing.strip():
-        return []
-    items = _re.split(separator, listing)
-    if not all(item.strip() for item in items):
-        raise ParseError(f"empty list item in {text!r}")
-    return items
 
 
 def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:

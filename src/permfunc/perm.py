@@ -279,6 +279,20 @@ def disjoint_union(maps) -> Permutation:
 _CYCLE_RE = _re.compile(r"\(([^()]*)\)")
 
 
+def _list_items(listing: str, separator, text: str) -> list[str]:
+    """The comma-separated items of ``listing``; none when it is blank.
+
+    An empty item (a doubled, leading or trailing comma) is a ParseError
+    that names ``text``.
+    """
+    if not listing.strip():
+        return []
+    items = _re.split(separator, listing)
+    if not all(item.strip() for item in items):
+        raise ParseError(f"empty list item in {text!r}")
+    return items
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(1 5 3)(2 6)"; "id" is the identity."""
     s = text.strip()
@@ -291,9 +305,9 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     for m in _CYCLE_RE.finditer(s):
         if s[pos : m.start()].strip():
             raise ParseError(f"bad permutation text: {text!r}")
-        body = m.group(1).replace(",", " ").split()
+        items = _list_items(m.group(1), ",", text)
         try:
-            cycle = [int(tok) for tok in body]
+            cycle = [int(tok) for item in items for tok in item.split()]
         except ValueError as exc:
             raise ParseError(f"bad cycle in {text!r}") from exc
         if len(cycle) < 1:

@@ -254,6 +254,14 @@ def test_parse_character_rejects_partition_of_another_size(text, degree, named):
     assert parse_character("irr:[3,1]", 4) == IrreducibleCharacter(Partition((3, 1)))
 
 
+@pytest.mark.parametrize("text", ["irr:[3,,1]", "irr:[,4]", "irr:[4,]"])
+def test_parse_character_rejects_empty_list_items(text):
+    # used to parse as if the empty item were not there
+    with pytest.raises(ParseError, match="empty list item") as info:
+        parse_character(text, 4)
+    assert text in str(info.value)
+
+
 def test_table_character_from_json(tmp_path):
     path = tmp_path / "chi.json"
     path.write_text(

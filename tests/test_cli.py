@@ -190,6 +190,15 @@ def test_parse_error_exit_code(capsys):
          "--group", "S4", "--character", "irr:[3,2]"],
         ["gmf", "--a", "1", "--b", "1", "--n", "4", "--theta", "(1 2)", "--tau", "id",
          "--group", "S4", "--character", "irr:[]"],
+        ["gmf", "--a", "1", "--b", "1", "--n", "4", "--theta", "(1 2)", "--tau", "id",
+         "--group", "S4", "--character", "irr:[3,,1]"],
+        ["gmf", "--a", "1", "--b", "1", "--n", "4", "--theta", "(1 2)", "--tau", "id",
+         "--group", "S4", "--character", "irr:[,4]"],
+        ["gmf", "--a", "1", "--b", "1", "--n", "4", "--theta", "(1 2)", "--tau", "id",
+         "--group", "S4", "--character", "irr:[4,]"],
+        ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1,,2)", "--tau", "id"],
+        ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1 2,)", "--tau", "id"],
+        ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(,1 2)", "--tau", "id"],
     ],
     ids=[
         "zero-denominator",
@@ -201,6 +210,12 @@ def test_parse_error_exit_code(capsys):
         "table-repeated-key",
         "irr-partition-of-another-size",
         "irr-empty-partition",
+        "irr-doubled-comma",
+        "irr-leading-comma",
+        "irr-trailing-comma",
+        "cycle-doubled-comma",
+        "cycle-trailing-comma",
+        "cycle-leading-comma",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
@@ -224,6 +239,8 @@ def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     if argv[-1].startswith("irr:"):
         assert argv[-1] in proc.stderr
+    if argv[0] == "det" and "," in argv[argv.index("--theta") + 1]:
+        assert argv[argv.index("--theta") + 1] in proc.stderr
 
 
 def test_zero_denominator_in_block_spec(tmp_path, capsys):

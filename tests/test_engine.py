@@ -709,6 +709,39 @@ class TestSingularBound:
         # the value is 1 + omega^2 = -omega, of modulus 1
         assert abs(report.lhs - 1) < 1e-12
 
+    @pytest.mark.parametrize(
+        "a",
+        # the second makes the weights' Gaussian integers too large for a float
+        [gauss(Fraction(1, 2), Fraction(1, 3)), gauss(Fraction(1, 2), Fraction(1, 3**300))],
+        ids=["denominator-30", "denominator-10-3^300"],
+    )
+    def test_float_fallback_with_fractional_coefficients(self, a):
+        # against a float sum over the whole group
+        g = P("(1 2 3)(4 5)", 5)
+        group = CyclicGroup(g)
+        elements = groups.enumerate_group(group).elements
+        b = gauss(Fraction(-2, 5))
+        fallbacks = 0
+        for chi in (CyclicRootCharacter(g, 1), CyclicRootCharacter(g, -2)):  # orders 6 and 3
+            for theta in elements:
+                for tau in elements:
+                    entries = linear_sum(a, b, theta, tau).entries
+                    expected = sum(
+                        chi.evaluate_float(sigma)
+                        * math.prod(complex(e.re, e.im) for e in (
+                            entries[i][sigma.images[i] - 1] for i in range(5)
+                        ))
+                        for sigma in elements
+                    )
+                    try:
+                        pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                    except ExactnessError:
+                        fallbacks += 1
+                    report = pf.check_singular_bound(a, b, theta, tau, group, chi)
+                    assert report.lhs == pytest.approx(abs(expected) ** 2, rel=1e-9)
+                    assert report.holds
+        assert fallbacks == 2 * len(elements) ** 2
+
 
 class TestDominance:
     def test_identity(self):

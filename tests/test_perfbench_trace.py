@@ -45,12 +45,11 @@ def test_every_wrapped_name_resolves(monkeypatch):
     assert missing == GONE
 
 
-def test_traced_fast_routes_match_their_checks(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+def check_traced(requests):
+    """Answer ``requests`` under the tracer; the labels of those that miss their check."""
     import spans
     import workloads
 
-    requests = workloads.fast_routes(1)
     bound = [workloads.bind(req, pf) for req in requests]
     expected = []
     for req, b in zip(requests, bound):
@@ -69,8 +68,26 @@ def test_traced_fast_routes_match_their_checks(monkeypatch):
             got.append((value.re, value.im))
     finally:
         tracer.uninstall()
-    mismatched = [req.label for req, g, e in zip(requests, got, expected) if g != e]
-    assert not mismatched
+    return [req.label for req, g, e in zip(requests, got, expected) if g != e]
+
+
+def test_traced_fast_routes_match_their_checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert not check_traced(workloads.fast_routes(1))
+
+
+def test_traced_minor_expansion_and_naive_match_their_checks(monkeypatch):
+    # fast_routes reaches neither det_cauchy_binet_sum nor gmf_naive; the
+    # warm_oracles requests up to n = 7 reach both, sparse and dense
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    requests = [req for req in workloads.warm_oracles(1) if req.n <= 7]
+    assert len(requests) == 24
+    assert {req.route.split(":")[1] for req in requests} == {"naive", "cauchy-binet"}
+    assert not check_traced(requests)
 
 
 def test_traced_cli_answers_each_cold_cli_route(tmp_path, monkeypatch):

@@ -292,6 +292,17 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_permutation(bad, 4)
 
+    @pytest.mark.parametrize("bad", ["(1,,2)", "(1 2,)", "(,1 2)", "(3 4)(1,2,)"])
+    def test_rejects_empty_list_items(self, bad):
+        # used to parse as if the empty item were not there
+        with pytest.raises(ParseError, match="empty list item") as info:
+            parse_permutation(bad, 4)
+        assert bad in str(info.value)
+
+    @pytest.mark.parametrize("text", ["(1,2)", "(1, 2)", "(1 ,2)"])
+    def test_commas_separate_points(self, text):
+        assert parse_permutation(text, 4) == parse_permutation("(1 2)", 4)
+
     def test_identity_spellings(self):
         assert parse_permutation("id", 3) == Permutation.identity(3)
 
