@@ -289,6 +289,8 @@ def _median_seconds(fn, reps: int) -> float:
 
 def _cmd_bench(args) -> int:
     """Time three rows of the route table for the determinant over S_n."""
+    if args.reps < 1:
+        raise ParseError(f"--reps must be a positive integer, got {args.reps}")
     theta, tau, a, b = _instance(args)
     group = SymmetricGroup(args.n)
     terms = engine.term_counts(theta, tau, group).to_json()

@@ -7,8 +7,10 @@ permanent (S_n, trivial), immanants (S_n, irreducible chi).
 
 Routes provided, all exact unless stated otherwise:
 
-* naive summation of the defining formula, visiting only the
-  permutations whose entry product is nonzero;
+* naive summation of the defining formula: for the trivial and sign
+  characters on S_n, A_n and pointwise stabilizers by parity over the
+  sets of columns the rows use, building no permutation; otherwise
+  visiting only the permutations whose entry product is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, which sums only the
   2^r permutations that agree pointwise with theta or tau; on S_n, A_n
   and pointwise stabilizers (a stabilizer as S_n with the coefficients
@@ -146,11 +148,14 @@ def gmf_naive(
 ) -> GmfResult:
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
-    Only group members with a nonzero entry product are visited and
-    weighed.  Their Gaussian-integer entry products are summed per
-    character value, and each distinct value is multiplied in once at the
-    end.  The term count is still |G|.  Raises CapacityError when |G|
-    exceeds ``cap``, before the search starts.
+    On S_n, A_n and pointwise stabilizers the trivial and sign characters
+    depend only on parity, so the Gaussian-integer entry products are
+    summed by column set (_parity_naive) and no member is built.  Other
+    groups and characters visit only the members with a nonzero entry
+    product; their products are summed per character value, and each
+    distinct value is multiplied in once at the end.  The term count is
+    still |G|.  Raises CapacityError when |G| exceeds ``cap``, before the
+    search starts.
     """
     if not a.is_square:
         raise DegreeMismatchError("generalized matrix functions need square matrices")
@@ -160,8 +165,82 @@ def gmf_naive(
         )
     order = checked_order(group, cap)
     pre, pim, den = integer_grid(a)
-    re, im, _ = _value_sums(chi.evaluate, _nonzero_members(pre, pim, group, order))
+    if isinstance(group, _COLUMN_SET_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
+        re, im = _parity_naive(pre, pim, group, chi)
+    else:
+        re, im, _ = _value_sums(chi.evaluate, _nonzero_members(pre, pim, group, order))
     return GmfResult(GaussianRational(re, im) * Fraction(1, den**a.rows), Method.NAIVE, order)
+
+
+# groups whose membership, and characters whose value, a permutation's
+# parity decides: cycle by cycle for a mixture, column by column in the
+# naive sum (a stabilizer there as S_m on the points it moves)
+_PARITY_GROUPS = (SymmetricGroup, AlternatingGroup)
+_PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
+_COLUMN_SET_GROUPS = (*_PARITY_GROUPS, PointwiseStabilizer)
+
+
+def _parity_naive(pre, pim, group: GroupSpec, chi: CharacterSpec):
+    """The naive sum, as a Gaussian integer (re, im), for the groups of
+    _COLUMN_SET_GROUPS and the characters of _PARITY_CHARACTERS.
+
+    A stabilizer's members fix its points and permute the others freely,
+    so the sum is the product of the fixed points' diagonal entries times
+    the S_m sum over the free block: the rows and columns of the m points
+    it moves.  A member's sign is that of its action on the free block.
+    """
+    fixed = group.points if isinstance(group, PointwiseStabilizer) else frozenset()
+    re, im = 1, 0
+    for p in fixed:
+        er, ei = pre[p - 1][p - 1], pim[p - 1][p - 1]
+        re, im = re * er - im * ei, re * ei + im * er
+    free = [k for k in range(len(pre)) if k + 1 not in fixed]
+    even_re, even_im, odd_re, odd_im = _column_set_sums(
+        [[pre[i][j] for j in free] for i in free], [[pim[i][j] for j in free] for i in free]
+    )
+    if isinstance(group, AlternatingGroup):
+        sr, si = even_re, even_im
+    elif isinstance(chi, SignCharacter):
+        sr, si = even_re - odd_re, even_im - odd_im
+    else:
+        sr, si = even_re + odd_re, even_im + odd_im
+    return re * sr - im * si, re * si + im * sr
+
+
+def _column_set_sums(pre, pim):
+    """Entry products over S_m split by parity: (even re, even im, odd re, odd im).
+
+    Rows are placed in order, each in turn in every unused column with a
+    nonzero entry.  The permutations that have placed the first rows in
+    the same set of columns share one state, keyed by that set's bitmask
+    (the subset sums behind Ryser's permanent formula, Ryser 1963), so
+    the work is at most m * 2^(m-1) steps instead of m! products.
+    Placing a row in column j adds one inversion for each used column
+    above j, so it flips the parity when their number is odd.
+    """
+    states = {0: (1, 0, 0, 0)}
+    for row_re, row_im in zip(pre, pim):
+        # (column bit, the bits above it, the entry)
+        entries = [
+            (1 << j, -2 << j, er, ei)
+            for j, (er, ei) in enumerate(zip(row_re, row_im))
+            if er or ei
+        ]
+        placed = {}
+        for used, (pr, pi, qr, qi) in states.items():
+            for bit, above, er, ei in entries:
+                if used & bit:
+                    continue
+                even = pr * er - pi * ei, pr * ei + pi * er
+                odd = qr * er - qi * ei, qr * ei + qi * er
+                if (used & above).bit_count() & 1:
+                    even, odd = odd, even
+                acc = placed.get(used | bit, (0, 0, 0, 0))
+                placed[used | bit] = (
+                    acc[0] + even[0], acc[1] + even[1], acc[2] + odd[0], acc[3] + odd[1]
+                )
+        states = placed
+    return states.get((1 << len(pre)) - 1, (0, 0, 0, 0))
 
 
 def _value_sums(value, weighted):
@@ -202,12 +281,6 @@ def _subset_products(factors) -> list:
             (pr * br - pi * bi, pr * bi + pi * br) for pr, pi in products
         ]
     return products
-
-
-# groups whose membership, and characters whose value, a mixture's parity
-# decides cycle by cycle
-_PARITY_GROUPS = (SymmetricGroup, AlternatingGroup)
-_PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
 
 
 def _times(x, y):

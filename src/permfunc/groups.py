@@ -4,9 +4,11 @@ Membership tests never force an enumeration when the variant admits a
 direct predicate; generated subgroups memoize their closure the first
 time it is needed.  Enumeration is capped (10! by default); the naive
 generalized-matrix-function oracle applies the same cap to the group
-order, and its work stays within |G|: it walks the candidates with a
-nonzero entry product or the group's elements, whichever set is
-smaller.
+order.  For the trivial and sign characters on S_n, A_n and pointwise
+stabilizers it needs neither membership nor enumeration: it sums by
+column set and parity.  Elsewhere its work stays within |G|: it walks
+the candidates with a nonzero entry product or the group's elements,
+whichever set is smaller.
 """
 
 from __future__ import annotations

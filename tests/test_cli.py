@@ -199,6 +199,8 @@ def test_parse_error_exit_code(capsys):
         ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1,,2)", "--tau", "id"],
         ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1 2,)", "--tau", "id"],
         ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(,1 2)", "--tau", "id"],
+        ["bench", "--a", "1", "--b", "1", *REF, "--reps", "0"],
+        ["bench", "--a", "1", "--b", "1", *REF, "--reps", "-2"],
     ],
     ids=[
         "zero-denominator",
@@ -216,6 +218,8 @@ def test_parse_error_exit_code(capsys):
         "cycle-doubled-comma",
         "cycle-trailing-comma",
         "cycle-leading-comma",
+        "bench-zero-reps",
+        "bench-negative-reps",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
@@ -241,6 +245,8 @@ def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
         assert argv[-1] in proc.stderr
     if argv[0] == "det" and "," in argv[argv.index("--theta") + 1]:
         assert argv[argv.index("--theta") + 1] in proc.stderr
+    if argv[0] == "bench":
+        assert f"--reps must be a positive integer, got {argv[-1]}" in proc.stderr
 
 
 def test_zero_denominator_in_block_spec(tmp_path, capsys):

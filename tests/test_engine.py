@@ -1,5 +1,6 @@
 """Evaluation routes: frozen reference values and cross-route equivalences."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -40,6 +41,7 @@ from permfunc.matrices import (
     BlockSpec,
     Matrix,
     block_matrix,
+    integer_grid,
     linear_sum,
     mat_add,
     perm_matrix,
@@ -162,6 +164,99 @@ class TestNaive:
                 assert type(result.value) is pf.GaussianRational
                 assert result.term_count == group.order()
         assert {chi.evaluate(cycle) for _, chi in cyclic} == {ONE, -ONE, gauss(0, 1), gauss(0, -1)}
+        # the column-set sums of S_n, A_n and stabilizers at the smallest degrees
+        for n in (1, 2, 3):
+            specs = [
+                SymmetricGroup(n),
+                AlternatingGroup(n),
+                parse_group(f"stab:{','.join(map(str, range(1, n + 1)))}@{n}"),
+                parse_group(f"stab:@{n}"),
+                parse_group(f"stab:1@{n}"),
+            ]
+            for _ in range(4):
+                matrix = Matrix([[entry() for _ in range(n)] for _ in range(n)])
+                for group in specs:
+                    for chi in (TrivialCharacter(), SignCharacter()):
+                        result = pf.gmf_naive(matrix, group, chi)
+                        assert result.value == brute_gmf(matrix, group, chi)
+                        assert type(result.value) is pf.GaussianRational
+                        assert result.term_count == group.order()
+
+    def test_parity_characters_need_no_member(self, monkeypatch):
+        # S_n, A_n and stabilizers with the trivial or sign character are
+        # summed by column set: no member is built, tested or evaluated
+        rng = random.Random(4417)
+
+        def entry():
+            return gauss(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+
+        cases = []
+        for n in range(1, 7):
+            matrix = Matrix([[entry() for _ in range(n)] for _ in range(n)])
+            specs = [
+                SymmetricGroup(n),
+                AlternatingGroup(n),
+                PointwiseStabilizer(n, frozenset({1, n})),
+                parse_group(f"stab:@{n}"),
+            ]
+            for group in specs:
+                for chi in (TrivialCharacter(), SignCharacter()):
+                    cases.append((matrix, group, chi, brute_gmf(matrix, group, chi)))
+        s8 = Matrix([[gauss(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(8)] for _ in range(8)])
+        s8_det = pf.det_exact(s8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the naive route visited group members")
+
+        monkeypatch.setattr(engine, "_nonzero_members", refuse)
+        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        for cls in (SymmetricGroup, AlternatingGroup, PointwiseStabilizer):
+            monkeypatch.setattr(cls, "_generate", refuse)
+        for cls in (TrivialCharacter, SignCharacter):
+            monkeypatch.setattr(cls, "evaluate", refuse)
+        for matrix, group, chi, expected in cases:
+            assert pf.gmf_naive(matrix, group, chi).value == expected
+        result = pf.gmf_naive(s8, SymmetricGroup(8), SignCharacter())
+        assert result.value == s8_det
+        assert result.term_count == math.factorial(8)
+
+    def test_stabilizer_sums_its_free_block(self, monkeypatch):
+        # 24 points, 16 of them fixed: the fixed diagonal times the 8x8 block
+        # of the points the stabilizer moves, which is all the sums see
+        rng = random.Random(6101)
+        n = 24
+        fixed = frozenset(rng.sample(range(1, n + 1), 16))
+        free = [k for k in range(1, n + 1) if k not in fixed]
+        matrix = Matrix(
+            [
+                [gauss(Fraction(rng.randint(1, 4), rng.randint(1, 2)), rng.randint(-2, 2)) for _ in range(n)]
+                for _ in range(n)
+            ]
+        )
+        diagonal = math.prod((matrix.entry(p, p) for p in sorted(fixed)), start=ONE)
+        block = Matrix([[matrix.entry(i, j) for j in free] for i in free])
+        pre, pim, den = integer_grid(block)
+        per_re = per_im = 0
+        for images in itertools.permutations(range(8)):
+            re, im = 1, 0
+            for i, j in enumerate(images):
+                re, im = re * pre[i][j] - im * pim[i][j], re * pim[i][j] + im * pre[i][j]
+            per_re, per_im = per_re + re, per_im + im
+        permanent = gauss(Fraction(per_re, den**8), Fraction(per_im, den**8))
+        sizes = []
+
+        def recorded(pre, pim):
+            sizes.append((len(pre), {len(row) for row in pre}))
+            return column_set_sums(pre, pim)
+
+        column_set_sums = engine._column_set_sums
+        monkeypatch.setattr(engine, "_column_set_sums", recorded)
+        group = PointwiseStabilizer(n, fixed)
+        for chi, value in ((SignCharacter(), pf.det_exact(block)), (TrivialCharacter(), permanent)):
+            result = pf.gmf_naive(matrix, group, chi)
+            assert result.value == diagonal * value
+            assert result.term_count == math.factorial(8)
+        assert sizes == [(8, {8}), (8, {8})]
 
     def test_partly_sparse_matches_brute_force(self):
         # Row supports of one to n entries take the naive route through both
