@@ -167,6 +167,9 @@ class TrivialCharacter(CharacterSpec):
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         return ONE
 
+    # sigma and its inverse share a cycle type, which decides the value
+    conjugate_evaluate = evaluate
+
     def degree(self) -> int:
         return 1
 
@@ -178,6 +181,8 @@ class TrivialCharacter(CharacterSpec):
 class SignCharacter(CharacterSpec):
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         return ONE if sigma.sign() > 0 else _MINUS_ONE
+
+    conjugate_evaluate = evaluate
 
     def degree(self) -> int:
         return 1
@@ -204,6 +209,8 @@ class IrreducibleCharacter(CharacterSpec):
 
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         return _gauss_int(self.class_value(cycle_structure(sigma).full_type()))
+
+    conjugate_evaluate = evaluate
 
     def degree(self) -> int:
         return hook_length_degree(self.partition.parts)

@@ -52,6 +52,7 @@ from .gaussian import GaussianRational, ONE, ZERO, gauss
 from .groups import (
     DEFAULT_ENUMERATION_CAP,
     AlternatingGroup,
+    GeneratedSubgroup,
     GroupSpec,
     PointwiseStabilizer,
     SymmetricGroup,
@@ -72,6 +73,7 @@ from .perm import (
     compose,
     cycle_structure,
     disjoint_cycles,
+    mixture_images,
     mixtures,
 )
 from . import kernels
@@ -122,8 +124,15 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
     n = len(pre)
     columns = [[j for j in range(n) if pre[i][j] or pim[i][j]] for i in range(n)]
     if math.prod(map(len, columns)) <= order:
-        injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
-        members = filter(group.contains, (Permutation(tuple(j + 1 for j in t)) for t in injective))
+        injective = (
+            tuple(j + 1 for j in images)
+            for images in itertools.product(*columns)
+            if len(set(images)) == n
+        )
+        if isinstance(group, GeneratedSubgroup):
+            members = map(Permutation, filter(group.contains_images, injective))
+        else:
+            members = filter(group.contains, map(Permutation, injective))
     elif all(len(row) == n for row in columns):
         members = group._generate()
     else:
@@ -448,14 +457,21 @@ def _walk(alpha, beta, pairs, group: GroupSpec):
     # (and refuses a walk over the cap before the tables are built); the
     # product over each half of the cycles is tabulated once, so a
     # mixture's weight costs one multiplication
-    walk = mixtures(alpha, beta)
+    if isinstance(group, GeneratedSubgroup):
+        # a generated group tests the image tuples: only members become Permutations
+        walk = (
+            Permutation(images) if group.contains_images(images) else None
+            for images in mixture_images(alpha, beta)
+        )
+    else:
+        walk = mixtures(alpha, beta)
     half = len(pairs) // 2
     low = _subset_products(pairs[:half])
     high = _subset_products(pairs[half:])
     # S_n holds every mixture (_mixture_sum turned a stabilizer into S_n)
-    test_membership = not isinstance(group, SymmetricGroup)
+    test_membership = not isinstance(group, (SymmetricGroup, GeneratedSubgroup))
     for mask, sigma in enumerate(walk):
-        if test_membership and not group.contains(sigma):
+        if sigma is None or test_membership and not group.contains(sigma):
             continue
         lr, li = low[mask & ((1 << half) - 1)]
         hr, hi = high[mask >> half]

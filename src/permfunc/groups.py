@@ -1,23 +1,23 @@
 """Symbolic subgroups of the symmetric group on [n].
 
-Membership tests never force an enumeration when the variant admits a
-direct predicate; generated subgroups memoize their closure the first
-time it is needed.  Enumeration is capped (10! by default); the naive
-generalized-matrix-function oracle applies the same cap to the group
-order.  For the trivial and sign characters on S_n, A_n and pointwise
-stabilizers it needs neither membership nor enumeration: it sums by
-column set and parity.  Elsewhere its work stays within |G|: it walks
-the candidates with a nonzero entry product or the group's elements,
-whichever set is smaller.
+No variant enumerates its elements to test membership or to find its
+order: a generated subgroup builds a base and strong generating set
+when it is made and reads both from it.  Enumeration is capped (10! by
+default); the naive generalized-matrix-function oracle applies the same
+cap to the group order.  For the trivial and sign characters on S_n,
+A_n and pointwise stabilizers it needs neither membership nor
+enumeration: it sums by column set and parity.  Elsewhere its work
+stays within |G|: it walks the candidates with a nonzero entry product
+or the group's elements, whichever set is smaller.
 """
 
 from __future__ import annotations
 
 import itertools
 import re as _re
-import threading
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .errors import CapacityError, DegreeMismatchError, ParseError
 from .perm import (
@@ -26,6 +26,7 @@ from .perm import (
     _list_items,
     compose,
     disjoint_cycles,
+    images_sign,
     parse_permutation,
     power_exponent,
 )
@@ -175,7 +176,18 @@ class PointwiseStabilizer(GroupSpec):
 
 @dataclass(frozen=True)
 class GeneratedSubgroup(GroupSpec):
-    """Closure of a list of generators; memoized on first membership query."""
+    """The subgroup generated by a list of permutations.
+
+    A base and strong generating set is built once, when the instance is
+    made (_StabilizerChain).  The order is the product of the basic orbit
+    lengths and enumeration walks the basic transversals; no closure is
+    built.  A member keeps every point in its orbit.  When the order
+    reaches the bound set by the generators' orbits and parity, the group
+    is the product of the symmetric groups on its orbits (its even part
+    when every generator is even), so the orbits and the parity decide
+    membership; otherwise the image tuple is sifted through the
+    transversals.
+    """
 
     n: int
     generators: tuple[Permutation, ...]
@@ -188,50 +200,250 @@ class GeneratedSubgroup(GroupSpec):
                 raise DegreeMismatchError(
                     f"generator degree {g.degree} != group degree {self.n}"
                 )
+        labels, bound, even = _orbit_bound(self.n, self.generators)
+        chain = _StabilizerChain.of(self.n, self.generators, bound)
+        order = chain.order()
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_chain", chain)
+        # a group whose order reaches the bound is all of it: the orbits and
+        # the parity decide membership, which otherwise sifts
+        object.__setattr__(self, "_sift", order < bound)
+        object.__setattr__(self, "_labels", labels if len(set(labels[1:])) > 1 else None)
+        object.__setattr__(self, "_even", even)
 
     @property
     def degree(self) -> int:
         return self.n
 
-    def _closure(self, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[Permutation]:
-        with _CLOSURE_LOCK:
-            cached = _CLOSURE_CACHE.get(self)
-            if cached is None:
-                elements = {Permutation.identity(self.n)}
-                frontier = list(elements)
-                while frontier:
-                    nxt = []
-                    for g in self.generators:
-                        for h in frontier:
-                            prod = compose(g, h)
-                            if prod not in elements:
-                                elements.add(prod)
-                                nxt.append(prod)
-                                if len(elements) > cap:
-                                    raise CapacityError(
-                                        f"closure exceeds cap {cap}"
-                                    )
-                    frontier = nxt
-                cached = frozenset(elements)
-                _CLOSURE_CACHE[self] = cached
-            return cached
+    def contains_images(self, images: tuple[int, ...]) -> bool:
+        """Membership of the permutation with these images, without building it."""
+        # a member keeps every point in its orbit
+        labels = self._labels
+        if labels is not None and tuple(map(labels.__getitem__, images)) != labels[1:]:
+            return False
+        if self._sift:
+            return self._chain.sifts(images)
+        return not self._even or images_sign(images) == 1
 
     def _contains(self, sigma: Permutation) -> bool:
-        return sigma in self._closure()
+        return self.contains_images(sigma.images)
 
     def order(self) -> int:
-        return len(self._closure())
+        return self._order
 
     def _generate(self):
-        return iter(self._closure())
+        return map(Permutation, self._chain.elements())
 
     def __str__(self):
         gens = ",".join(str(g) for g in self.generators)
         return f"gens:{gens}@{self.n}"
 
 
-_CLOSURE_LOCK = threading.Lock()
-_CLOSURE_CACHE: dict[GeneratedSubgroup, frozenset[Permutation]] = {}
+def _orbit_bound(n: int, generators) -> tuple[tuple[int, ...], int, bool]:
+    """Orbit labels, the order bound and the parity flag of a generator list.
+
+    labels[x] is the least point of the orbit of x (labels[0] = 0).  The
+    group lies in the product of the symmetric groups on its orbits, and
+    in A_n too when every generator is even, so its order is at most
+    prod |O|!, halved in that case when some orbit has two or more points.
+    """
+    labels = [0] * (n + 1)
+    for start in range(1, n + 1):
+        if labels[start]:
+            continue
+        labels[start] = start
+        queue = [start]
+        for x in queue:
+            for g in generators:
+                y = g.images[x - 1]
+                if not labels[y]:
+                    labels[y] = start
+                    queue.append(y)
+    bound = 1
+    for size in Counter(labels[1:]).values():
+        bound *= factorial(size)
+    even = bound > 1 and all(g.sign() == 1 for g in generators)
+    return tuple(labels), bound // 2 if even else bound, even
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """p*q on padded image tuples (index 0 maps to 0): (p*q)[x] = p[q[x]]."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
+
+
+# product replacement: the slots it multiplies, the steps before the first
+# random element is used, and the run of random elements that sift to the
+# identity after which the Schreier generators are checked instead
+_RANDOM_SLOTS = 10
+_RANDOM_WARMUP = 20
+_RANDOM_MISSES = 16
+
+
+class _StabilizerChain:
+    """A base and strong generating set (Sims 1970; Seress, *Permutation
+    Group Algorithms*, 2003).
+
+    Level i holds a base point b_i, the strong generators that fix
+    b_1..b_(i-1), and the transversal of the orbit of b_i under them: a
+    map from each orbit point y to the inverse of a member that carries
+    b_i to y.  Permutations are image tuples padded with a leading 0, so
+    p[x] is the image of the point x.
+    """
+
+    def __init__(self, n: int):
+        self.identity = tuple(range(n + 1))
+        self.base: list[int] = []
+        self.strong: list[list[tuple[tuple, tuple]]] = []
+        self.transversals: list[dict[int, tuple]] = []
+
+    @classmethod
+    def of(cls, n: int, generators, bound: int) -> "_StabilizerChain":
+        """The chain for the group the generators generate; ``bound`` is an
+        upper bound on its order.
+
+        A seeded random Schreier-Sims adds the residues of random members
+        until the product of the basic orbit lengths reaches ``bound``,
+        which proves the chain complete because that product cannot exceed
+        the order.  When a run of random members sifts to the identity
+        first, the deterministic Schreier test completes it.  Either way no
+        answer rests on chance.
+        """
+        chain = cls(n)
+        padded = [(0, *g.images) for g in generators]
+        for g in padded:
+            chain._absorb(g)
+        if chain.order() < bound:
+            misses = 0
+            for g in _random_members(padded, chain.identity):
+                if chain._absorb(g):
+                    misses = 0
+                elif misses == _RANDOM_MISSES:
+                    break
+                else:
+                    misses += 1
+                if chain.order() == bound:
+                    break
+            if chain.order() < bound:
+                chain._schreier_test()
+        # only the base and the transversals are needed from here on
+        chain.strong = None
+        return chain
+
+    def order(self) -> int:
+        return prod(len(t) for t in self.transversals)
+
+    def sift(self, g: tuple, start: int = 0) -> tuple[tuple, int]:
+        """The residue of g and the level where it left the chain (len(base) if none)."""
+        for i in range(start, len(self.base)):
+            v = self.transversals[i].get(g[self.base[i]])
+            if v is None:
+                return g, i
+            g = _compose(v, g)
+        return g, len(self.base)
+
+    def sifts(self, images: tuple[int, ...]) -> bool:
+        """Whether the unpadded image tuple sifts to the identity."""
+        return self.sift((0, *images))[0] == self.identity
+
+    def elements(self):
+        """The members' unpadded image tuples, lazily, in a fixed order.
+
+        A member is u_1*...*u_k with u_i a transversal element's inverse,
+        so its inverse is v_k*...*v_1 with v_i in the stored transversals;
+        those products run over the whole group once each.
+        """
+        levels = [tuple(t.values()) for t in self.transversals]
+
+        def walk(i, prefix):
+            if i == len(levels):
+                yield prefix[1:]
+                return
+            for v in levels[i]:
+                yield from walk(i + 1, _compose(v, prefix))
+
+        return walk(0, self.identity)
+
+    def _absorb(self, g: tuple) -> bool:
+        """Sift g; add its residue as a strong generator of every level it
+        fixes the base of.  Returns whether it was added."""
+        h, level = self.sift(g)
+        if h == self.identity:
+            return False
+        self._add(h, 0, level)
+        return True
+
+    def _add(self, h: tuple, first: int, last: int) -> None:
+        """Add h, which fixes b_1..b_(last-1), to the levels first..last;
+        a point it moves becomes a new base point when last == len(base)."""
+        if last == len(self.base):
+            point = next(x for x, y in enumerate(h) if x != y)
+            self.base.append(point)
+            self.strong.append([])
+            self.transversals.append({point: self.identity})
+        pair = (h, _inverse(h))
+        for i in range(first, last + 1):
+            self.strong[i].append(pair)
+            self._grow(i, pair)
+
+    def _grow(self, i: int, new: tuple[tuple, tuple]) -> None:
+        """Extend level i's orbit, closed under its other generators, by ``new``."""
+        table, gens = self.transversals[i], self.strong[i]
+        s, s_inv = new
+        queue = []
+        for y, v in list(table.items()):
+            if s[y] not in table:
+                table[s[y]] = _compose(v, s_inv)
+                queue.append(s[y])
+        for y in queue:
+            v = table[y]
+            for s, s_inv in gens:
+                if s[y] not in table:
+                    table[s[y]] = _compose(v, s_inv)
+                    queue.append(s[y])
+
+    def _schreier_test(self) -> None:
+        """Deterministic Schreier-Sims: from the last level up, sift every
+        Schreier generator through the levels below; add a residue that is
+        not the identity and start again at its level."""
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._check_level(i)
+
+    def _check_level(self, i: int) -> int:
+        table = self.transversals[i]
+        for y, v in list(table.items()):
+            u = _inverse(v)
+            for s, _ in self.strong[i]:
+                # u carries b_i to y, s then y to s(y), and table[s(y)] back to b_i
+                h, level = self.sift(_compose(table[s[y]], _compose(s, u)), i + 1)
+                if h != self.identity:
+                    self._add(h, i + 1, level)
+                    return level
+        return i - 1
+
+
+def _random_members(padded, identity):
+    """An endless seeded stream of random members, by product replacement
+    (Celler et al. 1995) with an accumulator."""
+    import random
+
+    rng = random.Random(0)
+    size = max(_RANDOM_SLOTS, len(padded))
+    slots = [padded[k % len(padded)] for k in range(size)]
+    acc = identity
+    for step in itertools.count():
+        i, j = rng.sample(range(size), 2)
+        slots[i] = _compose(slots[i], slots[j]) if rng.random() < 0.5 else _compose(slots[j], slots[i])
+        acc = _compose(acc, slots[i])
+        if step >= _RANDOM_WARMUP:
+            yield acc
 
 
 @dataclass(frozen=True)
@@ -249,13 +461,11 @@ class FiniteSubgroup:
 def checked_order(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """The group order; raises CapacityError when it exceeds ``cap``.
 
-    Variants with an order formula are checked before anything is built;
-    a generated subgroup's closure stops as soon as it passes ``cap``.
+    Every variant knows its order without building an element (a
+    generated subgroup from its base and strong generating set), so the
+    cap bounds enumeration only and fails before any element is built.
     """
-    if isinstance(spec, GeneratedSubgroup):
-        order = len(spec._closure(cap))
-    else:
-        order = spec.order()
+    order = spec.order()
     if order > cap:
         raise CapacityError(f"group order {order} exceeds cap {cap}")
     return order
@@ -304,7 +514,10 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     if degree is None:
         raise ParseError(f"group {text!r} needs an @n suffix or an explicit degree")
     if body.startswith("cyclic:"):
-        return CyclicGroup(parse_permutation(body[len("cyclic:") :], degree))
+        generator = body[len("cyclic:") :]
+        if not generator.strip():
+            raise ParseError(f"no generator in {text!r}")
+        return CyclicGroup(parse_permutation(generator, degree))
     if body.startswith("stab:"):
         # "stab:@n" stabilizes no point, the whole S_n
         items = _list_items(body[len("stab:") :], ",", text)

@@ -84,20 +84,7 @@ class Permutation:
         return frozenset(i + 1 for i, v in enumerate(self.images) if v != i + 1)
 
     def sign(self) -> int:
-        # parity of n minus the cycle count, without building the decomposition
-        images = self.images
-        n = len(images)
-        seen = bytearray(n)
-        cycles = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycles += 1
-            point = start
-            while not seen[point]:
-                seen[point] = 1
-                point = images[point] - 1
-        return -1 if (n - cycles) % 2 else 1
+        return images_sign(self.images)
 
     def order(self) -> int:
         dec = disjoint_cycles(self)
@@ -137,6 +124,23 @@ class CycleStructure:
     def full_type(self) -> tuple[int, ...]:
         """All cycle lengths including fixed points as 1s, sorted descending."""
         return self.lengths + (1,) * self.fixed_count
+
+
+def images_sign(images: tuple[int, ...]) -> int:
+    """The sign of the permutation with these images."""
+    # parity of n minus the cycle count, without building the decomposition
+    n = len(images)
+    seen = bytearray(n)
+    cycles = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycles += 1
+        point = start
+        while not seen[point]:
+            seen[point] = 1
+            point = images[point] - 1
+    return -1 if (n - cycles) % 2 else 1
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -218,6 +222,11 @@ def mixtures(theta: Permutation, tau: Permutation):
     theta and the last element is tau.  Raises CapacityError, before
     anything is built, when the 2^r elements exceed the enumeration cap.
     """
+    return map(Permutation, mixture_images(theta, tau))
+
+
+def mixture_images(theta: Permutation, tau: Permutation):
+    """The image tuples of mixtures(theta, tau), in the same order, under the same cap."""
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
     cycles = disjoint_cycles(compose(theta.inverse(), tau)).cycles
@@ -234,13 +243,18 @@ def mixtures(theta: Permutation, tau: Permutation):
 
 
 def _walk(base, moves):
-    for mask in range(1 << len(moves)):
-        images = list(base)
-        for j, cycle in enumerate(moves):
-            if mask >> j & 1:
-                for index, image in cycle:
-                    images[index] = image
-        yield Permutation(tuple(images))
+    # mask differs from mask - 1 in its lowest set bit, whose cycle is
+    # switched to tau, and in the bits below it, whose cycles go back to theta
+    images = list(base)
+    yield tuple(images)
+    for mask in range(1, 1 << len(moves)):
+        low = (mask & -mask).bit_length() - 1
+        for index, image in moves[low]:
+            images[index] = image
+        for cycle in moves[:low]:
+            for index, _ in cycle:
+                images[index] = base[index]
+        yield tuple(images)
 
 
 def x_set(theta: Permutation, tau: Permutation) -> list[Permutation]:
@@ -294,11 +308,16 @@ def _list_items(listing: str, separator, text: str) -> list[str]:
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like "(1 5 3)(2 6)"; "id" is the identity."""
+    """Parse cycle notation like "(1 5 3)(2 6)"; "id" and "()" are the identity.
+
+    Blank text is a ParseError, not the identity.
+    """
     s = text.strip()
     if degree < 1:
         raise ParseError("degree must be positive")
-    if s in ("id", "()", ""):
+    if not s:
+        raise ParseError(f"blank permutation text {text!r}; write id for the identity")
+    if s in ("id", "()"):
         return Permutation.identity(degree)
     pos = 0
     cycles = []

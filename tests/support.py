@@ -36,6 +36,17 @@ def rand_scalar(rng: random.Random, span: int = 3, complex_ok: bool = True):
     return gauss(re, im)
 
 
+def brute_closure(n: int, generators) -> set[pf.Permutation]:
+    """The subgroup the generators generate, by multiplying out from the identity."""
+    elements = {pf.Permutation.identity(n)}
+    frontier = list(elements)
+    while frontier:
+        products = {g * h for g in generators for h in frontier}
+        frontier = [p for p in products if p not in elements]
+        elements.update(frontier)
+    return elements
+
+
 def brute_x_set(theta: pf.Permutation, tau: pf.Permutation) -> set[pf.Permutation]:
     """Scan all of S_n for permutations agreeing pointwise with theta or tau."""
     n = theta.degree

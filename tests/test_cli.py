@@ -201,6 +201,10 @@ def test_parse_error_exit_code(capsys):
         ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(,1 2)", "--tau", "id"],
         ["bench", "--a", "1", "--b", "1", *REF, "--reps", "0"],
         ["bench", "--a", "1", "--b", "1", *REF, "--reps", "-2"],
+        ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "", "--tau", "id"],
+        ["det", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1 2)", "--tau", "  "],
+        ["gmf", "--a", "1", "--b", "1", "--n", "3", "--theta", "(1 2)", "--tau", "id",
+         "--group", "cyclic:@3", "--character", "sign"],
     ],
     ids=[
         "zero-denominator",
@@ -220,6 +224,9 @@ def test_parse_error_exit_code(capsys):
         "cycle-leading-comma",
         "bench-zero-reps",
         "bench-negative-reps",
+        "blank-theta",
+        "whitespace-tau",
+        "cyclic-blank-generator",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
@@ -247,6 +254,11 @@ def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
         assert argv[argv.index("--theta") + 1] in proc.stderr
     if argv[0] == "bench":
         assert f"--reps must be a positive integer, got {argv[-1]}" in proc.stderr
+    for flag in ("--theta", "--tau"):
+        if not argv[argv.index(flag) + 1].strip():
+            assert f"blank permutation text {argv[argv.index(flag) + 1]!r}" in proc.stderr
+    if "--group" in argv and argv[argv.index("--group") + 1].startswith("cyclic:"):
+        assert repr(argv[argv.index("--group") + 1]) in proc.stderr
 
 
 def test_zero_denominator_in_block_spec(tmp_path, capsys):
@@ -349,6 +361,64 @@ def test_naive_group_cap_exit_code(capsys):
                        "--character", "sign", "--theta", "(1 2)", "--tau", "id", "--n", "11")
     assert code == 3
     assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize("n, pairs", [(12, 3), (60, 16)])
+def test_generated_symmetric_group_lists_no_element(capsys, monkeypatch, n, pairs):
+    # (1 2) and an n-cycle generate S_n; with theta = id the trivial
+    # character gives the permanent, 2^(n - pairs), from the membership of
+    # the 2^pairs mixtures alone
+    tau = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(pairs))
+    argv = ["gmf", "--n", str(n), "--theta", "id", "--tau", tau, "--character", "trivial"]
+    code, symmetric, _ = run(capsys, *argv, "--group", f"S{n}")
+    assert (code, symmetric) == (0, f"{2 ** (n - pairs)}\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group elements listed for a membership question")
+
+    monkeypatch.setattr(permfunc.groups.GeneratedSubgroup, "_generate", refuse)
+    monkeypatch.setattr(permfunc.groups, "enumerate_group", refuse)
+    monkeypatch.setattr(permfunc.engine, "enumerate_group", refuse)
+    cycle = " ".join(map(str, range(1, n + 1)))
+    code, out, err = run(capsys, *argv, "--group", f"gens:(1 2),({cycle})@{n}")
+    assert (code, out, err) == (0, symmetric, "")
+
+
+# Runs CLI children from a small interpreter and prints each child's exit
+# code and peak RSS in KB.  Run straight from pytest they would read high:
+# a child started by vfork counts its parent's RSS in its ru_maxrss.
+_CHILD_PEAKS = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    child = subprocess.Popen([sys.executable, "-m", "permfunc.cli", *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    peaks.append((child.returncode, usage.ru_maxrss))
+print(json.dumps(peaks))
+"""
+
+
+def test_generated_group_call_peaks_like_a_closed_form_call():
+    # gmf over gens:(1 2),(1 ... 8)@8, a presentation of S_8, against the
+    # closed determinant, on the same 8-point pair with a = 3, b = 2
+    pair = ["--n", "8", "--theta", "(1 2 3 4 5 6 7 8)", "--tau", "(1 3 5 7)(2 4 6 8)",
+            "--a", "3", "--b", "2"]
+    calls = [
+        ["gmf", *pair, "--group", "gens:(1 2),(1 2 3 4 5 6 7 8)@8", "--character", "sign",
+         "--method", "formula", "--json"],
+        ["det", *pair, "--method", "closed", "--json"],
+    ]
+    src = pathlib.Path(permfunc.__file__).resolve().parents[1]
+    # neither child writes bytecode, so the first cannot compile for the second
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_PEAKS, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    (gens_code, gens_kb), (det_code, det_kb) = json.loads(proc.stdout)
+    assert gens_code == det_code == 0
+    assert gens_kb - det_kb < 2 * 1024
 
 
 def test_unknown_command_exits_two(capsys):

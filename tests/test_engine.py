@@ -328,6 +328,23 @@ class TestNaive:
         assert len(steps) < 1000
 
 
+    def test_generated_group_over_the_cap_builds_no_element(self, monkeypatch):
+        n = 11
+        cycle = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+        group = GeneratedSubgroup(n, (P("(1 2)", n), cycle))
+        matrix = Matrix.identity(n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an element was built before the cap was checked")
+
+        monkeypatch.setattr(GeneratedSubgroup, "_generate", refuse)
+        monkeypatch.setattr(groups._StabilizerChain, "elements", refuse)
+        monkeypatch.setattr(engine, "Permutation", refuse)
+        message = f"group order {math.factorial(n)} exceeds cap {math.factorial(10)}"
+        with pytest.raises(CapacityError, match=message):
+            pf.gmf_naive(matrix, group, SignCharacter())
+
+
 class TestLinearSumFormula:
     def test_reference_value(self):
         a, b, theta, tau = reference_instance()
@@ -985,6 +1002,17 @@ class TestTermCounts:
         nine = Permutation.from_cycles(9, [tuple(range(1, 10))])
         counts = pf.term_counts(Permutation.identity(9), nine, SymmetricGroup(9))
         assert counts.formula == 2
+
+    def test_generated_symmetric_group_counts(self):
+        # (1 2) and a 12-cycle generate S_12: its order comes from the base
+        # and strong generating set, above the cap that bounds enumeration
+        cycle = Permutation.from_cycles(12, [tuple(range(1, 13))])
+        group = GeneratedSubgroup(12, (P("(1 2)", 12), cycle))
+        tau = P("(1 2)(3 4)(5 6)", 12)
+        counts = pf.term_counts(Permutation.identity(12), tau, group)
+        expected = pf.term_counts(Permutation.identity(12), tau, SymmetricGroup(12))
+        assert counts == expected
+        assert counts.naive == math.factorial(12)
 
 
 def gens_presentation(group):

@@ -4,7 +4,9 @@ import math
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from permfunc import groups
 from permfunc.errors import CapacityError, ParseError
 from permfunc.groups import (
     AlternatingGroup,
@@ -16,6 +18,7 @@ from permfunc.groups import (
     parse_group,
 )
 from permfunc.perm import Permutation, compose, parse_permutation
+from support import brute_closure
 
 
 def P(text, n):
@@ -148,6 +151,8 @@ def test_parse_group_errors():
         "stab:,1@6",
         "gens:(1 2),,(1 2 3)@3",
         "gens:(1 2),@3",
+        "cyclic:@3",
+        "cyclic: @3",
     ):
         with pytest.raises(ParseError):
             parse_group(text)
@@ -163,3 +168,123 @@ def test_parse_group_repeated_stabilizer_point(text, point):
 def test_parse_group_stabilizing_no_point():
     assert parse_group("stab:@6") == PointwiseStabilizer(6, frozenset())
     assert parse_group("stab:@6").order() == math.factorial(6)
+
+
+@st.composite
+def generator_lists(draw):
+    """(n, generators) on n <= 6 points.
+
+    Each generator permutes the points inside the blocks of one drawn
+    partition, so two or more blocks give an intransitive group and
+    one-point blocks fixed points; lists may repeat a generator, hold the
+    identity, or hold nothing else.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return n, (Permutation.identity(n),) * draw(st.integers(min_value=1, max_value=3))
+    block_of = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    blocks = [[p for p in range(1, n + 1) if block_of[p - 1] == b] for b in set(block_of)]
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        images = list(range(1, n + 1))
+        for block in blocks:
+            for p, q in zip(block, draw(st.permutations(block))):
+                images[p - 1] = q
+        gens.append(Permutation(tuple(images)))
+    if draw(st.booleans()):
+        gens.append(gens[0])
+    if draw(st.booleans()):
+        gens.append(Permutation.identity(n))
+    return n, tuple(gens)
+
+
+def assert_matches_closure(group):
+    """order(), contains on all of S_n and the enumeration against brute force."""
+    n = group.degree
+    closure = brute_closure(n, group.generators)
+    assert group.order() == len(closure)
+    for images in permutations(range(1, n + 1)):
+        sigma = Permutation(images)
+        assert group.contains(sigma) == (sigma in closure)
+    expected = sorted(closure, key=lambda p: p.images)
+    assert list(enumerate_group(group).elements) == expected
+
+
+@given(generator_lists())
+@settings(max_examples=80, deadline=None)
+def test_generated_group_matches_its_closure(case):
+    n, gens = case
+    assert_matches_closure(GeneratedSubgroup(n, gens))
+
+
+def cycles(n, *cycle_list):
+    return Permutation.from_cycles(n, cycle_list)
+
+
+def certified_presentations():
+    """(n, generators) of S_n and A_n (by even generators), and of pointwise
+    stabilizers by adjacent transpositions of their free points: each
+    order reaches the bound set by the orbits and the generators' parity."""
+    out = []
+    for n in range(1, 7):
+        out.append((n, (cycles(n, (1, 2)[:n]), cycles(n, tuple(range(1, n + 1))))))
+        if n >= 3:
+            out.append((n, tuple(cycles(n, (1, 2, k)) for k in range(3, n + 1))))
+        for points in ({1}, {2, n}, set(range(2, n + 1, 2))):
+            free = sorted(set(range(1, n + 1)) - points)
+            pairs = tuple(cycles(n, pair) for pair in zip(free, free[1:]))
+            out.append((n, pairs or (cycles(n),)))
+    return out
+
+
+def sifting_presentations():
+    """(n, generators) of dihedral groups and products of disjoint cycles:
+    orders below that bound."""
+    out = []
+    for n in range(4, 7):
+        reflection = cycles(n, *[(k, n + 1 - k) for k in range(1, n // 2 + 1)])
+        out.append((n, (cycles(n, tuple(range(1, n + 1))), reflection)))
+    out.append((6, (cycles(6, (1, 2, 3)), cycles(6, (4, 5, 6)))))
+    out.append((6, (cycles(6, (1, 2, 3), (4, 5)),)))
+    out.append((7, (cycles(7, (1, 2, 3, 4)), cycles(7, (5, 6)), cycles(7, (1, 3)))))
+    return out
+
+
+@pytest.fixture
+def schreier_tests(monkeypatch):
+    """The chains that ran the deterministic Schreier test."""
+    calls = []
+    test = groups._StabilizerChain._schreier_test
+
+    def spy(chain):
+        calls.append(chain)
+        return test(chain)
+
+    monkeypatch.setattr(groups._StabilizerChain, "_schreier_test", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, gens", certified_presentations())
+def test_orbit_bound_certifies_the_random_build(schreier_tests, n, gens):
+    group = GeneratedSubgroup(n, gens)
+    assert not schreier_tests
+    assert_matches_closure(group)
+
+
+@pytest.mark.parametrize("n, gens", sifting_presentations())
+def test_smaller_groups_take_the_schreier_test(schreier_tests, n, gens):
+    group = GeneratedSubgroup(n, gens)
+    assert len(schreier_tests) == 1
+    assert_matches_closure(group)
+
+
+def test_generated_order_needs_no_element():
+    # the order of S_60 comes from the base and strong generating set
+    group = parse_group("gens:(1 2),(" + " ".join(map(str, range(1, 61))) + ")@60")
+    assert group.order() == math.factorial(60)
+    assert group.contains(parse_permutation("(1 60)(2 3 4)", 60))
+    small = parse_group("gens:(1 2 3),(3 4 5)@60")
+    assert small.order() == 60
+    assert not small.contains(parse_permutation("(1 2)", 60))
+    with pytest.raises(CapacityError, match=f"group order {math.factorial(60)} exceeds cap"):
+        enumerate_group(group)

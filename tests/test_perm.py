@@ -286,7 +286,7 @@ class TestTextFormat:
         assert parse_permutation(format_permutation(p), p.degree) == p
 
     @pytest.mark.parametrize(
-        "bad", ["(1 2", "(1 2)(2 3)", "(0 1)", "(1 9)", "junk", "(1 2) x"]
+        "bad", ["(1 2", "(1 2)(2 3)", "(0 1)", "(1 9)", "junk", "(1 2) x", "", "  ", "\t"]
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
@@ -305,6 +305,7 @@ class TestTextFormat:
 
     def test_identity_spellings(self):
         assert parse_permutation("id", 3) == Permutation.identity(3)
+        assert parse_permutation(" () ", 3) == Permutation.identity(3)
 
 
 class TestValueSemantics:
