@@ -124,15 +124,8 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
     n = len(pre)
     columns = [[j for j in range(n) if pre[i][j] or pim[i][j]] for i in range(n)]
     if math.prod(map(len, columns)) <= order:
-        injective = (
-            tuple(j + 1 for j in images)
-            for images in itertools.product(*columns)
-            if len(set(images)) == n
-        )
-        if isinstance(group, GeneratedSubgroup):
-            members = map(Permutation, filter(group.contains_images, injective))
-        else:
-            members = filter(group.contains, map(Permutation, injective))
+        injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
+        members = filter(group.contains, (Permutation(tuple(j + 1 for j in t)) for t in injective))
     elif all(len(row) == n for row in columns):
         members = group._generate()
     else:
@@ -458,21 +451,26 @@ def _walk(alpha, beta, pairs, group: GroupSpec):
     # product over each half of the cycles is tabulated once, so a
     # mixture's weight costs one multiplication
     if isinstance(group, GeneratedSubgroup):
-        # a generated group tests the image tuples: only members become Permutations
-        walk = (
-            Permutation(images) if group.contains_images(images) else None
-            for images in mixture_images(alpha, beta)
+        # sifting an image tuple costs less than building a Permutation,
+        # so only the members become Permutations
+        members = (
+            (mask, Permutation(images))
+            for mask, images in enumerate(mixture_images(alpha, beta))
+            if group.contains_images(images)
         )
+    elif isinstance(group, SymmetricGroup):
+        # S_n holds every mixture (_mixture_sum turned a stabilizer into S_n)
+        members = enumerate(mixtures(alpha, beta))
     else:
-        walk = mixtures(alpha, beta)
+        members = (
+            (mask, sigma)
+            for mask, sigma in enumerate(mixtures(alpha, beta))
+            if group.contains(sigma)
+        )
     half = len(pairs) // 2
     low = _subset_products(pairs[:half])
     high = _subset_products(pairs[half:])
-    # S_n holds every mixture (_mixture_sum turned a stabilizer into S_n)
-    test_membership = not isinstance(group, (SymmetricGroup, GeneratedSubgroup))
-    for mask, sigma in enumerate(walk):
-        if sigma is None or test_membership and not group.contains(sigma):
-            continue
+    for mask, sigma in members:
         lr, li = low[mask & ((1 << half) - 1)]
         hr, hi = high[mask >> half]
         re, im = lr * hr - li * hi, lr * hi + li * hr

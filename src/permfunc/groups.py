@@ -50,6 +50,10 @@ class GroupSpec:
     def _contains(self, sigma: Permutation) -> bool:
         raise NotImplementedError
 
+    def contains_images(self, images: tuple[int, ...]) -> bool:
+        """Membership of the permutation with these images, of the group's degree."""
+        return self._contains(Permutation(images))
+
     def order(self) -> int:
         raise NotImplementedError
 
