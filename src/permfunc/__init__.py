@@ -37,7 +37,6 @@ from .perm import (
 from .groups import (
     AlternatingGroup,
     CyclicGroup,
-    FiniteSubgroup,
     GeneratedSubgroup,
     GroupSpec,
     PointwiseStabilizer,

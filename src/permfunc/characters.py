@@ -2,8 +2,8 @@
 
 Five variants: the trivial and sign characters, irreducible characters
 of S_n indexed by partitions (evaluated with the Murnaghan-Nakayama
-border-strip recursion), explicit lookup tables over an enumerated
-subgroup, and the linear characters of a cyclic group sending the
+border-strip recursion), explicit lookup tables over the subgroup
+their keys form, and the linear characters of a cyclic group sending the
 generator to a root of unity.
 
 Values stay in the exact field Q(i); cyclic-group characters whose root
@@ -22,7 +22,7 @@ from math import factorial, lcm, prod
 
 from .errors import CharacterDomainError, ExactnessError, ParseError
 from .gaussian import GaussianRational, I, ONE, gauss
-from .groups import FiniteSubgroup
+from .groups import GeneratedSubgroup
 from .perm import (
     Permutation,
     _list_items,
@@ -149,6 +149,10 @@ class CharacterSpec:
     def degree(self):
         raise NotImplementedError
 
+    def check_domain(self, group) -> None:
+        """Raise CharacterDomainError unless the character is defined on
+        every member of ``group``; every variant but a table is."""
+
     def is_linear(self) -> bool:
         return self.degree() == 1
 
@@ -221,36 +225,47 @@ class IrreducibleCharacter(CharacterSpec):
 
 @dataclass(frozen=True)
 class TableCharacter(CharacterSpec):
-    """Explicit value table over an enumerated subgroup.
+    """Explicit value table over the subgroup its keys form.
 
-    Construction validates the class-function property and the bound
-    |chi(sigma)| <= chi(id).
+    Construction checks that the keys are closed under composition, that
+    chi(id) is real and bounds every |chi(sigma)|, and that the values are
+    constant under conjugation by a generating set of that subgroup,
+    which makes them a class function.
     """
 
-    subgroup: FiniteSubgroup
     table: tuple[tuple[Permutation, GaussianRational], ...]
 
     def __post_init__(self):
-        mapping = dict(self.table)
-        # evaluation looks values up here, in O(1)
-        object.__setattr__(self, "_values", mapping)
-        if set(mapping) != set(self.subgroup.elements):
-            raise ValueError("table domain must equal the subgroup's element set")
-        ident = Permutation.identity(self.subgroup.spec.degree)
-        top = mapping[ident]
+        if not self.table:
+            raise ValueError("empty table")
+        # evaluation looks values up here by image tuple, in O(1)
+        values = {sigma.images: value for sigma, value in self.table}
+        object.__setattr__(self, "_values", values)
+        n = self.table[0][0].degree
+        group = GeneratedSubgroup(n, tuple(sigma for sigma, _ in self.table))
+        # the keys lie in the group they generate, so they are all of it
+        # exactly when there are as many
+        if group.order() != len(values):
+            raise ValueError("domain is not closed under the group laws")
+        top = values[tuple(range(1, n + 1))]
         if not top.is_real():
             raise ValueError("chi(id) must be real")
-        for sigma, value in mapping.items():
+        object.__setattr__(self, "_top", top)
+        for images, value in values.items():
             if value.abs_squared() > top.re * top.re:
-                raise ValueError(f"|chi({sigma})| exceeds chi(id)")
-            for g in self.subgroup.elements:
-                conj = g * sigma * g.inverse()
-                if mapping[conj] != value:
-                    raise ValueError("table is not a class function")
+                raise ValueError(f"|chi({Permutation(images)})| exceeds chi(id)")
+        for g in group.transversal_generators():
+            for images, value in values.items():
+                # g*sigma*g^-1 sends g(x) to g(sigma(x))
+                conj = [0] * n
+                for x, y in zip(g, images):
+                    conj[x - 1] = g[y - 1]
+                if values[tuple(conj)] != value:
+                    raise ValueError("not a class function")
 
     def _lookup(self, sigma: Permutation) -> GaussianRational:
         try:
-            return self._values[sigma]
+            return self._values[sigma.images]
         except KeyError:
             raise CharacterDomainError(f"{sigma} not in the character's table") from None
 
@@ -258,8 +273,13 @@ class TableCharacter(CharacterSpec):
         return self._lookup(sigma)
 
     def degree(self):
-        v = self._lookup(Permutation.identity(self.subgroup.spec.degree))
-        return v.re
+        return self._top.re
+
+    def check_domain(self, group) -> None:
+        # at most |table| lookups: a larger group cannot be covered
+        values = self._values
+        if group.order() > len(values) or not all(map(values.__contains__, group._generate())):
+            raise CharacterDomainError(f"the character's table does not cover {group}")
 
     def __str__(self):
         return "table"
@@ -287,7 +307,7 @@ class CyclicRootCharacter(CharacterSpec):
         object.__setattr__(self, "_order", lcm(1, *map(len, cycles.cycles)))
 
     def _power_of(self, sigma: Permutation) -> int:
-        k = power_exponent(self._cycles, sigma)
+        k = power_exponent(self._cycles, sigma.images)
         if k is None:
             raise CharacterDomainError(f"{sigma} is not a power of the generator")
         return k
@@ -359,15 +379,13 @@ def _unique_keys(pairs) -> dict:
 
 def _load_table_character(path: str, degree: int) -> TableCharacter:
     """Load a JSON map from cycle notation to {"re": "p/q", "im": "p/q"}."""
-    from .groups import GeneratedSubgroup, enumerate_group
-
     try:
         with open(path) as fh:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read character table {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ParseError("character table must be a JSON object")
+        raise ParseError(f"character table {path!r} must be a JSON object")
     entries = {}
     spelled = {}
     for key, value in raw.items():
@@ -378,10 +396,7 @@ def _load_table_character(path: str, degree: int) -> TableCharacter:
             )
         entries[sigma] = GaussianRational.from_json(value)
         spelled[sigma] = key
-    subgroup = enumerate_group(GeneratedSubgroup(degree, tuple(entries)))
-    if set(subgroup.elements) != set(entries):
-        raise ParseError("character table domain is not closed under the group laws")
     try:
-        return TableCharacter(subgroup, tuple(entries.items()))
+        return TableCharacter(tuple(entries.items()))
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"character table {path!r}: {exc}") from exc

@@ -52,12 +52,10 @@ from .gaussian import GaussianRational, ONE, ZERO, gauss
 from .groups import (
     DEFAULT_ENUMERATION_CAP,
     AlternatingGroup,
-    GeneratedSubgroup,
     GroupSpec,
     PointwiseStabilizer,
     SymmetricGroup,
     checked_order,
-    enumerate_group,
 )
 from .matrices import (
     BlockSpec,
@@ -74,7 +72,6 @@ from .perm import (
     cycle_structure,
     disjoint_cycles,
     mixture_images,
-    mixtures,
 )
 from . import kernels
 
@@ -122,24 +119,24 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
     otherwise the group's elements, skipping those with a zero entry.
     """
     n = len(pre)
-    columns = [[j for j in range(n) if pre[i][j] or pim[i][j]] for i in range(n)]
+    columns = [[j for j in range(1, n + 1) if pre[i][j - 1] or pim[i][j - 1]] for i in range(n)]
     if math.prod(map(len, columns)) <= order:
         injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
-        members = filter(group.contains, (Permutation(tuple(j + 1 for j in t)) for t in injective))
+        members = filter(group.contains_images, injective)
     elif all(len(row) == n for row in columns):
         members = group._generate()
     else:
         members = (
-            sigma
-            for sigma in group._generate()
-            if all(pre[i][k - 1] or pim[i][k - 1] for i, k in enumerate(sigma.images))
+            images
+            for images in group._generate()
+            if all(pre[i][k - 1] or pim[i][k - 1] for i, k in enumerate(images))
         )
-    for sigma in members:
+    for images in members:
         re, im = 1, 0
-        for row_re, row_im, j in zip(pre, pim, sigma.images):
+        for row_re, row_im, j in zip(pre, pim, images):
             er, ei = row_re[j - 1], row_im[j - 1]
             re, im = re * er - im * ei, re * ei + im * er
-        yield sigma, re, im
+        yield Permutation(images), re, im
 
 
 def gmf_naive(
@@ -166,6 +163,7 @@ def gmf_naive(
             f"matrix degree {a.rows}, group degree {group.degree}"
         )
     order = checked_order(group, cap)
+    chi.check_domain(group)
     pre, pim, den = integer_grid(a)
     if isinstance(group, _COLUMN_SET_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
         re, im = _parity_naive(pre, pim, group, chi)
@@ -444,38 +442,28 @@ def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCh
 def _walk(alpha, beta, pairs, group: GroupSpec):
     """Yield (sigma, re, im) for each in-group mixture with a nonzero (re, im) weight.
 
-    ``pairs`` holds the (a_c, b_c) factors as (re, im) pairs.
+    ``pairs`` holds the (a_c, b_c) factors as (re, im) pairs.  Membership
+    is tested on image tuples; only the yielded members become
+    Permutations.
     """
-    # mixtures walks by increasing bitmask of the cycles taken from beta
-    # (and refuses a walk over the cap before the tables are built); the
-    # product over each half of the cycles is tabulated once, so a
+    # mixture_images walks by increasing bitmask of the cycles taken from
+    # beta (and refuses a walk over the cap before the tables are built);
+    # the product over each half of the cycles is tabulated once, so a
     # mixture's weight costs one multiplication
-    if isinstance(group, GeneratedSubgroup):
-        # sifting an image tuple costs less than building a Permutation,
-        # so only the members become Permutations
-        members = (
-            (mask, Permutation(images))
-            for mask, images in enumerate(mixture_images(alpha, beta))
-            if group.contains_images(images)
-        )
-    elif isinstance(group, SymmetricGroup):
-        # S_n holds every mixture (_mixture_sum turned a stabilizer into S_n)
-        members = enumerate(mixtures(alpha, beta))
-    else:
-        members = (
-            (mask, sigma)
-            for mask, sigma in enumerate(mixtures(alpha, beta))
-            if group.contains(sigma)
-        )
+    members = (
+        (mask, images)
+        for mask, images in enumerate(mixture_images(alpha, beta))
+        if group.contains_images(images)
+    )
     half = len(pairs) // 2
     low = _subset_products(pairs[:half])
     high = _subset_products(pairs[half:])
-    for mask, sigma in members:
+    for mask, images in members:
         lr, li = low[mask & ((1 << half) - 1)]
         hr, hi = high[mask >> half]
         re, im = lr * hr - li * hi, lr * hi + li * hr
         if re or im:
-            yield sigma, re, im
+            yield Permutation(images), re, im
 
 
 def _mixture_sum(
@@ -502,6 +490,7 @@ def _mixture_sum(
     that sum.  ``floating`` walks the same weights, each scaled exactly
     before it and chi.evaluate_float are taken as complex numbers.
     """
+    chi.check_domain(group)
     if isinstance(group, PointwiseStabilizer):
         coeff_a, coeff_b = list(coeff_a), list(coeff_b)
         for y in group.points:
@@ -952,6 +941,10 @@ def check_superadditivity(
     )
 
 
+# the largest degree whose n^n dimensional tensor space tensor_oracle builds
+TENSOR_MAX_DEGREE = 4
+
+
 def tensor_oracle(
     a: GaussianRational,
     b: GaussianRational,
@@ -959,7 +952,6 @@ def tensor_oracle(
     tau: Permutation,
     group: GroupSpec,
     chi: CharacterSpec,
-    max_degree: int = 4,
 ) -> GaussianRational:
     """Evaluate the linear sum through the tensor-space symmetrizer.
 
@@ -975,35 +967,35 @@ def tensor_oracle(
     depend on a conjugation convention.
     """
     n = theta.degree
-    if n > max_degree:
-        raise ValueError(f"tensor space would have dimension {n}^{n}; max is {max_degree}")
+    if n > TENSOR_MAX_DEGREE:
+        raise ValueError(
+            f"tensor space would have dimension {n}^{n}; max is {TENSOR_MAX_DEGREE}"
+        )
     if not (a.is_real() and b.is_real()):
         raise ExactnessError("tensor oracle is restricted to real coefficients")
     if group.degree != n:
         raise DegreeMismatchError(
             f"permutation degree {n}, group degree {group.degree}"
         )
+    order = checked_order(group)
+    chi.check_domain(group)
     matrix = linear_sum(a, b, theta, tau)
-    elements = enumerate_group(group).elements
 
-    # T x for x = e_1 x ... x e_n: one basis vector per group element.
-    tx: dict[tuple[int, ...], GaussianRational] = {}
-    for sigma in elements:
-        inv = sigma.inverse()
-        key = tuple(inv(k) for k in range(1, n + 1))
-        weight = chi.evaluate(sigma)
-        tx[key] = tx.get(key, ZERO) + weight
-
+    # T x for x = e_1 x ... x e_n has one basis vector per group element;
     # T y for y = y_1 x ... x y_n with (y_j)_i = A[i][j].
+    tx: dict[tuple[int, ...], GaussianRational] = {}
     ty: dict[tuple[int, ...], GaussianRational] = {}
-    for sigma in elements:
+    for images in group._generate():
+        sigma = Permutation(images)
         weight = chi.evaluate(sigma)
+        key = sigma.inverse().images
+        tx[key] = tx.get(key, ZERO) + weight
         if weight.is_zero():
             continue
         for key in itertools.product(range(1, n + 1), repeat=n):
             coeff = weight
             for j in range(1, n + 1):
-                coeff = coeff * matrix.entry(key[sigma(j) - 1], j)
+                coeff = coeff * matrix.entry(key[images[j - 1] - 1], j)
                 if coeff.is_zero():
                     break
             if coeff.is_zero():
@@ -1015,7 +1007,7 @@ def tensor_oracle(
         right = ty.get(key)
         if right is not None:
             pairing = pairing + left * right.conjugate()
-    return pairing / gauss(len(elements))
+    return pairing / gauss(order)
 
 
 @dataclass(frozen=True)

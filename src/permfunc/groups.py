@@ -24,7 +24,6 @@ from .perm import (
     DEFAULT_ENUMERATION_CAP,
     Permutation,
     _list_items,
-    compose,
     disjoint_cycles,
     images_sign,
     parse_permutation,
@@ -34,7 +33,8 @@ from .perm import (
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Base class; concrete variants implement the predicate and generator."""
+    """Base class; concrete variants implement membership and enumeration
+    on image tuples (images[i-1] = sigma(i))."""
 
     @property
     def degree(self) -> int:
@@ -45,19 +45,17 @@ class GroupSpec:
             raise DegreeMismatchError(
                 f"group degree {self.degree}, permutation degree {sigma.degree}"
             )
-        return self._contains(sigma)
-
-    def _contains(self, sigma: Permutation) -> bool:
-        raise NotImplementedError
+        return self.contains_images(sigma.images)
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
         """Membership of the permutation with these images, of the group's degree."""
-        return self._contains(Permutation(images))
+        raise NotImplementedError
 
     def order(self) -> int:
         raise NotImplementedError
 
     def _generate(self):
+        """The members' image tuples, lazily, in no particular order."""
         raise NotImplementedError
 
 
@@ -73,15 +71,14 @@ class SymmetricGroup(GroupSpec):
     def degree(self) -> int:
         return self.n
 
-    def _contains(self, sigma: Permutation) -> bool:
+    def contains_images(self, images: tuple[int, ...]) -> bool:
         return True
 
     def order(self) -> int:
         return factorial(self.n)
 
     def _generate(self):
-        for images in itertools.permutations(range(1, self.n + 1)):
-            yield Permutation(images)
+        return itertools.permutations(range(1, self.n + 1))
 
     def __str__(self):
         return f"S{self.n}"
@@ -99,17 +96,14 @@ class AlternatingGroup(GroupSpec):
     def degree(self) -> int:
         return self.n
 
-    def _contains(self, sigma: Permutation) -> bool:
-        return sigma.sign() == 1
+    def contains_images(self, images: tuple[int, ...]) -> bool:
+        return images_sign(images) == 1
 
     def order(self) -> int:
         return max(1, factorial(self.n) // 2)
 
     def _generate(self):
-        for images in itertools.permutations(range(1, self.n + 1)):
-            p = Permutation(images)
-            if p.sign() == 1:
-                yield p
+        return filter(self.contains_images, itertools.permutations(range(1, self.n + 1)))
 
     def __str__(self):
         return f"A{self.n}"
@@ -127,17 +121,18 @@ class CyclicGroup(GroupSpec):
     def degree(self) -> int:
         return self.generator.degree
 
-    def _contains(self, sigma: Permutation) -> bool:
-        return power_exponent(self._cycles, sigma) is not None
+    def contains_images(self, images: tuple[int, ...]) -> bool:
+        return power_exponent(self._cycles, images) is not None
 
     def order(self) -> int:
         return self.generator.order()
 
     def _generate(self):
-        power = Permutation.identity(self.degree)
+        step = self.generator.images
+        power = tuple(range(1, self.degree + 1))
         for _ in range(self.order()):
             yield power
-            power = compose(power, self.generator)
+            power = tuple(step[v - 1] for v in power)
 
     def __str__(self):
         return f"cyclic:{self.generator}"
@@ -160,19 +155,19 @@ class PointwiseStabilizer(GroupSpec):
     def degree(self) -> int:
         return self.n
 
-    def _contains(self, sigma: Permutation) -> bool:
-        return self.points <= sigma.fixed_points()
+    def contains_images(self, images: tuple[int, ...]) -> bool:
+        return all(images[p - 1] == p for p in self.points)
 
     def order(self) -> int:
         return factorial(self.n - len(self.points))
 
     def _generate(self):
         free = sorted(set(range(1, self.n + 1)) - self.points)
+        images = list(range(1, self.n + 1))
         for arrangement in itertools.permutations(free):
-            images = list(range(1, self.n + 1))
             for src, dst in zip(free, arrangement):
                 images[src - 1] = dst
-            yield Permutation(tuple(images))
+            yield tuple(images)
 
     def __str__(self):
         return f"stab:{','.join(map(str, sorted(self.points)))}@{self.n}"
@@ -220,7 +215,6 @@ class GeneratedSubgroup(GroupSpec):
         return self.n
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
-        """Membership of the permutation with these images, without building it."""
         # a member keeps every point in its orbit
         labels = self._labels
         if labels is not None and tuple(map(labels.__getitem__, images)) != labels[1:]:
@@ -229,14 +223,19 @@ class GeneratedSubgroup(GroupSpec):
             return self._chain.sifts(images)
         return not self._even or images_sign(images) == 1
 
-    def _contains(self, sigma: Permutation) -> bool:
-        return self.contains_images(sigma.images)
-
     def order(self) -> int:
         return self._order
 
     def _generate(self):
-        return map(Permutation, self._chain.elements())
+        return self._chain.elements()
+
+    def transversal_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The image tuples of a generating set: the chain's transversal
+        elements other than the identity, at most n(n-1)/2 of them."""
+        identity = self._chain.identity
+        return tuple(
+            v[1:] for table in self._chain.transversals for v in table.values() if v != identity
+        )
 
     def __str__(self):
         gens = ",".join(str(g) for g in self.generators)
@@ -450,18 +449,6 @@ def _random_members(padded, identity):
             yield acc
 
 
-@dataclass(frozen=True)
-class FiniteSubgroup:
-    """Fully enumerated subgroup in deterministic (image-lexicographic) order."""
-
-    spec: GroupSpec
-    elements: tuple[Permutation, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 def checked_order(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """The group order; raises CapacityError when it exceeds ``cap``.
 
@@ -477,15 +464,14 @@ def checked_order(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
 
 def enumerate_group(
     spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> FiniteSubgroup:
-    """List all elements of the subgroup, sorted by image sequence.
+) -> tuple[Permutation, ...]:
+    """All elements of the subgroup, sorted by image sequence.
 
     Raises CapacityError when the group order exceeds ``cap``, before any
     enumeration.
     """
     checked_order(spec, cap)
-    ordered = tuple(sorted(spec._generate(), key=lambda p: p.images))
-    return FiniteSubgroup(spec, ordered)
+    return tuple(map(Permutation, sorted(spec._generate())))
 
 
 _SYM_RE = _re.compile(r"^([SA])(\d+)$")

@@ -177,16 +177,16 @@ def disjoint_cycles(p: Permutation) -> CycleDecomposition:
     return CycleDecomposition(n, tuple(cycles), frozenset(fixed))
 
 
-def power_exponent(dec: CycleDecomposition, sigma: Permutation) -> int | None:
-    """The least k >= 0 with g^k = sigma, where ``dec`` decomposes g; None if none.
+def power_exponent(dec: CycleDecomposition, images: tuple[int, ...]) -> int | None:
+    """The least k >= 0 with g^k = sigma, where ``dec`` decomposes g and
+    ``images`` are sigma's images; None if there is none.
 
     sigma is a power of g exactly when it fixes the fixed points of g and
     turns each cycle of g by a single shift s_c.  Then k solves
     k = s_c (mod len(c)) for every cycle, and the congruences are merged
     one cycle at a time, in O(n) overall.
     """
-    images = sigma.images
-    if sigma.degree != dec.degree or any(images[p - 1] != p for p in dec.fixed_points):
+    if len(images) != dec.degree or any(images[p - 1] != p for p in dec.fixed_points):
         return None
     k, modulus = 0, 1
     for cycle in dec.cycles:

@@ -36,6 +36,14 @@ def rand_scalar(rng: random.Random, span: int = 3, complex_ok: bool = True):
     return gauss(re, im)
 
 
+def refuse_membership(monkeypatch, refuse) -> None:
+    """Make every membership test call ``refuse``: GroupSpec.contains and
+    each group variant's contains_images, which the routes call directly."""
+    monkeypatch.setattr(pf.GroupSpec, "contains", refuse)
+    for cls in pf.GroupSpec.__subclasses__():
+        monkeypatch.setattr(cls, "contains_images", refuse)
+
+
 def brute_closure(n: int, generators) -> set[pf.Permutation]:
     """The subgroup the generators generate, by multiplying out from the identity."""
     elements = {pf.Permutation.identity(n)}

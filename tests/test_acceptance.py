@@ -345,7 +345,7 @@ def restriction_kind(group, chi) -> str | None:
     in the kernel of chi (so every constituent is linear) and
     <chi, chi>_G = chi(1) (so no constituent repeats).  None otherwise.
     """
-    elements = enumerate_group(group).elements
+    elements = enumerate_group(group)
     norm = sum(chi.evaluate(g).abs_squared() for g in elements) / len(elements)
     if norm == 1:
         return "irreducible"

@@ -1,5 +1,6 @@
 """Character values: border-strip recursion against independent oracles."""
 
+import json
 import math
 import random
 import re
@@ -23,7 +24,7 @@ from permfunc.errors import CharacterDomainError, ExactnessError, ParseError
 from permfunc.gaussian import I, ONE, gauss
 from permfunc.groups import CyclicGroup, enumerate_group
 from permfunc.perm import Permutation, cycle_structure, parse_permutation
-from support import frobenius_character, rand_perm
+from support import brute_closure, frobenius_character, rand_perm
 
 
 def P(text, n):
@@ -186,47 +187,126 @@ class TestCyclicRoot:
                 assert chi.evaluate(x * y) == chi.evaluate(x) * chi.evaluate(y)
 
 
+def conjugacy_classes(elements):
+    """The conjugacy classes of a listed group, by conjugating with every member."""
+    classes, seen = [], set()
+    for sigma in sorted(elements, key=lambda p: p.images):
+        if sigma not in seen:
+            cls = {g * sigma * g.inverse() for g in elements}
+            seen |= cls
+            classes.append(sorted(cls, key=lambda p: p.images))
+    return classes
+
+
+def write_table(path, values):
+    """A table file mapping each permutation's cycle notation to its value."""
+    path.write_text(json.dumps({str(sigma): value.to_json() for sigma, value in values.items()}))
+    return f"table:{path}"
+
+
+# S_3, S_4, the dihedral group of the square and C_4 x C_2, by generators
+TABLE_GROUPS = {
+    "S3": (3, ["(1 2)", "(1 2 3)"]),
+    "S4": (4, ["(1 2)", "(1 2 3 4)"]),
+    "D4": (4, ["(1 2 3 4)", "(1 3)"]),
+    "C4xC2": (6, ["(1 2 3 4)", "(5 6)"]),
+}
+
+
 class TestTable:
     def _cyclic4_table(self):
         g = P("(1 2 3 4)", 4)
-        sub = enumerate_group(CyclicGroup(g))
         chi = CyclicRootCharacter(g, 1)
-        return sub, tuple((sigma, chi.evaluate(sigma)) for sigma in sub.elements)
+        return tuple((sigma, chi.evaluate(sigma)) for sigma in enumerate_group(CyclicGroup(g)))
 
     def test_valid_table(self):
-        sub, entries = self._cyclic4_table()
-        chi = TableCharacter(sub, entries)
+        chi = TableCharacter(self._cyclic4_table())
         g = P("(1 2 3 4)", 4)
         assert chi.evaluate(g) == I
         assert chi.conjugate_evaluate(g) == I.conjugate()
         assert chi.degree() == 1
 
     def test_table_miss(self):
-        sub, entries = self._cyclic4_table()
-        chi = TableCharacter(sub, entries)
+        chi = TableCharacter(self._cyclic4_table())
         with pytest.raises(CharacterDomainError):
             chi.evaluate(P("(1 2)", 4))
 
     def test_rejects_value_above_degree(self):
-        sub, entries = self._cyclic4_table()
         bad = tuple(
             (sigma, gauss(5) if not sigma.is_identity() else value)
-            for sigma, value in entries
+            for sigma, value in self._cyclic4_table()
         )
         with pytest.raises(ValueError):
-            TableCharacter(sub, bad)
+            TableCharacter(bad)
 
     def test_rejects_non_class_function(self):
         from permfunc.groups import SymmetricGroup
 
-        sub = enumerate_group(SymmetricGroup(3))
         swap = P("(1 2)", 3)
         bad = tuple(
             (sigma, gauss(1) if sigma == swap else (gauss(2) if sigma.is_identity() else gauss(0)))
-            for sigma in sub.elements
+            for sigma in enumerate_group(SymmetricGroup(3))
         )
         with pytest.raises(ValueError):
-            TableCharacter(sub, bad)
+            TableCharacter(bad)
+
+    @staticmethod
+    def _class_functions(name):
+        """The group's elements, its classes and class functions on it: one
+        value per class, chi(id) real and above every other modulus."""
+        n, gens = TABLE_GROUPS[name]
+        elements = brute_closure(n, [P(g, n) for g in gens])
+        classes = conjugacy_classes(elements)
+        rng = random.Random(name)
+        functions = []
+        for _ in range(4):
+            values = {}
+            for cls in classes:
+                value = gauss(rng.randint(-2, 2), rng.randint(-2, 2))
+                if cls[0].is_identity():
+                    value = gauss(rng.randint(3, 5))
+                values.update(dict.fromkeys(cls, value))
+            functions.append(values)
+        return elements, classes, functions
+
+    @pytest.mark.parametrize("name", list(TABLE_GROUPS))
+    def test_every_class_function_loads(self, tmp_path, name):
+        elements, _, functions = self._class_functions(name)
+        n = TABLE_GROUPS[name][0]
+        for values in functions:
+            chi = parse_character(write_table(tmp_path / "chi.json", values), n)
+            assert {sigma: chi.evaluate(sigma) for sigma in elements} == values
+
+    # C4 x C2 is abelian: every class is a single element
+    @pytest.mark.parametrize("name", [name for name in TABLE_GROUPS if name != "C4xC2"])
+    def test_one_changed_entry_in_a_class_is_refused(self, tmp_path, name):
+        _, classes, functions = self._class_functions(name)
+        n = TABLE_GROUPS[name][0]
+        shared = [cls for cls in classes if len(cls) >= 2]
+        assert shared
+        for values in functions:
+            for cls in shared:
+                for sigma in cls:
+                    # moved towards 0, the value stays within chi(id), so
+                    # only the class test can fail
+                    step = gauss(1 if values[sigma].re < 0 else -1)
+                    changed = {**values, sigma: values[sigma] + step}
+                    path = tmp_path / "chi.json"
+                    with pytest.raises(ParseError, match="not a class function") as info:
+                        parse_character(write_table(path, changed), n)
+                    assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("name", list(TABLE_GROUPS))
+    def test_one_dropped_key_is_refused(self, tmp_path, name):
+        elements, _, functions = self._class_functions(name)
+        n = TABLE_GROUPS[name][0]
+        values = functions[0]
+        for sigma in elements:
+            kept = {key: value for key, value in values.items() if key != sigma}
+            path = tmp_path / "chi.json"
+            with pytest.raises(ParseError, match="not closed") as info:
+                parse_character(write_table(path, kept), n)
+            assert str(path) in str(info.value)
 
 
 def test_parse_character():

@@ -13,6 +13,7 @@ import permfunc
 from permfunc.cli import main
 from permfunc.gaussian import GaussianRational
 from permfunc.matrices import BlockSpec
+from support import refuse_membership
 
 
 def run(capsys, *argv):
@@ -155,6 +156,51 @@ def test_tensor_check_mismatch_exit_code(capsys):
     assert "match=False" in out
 
 
+@pytest.mark.parametrize(
+    "command, theta, group",
+    [
+        ("gmf", "id", "S3"),
+        ("gmf", "(1 2 3)", "S3"),
+        ("gmf", "id", "A3"),
+        ("gmf --method naive", "id", "S3"),
+        ("bound", "id", "S3"),
+        ("tensor-check", "id", "S3"),
+    ],
+)
+def test_table_over_a_smaller_group_exits_three(capsys, tmp_path, command, theta, group):
+    # the value used to depend on which terms vanished: 4 with exit 0 on S3,
+    # exit 3 once theta = (1 2 3) reached a key the table lacks, 2 on A3
+    path = tmp_path / "swap.json"
+    path.write_text('{"id": {"re": "1"}, "(1 2)": {"re": "-1"}}')
+    code, out, err = run(capsys, *command.split(), "--n", "3", "--theta", theta,
+                         "--tau", "(1 2)", "--group", group, "--character", f"table:{path}")
+    assert (code, out) == (3, "")
+    assert f"the character's table does not cover {group}" in err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("{}", "empty table"),
+        ("[]", "must be a JSON object"),
+        ('{"id": {"re": "1"}, "(1 2)": {"re": "-1"}, "(1 2 3)": {"re": "1"}}', "not closed"),
+        ('{"id": {"re": "1"}, "(1 2)": {"re": "2"}}', "exceeds chi(id)"),
+        ('{"id": {"re": "1", "im": "1"}, "(1 2)": {"re": "1"}}', "chi(id) must be real"),
+        ('{"id": {"re": "2"}, "(1 2)": {"re": "1"}, "(1 3)": {"re": "0"}, "(2 3)": {"re": "0"},'
+         ' "(1 2 3)": {"re": "0"}, "(1 3 2)": {"re": "0"}}', "not a class function"),
+    ],
+    ids=["empty", "not-an-object", "not-closed", "above-degree", "complex-degree", "not-class"],
+)
+def test_table_validation_names_the_file(capsys, tmp_path, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    code, _, err = run(capsys, "gmf", "--n", "3", "--theta", "id", "--tau", "(1 2)",
+                       "--group", "S3", "--character", f"table:{path}")
+    assert code == 2
+    assert f"character table {str(path)!r}" in err
+    assert message in err
+
+
 def test_bench_smoke(capsys):
     code, out, _ = run(capsys, "bench", "--a", "1", "--b", "2", "--theta", "(1 2)",
                        "--tau", "(2 3)", "--n", "4", "--reps", "1", "--json")
@@ -295,7 +341,7 @@ def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("membership tested before the cap was checked")
 
-    monkeypatch.setattr(permfunc.groups.GroupSpec, "contains", refuse)
+    refuse_membership(monkeypatch, refuse)
     monkeypatch.setattr(permfunc.engine, "_orbit_classes", refuse)
     many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
     cycle = "(" + " ".join(map(str, range(1, 61))) + ")"
@@ -339,7 +385,7 @@ def test_cyclic_membership_lists_no_powers(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("powers of the generator listed")
 
-    monkeypatch.setattr(permfunc.groups, "compose", refuse)
+    monkeypatch.setattr(permfunc.groups.CyclicGroup, "_generate", refuse)
     cycles, start = [], 1
     for length in (2, 3, 5, 7, 11, 13, 17, 19):
         cycles.append("(" + " ".join(map(str, range(start, start + length))) + ")")
@@ -378,7 +424,7 @@ def test_generated_symmetric_group_lists_no_element(capsys, monkeypatch, n, pair
 
     monkeypatch.setattr(permfunc.groups.GeneratedSubgroup, "_generate", refuse)
     monkeypatch.setattr(permfunc.groups, "enumerate_group", refuse)
-    monkeypatch.setattr(permfunc.engine, "enumerate_group", refuse)
+    monkeypatch.setattr(permfunc.groups._StabilizerChain, "elements", refuse)
     cycle = " ".join(map(str, range(1, n + 1)))
     code, out, err = run(capsys, *argv, "--group", f"gens:(1 2),({cycle})@{n}")
     assert (code, out, err) == (0, symmetric, "")

@@ -55,6 +55,7 @@ from support import (
     rand_involution,
     rand_perm,
     rand_scalar,
+    refuse_membership,
 )
 
 
@@ -124,7 +125,7 @@ class TestNaive:
             raise AssertionError("the naive route enumerated the group")
 
         monkeypatch.setattr(groups, "enumerate_group", refuse)
-        monkeypatch.setattr(engine, "enumerate_group", refuse)
+        monkeypatch.setattr(SymmetricGroup, "_generate", refuse)
         ident = Permutation.identity(10)
         cycle = Permutation.from_cycles(10, [tuple(range(1, 11))])
         matrix = linear_sum(ONE, ONE, ident, cycle)
@@ -153,7 +154,7 @@ class TestNaive:
             (4,): gauss(0, Fraction(5, 6)),
         }
         table = TableCharacter(
-            s4, tuple((sigma, by_type[cycle_structure(sigma).lengths]) for sigma in s4.elements)
+            tuple((sigma, by_type[cycle_structure(sigma).lengths]) for sigma in s4)
         )
         cases = cyclic + [(SymmetricGroup(4), table), (AlternatingGroup(4), table)]
         for _ in range(5):
@@ -209,7 +210,7 @@ class TestNaive:
             raise AssertionError("the naive route visited group members")
 
         monkeypatch.setattr(engine, "_nonzero_members", refuse)
-        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        refuse_membership(monkeypatch, refuse)
         for cls in (SymmetricGroup, AlternatingGroup, PointwiseStabilizer):
             monkeypatch.setattr(cls, "_generate", refuse)
         for cls in (TrivialCharacter, SignCharacter):
@@ -316,12 +317,13 @@ class TestNaive:
 
     def test_cap_stops_a_generated_closure_early(self, monkeypatch):
         steps = []
+        image_compose = groups._compose
 
         def counted(p, q):
             steps.append(1)
-            return compose(p, q)
+            return image_compose(p, q)
 
-        monkeypatch.setattr(groups, "compose", counted)
+        monkeypatch.setattr(groups, "_compose", counted)
         group = GeneratedSubgroup(7, (P("(2 5)", 7), P("(1 2 3 4 5 6 7)", 7)))
         with pytest.raises(CapacityError):
             pf.gmf_naive(Matrix.identity(7), group, SignCharacter(), cap=100)
@@ -446,7 +448,7 @@ class TestStabilizerAsZeroedCoefficients:
         def refuse(*args):
             raise AssertionError("stabilizer membership tested")
 
-        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        refuse_membership(monkeypatch, refuse)
         for a, b, theta, tau, group, chi, expected in cases:
             assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected
 
@@ -831,7 +833,7 @@ class TestSingularBound:
         # against a float sum over the whole group
         g = P("(1 2 3)(4 5)", 5)
         group = CyclicGroup(g)
-        elements = groups.enumerate_group(group).elements
+        elements = groups.enumerate_group(group)
         b = gauss(Fraction(-2, 5))
         fallbacks = 0
         for chi in (CyclicRootCharacter(g, 1), CyclicRootCharacter(g, -2)):  # orders 6 and 3
@@ -1215,9 +1217,9 @@ class TestParityProductScale:
         def refuse(*args, **kwargs):
             raise AssertionError("the O(r) product must not walk the mixtures")
 
-        monkeypatch.setattr(engine, "mixtures", refuse)
+        monkeypatch.setattr(engine, "mixture_images", refuse)
         monkeypatch.setattr(perm, "mixtures", refuse)
-        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        refuse_membership(monkeypatch, refuse)
 
     def test_sixty_points_sixteen_cycles(self, no_walk):
         theta, tau = Permutation.identity(60), transpositions(16, 60)
@@ -1267,7 +1269,7 @@ class TestWalkCap:
 
         monkeypatch.setattr(engine, "_subset_products", refuse)
         monkeypatch.setattr(engine, "_orbit_classes", refuse)
-        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        refuse_membership(monkeypatch, refuse)
 
     def test_over_the_cap_is_refused(self, nothing_built):
         n = 60
@@ -1309,7 +1311,7 @@ class TestWalkCap:
             raise AssertionError("membership tested before the cap was checked")
 
         monkeypatch.setattr(engine, "_convolve", spy)
-        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        refuse_membership(monkeypatch, refuse)
         chi = parse_character(f"irr:[{n - 1},1]", n)
         for group in (SymmetricGroup(n), AlternatingGroup(n)):
             with pytest.raises(CapacityError, match=r"walk of 2\^22 mixtures exceeds cap"):
@@ -1340,10 +1342,10 @@ class TestClassSums:
         def refuse(*args, **kwargs):
             raise AssertionError("the class sums must not walk the mixtures")
 
-        monkeypatch.setattr(engine, "mixtures", refuse)
+        monkeypatch.setattr(engine, "mixture_images", refuse)
         monkeypatch.setattr(perm, "mixtures", refuse)
         monkeypatch.setattr(engine, "_subset_products", refuse)
-        monkeypatch.setattr(groups.GroupSpec, "contains", refuse)
+        refuse_membership(monkeypatch, refuse)
 
     @pytest.fixture
     def class_sum_calls(self, monkeypatch):
@@ -1430,7 +1432,7 @@ class TestClassSums:
                 expected = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
                 cases.append(((a, b, theta, tau, group, chi), expected))
         calls = []
-        orbit_classes, mixtures = engine._orbit_classes, engine.mixtures
+        orbit_classes, mixture_images = engine._orbit_classes, engine.mixture_images
 
         def spy_orbit(*args):
             calls.append("orbit")
@@ -1438,10 +1440,10 @@ class TestClassSums:
 
         def spy_walk(*args):
             calls.append("walk")
-            return mixtures(*args)
+            return mixture_images(*args)
 
         monkeypatch.setattr(engine, "_orbit_classes", spy_orbit)
-        monkeypatch.setattr(engine, "mixtures", spy_walk)
+        monkeypatch.setattr(engine, "mixture_images", spy_walk)
         outcomes = set()
         for cap in (0, 15, 30, 60):
             monkeypatch.setattr(engine, "DEFAULT_ENUMERATION_CAP", cap)
@@ -1463,3 +1465,45 @@ class TestClassSums:
                 fast = pf.gmf_block(spec, group, chi)
                 assert_same_result(fast, pf.gmf_block(spec, gens_presentation(group), chi))
         assert class_sum_calls
+
+
+class TestTableDomain:
+    """A table character on a group its keys do not cover is refused by
+    every route, whichever terms would vanish."""
+
+    @staticmethod
+    def swap_table():
+        # a table over {id, (1 2)} on three points
+        return TableCharacter(((Permutation.identity(3), ONE), (P("(1 2)", 3), -ONE)))
+
+    @pytest.mark.parametrize("group", [SymmetricGroup(3), AlternatingGroup(3)], ids=str)
+    @pytest.mark.parametrize("theta", ["id", "(1 2 3)"])
+    def test_every_route_refuses_an_uncovered_group(self, group, theta):
+        chi = self.swap_table()
+        theta, tau = P(theta, 3), P("(1 2)", 3)
+        one = Permutation.identity(1)
+        spec = BlockSpec(
+            m=1, n=3, theta=theta, tau=tau, inner_thetas=(one,) * 3, inner_taus=(one,) * 3,
+            a=(ONE,) * 3, b=(ONE,) * 3,
+        )
+        calls = [
+            lambda: pf.gmf_naive(linear_sum(ONE, ONE, theta, tau), group, chi),
+            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, group, chi),
+            lambda: pf.gmf_block(spec, group, chi),
+            lambda: pf.check_singular_bound(ONE, ONE, theta, tau, group, chi),
+            lambda: pf.tensor_oracle(ONE, ONE, theta, tau, group, chi),
+        ]
+        for call in calls:
+            with pytest.raises(CharacterDomainError, match=f"does not cover {group}"):
+                call()
+
+    @pytest.mark.parametrize("text", ["stab:3@3", "gens:(1 2)@3", "cyclic:(1 2)@3"])
+    def test_covered_groups_agree_across_routes(self, text):
+        chi = self.swap_table()
+        group = parse_group(text)
+        a, b = gauss(2), gauss(-1, 3)
+        s3 = [Permutation(images) for images in itertools.permutations((1, 2, 3))]
+        for theta, tau in itertools.product(s3, repeat=2):
+            expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
+            assert pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value == expected
+            assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected

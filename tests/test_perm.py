@@ -209,7 +209,7 @@ class TestPowerExponent:
         for g in group:
             powers, dec = self.listed_powers(g), disjoint_cycles(g)
             for sigma in group:
-                assert power_exponent(dec, sigma) == powers.get(sigma)
+                assert power_exponent(dec, sigma.images) == powers.get(sigma)
 
     def test_sampled_pairs(self):
         rng = random.Random(404)
@@ -218,11 +218,11 @@ class TestPowerExponent:
             g = rand_perm(rng, n)
             powers, dec = self.listed_powers(g), disjoint_cycles(g)
             sigma = rng.choice([rand_perm(rng, n), rng.choice(list(powers))])
-            assert power_exponent(dec, sigma) == powers.get(sigma)
+            assert power_exponent(dec, sigma.images) == powers.get(sigma)
 
     def test_other_degree_is_no_power(self):
         dec = disjoint_cycles(P("(1 2 3)", 3))
-        assert power_exponent(dec, P("(1 2 3)", 4)) is None
+        assert power_exponent(dec, P("(1 2 3)", 4).images) is None
 
 
 class TestEmbeddings:
