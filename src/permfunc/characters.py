@@ -151,7 +151,8 @@ class CharacterSpec:
 
     def check_domain(self, group) -> None:
         """Raise CharacterDomainError unless the character is defined on
-        every member of ``group``; every variant but a table is."""
+        every member of ``group``; every variant but a table and a
+        cyclic root is."""
 
     def is_linear(self) -> bool:
         return self.degree() == 1
@@ -329,6 +330,14 @@ class CyclicRootCharacter(CharacterSpec):
 
     def degree(self) -> int:
         return 1
+
+    def check_domain(self, group) -> None:
+        # at most |<generator>| power tests: a larger group cannot be covered
+        cycles = self._cycles
+        if group.order() > self._order or any(
+            power_exponent(cycles, images) is None for images in group._generate()
+        ):
+            raise CharacterDomainError(f"{group} is not inside <{self.generator}>")
 
     def __str__(self):
         return f"cyclic-root:{self.generator}^{self.index}"

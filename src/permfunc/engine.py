@@ -21,7 +21,10 @@ Routes provided, all exact unless stated otherwise:
 * closed forms for determinant and permanent straight from the cycle
   structure of theta^-1*tau;
 * a minor-expansion oracle for det(A+B) over all complementary index
-  pairs, each size's minor products summed as Gaussian integers;
+  pairs: a depth-first walk gives each row to A or to B and extends
+  that side's table of minors by one Laplace step, so each minor is
+  built once and at most n+1 tables per side are alive; each size's
+  minor products are summed as Gaussian integers;
 * the block generalization for sums of two scaled block-permutation
   layers;
 * relations and closed forms for the symmetric companion S_theta;
@@ -207,6 +210,13 @@ def _parity_naive(pre, pim, group: GroupSpec, chi: CharacterSpec):
     return re * sr - im * si, re * si + im * sr
 
 
+def _row_entries(row_re, row_im) -> list:
+    """A row's nonzero entries as (column bit, the bits above it, re, im)."""
+    return [
+        (1 << j, -2 << j, er, ei) for j, (er, ei) in enumerate(zip(row_re, row_im)) if er or ei
+    ]
+
+
 def _column_set_sums(pre, pim):
     """Entry products over S_m split by parity: (even re, even im, odd re, odd im).
 
@@ -219,13 +229,7 @@ def _column_set_sums(pre, pim):
     above j, so it flips the parity when their number is odd.
     """
     states = {0: (1, 0, 0, 0)}
-    for row_re, row_im in zip(pre, pim):
-        # (column bit, the bits above it, the entry)
-        entries = [
-            (1 << j, -2 << j, er, ei)
-            for j, (er, ei) in enumerate(zip(row_re, row_im))
-            if er or ei
-        ]
+    for entries in map(_row_entries, pre, pim):
         placed = {}
         for used, (pr, pi, qr, qi) in states.items():
             for bit, above, er, ei in entries:
@@ -600,67 +604,85 @@ def per_linear_sum(
     return _closed_form(a, b, theta, tau, signed=False)
 
 
-def _column_mask(columns) -> int:
-    """Bitmask of 1-based column indices."""
-    return sum(1 << (j - 1) for j in columns)
+def _laplace_step(table, entries):
+    """Extend a minor table by one row along its Laplace expansion.
 
-
-def _row_masks(pre, pim) -> list[int]:
-    """Per row, the bitmask of its nonzero columns."""
-    return [
-        _column_mask(j + 1 for j, (re, im) in enumerate(zip(row_re, row_im)) if re or im)
-        for row_re, row_im in zip(pre, pim)
-    ]
+    ``table`` maps the column mask of each minor over the rows placed so
+    far to its determinant (re, im); ``entries`` are the new row's
+    nonzero entries from _row_entries.  The new row is the last of the
+    minor, so placing it in column j adds one inversion for each used
+    column above j.  Returns the table over the rows placed so far plus
+    the new one, empty when every such minor vanishes.
+    """
+    extended = {}
+    for used, (pr, pi) in table.items():
+        for bit, above, er, ei in entries:
+            if used & bit:
+                continue
+            re, im = pr * er - pi * ei, pr * ei + pi * er
+            if (used & above).bit_count() & 1:
+                re, im = -re, -im
+            acc = extended.get(used | bit)
+            extended[used | bit] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+    return extended
 
 
 def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
     """det(a+b) expanded over all complementary minor pairs.
 
     Sums (-1)^(r(alpha)+r(beta)) det(a[alpha|beta]) det(b(alpha|beta))
-    over all k and all strictly increasing index pairs; the inner
-    determinants run fraction-free on Gaussian integers, and each k sums
-    its products as integers over den_a^k * den_b^(n-k).  A pair is
-    skipped when a selected row of either minor has no nonzero entry in
-    the selected columns, since that minor vanishes; the term count is
-    still the full pair count.
+    over all k and all strictly increasing index pairs.  A depth-first
+    walk gives each row in turn to a or to b; each side keeps a stack of
+    minor tables, {column mask: determinant} over the rows it holds, and
+    taking a row extends that side's top table by one Laplace step
+    along it (_laplace_step).  So each row subset's minors are built
+    once, from its parent's, with at most n+1 tables per side alive, and
+    a branch whose extended table is empty (every minor over its rows
+    vanishes) is pruned.  At a leaf alpha is the set of rows given to a,
+    and a's minor on columns beta pairs with b's on the complement.
+    Each k sums its products as Gaussian integers, scaled once by
+    den_a^k * den_b^(n-k); the term count is still the full pair count.
     """
     if not a.is_square or not b.is_square or a.rows != b.rows:
         raise DegreeMismatchError("need two square matrices of equal size")
     n = a.rows
     pre_a, pim_a, den_a = integer_grid(a)
     pre_b, pim_b, den_b = integer_grid(b)
-    rows_a = _row_masks(pre_a, pim_a)
-    rows_b = _row_masks(pre_b, pim_b)
+    rows_a = list(map(_row_entries, pre_a, pim_a))
+    rows_b = list(map(_row_entries, pre_b, pim_b))
+    everything = (1 << n) - 1
+    # a bit at each 1-based odd index: r(alpha) + r(beta) is odd exactly
+    # when an odd number of them lie in alpha ^ beta
+    odd_positions = everything // 3
+    sums = [[0, 0] for _ in range(n + 1)]
+
+    def walk(i, alpha, table_a, table_b):
+        if i < n:
+            extended = _laplace_step(table_a, rows_a[i])
+            if extended:
+                walk(i + 1, alpha | 1 << i, extended, table_b)
+            extended = _laplace_step(table_b, rows_b[i])
+            if extended:
+                walk(i + 1, alpha, table_a, extended)
+            return
+        acc = sums[alpha.bit_count()]
+        for beta, (ar, ai) in table_a.items():
+            minor_b = table_b.get(everything ^ beta)
+            if minor_b is None:
+                continue
+            br, bi = minor_b
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            if ((alpha ^ beta) & odd_positions).bit_count() & 1:
+                re, im = -re, -im
+            acc[0] += re
+            acc[1] += im
+
+    walk(0, 0, {0: (1, 0)}, {0: (1, 0)})
     total = ZERO
-    terms = 0
-    everything = frozenset(range(1, n + 1))
-    for k in range(n + 1):
+    for k, (sum_re, sum_im) in enumerate(sums):
         scale = Fraction(1, den_a**k * den_b ** (n - k))
-        selectors = []
-        for t in itertools.combinations(range(1, n + 1), k):
-            rest = sorted(everything - set(t))
-            selectors.append((t, rest, sum(t), _column_mask(t), _column_mask(rest)))
-        terms += len(selectors) ** 2
-        sum_re = sum_im = 0
-        for alpha, alpha_rest, alpha_rank, _, _ in selectors:
-            for beta, beta_rest, beta_rank, beta_mask, rest_mask in selectors:
-                if not all(rows_a[i - 1] & beta_mask for i in alpha):
-                    continue
-                if not all(rows_b[i - 1] & rest_mask for i in alpha_rest):
-                    continue
-                da = kernels.det_gaussian_int(
-                    [[pre_a[i - 1][j - 1] for j in beta] for i in alpha],
-                    [[pim_a[i - 1][j - 1] for j in beta] for i in alpha],
-                )
-                db = kernels.det_gaussian_int(
-                    [[pre_b[i - 1][j - 1] for j in beta_rest] for i in alpha_rest],
-                    [[pim_b[i - 1][j - 1] for j in beta_rest] for i in alpha_rest],
-                )
-                sign = -1 if (alpha_rank + beta_rank) % 2 else 1
-                sum_re += sign * (da[0] * db[0] - da[1] * db[1])
-                sum_im += sign * (da[0] * db[1] + da[1] * db[0])
         total = total + GaussianRational(sum_re * scale, sum_im * scale)
-    return GmfResult(total, Method.CAUCHY_BINET, terms)
+    return GmfResult(total, Method.CAUCHY_BINET, comb(2 * n, n))
 
 
 def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResult:

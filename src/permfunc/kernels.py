@@ -1,4 +1,4 @@
-"""The exact determinant kernel behind det_exact and the minor-expansion route.
+"""The exact determinant kernel behind det_exact.
 
 It works on Gaussian integers held as plain Python ints (real and
 imaginary parts separately) so that values never leave exact arithmetic.

@@ -133,7 +133,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scalar_mul(c: GaussianRational, a: Matrix) -> Matrix:
-    return Matrix([[c * e for e in row] for row in a.entries])
+    # zero entries stay as they are: a scaled permutation matrix is mostly zeros
+    return Matrix([[c * e if e else e for e in row] for row in a.entries])
 
 
 def conjugate_transpose(a: Matrix) -> Matrix:

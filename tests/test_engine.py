@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import permfunc as pf
 from permfunc import engine, groups, kernels
@@ -539,22 +541,47 @@ class TestCauchyBinet:
             assert pf.det_cauchy_binet_sum(matrix, negated).value == ZERO
 
     def test_prunes_vanishing_minors_on_bench_instance(self, monkeypatch):
+        # no Bareiss elimination; each Laplace step's table counted
         theta = P("(1 2 3 4 5 6 7 8)", 8)
         tau = P("(1 3 5 7)(2 4 6 8)", 8)
-        calls = []
-        det = kernels.det_gaussian_int
+        sizes = []
+        step = engine._laplace_step
 
-        def counted(pre, pim):
-            calls.append(len(pre))
-            return det(pre, pim)
+        def counted(table, entries):
+            extended = step(table, entries)
+            sizes.append(len(extended))
+            return extended
 
-        monkeypatch.setattr(kernels, "det_gaussian_int", counted)
+        def refuse(pre, pim):
+            raise AssertionError("the minor expansion ran an elimination")
+
+        monkeypatch.setattr(engine, "_laplace_step", counted)
+        monkeypatch.setattr(kernels, "det_gaussian_int", refuse)
         result = pf.det_cauchy_binet_sum(
             scalar_mul(gauss(3), perm_matrix(theta)), scalar_mul(gauss(2), perm_matrix(tau))
         )
         assert result.term_count == 12870
         assert result.value == pf.det_linear_sum(gauss(3), gauss(2), theta, tau).value
-        assert len(calls) == 4
+        # one nonzero entry per row: a dense n = 8 pair builds 25,738 entries
+        assert sum(sizes) <= 2 ** (8 + 1)
+
+    def test_dense_n8_keeps_few_tables_alive(self):
+        rng = random.Random(21)
+        def dense():
+            return Matrix(
+                [[gauss(rng.randint(1, 9), rng.randint(-9, 9)) for _ in range(8)] for _ in range(8)]
+            )
+
+        left, right = dense(), dense()
+        tracemalloc.start()
+        try:
+            result = pf.det_cauchy_binet_sum(left, right)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.value == pf.det_exact(mat_add(left, right))
+        # n + 1 tables per side, not the 2^n row subsets' tables at once
+        assert peak < 500_000
 
     def test_matches_expansion_on_dense_random(self):
         rng = random.Random(18)
@@ -568,6 +595,34 @@ class TestCauchyBinet:
             )
             expected = naive_det_expansion(mat_add(left, right))
             assert pf.det_cauchy_binet_sum(left, right).value == expected
+
+
+_NONZERO_SCALARS = st.builds(
+    lambda p, q, r, s: gauss(Fraction(p, q), Fraction(r, s)),
+    st.integers(-3, 3), st.integers(1, 4), st.integers(-3, 3), st.integers(1, 3),
+).filter(bool)
+
+
+@st.composite
+def minor_expansion_pairs(draw):
+    """Two n x n matrices, n <= 6, dense or sparse, some rows zeroed."""
+    n = draw(st.integers(1, 6))
+    entry = _NONZERO_SCALARS if draw(st.booleans()) else st.one_of(st.just(ZERO), _NONZERO_SCALARS)
+    pair = []
+    for _ in range(2):
+        zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2))
+        rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+        pair.append(Matrix([[ZERO] * n if i in zero_rows else row for i, row in enumerate(rows)]))
+    return pair
+
+
+@given(minor_expansion_pairs())
+@settings(max_examples=150, deadline=None)
+def test_minor_expansion_matches_elimination(pair):
+    left, right = pair
+    result = pf.det_cauchy_binet_sum(left, right)
+    assert result.value == pf.det_exact(mat_add(left, right))
+    assert result.term_count == comb(2 * left.rows, left.rows)
 
 
 class TestDetRouteIndependence:
@@ -1500,6 +1555,36 @@ class TestTableDomain:
     @pytest.mark.parametrize("text", ["stab:3@3", "gens:(1 2)@3", "cyclic:(1 2)@3"])
     def test_covered_groups_agree_across_routes(self, text):
         chi = self.swap_table()
+        group = parse_group(text)
+        a, b = gauss(2), gauss(-1, 3)
+        s3 = [Permutation(images) for images in itertools.permutations((1, 2, 3))]
+        for theta, tau in itertools.product(s3, repeat=2):
+            expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
+            assert pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value == expected
+            assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected
+
+
+class TestCyclicRootDomain:
+    """A cyclic-root character on a group that is not inside <generator>
+    is refused, whichever terms would vanish."""
+
+    @pytest.mark.parametrize("text", ["S3", "stab:1@3"])
+    @pytest.mark.parametrize("theta", ["id", "(1 2 3)"])
+    def test_routes_refuse_a_group_outside_the_generator(self, text, theta):
+        chi = CyclicRootCharacter(P("(1 2)", 3))
+        group = parse_group(text)
+        theta, tau = P(theta, 3), P("(1 2)", 3)
+        calls = [
+            lambda: pf.gmf_naive(linear_sum(ONE, ONE, theta, tau), group, chi),
+            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, group, chi),
+        ]
+        for call in calls:
+            with pytest.raises(CharacterDomainError, match=f"{group} is not inside"):
+                call()
+
+    @pytest.mark.parametrize("text", ["stab:3@3", "cyclic:(1 2)@3"])
+    def test_covered_groups_agree_across_routes(self, text):
+        chi = CyclicRootCharacter(P("(1 2)", 3))
         group = parse_group(text)
         a, b = gauss(2), gauss(-1, 3)
         s3 = [Permutation(images) for images in itertools.permutations((1, 2, 3))]

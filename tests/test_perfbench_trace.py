@@ -80,12 +80,12 @@ def test_traced_fast_routes_match_their_checks(monkeypatch):
 
 def test_traced_minor_expansion_and_naive_match_their_checks(monkeypatch):
     # fast_routes reaches neither det_cauchy_binet_sum nor gmf_naive; the
-    # warm_oracles requests up to n = 7 reach both, sparse and dense
+    # warm_oracles requests reach both, sparse and dense
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    requests = [req for req in workloads.warm_oracles(1) if req.n <= 7]
-    assert len(requests) == 24
+    requests = workloads.warm_oracles(1)
+    assert len(requests) == 47
     assert {req.route.split(":")[1] for req in requests} == {"naive", "cauchy-binet"}
     assert not check_traced(requests)
 
