@@ -8,9 +8,11 @@ permanent (S_n, trivial), immanants (S_n, irreducible chi).
 Routes provided, all exact unless stated otherwise:
 
 * naive summation of the defining formula: for the trivial and sign
-  characters on S_n, A_n and pointwise stabilizers by parity over the
-  sets of columns the rows use, building no permutation; otherwise
-  visiting only the permutations whose entry product is nonzero;
+  characters on S_n, A_n and pointwise stabilizers as a determinant or
+  permanent folded row by row over column sets by Laplace steps (A_n
+  their mean, a stabilizer S_n with zeroed entries), building no
+  permutation; otherwise visiting only the permutations whose entry
+  product is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, which sums only the
   2^r permutations that agree pointwise with theta or tau; on S_n, A_n
   and pointwise stabilizers (a stabilizer as S_n with the coefficients
@@ -18,8 +20,9 @@ Routes provided, all exact unless stated otherwise:
   product over the cycles for the trivial and sign characters, and sums
   it by cycle type, orbit by orbit of <theta, tau>, for the irreducible
   characters; every case adds Gaussian integers over one denominator;
-* closed forms for determinant and permanent straight from the cycle
-  structure of theta^-1*tau;
+* closed forms for determinant and permanent of a*P_theta + b*P_tau:
+  the structured route's O(r) product over the cycles of theta^-1*tau
+  on S_n;
 * a minor-expansion oracle for det(A+B) over all complementary index
   pairs: a depth-first walk gives each row to A or to B and extends
   that side's table of minors by one Laplace step, so each minor is
@@ -36,6 +39,7 @@ Routes provided, all exact unless stated otherwise:
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -177,7 +181,7 @@ def gmf_naive(
 
 # groups whose membership, and characters whose value, a permutation's
 # parity decides: cycle by cycle for a mixture, column by column in the
-# naive sum (a stabilizer there as S_m on the points it moves)
+# naive sum (a stabilizer in both as S_n with zeroed entries)
 _PARITY_GROUPS = (SymmetricGroup, AlternatingGroup)
 _PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
 _COLUMN_SET_GROUPS = (*_PARITY_GROUPS, PointwiseStabilizer)
@@ -187,27 +191,29 @@ def _parity_naive(pre, pim, group: GroupSpec, chi: CharacterSpec):
     """The naive sum, as a Gaussian integer (re, im), for the groups of
     _COLUMN_SET_GROUPS and the characters of _PARITY_CHARACTERS.
 
-    A stabilizer's members fix its points and permute the others freely,
-    so the sum is the product of the fixed points' diagonal entries times
-    the S_m sum over the free block: the rows and columns of the m points
-    it moves.  A member's sign is that of its action on the free block.
+    The determinant folds _laplace_step over the rows' entries; the
+    permanent folds the same entries with no used column counted above
+    any placement, so no sign flips.  S_n with sign takes the first,
+    with trivial the second, and A_n their mean: the even permutations
+    count twice and the odd cancel.  A stabilizer is S_n with the
+    off-diagonal entries in its points' rows and columns zeroed, so
+    every permutation moving one of them weighs zero.
     """
-    fixed = group.points if isinstance(group, PointwiseStabilizer) else frozenset()
-    re, im = 1, 0
-    for p in fixed:
-        er, ei = pre[p - 1][p - 1], pim[p - 1][p - 1]
-        re, im = re * er - im * ei, re * ei + im * er
-    free = [k for k in range(len(pre)) if k + 1 not in fixed]
-    even_re, even_im, odd_re, odd_im = _column_set_sums(
-        [[pre[i][j] for j in free] for i in free], [[pim[i][j] for j in free] for i in free]
-    )
-    if isinstance(group, AlternatingGroup):
-        sr, si = even_re, even_im
-    elif isinstance(chi, SignCharacter):
-        sr, si = even_re - odd_re, even_im - odd_im
-    else:
-        sr, si = even_re + odd_re, even_im + odd_im
-    return re * sr - im * si, re * si + im * sr
+    rows = list(map(_row_entries, pre, pim))
+    if isinstance(group, PointwiseStabilizer):
+        fixed = sum(1 << (p - 1) for p in group.points)
+        rows = [
+            [entry for entry in row if entry[0] == 1 << i or not (entry[0] | 1 << i) & fixed]
+            for i, row in enumerate(rows)
+        ]
+    alternating = isinstance(group, AlternatingGroup)
+    if isinstance(chi, SignCharacter) and not alternating:
+        return _fold(rows)
+    per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in rows])
+    if not alternating:
+        return per
+    det = _fold(rows)
+    return (per[0] + det[0]) // 2, (per[1] + det[1]) // 2
 
 
 def _row_entries(row_re, row_im) -> list:
@@ -217,34 +223,35 @@ def _row_entries(row_re, row_im) -> list:
     ]
 
 
-def _column_set_sums(pre, pim):
-    """Entry products over S_m split by parity: (even re, even im, odd re, odd im).
+def _fold(rows):
+    """The determinant (re, im) of m rows of entries from _row_entries, or the
+    permanent when every entry's bits above are 0, by one Laplace step per
+    row: the subset sums behind Ryser's permanent formula (Ryser 1963), at
+    most m * 2^(m-1) steps instead of m! products."""
+    return functools.reduce(_laplace_step, rows, {0: (1, 0)}).get((1 << len(rows)) - 1, (0, 0))
 
-    Rows are placed in order, each in turn in every unused column with a
-    nonzero entry.  The permutations that have placed the first rows in
-    the same set of columns share one state, keyed by that set's bitmask
-    (the subset sums behind Ryser's permanent formula, Ryser 1963), so
-    the work is at most m * 2^(m-1) steps instead of m! products.
-    Placing a row in column j adds one inversion for each used column
-    above j, so it flips the parity when their number is odd.
+
+def _laplace_step(table, entries):
+    """Extend a minor table by one row along its Laplace expansion.
+
+    ``table`` maps the column mask of each minor over the rows placed so
+    far to its determinant (re, im); ``entries`` are the new row's
+    nonzero entries from _row_entries.  The new row is the last of the
+    minor, so placing it in column j adds one inversion for each used
+    column above j.  Returns the table over the rows placed so far plus
+    the new one, empty when every such minor vanishes.
     """
-    states = {0: (1, 0, 0, 0)}
-    for entries in map(_row_entries, pre, pim):
-        placed = {}
-        for used, (pr, pi, qr, qi) in states.items():
-            for bit, above, er, ei in entries:
-                if used & bit:
-                    continue
-                even = pr * er - pi * ei, pr * ei + pi * er
-                odd = qr * er - qi * ei, qr * ei + qi * er
-                if (used & above).bit_count() & 1:
-                    even, odd = odd, even
-                acc = placed.get(used | bit, (0, 0, 0, 0))
-                placed[used | bit] = (
-                    acc[0] + even[0], acc[1] + even[1], acc[2] + odd[0], acc[3] + odd[1]
-                )
-        states = placed
-    return states.get((1 << len(pre)) - 1, (0, 0, 0, 0))
+    extended = {}
+    for used, (pr, pi) in table.items():
+        for bit, above, er, ei in entries:
+            if used & bit:
+                continue
+            re, im = pr * er - pi * ei, pr * ei + pi * er
+            if (used & above).bit_count() & 1:
+                re, im = -re, -im
+            acc = extended.get(used | bit)
+            extended[used | bit] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+    return extended
 
 
 def _value_sums(value, weighted):
@@ -559,72 +566,34 @@ def gmf_linear_sum(
     return GmfResult(value, Method.FORMULA, terms)
 
 
-def _closed_form(
-    a: GaussianRational,
-    b: GaussianRational,
-    theta: Permutation,
-    tau: Permutation,
-    signed: bool,
-) -> GmfResult:
-    cs = cycle_structure(compose(theta.inverse(), tau))
-    value = (a + b) ** cs.fixed_count
-    if value.is_zero():
-        return GmfResult(ZERO, Method.CLOSED_FORM, 0)
-    for length in cs.lengths:
-        if signed:
-            value = value * (a**length - (-b) ** length)
-        else:
-            value = value * (a**length + b**length)
-    if signed and theta.sign() < 0:
-        value = -value
-    # each cycle picks a^l or b^l; only a nonzero coefficient gives a nonzero monomial
-    terms = (bool(a) + bool(b)) ** len(cs.lengths)
-    return GmfResult(value, Method.CLOSED_FORM, terms)
-
-
 def det_linear_sum(
     a: GaussianRational, b: GaussianRational, theta: Permutation, tau: Permutation
 ) -> GmfResult:
     """det(a*P_theta + b*P_tau) from the cycle structure of theta^-1*tau alone.
 
     The value is sign(theta) * (a+b)^F * prod over the cycles of
-    (a^l - (-b)^l), F the fixed-point count and l the cycle length.
+    (a^l - (-b)^l), F the fixed-point count and l the cycle length: the
+    mixture sum's parity product on S_n with the sign character.
     """
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    return _closed_form(a, b, theta, tau, signed=True)
+    n = theta.degree
+    value, terms = _mixture_sum(theta, tau, [a] * n, [b] * n, SymmetricGroup(n), SignCharacter())
+    return GmfResult(value, Method.CLOSED_FORM, terms)
 
 
 def per_linear_sum(
     a: GaussianRational, b: GaussianRational, theta: Permutation, tau: Permutation
 ) -> GmfResult:
-    """per(a*P_theta + b*P_tau) = (a+b)^F * prod over the cycles of (a^l + b^l)."""
+    """per(a*P_theta + b*P_tau) = (a+b)^F * prod over the cycles of (a^l + b^l).
+
+    The mixture sum's parity product on S_n with the trivial character.
+    """
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    return _closed_form(a, b, theta, tau, signed=False)
-
-
-def _laplace_step(table, entries):
-    """Extend a minor table by one row along its Laplace expansion.
-
-    ``table`` maps the column mask of each minor over the rows placed so
-    far to its determinant (re, im); ``entries`` are the new row's
-    nonzero entries from _row_entries.  The new row is the last of the
-    minor, so placing it in column j adds one inversion for each used
-    column above j.  Returns the table over the rows placed so far plus
-    the new one, empty when every such minor vanishes.
-    """
-    extended = {}
-    for used, (pr, pi) in table.items():
-        for bit, above, er, ei in entries:
-            if used & bit:
-                continue
-            re, im = pr * er - pi * ei, pr * ei + pi * er
-            if (used & above).bit_count() & 1:
-                re, im = -re, -im
-            acc = extended.get(used | bit)
-            extended[used | bit] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-    return extended
+    n = theta.degree
+    value, terms = _mixture_sum(theta, tau, [a] * n, [b] * n, SymmetricGroup(n), TrivialCharacter())
+    return GmfResult(value, Method.CLOSED_FORM, terms)
 
 
 def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
@@ -1054,5 +1023,4 @@ def term_counts(theta: Permutation, tau: Permutation, group: GroupSpec) -> TermC
     # unit coefficients give every mixture a nonzero entry product, so the
     # term count is the number of in-group mixtures
     _, in_group = _mixture_sum(theta, tau, [ONE] * n, [ONE] * n, group, TrivialCharacter())
-    minor_pairs = sum(comb(n, k) ** 2 for k in range(n + 1))
-    return TermCounts(group.order(), in_group, minor_pairs)
+    return TermCounts(group.order(), in_group, comb(2 * n, n))

@@ -269,8 +269,14 @@ class BlockSpec:
                 return gauss(v)
             raise ParseError(f"bad scalar in block spec: {v!r}")
 
+        def size(key) -> int:
+            v = obj[key]
+            if type(v) is not int or v < 1:
+                raise ParseError(f"block spec {key!r} must be a positive integer, got {v!r}")
+            return v
+
         try:
-            m, n = int(obj["m"]), int(obj["n"])
+            m, n = size("m"), size("n")
             return cls(
                 m=m,
                 n=n,

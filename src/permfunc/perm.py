@@ -28,6 +28,8 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.images)
+        if not n:
+            raise ValueError("degree must be positive")
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [1..{n}]: {self.images}")
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import permfunc as pf
-from permfunc.gaussian import GaussianRational, ZERO, gauss
+from permfunc.gaussian import GaussianRational, ONE, ZERO, gauss
 
 
 def rand_perm(rng: random.Random, n: int) -> pf.Permutation:
@@ -93,6 +93,37 @@ def brute_gmf(matrix: pf.Matrix, group, chi) -> GaussianRational:
             product = product * matrix.entry(i, sigma(i))
         total = total + product
     return total
+
+
+def cycle_lengths(images) -> list[int]:
+    """Cycle lengths of the permutation with these 1-based images, fixed points as 1s."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length, p = 0, start
+        while not seen[p]:
+            seen[p] = True
+            p = images[p] - 1
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def linear_sum_det_per(a, b, theta: pf.Permutation, tau: pf.Permutation):
+    """(det, per) of a*P_theta + b*P_tau by the paper's product forms.
+
+    With l over the cycle lengths of theta^-1*tau, a fixed point a cycle
+    of length 1: det = sign(theta) * prod (a^l - (-b)^l) and
+    per = prod (a^l + b^l).  The cycles are traced here from the images.
+    """
+    preimage = {v: i + 1 for i, v in enumerate(theta.images)}
+    det = gauss((-1) ** sum(length - 1 for length in cycle_lengths(theta.images)))
+    per = ONE
+    for length in cycle_lengths([preimage[v] for v in tau.images]):
+        det = det * (a**length - (-b) ** length)
+        per = per * (a**length + b**length)
+    return det, per
 
 
 def is_hermitian(matrix: pf.Matrix) -> bool:

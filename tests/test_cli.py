@@ -307,16 +307,29 @@ def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
         assert repr(argv[argv.index("--group") + 1]) in proc.stderr
 
 
-def test_zero_denominator_in_block_spec(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"a": ["1/0", "2"]}, "1/0"),
+        ({"m": 1.5}, "'m'"),
+        ({"n": 2.9}, "'n'"),
+        ({"m": True}, "'m'"),
+        ({"n": "2"}, "'n'"),
+        ({"m": 0}, "'m'"),
+    ],
+    ids=["zero-denominator", "fractional-m", "fractional-n", "bool-m", "string-n", "zero-m"],
+)
+def test_zero_denominator_in_block_spec(tmp_path, capsys, change, named):
+    # a bad scalar, or a block size that is not a positive JSON integer, exits 2 naming it
     spec = {
         "m": 1, "n": 2, "theta": "id", "tau": "(1 2)", "inner_thetas": ["id", "id"],
-        "inner_taus": ["id", "id"], "a": ["1/0", "2"], "b": ["1", "1"],
+        "inner_taus": ["id", "id"], "a": ["1", "2"], "b": ["1", "1"], **change,
     }
     path = tmp_path / "block.json"
     path.write_text(json.dumps(spec))
     code, _, err = run(capsys, "block-gmf", "--spec", str(path), "--character", "trivial")
     assert code == 2
-    assert "1/0" in err
+    assert named in err
 
 
 def test_domain_error_exit_code(capsys):

@@ -53,6 +53,8 @@ from permfunc.matrices import (
 from permfunc.perm import Permutation, compose, cycle_structure, parse_permutation
 from support import (
     brute_gmf,
+    cycle_lengths,
+    linear_sum_det_per,
     naive_det_expansion,
     rand_involution,
     rand_perm,
@@ -225,7 +227,8 @@ class TestNaive:
 
     def test_stabilizer_sums_its_free_block(self, monkeypatch):
         # 24 points, 16 of them fixed: the fixed diagonal times the 8x8 block
-        # of the points the stabilizer moves, which is all the sums see
+        # of the points the stabilizer moves, whose column sets are all the
+        # Laplace tables hold
         rng = random.Random(6101)
         n = 24
         fixed = frozenset(rng.sample(range(1, n + 1), 16))
@@ -248,18 +251,22 @@ class TestNaive:
         permanent = gauss(Fraction(per_re, den**8), Fraction(per_im, den**8))
         sizes = []
 
-        def recorded(pre, pim):
-            sizes.append((len(pre), {len(row) for row in pre}))
-            return column_set_sums(pre, pim)
+        def recorded(table, entries):
+            extended = step(table, entries)
+            sizes.append(len(extended))
+            return extended
 
-        column_set_sums = engine._column_set_sums
-        monkeypatch.setattr(engine, "_column_set_sums", recorded)
+        step = engine._laplace_step
+        monkeypatch.setattr(engine, "_laplace_step", recorded)
         group = PointwiseStabilizer(n, fixed)
         for chi, value in ((SignCharacter(), pf.det_exact(block)), (TrivialCharacter(), permanent)):
+            sizes.clear()
             result = pf.gmf_naive(matrix, group, chi)
             assert result.value == diagonal * value
             assert result.term_count == math.factorial(8)
-        assert sizes == [(8, {8}), (8, {8})]
+            # the free rows fill C(8, k) sets of free columns; a fixed row adds its own bit
+            assert max(sizes) <= comb(8, 4)
+            assert sum(sizes) <= 8 * 2**7
 
     def test_partly_sparse_matches_brute_force(self):
         # Row supports of one to n entries take the naive route through both
@@ -597,10 +604,11 @@ class TestCauchyBinet:
             assert pf.det_cauchy_binet_sum(left, right).value == expected
 
 
-_NONZERO_SCALARS = st.builds(
+_SCALARS = st.builds(
     lambda p, q, r, s: gauss(Fraction(p, q), Fraction(r, s)),
     st.integers(-3, 3), st.integers(1, 4), st.integers(-3, 3), st.integers(1, 3),
-).filter(bool)
+)
+_NONZERO_SCALARS = _SCALARS.filter(bool)
 
 
 @st.composite
@@ -1126,6 +1134,21 @@ def draw_scalars(rng):
     return a, b, kind
 
 
+@st.composite
+def closed_form_instances(draw):
+    """(a, b, theta, tau), n <= 40, with a = 0, b = 0 and b = -a each drawn
+    often, and theta^-1*tau moving a drawn subset of the points."""
+    n = draw(st.one_of(st.integers(1, 6), st.integers(7, 40)))
+    a = draw(st.one_of(st.just(ZERO), _SCALARS))
+    b = draw(st.one_of(st.just(ZERO), st.just(-a), _SCALARS))
+    theta = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    moved = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
+    rho = list(range(1, n + 1))
+    for p, q in zip(moved, draw(st.permutations(moved))):
+        rho[p - 1] = q
+    return a, b, theta, compose(theta, Permutation(tuple(rho)))
+
+
 def parity_groups(rng, n):
     points = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
     return [SymmetricGroup(n), AlternatingGroup(n), PointwiseStabilizer(n, points)]
@@ -1230,21 +1253,24 @@ class TestParityProduct:
                 self.check_routes(lambda g, chi: pf.gmf_block(spec, g, chi), group, product_calls)
         assert product_calls
 
-    def test_det_and_per_closed_forms(self):
-        rng = random.Random(5353)
-        for _ in range(200):
-            n = rng.randint(1, 7)
-            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
-            a, b, _ = draw_scalars(rng)
-            group = SymmetricGroup(n)
-            for chi, closed in (
-                (SignCharacter(), pf.det_linear_sum),
-                (TrivialCharacter(), pf.per_linear_sum),
-            ):
-                fast = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
-                expected = closed(a, b, theta, tau)
-                assert fast.value == expected.value
-                assert fast.term_count == expected.term_count
+    @given(closed_form_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_det_and_per_closed_forms(self, instance):
+        a, b, theta, tau = instance
+        n = theta.degree
+        det, per = pf.det_linear_sum(a, b, theta, tau), pf.per_linear_sum(a, b, theta, tau)
+        assert (det.value, per.value) == linear_sum_det_per(a, b, theta, tau)
+        matrix = linear_sum(a, b, theta, tau)
+        assert det.value == pf.det_exact(matrix)
+        if n <= 6:
+            assert det.value == brute_gmf(matrix, SymmetricGroup(n), SignCharacter())
+            assert per.value == brute_gmf(matrix, SymmetricGroup(n), TrivialCharacter())
+        lengths = cycle_lengths(compose(theta.inverse(), tau).images)
+        cycles = sum(1 for length in lengths if length > 1)
+        # each cycle takes a^l or b^l, all times (a+b)^F
+        terms = 0 if 1 in lengths and not a + b else (bool(a) + bool(b)) ** cycles
+        assert det.term_count == per.term_count == terms
+        assert det.method is per.method is pf.Method.CLOSED_FORM
 
     def test_term_counts_match_listing(self):
         rng = random.Random(5454)

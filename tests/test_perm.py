@@ -32,6 +32,12 @@ small_perms = st.integers(min_value=1, max_value=6).flatmap(
 ).map(lambda images: Permutation(tuple(images)))
 
 
+@pytest.mark.parametrize("images", [(), (1, 1), (0,), (2, 3)])
+def test_rejects_non_permutations(images):
+    with pytest.raises(ValueError, match="degree must be positive" if not images else "not a permutation"):
+        Permutation(images)
+
+
 class TestCompose:
     def test_involution_squared(self):
         swap = P("(1 2)", 2)
