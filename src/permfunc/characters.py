@@ -138,10 +138,6 @@ class CharacterSpec:
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         raise NotImplementedError
 
-    def conjugate_evaluate(self, sigma: Permutation) -> GaussianRational:
-        """Value at the inverse element (the conjugate character)."""
-        return self.evaluate(sigma.inverse())
-
     def evaluate_float(self, sigma: Permutation) -> complex:
         v = self.evaluate(sigma)
         return complex(v.re, v.im)
@@ -172,9 +168,6 @@ class TrivialCharacter(CharacterSpec):
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         return ONE
 
-    # sigma and its inverse share a cycle type, which decides the value
-    conjugate_evaluate = evaluate
-
     def degree(self) -> int:
         return 1
 
@@ -186,8 +179,6 @@ class TrivialCharacter(CharacterSpec):
 class SignCharacter(CharacterSpec):
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         return ONE if sigma.sign() > 0 else _MINUS_ONE
-
-    conjugate_evaluate = evaluate
 
     def degree(self) -> int:
         return 1
@@ -214,8 +205,6 @@ class IrreducibleCharacter(CharacterSpec):
 
     def evaluate(self, sigma: Permutation) -> GaussianRational:
         return _gauss_int(self.class_value(cycle_structure(sigma).full_type()))
-
-    conjugate_evaluate = evaluate
 
     def degree(self) -> int:
         return hook_length_degree(self.partition.parts)
@@ -343,7 +332,7 @@ class CyclicRootCharacter(CharacterSpec):
         return f"cyclic-root:{self.generator}^{self.index}"
 
 
-_IRR_RE = _re.compile(r"^irr:\[([\d,\s]*)\]$")
+_IRR_RE = _re.compile(r"^irr:\[([0-9,\s]*)\]$")
 
 
 def parse_character(text: str, degree: int | None = None) -> CharacterSpec:

@@ -12,7 +12,6 @@ import json
 import statistics
 import sys
 import time
-from fractions import Fraction
 
 from . import engine
 from .characters import CharacterSpec, SignCharacter, TrivialCharacter, parse_character
@@ -20,7 +19,7 @@ from .errors import ParseError, PermfuncError
 from .gaussian import GaussianRational
 from .groups import GroupSpec, SymmetricGroup, parse_group
 from .matrices import BlockSpec, block_matrix, linear_sum, perm_matrix, psd_classify, scalar_mul
-from .perm import format_permutation, mixtures, parse_permutation
+from .perm import format_permutation, mixtures, parse_int, parse_permutation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,6 +45,14 @@ def _merge_scalar_flags(argv: list[str]) -> list[str]:
     return out
 
 
+def _integer(text: str) -> int:
+    """An integer flag, in ASCII digits as everywhere else."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise ParseError(f"bad integer {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permfunc",
@@ -54,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p, scalars=True):
-        p.add_argument("--n", type=int, required=True, help="degree of the point set")
+        p.add_argument("--n", type=_integer, required=True, help="degree of the point set")
         p.add_argument("--theta", required=True, help='cycle notation, e.g. "(1 5 3)(2 6)"')
         p.add_argument("--tau", required=True, help="cycle notation")
         if scalars:
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("s-det", help="closed-form determinant of the symmetric companion")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--json", action="store_true")
 
@@ -102,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_flags(p)
 
     p = sub.add_parser("dominance", help="permanent dominance check on k*I + m*P_pi")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", required=True, help="real rational")
-    p.add_argument("--m", required=True, help="real rational")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", required=True, help="real scalar literal, e.g. 3/2")
+    p.add_argument("--m", required=True, help="real scalar literal")
     p.add_argument("--pi", required=True, help="involution in cycle notation")
     p.add_argument("--character", required=True)
     p.add_argument("--json", action="store_true")
@@ -121,16 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare evaluation routes")
     add_instance_flags(p)
-    p.add_argument("--reps", type=int, default=3, help="repetitions per timing")
+    p.add_argument("--reps", type=_integer, default=3, help="repetitions per timing")
 
     return parser
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal: {text!r}") from exc
 
 
 def _instance(args):
@@ -249,9 +249,10 @@ def _cmd_singvals(args) -> int:
 def _cmd_dominance(args) -> int:
     pi = parse_permutation(args.pi, args.n)
     chi = parse_character(args.character, args.n)
-    report = engine.check_dominance(
-        _parse_rational(args.k), _parse_rational(args.m), pi, chi
-    )
+    k, m = GaussianRational.parse(args.k), GaussianRational.parse(args.m)
+    if k.im or m.im:
+        raise ParseError(f"--k and --m must be real, got {args.k!r} and {args.m!r}")
+    report = engine.check_dominance(k.re, m.re, pi, chi)
     relation = "<=" if report.holds else ">"
     text = f"{report.lhs} {relation} {report.rhs}: {'holds' if report.holds else 'VIOLATED'}"
     return _emit(args, report.to_json(), text, EXIT_OK if report.holds else EXIT_CHECK)
@@ -324,8 +325,9 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(_merge_scalar_flags(raw))
     try:
+        # an integer flag's type raises ParseError, which argparse lets through
+        args = parser.parse_args(_merge_scalar_flags(raw))
         return _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -13,13 +13,17 @@ Routes provided, all exact unless stated otherwise:
   their mean, a stabilizer S_n with zeroed entries), building no
   permutation; otherwise visiting only the permutations whose entry
   product is nonzero;
-* the structured fast route for a*P_theta + b*P_tau, which sums only the
-  2^r permutations that agree pointwise with theta or tau; on S_n, A_n
-  and pointwise stabilizers (a stabilizer as S_n with the coefficients
-  that move its points zeroed) it multiplies that sum out as an O(r)
-  product over the cycles for the trivial and sign characters, and sums
-  it by cycle type, orbit by orbit of <theta, tau>, for the irreducible
-  characters; every case adds Gaussian integers over one denominator;
+* the structured fast route for a*P_theta + b*P_tau, whose row x holds
+  a in column theta^-1(x) and b in column tau^-1(x): it sums only the
+  2^r permutations that agree pointwise with theta^-1 or tau^-1, each
+  weighed by its own entry product and chi at itself; on S_n, A_n and
+  pointwise stabilizers (a stabilizer as S_n with the coefficients that
+  move its points zeroed) it multiplies that sum out as an O(r) product
+  over the cycles for the trivial and sign characters, and sums it by
+  cycle type, orbit by orbit of <theta, tau>, for the irreducible
+  characters; otherwise it walks the mixtures with perm.walk_mixtures,
+  which never enters a choice of zero weight; every case adds Gaussian
+  integers over one denominator;
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
   the structured route's O(r) product over the cycles of theta^-1*tau
   on S_n;
@@ -78,7 +82,7 @@ from .perm import (
     compose,
     cycle_structure,
     disjoint_cycles,
-    mixture_images,
+    walk_mixtures,
 )
 from . import kernels
 
@@ -283,17 +287,6 @@ def _gaussian_integers(factors):
     return [tuple((int(z.re * den), int(z.im * den)) for z in pair) for pair in factors], den
 
 
-def _subset_products(factors) -> list:
-    """One (re, im) product per bitmask over the (a_c, b_c) pairs of (re, im) pairs:
-    b_c where the bit is set, else a_c."""
-    products = [(1, 0)]
-    for (ar, ai), (br, bi) in factors:
-        products = [(pr * ar - pi * ai, pr * ai + pi * ar) for pr, pi in products] + [
-            (pr * br - pi * bi, pr * bi + pi * br) for pr, pi in products
-        ]
-    return products
-
-
 def _times(x, y):
     """Product of two (re, im, count) triples: Gaussian integers times, counts times."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] * y[2]
@@ -349,47 +342,32 @@ def _orbit_classes(orbit, alpha, beta, moves) -> dict:
     """Cycle type on one orbit -> [re, im, count] over the orbit's mixtures.
 
     ``moves`` holds the orbit's cycles of alpha^-1*beta with their
-    (a_c, b_c) Gaussian-integer pairs.  The 2^(r_O) choices are walked
-    depth first on one image list, a cycle at a time; a choice whose
-    factor is zero is not entered, so every mixture reached has a nonzero
-    weight and counts once.
+    (a_c, b_c) Gaussian-integer pairs.  The mixtures are walked on the
+    orbit's points, renumbered from 0 (so from 1 in the cycles the walk
+    reads); the walk skips every choice whose factor is zero, so each
+    mixture reached has a nonzero weight and counts once.
     """
     where = {p: i for i, p in enumerate(orbit)}
     from_alpha = [where[alpha.images[p] - 1] for p in orbit]
     from_beta = [where[beta.images[p] - 1] for p in orbit]
-    choices = [
-        ([where[p - 1] for p in cycle], ((from_alpha, a_c), (from_beta, b_c)))
-        for cycle, (a_c, b_c) in moves
-    ]
-    images = list(from_alpha)
+    cycles = [[where[p - 1] + 1 for p in cycle] for cycle, _ in moves]
     size = len(orbit)
     classes = {}
-
-    def visit(j, re, im):
-        if j == len(choices):
-            seen = [False] * size
-            lengths = []
-            for start in range(size):
-                length, p = 0, start
-                while not seen[p]:
-                    seen[p] = True
-                    p = images[p]
-                    length += 1
-                if length:
-                    lengths.append(length)
-            acc = classes.setdefault(tuple(sorted(lengths, reverse=True)), [0, 0, 0])
-            acc[0] += re
-            acc[1] += im
-            acc[2] += 1
-            return
-        points, options = choices[j]
-        for source, (fr, fi) in options:
-            if fr or fi:
-                for p in points:
-                    images[p] = source[p]
-                visit(j + 1, re * fr - im * fi, re * fi + im * fr)
-
-    visit(0, 1, 0)
+    for images, re, im in walk_mixtures(from_alpha, from_beta, cycles, [f for _, f in moves]):
+        seen = [False] * size
+        lengths = []
+        for start in range(size):
+            length, p = 0, start
+            while not seen[p]:
+                seen[p] = True
+                p = images[p]
+                length += 1
+            if length:
+                lengths.append(length)
+        acc = classes.setdefault(tuple(sorted(lengths, reverse=True)), [0, 0, 0])
+        acc[0] += re
+        acc[1] += im
+        acc[2] += 1
     return classes
 
 
@@ -450,56 +428,43 @@ def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCh
     return sum_re, sum_im, terms
 
 
-def _walk(alpha, beta, pairs, group: GroupSpec):
-    """Yield (sigma, re, im) for each in-group mixture with a nonzero (re, im) weight.
+def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
+    """Yield (pi, re, im) for each in-group mixture with a nonzero (re, im) weight.
 
-    ``pairs`` holds the (a_c, b_c) factors as (re, im) pairs.  Membership
-    is tested on image tuples; only the yielded members become
-    Permutations.
+    ``pairs`` holds the (a_c, b_c) factors of ``cycles`` as (re, im)
+    pairs.  Membership is tested on image tuples; only the yielded
+    members become Permutations.
     """
-    # mixture_images walks by increasing bitmask of the cycles taken from
-    # beta (and refuses a walk over the cap before the tables are built);
-    # the product over each half of the cycles is tabulated once, so a
-    # mixture's weight costs one multiplication
-    members = (
-        (mask, images)
-        for mask, images in enumerate(mixture_images(alpha, beta))
-        if group.contains_images(images)
-    )
-    half = len(pairs) // 2
-    low = _subset_products(pairs[:half])
-    high = _subset_products(pairs[half:])
-    for mask, images in members:
-        lr, li = low[mask & ((1 << half) - 1)]
-        hr, hi = high[mask >> half]
-        re, im = lr * hr - li * hi, lr * hi + li * hr
-        if re or im:
-            yield Permutation(images), re, im
+    for images, re, im in walk_mixtures(alpha.images, beta.images, cycles, pairs):
+        member = tuple(images)
+        if group.contains_images(member):
+            yield Permutation(member), re, im
 
 
 def _mixture_sum(
     alpha, beta, coeff_a, coeff_b, group: GroupSpec, chi: CharacterSpec, floating=False
 ):
-    """Sum conj-chi(sigma) times the entry product over the mixtures of alpha and beta.
+    """Sum chi(pi) times the entry product over the mixtures pi of alpha and beta.
 
-    Column y carries coeff_a[y-1] in row alpha(y) and coeff_b[y-1] in row
-    beta(y).  A mixture sigma of alpha and beta takes each cycle of
-    alpha^-1*beta from alpha or from beta, so its entry product is the
-    prefactor, the product of coeff_a + coeff_b over the fixed points,
-    times one factor per cycle: the product of coeff_b over the cycle if
-    sigma takes it from beta, else that of coeff_a.  Returns the total
-    over the in-group mixtures and the number of them with a nonzero
-    entry product; a zero prefactor gives zero with no terms.  A
-    pointwise stabilizer becomes S_n with a zero coefficient wherever alpha
-    or beta moves a stabilized point, so every mixture outside it weighs
-    zero.  The factors become Gaussian integers over one denominator den,
-    and each exact route sums them as integers (re, im, terms): on S_n
-    and A_n the O(r) _parity_product for a trivial or sign character and
-    the _class_sums for an irreducible one, unless their tables would
-    exceed the cap; otherwise the walk of the 2^r mixtures, summed per
-    character value (_value_sums).  The total is prefactor / den^r times
-    that sum.  ``floating`` walks the same weights, each scaled exactly
-    before it and chi.evaluate_float are taken as complex numbers.
+    Row x carries coeff_a[x-1] in column alpha(x) and coeff_b[x-1] in
+    column beta(x), so only the mixtures have a nonzero entry product.  A
+    mixture pi takes each cycle of alpha^-1*beta from alpha or from beta,
+    so its entry product is the prefactor, the product of coeff_a +
+    coeff_b over the fixed points, times one factor per cycle: the
+    product of coeff_b over the cycle if pi takes it from beta, else that
+    of coeff_a.  Returns the total over the in-group mixtures and the
+    number of them with a nonzero entry product; a zero prefactor gives
+    zero with no terms.  A pointwise stabilizer becomes S_n with a zero
+    coefficient wherever alpha or beta moves a stabilized point, so every
+    mixture outside it weighs zero.  The factors become Gaussian integers
+    over one denominator den, and each exact route sums them as integers
+    (re, im, terms): on S_n and A_n the O(r) _parity_product for a
+    trivial or sign character and the _class_sums for an irreducible one,
+    unless their tables would exceed the cap; otherwise the walk of the
+    mixtures with a nonzero weight, summed per character value
+    (_value_sums).  The total is prefactor / den^r times that sum.
+    ``floating`` walks the same weights, each scaled exactly before it and
+    chi.evaluate_float are taken as complex numbers.
     """
     chi.check_domain(group)
     if isinstance(group, PointwiseStabilizer):
@@ -523,9 +488,9 @@ def _mixture_sum(
     scale = prefactor * Fraction(1, den ** len(pairs))
     if floating:
         total, terms = 0j, 0
-        for sigma, re, im in _walk(alpha, beta, pairs, group):
+        for pi, re, im in _walk(alpha, beta, dec.cycles, pairs, group):
             weight = scale * GaussianRational(re, im)
-            total += chi.evaluate_float(sigma.inverse()) * complex(weight.re, weight.im)
+            total += chi.evaluate_float(pi) * complex(weight.re, weight.im)
             terms += 1
         return total, terms
     summed = None
@@ -534,9 +499,16 @@ def _mixture_sum(
     elif isinstance(group, _PARITY_GROUPS) and isinstance(chi, IrreducibleCharacter):
         summed = _class_sums(alpha, beta, dec.cycles, pairs, group, chi)
     if summed is None:
-        summed = _value_sums(chi.conjugate_evaluate, _walk(alpha, beta, pairs, group))
+        summed = _value_sums(chi.evaluate, _walk(alpha, beta, dec.cycles, pairs, group))
     re, im, terms = summed
     return scale * GaussianRational(re, im), terms
+
+
+def _linear_mixture_sum(a, b, theta, tau, group, chi, floating=False):
+    """_mixture_sum for a*P_theta + b*P_tau, whose row x holds a in column
+    theta^-1(x) and b in column tau^-1(x)."""
+    n = theta.degree
+    return _mixture_sum(theta.inverse(), tau.inverse(), [a] * n, [b] * n, group, chi, floating)
 
 
 def gmf_linear_sum(
@@ -549,10 +521,11 @@ def gmf_linear_sum(
 ) -> GmfResult:
     """Fast route for a*P_theta + b*P_tau.
 
-    Only permutations agreeing pointwise with theta or tau contribute;
-    each contributes conj-chi(sigma) * a^(n-t-F) * b^t, all times
+    Row x holds a in column theta^-1(x) and b in column tau^-1(x), so
+    only permutations agreeing pointwise with theta^-1 or tau^-1
+    contribute; each contributes chi(pi) * a^(n-t-F) * b^t, all times
     (a+b)^F, where F counts the points where theta and tau agree and t
-    the points where sigma follows tau.  0^0 counts as 1, and a
+    the points where pi follows tau^-1.  0^0 counts as 1, and a
     vanishing (a+b) with F > 0 short-circuits to exact zero.
     """
     if theta.degree != tau.degree:
@@ -561,8 +534,7 @@ def gmf_linear_sum(
         raise DegreeMismatchError(
             f"permutation degree {theta.degree}, group degree {group.degree}"
         )
-    n = theta.degree
-    value, terms = _mixture_sum(theta, tau, [a] * n, [b] * n, group, chi)
+    value, terms = _linear_mixture_sum(a, b, theta, tau, group, chi)
     return GmfResult(value, Method.FORMULA, terms)
 
 
@@ -577,8 +549,8 @@ def det_linear_sum(
     """
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    n = theta.degree
-    value, terms = _mixture_sum(theta, tau, [a] * n, [b] * n, SymmetricGroup(n), SignCharacter())
+    group = SymmetricGroup(theta.degree)
+    value, terms = _linear_mixture_sum(a, b, theta, tau, group, SignCharacter())
     return GmfResult(value, Method.CLOSED_FORM, terms)
 
 
@@ -591,8 +563,8 @@ def per_linear_sum(
     """
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    n = theta.degree
-    value, terms = _mixture_sum(theta, tau, [a] * n, [b] * n, SymmetricGroup(n), TrivialCharacter())
+    group = SymmetricGroup(theta.degree)
+    value, terms = _linear_mixture_sum(a, b, theta, tau, group, TrivialCharacter())
     return GmfResult(value, Method.CLOSED_FORM, terms)
 
 
@@ -658,10 +630,9 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
     """Fast route for the block assembly described by ``spec``.
 
     With alpha, beta the induced permutations of [1..m*n], only the
-    2^r pointwise mixtures of the two contribute.  Column y carries the
-    coefficient a_j of the block row j containing alpha(y) and the
-    coefficient b_k of the block row k containing beta(y); agreement
-    points contribute (a_j + b_j) factors.
+    2^r pointwise mixtures of their inverses contribute.  Row x, in block
+    row j, carries a_j in column alpha^-1(x) and b_j in column
+    beta^-1(x); agreement points contribute (a_j + b_j) factors.
     """
     if group.degree != spec.size:
         raise DegreeMismatchError(
@@ -669,10 +640,10 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
         )
     alpha, beta = spec.induced_pair()
     value, terms = _mixture_sum(
-        alpha,
-        beta,
-        [spec.a[(row - 1) // spec.m] for row in alpha.images],
-        [spec.b[(row - 1) // spec.m] for row in beta.images],
+        alpha.inverse(),
+        beta.inverse(),
+        [spec.a[(x - 1) // spec.m] for x in range(1, spec.size + 1)],
+        [spec.b[(x - 1) // spec.m] for x in range(1, spec.size + 1)],
         group,
         chi,
     )
@@ -829,7 +800,7 @@ def check_singular_bound(
     except ExactnessError:
         # the same walk with chi's values as floats, for characters outside
         # Q(i); only the walk evaluates chi, so the prefactor is nonzero here
-        value, _ = _mixture_sum(theta, tau, [a] * n, [b] * n, group, chi, floating=True)
+        value, _ = _linear_mixture_sum(a, b, theta, tau, group, chi, floating=True)
         lhs = abs(value) ** 2
     spectrum = singular_values(a, b, theta, tau)
     rhs = sum((v * v) ** n for v in spectrum.values) / n
@@ -1022,5 +993,5 @@ def term_counts(theta: Permutation, tau: Permutation, group: GroupSpec) -> TermC
     n = theta.degree
     # unit coefficients give every mixture a nonzero entry product, so the
     # term count is the number of in-group mixtures
-    _, in_group = _mixture_sum(theta, tau, [ONE] * n, [ONE] * n, group, TrivialCharacter())
+    _, in_group = _linear_mixture_sum(ONE, ONE, theta, tau, group, TrivialCharacter())
     return TermCounts(group.order(), in_group, comb(2 * n, n))

@@ -162,7 +162,7 @@ class GaussianRational:
 
     _TERM = _re.compile(
         r"""(?P<sign>[+-]?)            # leading sign
-            (?P<num>\d+(?:/\d+)?)?     # optional rational magnitude
+            (?P<num>[0-9]+(?:/[0-9]+)?)?  # optional rational magnitude
             (?P<imag>i)?               # imaginary marker
             """,
         _re.VERBOSE,
@@ -203,13 +203,20 @@ class GaussianRational:
     def to_json(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}
 
+    _JSON_PART = _re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
+        """Read {"re": ..., "im": ...}, each part (0 when absent) a JSON
+        integer or a string "p" or "p/q" with q nonzero; no floats."""
         if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
             raise ParseError(f"bad scalar object: {obj!r}")
+        parts = [obj.get("re", 0), obj.get("im", 0)]
+        if not all(type(v) is int or type(v) is str and cls._JSON_PART.fullmatch(v) for v in parts):
+            raise ParseError(f"bad scalar object: {obj!r}")
         try:
-            return cls(Fraction(str(obj.get("re", 0))), Fraction(str(obj.get("im", 0))))
-        except (ValueError, ZeroDivisionError) as exc:
+            return cls(*map(Fraction, parts))
+        except ZeroDivisionError as exc:
             raise ParseError(f"bad scalar object: {obj!r}") from exc
 
 

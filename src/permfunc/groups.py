@@ -26,6 +26,7 @@ from .perm import (
     _list_items,
     disjoint_cycles,
     images_sign,
+    parse_int,
     parse_permutation,
     power_exponent,
 )
@@ -474,7 +475,7 @@ def enumerate_group(
     return tuple(map(Permutation, sorted(spec._generate())))
 
 
-_SYM_RE = _re.compile(r"^([SA])(\d+)$")
+_SYM_RE = _re.compile(r"^([SA])([0-9]+)$")
 
 # a comma outside parentheses: "(1,2),(1 2 3)" splits into two cycles
 _GENERATOR_SEP = _re.compile(r",(?![^(]*\))")
@@ -498,7 +499,7 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     if "@" in s:
         body, _, suffix = s.rpartition("@")
         try:
-            degree = int(suffix)
+            degree = parse_int(suffix)
         except ValueError as exc:
             raise ParseError(f"bad degree suffix in {text!r}") from exc
     if degree is None:
@@ -512,7 +513,7 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
         # "stab:@n" stabilizes no point, the whole S_n
         items = _list_items(body[len("stab:") :], ",", text)
         try:
-            points = [int(tok) for tok in items]
+            points = [parse_int(tok) for tok in items]
         except ValueError as exc:
             raise ParseError(f"bad stabilizer points in {text!r}") from exc
         repeated = [p for k, p in enumerate(points) if p in points[:k]]

@@ -4,8 +4,8 @@ Permutations are immutable; interfaces are 1-based to match the usual
 cycle notation "(1 5 3)(2 6)".  The module also walks, for a pair
 (theta, tau), the set of all permutations that agree pointwise with one
 of the two; that set has exactly 2^r elements, one per subset of the
-disjoint cycles of theta^-1 * tau, and indexes the fast evaluation of
-generalized matrix functions.
+disjoint cycles of theta^-1 * tau.  The same walk, weighed by one factor
+per cycle, drives the fast evaluation of generalized matrix functions.
 """
 
 from __future__ import annotations
@@ -224,39 +224,53 @@ def mixtures(theta: Permutation, tau: Permutation):
     theta and the last element is tau.  Raises CapacityError, before
     anything is built, when the 2^r elements exceed the enumeration cap.
     """
-    return map(Permutation, mixture_images(theta, tau))
-
-
-def mixture_images(theta: Permutation, tau: Permutation):
-    """The image tuples of mixtures(theta, tau), in the same order, under the same cap."""
     if theta.degree != tau.degree:
         raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
     cycles = disjoint_cycles(compose(theta.inverse(), tau)).cycles
+    unit = ((1, 0), (1, 0))
+    walk = walk_mixtures(theta.images, tau.images, cycles, [unit] * len(cycles))
+    return (Permutation(tuple(images)) for images, _, _ in walk)
+
+
+def walk_mixtures(alpha, beta, cycles, factors):
+    """Walk the mixtures of alpha and beta, yielding (images, re, im) for each.
+
+    ``alpha`` and ``beta`` are image sequences and ``cycles`` the cycles
+    of alpha^-1*beta (1-based), each with an (a_c, b_c) pair of Gaussian
+    integers (re, im) in ``factors``.  A mixture takes each cycle's images
+    from alpha for a_c or from beta for b_c, and weighs the product.  The
+    walk is depth first, the last cycle outermost and alpha first, so the
+    k-th mixture takes cycle j from beta exactly when bit j of k is set,
+    except that an option whose factor is zero is never entered.  Every
+    yield hands out the same list, set to the mixture's images.  Raises
+    CapacityError, before any walking, when 2^r exceeds the cap.
+    """
     if 1 << len(cycles) > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
             f"walk of 2^{len(cycles)} mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
-    # sigma = theta * cycle on the points of each cycle: point -> theta(cycle(point))
-    moves = [
-        [(p - 1, theta.images[cycle[(k + 1) % len(cycle)] - 1]) for k, p in enumerate(cycle)]
-        for cycle in cycles
+    # beta before alpha: _depth_first pushes both, so it takes alpha first
+    choices = [
+        ([p - 1 for p in cycle], ((beta, b_c), (alpha, a_c)))
+        for cycle, (a_c, b_c) in zip(cycles, factors)
     ]
-    return _walk(theta.images, moves)
+    return _depth_first(list(alpha), choices)
 
 
-def _walk(base, moves):
-    # mask differs from mask - 1 in its lowest set bit, whose cycle is
-    # switched to tau, and in the bits below it, whose cycles go back to theta
-    images = list(base)
-    yield tuple(images)
-    for mask in range(1, 1 << len(moves)):
-        low = (mask & -mask).bit_length() - 1
-        for index, image in moves[low]:
-            images[index] = image
-        for cycle in moves[:low]:
-            for index, _ in cycle:
-                images[index] = base[index]
-        yield tuple(images)
+def _depth_first(images, choices):
+    # a node: (cycles left to choose, the points it sets, their source, its weight)
+    stack = [(len(choices), (), None, 1, 0)]
+    while stack:
+        j, points, source, re, im = stack.pop()
+        for p in points:
+            images[p] = source[p]
+        if not j:
+            yield images, re, im
+            continue
+        points, options = choices[j - 1]
+        for source, (fr, fi) in options:
+            if fr or fi:
+                stack.append((j - 1, points, source, re * fr - im * fi, re * fi + im * fr))
 
 
 def x_set(theta: Permutation, tau: Permutation) -> list[Permutation]:
@@ -293,6 +307,16 @@ def disjoint_union(maps) -> Permutation:
 
 
 _CYCLE_RE = _re.compile(r"\(([^()]*)\)")
+_INTEGER_RE = _re.compile(r"-?[0-9]+")
+
+
+def parse_int(token: str) -> int:
+    """int(token) for ASCII digits only, with an optional minus sign and
+    surrounding whitespace; ValueError for anything else int() takes,
+    such as "1_0", "+3" or another script's digits."""
+    if not _INTEGER_RE.fullmatch(token.strip()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _list_items(listing: str, separator, text: str) -> list[str]:
@@ -328,7 +352,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             raise ParseError(f"bad permutation text: {text!r}")
         items = _list_items(m.group(1), ",", text)
         try:
-            cycle = [int(tok) for item in items for tok in item.split()]
+            cycle = [parse_int(tok) for item in items for tok in item.split()]
         except ValueError as exc:
             raise ParseError(f"bad cycle in {text!r}") from exc
         if len(cycle) < 1:

@@ -105,10 +105,10 @@ def test_criterion_02_reference_subgroup_value():
     expected_set = {tau, P("(2 6)", 6)}
     one, two = gauss(1), gauss(2)
     chi = TrivialCharacter()
-    # symbolic form (a+b) * (conj-chi(tau) b^5 + conj-chi((2 6)) a^2 b^3) at a=1, b=2
+    # symbolic form (a+b) * (chi(tau^-1) b^5 + chi((2 6)) a^2 b^3) at a=1, b=2
     symbolic = (one + two) * (
-        chi.conjugate_evaluate(tau) * two**5
-        + chi.conjugate_evaluate(P("(2 6)", 6)) * one**2 * two**3
+        chi.evaluate(tau.inverse()) * two**5
+        + chi.evaluate(P("(2 6)", 6).inverse()) * one**2 * two**3
     )
     fast = pf.gmf_linear_sum(one, two, theta, tau, group, chi).value
     slow = pf.gmf_naive(linear_sum(one, two, theta, tau), group, chi).value

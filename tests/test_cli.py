@@ -316,8 +316,12 @@ def test_malformed_input_exits_two_without_traceback(argv, tmp_path):
         ({"m": True}, "'m'"),
         ({"n": "2"}, "'n'"),
         ({"m": 0}, "'m'"),
+        ({"a": [{"re": 0.5}, "2"]}, "{'re': 0.5}"),
+        ({"a": [{"re": "1e2"}, "2"]}, "{'re': '1e2'}"),
+        ({"b": ["1", {"im": "1_0"}]}, "{'im': '1_0'}"),
     ],
-    ids=["zero-denominator", "fractional-m", "fractional-n", "bool-m", "string-n", "zero-m"],
+    ids=["zero-denominator", "fractional-m", "fractional-n", "bool-m", "string-n", "zero-m",
+         "float-object", "exponent-object", "underscore-object"],
 )
 def test_zero_denominator_in_block_spec(tmp_path, capsys, change, named):
     # a bad scalar, or a block size that is not a positive JSON integer, exits 2 naming it
@@ -330,6 +334,51 @@ def test_zero_denominator_in_block_spec(tmp_path, capsys, change, named):
     code, _, err = run(capsys, "block-gmf", "--spec", str(path), "--character", "trivial")
     assert code == 2
     assert named in err
+
+
+INSTANCE = ["--theta", "id", "--tau", "(1 2)"]
+GMF_N3 = ["gmf", "--n", "3", *INSTANCE]
+DOMINANCE_N2 = ["dominance", "--n", "2", "--pi", "(1 2)", "--character", "sign"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["det", "--n", "1_0", "--theta", "(1_0 2)", "--tau", "id"], "'1_0'"),
+        (["det", "--n", "10", "--theta", "(1_0 2)", "--tau", "id"], "'(1_0 2)'"),
+        (["det", "--n", "3", "--theta", "(+1 2)", "--tau", "id"], "'(+1 2)'"),
+        (["det", "--n", "\u0663", *INSTANCE], "'\u0663'"),
+        (["det", "--n", "3", *INSTANCE, "--a", "\u0661"], "'\u0661'"),
+        ([*GMF_N3, "--group", "stab:3@+3", "--character", "sign"], "'stab:3@+3'"),
+        ([*GMF_N3, "--group", "stab:+3@3", "--character", "sign"], "'stab:+3@3'"),
+        ([*GMF_N3, "--group", "S\u0663", "--character", "sign"], "'S\u0663'"),
+        ([*GMF_N3, "--group", "S3", "--character", "irr:[\u0662,\u0661]"], "'irr:[\u0662,\u0661]'"),
+        (["bench", "--n", "3", *INSTANCE, "--reps", "1_0"], "'1_0'"),
+        ([*DOMINANCE_N2, "--k", "1e1", "--m", "0.5"], "'1e1'"),
+        ([*DOMINANCE_N2, "--k", "1", "--m", "1_0"], "'1_0'"),
+        ([*DOMINANCE_N2, "--k", "1", "--m", "1i"], "'1i'"),
+    ],
+    ids=[
+        "n-underscore", "cycle-underscore", "cycle-plus", "n-arabic-indic", "scalar-arabic-indic",
+        "suffix-plus", "stab-point-plus", "symmetric-arabic-indic", "irr-arabic-indic",
+        "reps-underscore", "dominance-floats", "dominance-underscore", "dominance-imaginary",
+    ],
+)
+def test_numbers_take_ascii_digits_only(capsys, argv, named):
+    # each of these used to be read as a number (the last as an error
+    # about rational literals); now each is a parse error naming its text
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and named in err
+
+
+@pytest.mark.parametrize("part", [0.1, "1e2", "1_0"], ids=["float", "exponent", "underscore"])
+def test_table_scalars_take_integers_and_exact_text_only(tmp_path, capsys, part):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"id": {"re": part}, "(1 2)": {"re": -1}}))
+    code, out, err = run(capsys, *GMF_N3, "--group", "stab:3@3", "--character", f"table:{path}")
+    assert (code, out) == (2, "")
+    assert f"bad scalar object: {{'re': {part!r}}}" in err
 
 
 def test_domain_error_exit_code(capsys):
@@ -577,7 +626,7 @@ PINNED = {
     'block-gmf-unreadable': (2, '', "parse error: cannot read '{missing}': [Errno 2] No such file or directory: '{missing}'\n"),
     'block-gmf-bad-json': (2, '', "parse error: bad JSON in '{bad_json}': Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
     'block-gmf-wrong-degree': (3, '', 'error: group degree 5 does not match block size 8\n'),
-    'bad-k': (2, '', "parse error: bad rational literal: '1.5x'\n"),
+    'bad-k': (2, '', "parse error: bad scalar literal: '1.5x'\n"),
 }
 
 

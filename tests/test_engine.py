@@ -368,7 +368,7 @@ class TestLinearSumFormula:
         theta = P("(1 2 3)", 4)
         chi = SignCharacter()
         inside = pf.gmf_linear_sum(gauss(2), gauss(3), theta, theta, SymmetricGroup(4), chi)
-        assert inside.value == chi.conjugate_evaluate(theta) * gauss(5) ** 4
+        assert inside.value == chi.evaluate(theta.inverse()) * gauss(5) ** 4
         outside = pf.gmf_linear_sum(
             gauss(2), gauss(3), theta, theta, PointwiseStabilizer(4, frozenset({1})), chi
         )
@@ -1298,7 +1298,7 @@ class TestParityProductScale:
         def refuse(*args, **kwargs):
             raise AssertionError("the O(r) product must not walk the mixtures")
 
-        monkeypatch.setattr(engine, "mixture_images", refuse)
+        monkeypatch.setattr(perm, "_depth_first", refuse)
         monkeypatch.setattr(perm, "mixtures", refuse)
         refuse_membership(monkeypatch, refuse)
 
@@ -1345,10 +1345,12 @@ class TestWalkCap:
 
     @pytest.fixture
     def nothing_built(self, monkeypatch):
+        from permfunc import perm
+
         def refuse(*args, **kwargs):
             raise AssertionError("built before the cap was checked")
 
-        monkeypatch.setattr(engine, "_subset_products", refuse)
+        monkeypatch.setattr(perm, "_depth_first", refuse)
         monkeypatch.setattr(engine, "_orbit_classes", refuse)
         refuse_membership(monkeypatch, refuse)
 
@@ -1423,9 +1425,8 @@ class TestClassSums:
         def refuse(*args, **kwargs):
             raise AssertionError("the class sums must not walk the mixtures")
 
-        monkeypatch.setattr(engine, "mixture_images", refuse)
+        monkeypatch.setattr(engine, "_walk", refuse)
         monkeypatch.setattr(perm, "mixtures", refuse)
-        monkeypatch.setattr(engine, "_subset_products", refuse)
         refuse_membership(monkeypatch, refuse)
 
     @pytest.fixture
@@ -1513,7 +1514,7 @@ class TestClassSums:
                 expected = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
                 cases.append(((a, b, theta, tau, group, chi), expected))
         calls = []
-        orbit_classes, mixture_images = engine._orbit_classes, engine.mixture_images
+        orbit_classes, walk = engine._orbit_classes, engine._walk
 
         def spy_orbit(*args):
             calls.append("orbit")
@@ -1521,10 +1522,10 @@ class TestClassSums:
 
         def spy_walk(*args):
             calls.append("walk")
-            return mixture_images(*args)
+            return walk(*args)
 
         monkeypatch.setattr(engine, "_orbit_classes", spy_orbit)
-        monkeypatch.setattr(engine, "mixture_images", spy_walk)
+        monkeypatch.setattr(engine, "_walk", spy_walk)
         outcomes = set()
         for cap in (0, 15, 30, 60):
             monkeypatch.setattr(engine, "DEFAULT_ENUMERATION_CAP", cap)
@@ -1588,6 +1589,71 @@ class TestTableDomain:
             expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
             assert pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value == expected
             assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected
+
+
+def as_permutations(points):
+    return st.permutations(points).map(lambda images: Permutation(tuple(images)))
+
+
+@st.composite
+def non_real_instances(draw):
+    """(a, b, theta, tau, spec, group, chi) on n = 4..6 points: a cyclic: or
+    gens: group with a cyclic-root or table character that takes the value
+    i or -i, so chi(pi) and chi(pi^-1) differ.  theta and tau are group
+    members or any permutations; a one-block spec reuses them."""
+    m, blocks = draw(st.sampled_from([(1, 4), (4, 1), (2, 2), (5, 1), (1, 6), (6, 1), (2, 3)]))
+    n = m * blocks
+    points = draw(st.permutations(range(1, n + 1)))
+    g = Permutation.from_cycles(n, [points[:4]])
+    h = Permutation.from_cycles(n, [points[4:6]]) if n >= 6 else None
+    generator = g if h is None else draw(st.sampled_from([g, compose(g, h)]))
+    index = draw(st.sampled_from([1, 3]))
+    root = CyclicRootCharacter(generator, index)
+    group = draw(st.sampled_from([CyclicGroup(generator), GeneratedSubgroup(n, (generator,))]))
+    kind = draw(st.sampled_from(["cyclic-root", "table", "product table"][: 3 if h else 2]))
+    if kind == "cyclic-root":
+        chi = root
+    elif kind == "table":
+        members = map(Permutation, group._generate())
+        chi = TableCharacter(tuple((sigma, root.evaluate(sigma)) for sigma in members))
+    else:
+        # on C4 x C2 = <g, h>: chi(g^k h^j) = i^(index*k) * sign^j
+        group = GeneratedSubgroup(n, (g, h))
+        on_g, sign = CyclicRootCharacter(g, index), draw(st.sampled_from([1, -1]))
+        table = []
+        for sigma in map(Permutation, group._generate()):
+            if sigma(points[4]) == points[4]:
+                table.append((sigma, on_g.evaluate(sigma)))
+            else:
+                table.append((sigma, on_g.evaluate(compose(sigma, h)) * gauss(sign)))
+        chi = TableCharacter(tuple(table))
+    members = [Permutation(images) for images in group._generate()]
+    anywhere = as_permutations(range(1, n + 1))
+    theta, tau = (draw(st.one_of(st.sampled_from(members), anywhere)) for _ in range(2))
+    a, b = draw(_SCALARS), draw(_SCALARS)
+    if blocks == 1:
+        one = Permutation.identity(1)
+        spec = BlockSpec(m, 1, one, one, (theta,), (tau,), (a,), (b,))
+    else:
+        inner, outer = as_permutations(range(1, m + 1)), as_permutations(range(1, blocks + 1))
+        spec = BlockSpec(
+            m, blocks, draw(outer), draw(outer),
+            tuple(draw(inner) for _ in range(blocks)), tuple(draw(inner) for _ in range(blocks)),
+            tuple(draw(_SCALARS) for _ in range(blocks)),
+            tuple(draw(_SCALARS) for _ in range(blocks)),
+        )
+    return a, b, theta, tau, spec, group, chi
+
+
+@given(non_real_instances())
+@settings(max_examples=100, deadline=None)
+def test_non_real_characters_match_brute_force(instance):
+    # the fast routes sum chi(pi) over the pi whose entry products they
+    # weigh, so a character with chi(pi) != chi(pi^-1) pins the frame
+    a, b, theta, tau, spec, group, chi = instance
+    expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
+    assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected
+    assert pf.gmf_block(spec, group, chi).value == brute_gmf(block_matrix(spec), group, chi)
 
 
 class TestCyclicRootDomain:

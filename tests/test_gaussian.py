@@ -91,6 +91,23 @@ def test_json_round_trip(z):
     assert GaussianRational.from_json(z.to_json()) == z
 
 
+@pytest.mark.parametrize(
+    "obj, expected",
+    [({"re": 5, "im": -2}, gauss(5, -2)), ({"re": "-3/4"}, gauss(Fraction(-3, 4))),
+     ({"im": "+2"}, gauss(0, 2)), ({}, ZERO)],
+)
+def test_from_json_reads_integers_and_exact_text(obj, expected):
+    assert GaussianRational.from_json(obj) == expected
+
+
+@pytest.mark.parametrize(
+    "part", [0.1, 1.0, "0.1", "1e2", "1_0", "1/0", " 1", "\u0661", "0x10", "1/2/3", True, None]
+)
+def test_from_json_rejects_everything_else(part):
+    with pytest.raises(ParseError, match="bad scalar object"):
+        GaussianRational.from_json({"re": 1, "im": part})
+
+
 @given(scalars, scalars, scalars)
 def test_field_axioms(x, y, z):
     assert (x + y) + z == x + (y + z)

@@ -23,7 +23,10 @@ PERFBENCH = ROOT / "perfbench"
 
 # Names perfbench/spans.py wraps that the package no longer has: the
 # tracer skips them and their metrics read 0.  Any other missing name fails.
-GONE = {("permfunc.kernels", "gmf_sum")}
+GONE = {
+    ("permfunc.kernels", "gmf_sum"),
+    ("permfunc.characters", "CharacterSpec.conjugate_evaluate"),
+}
 
 
 def test_every_wrapped_name_resolves(monkeypatch):

@@ -18,6 +18,7 @@ from permfunc.perm import (
     parse_permutation,
     power_exponent,
     shift_embed,
+    walk_mixtures,
     x_set,
 )
 from support import brute_x_set, rand_perm
@@ -168,7 +169,7 @@ class TestXSet:
             assert inverses == set(x_set(theta.inverse(), tau.inverse()))
 
     def test_bit_j_takes_cycle_j(self):
-        # the contract the engine's half tables rely on
+        # the order xset prints and the weighted walk keeps
         rng = random.Random(303)
         for _ in range(30):
             n = rng.randint(2, 7)
@@ -196,6 +197,38 @@ class TestXSet:
         walk = mixtures(theta, tau)
         assert next(walk) == theta
         assert next(walk) == transpositions(1, n)
+
+
+@st.composite
+def weighted_pairs(draw):
+    """(theta, tau, factors): one (a_c, b_c) pair of Gaussian integers per
+    cycle of theta^-1*tau, each factor zero about a third of the time."""
+    theta = draw(small_perms)
+    tau = Permutation(tuple(draw(st.permutations(range(1, theta.degree + 1)))))
+    r = len(disjoint_cycles(compose(theta.inverse(), tau)).cycles)
+    part = st.integers(-2, 2)
+    factor = st.one_of(st.just((0, 0)), st.tuples(part, part))
+    return theta, tau, draw(st.lists(st.tuples(factor, factor), min_size=r, max_size=r))
+
+
+@given(weighted_pairs())
+@settings(max_examples=200, deadline=None)
+def test_weighted_walk_keeps_the_nonzero_mixtures_in_order(instance):
+    theta, tau, factors = instance
+    cycles = disjoint_cycles(compose(theta.inverse(), tau)).cycles
+    walked = [
+        (tuple(images), (re, im))
+        for images, re, im in walk_mixtures(theta.images, tau.images, cycles, factors)
+    ]
+    expected = []
+    for k, sigma in enumerate(mixtures(theta, tau)):
+        re, im = 1, 0
+        for j, (a_c, b_c) in enumerate(factors):
+            fr, fi = b_c if k >> j & 1 else a_c
+            re, im = re * fr - im * fi, re * fi + im * fr
+        if re or im:
+            expected.append((sigma.images, (re, im)))
+    assert walked == expected
 
 
 class TestPowerExponent:
