@@ -32,7 +32,6 @@ from .perm import (
     mixtures,
     parse_permutation,
     shift_embed,
-    x_set,
 )
 from .groups import (
     AlternatingGroup,

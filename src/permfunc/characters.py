@@ -26,8 +26,9 @@ from .groups import GeneratedSubgroup
 from .perm import (
     Permutation,
     _list_items,
-    cycle_structure,
     disjoint_cycles,
+    images_cycle_type,
+    images_sign,
     parse_permutation,
     power_exponent,
 )
@@ -133,13 +134,14 @@ def mn_value(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
 
 
 class CharacterSpec:
-    """Base class; subclasses provide exact evaluation on their group."""
+    """Base class; subclasses provide exact evaluation on their group, at a
+    member given as its image tuple (``images[i-1] = sigma(i)``)."""
 
-    def evaluate(self, sigma: Permutation) -> GaussianRational:
+    def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
         raise NotImplementedError
 
-    def evaluate_float(self, sigma: Permutation) -> complex:
-        v = self.evaluate(sigma)
+    def evaluate_float(self, images: tuple[int, ...]) -> complex:
+        v = self.evaluate(images)
         return complex(v.re, v.im)
 
     def degree(self):
@@ -165,7 +167,7 @@ _MINUS_ONE = _gauss_int(-1)
 
 @dataclass(frozen=True)
 class TrivialCharacter(CharacterSpec):
-    def evaluate(self, sigma: Permutation) -> GaussianRational:
+    def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
         return ONE
 
     def degree(self) -> int:
@@ -177,8 +179,8 @@ class TrivialCharacter(CharacterSpec):
 
 @dataclass(frozen=True)
 class SignCharacter(CharacterSpec):
-    def evaluate(self, sigma: Permutation) -> GaussianRational:
-        return ONE if sigma.sign() > 0 else _MINUS_ONE
+    def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
+        return ONE if images_sign(images) > 0 else _MINUS_ONE
 
     def degree(self) -> int:
         return 1
@@ -203,8 +205,8 @@ class IrreducibleCharacter(CharacterSpec):
             )
         return mn_value(self.partition.parts, cycle_type)
 
-    def evaluate(self, sigma: Permutation) -> GaussianRational:
-        return _gauss_int(self.class_value(cycle_structure(sigma).full_type()))
+    def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
+        return _gauss_int(self.class_value(images_cycle_type(images)))
 
     def degree(self) -> int:
         return hook_length_degree(self.partition.parts)
@@ -253,14 +255,11 @@ class TableCharacter(CharacterSpec):
                 if values[tuple(conj)] != value:
                     raise ValueError("not a class function")
 
-    def _lookup(self, sigma: Permutation) -> GaussianRational:
-        try:
-            return self._values[sigma.images]
-        except KeyError:
-            raise CharacterDomainError(f"{sigma} not in the character's table") from None
-
-    def evaluate(self, sigma: Permutation) -> GaussianRational:
-        return self._lookup(sigma)
+    def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
+        value = self._values.get(images)
+        if value is None:
+            raise CharacterDomainError(f"{Permutation(images)} not in the character's table")
+        return value
 
     def degree(self):
         return self._top.re
@@ -296,15 +295,15 @@ class CyclicRootCharacter(CharacterSpec):
         object.__setattr__(self, "_cycles", cycles)
         object.__setattr__(self, "_order", lcm(1, *map(len, cycles.cycles)))
 
-    def _power_of(self, sigma: Permutation) -> int:
-        k = power_exponent(self._cycles, sigma.images)
+    def _power_of(self, images: tuple[int, ...]) -> int:
+        k = power_exponent(self._cycles, images)
         if k is None:
-            raise CharacterDomainError(f"{sigma} is not a power of the generator")
+            raise CharacterDomainError(f"{Permutation(images)} is not a power of the generator")
         return k
 
-    def evaluate(self, sigma: Permutation) -> GaussianRational:
+    def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
         order = self._order
-        k = self._power_of(sigma)
+        k = self._power_of(images)
         if 4 % order:
             raise ExactnessError(
                 f"root of unity of order {order} is not exactly representable; "
@@ -313,8 +312,8 @@ class CyclicRootCharacter(CharacterSpec):
         # exp(2*pi*i*k*index/order) = i^(k*index*4/order)
         return _FOURTH_ROOTS[k * self.index * (4 // order) % 4]
 
-    def evaluate_float(self, sigma: Permutation) -> complex:
-        k = self._power_of(sigma)
+    def evaluate_float(self, images: tuple[int, ...]) -> complex:
+        k = self._power_of(images)
         return cmath.exp(2j * cmath.pi * k * self.index / self._order)
 
     def degree(self) -> int:

@@ -11,8 +11,8 @@ Routes provided, all exact unless stated otherwise:
   characters on S_n, A_n and pointwise stabilizers as a determinant or
   permanent folded row by row over column sets by Laplace steps (A_n
   their mean, a stabilizer S_n with zeroed entries), building no
-  permutation; otherwise visiting only the permutations whose entry
-  product is nonzero;
+  permutation; otherwise visiting only the members whose entry product
+  is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, whose row x holds
   a in column theta^-1(x) and b in column tau^-1(x): it sums only the
   2^r permutations that agree pointwise with theta^-1 or tau^-1, each
@@ -38,6 +38,10 @@ Routes provided, all exact unless stated otherwise:
 * floating singular values, a singular-value bound check for linear
   characters, permanent-dominance and superadditivity checks, and a
   tensor-space symmetrizer oracle.
+
+Permutations are objects only in the routes' arguments.  Inside every
+sum a member or mixture is its image tuple (images[i-1] = sigma(i)):
+groups test membership of it, and chi.evaluate reads it.
 """
 
 from __future__ import annotations
@@ -81,7 +85,10 @@ from .perm import (
     Permutation,
     compose,
     cycle_structure,
-    disjoint_cycles,
+    images_cycle_type,
+    images_cycles,
+    images_inverse,
+    images_sign,
     walk_mixtures,
 )
 from . import kernels
@@ -122,7 +129,7 @@ def det_exact(a: Matrix) -> GaussianRational:
 
 
 def _nonzero_members(pre, pim, group: GroupSpec, order: int):
-    """Yield (sigma, re, im) for each member of ``group`` with a nonzero entry product re + im*i.
+    """Yield (images, re, im) for each member of ``group`` with a nonzero entry product re + im*i.
 
     Walks the smaller of two sets, so the work stays within |G|: the
     image tuples built row by row from each row's nonzero columns, kept
@@ -147,7 +154,7 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
         for row_re, row_im, j in zip(pre, pim, images):
             er, ei = row_re[j - 1], row_im[j - 1]
             re, im = re * er - im * ei, re * ei + im * er
-        yield Permutation(images), re, im
+        yield images, re, im
 
 
 def gmf_naive(
@@ -259,15 +266,15 @@ def _laplace_step(table, entries):
 
 
 def _value_sums(value, weighted):
-    """Sum value(sigma) * (re + im*i) over (sigma, re, im) triples; returns (re, im, count).
+    """Sum value(images) * (re + im*i) over (images, re, im) triples; returns (re, im, count).
 
     The Gaussian integers are summed per character value first, so each
     distinct value is multiplied in once.
     """
     sums = defaultdict(lambda: [0, 0])
     count = 0
-    for sigma, re, im in weighted:
-        acc = sums[value(sigma)]
+    for images, re, im in weighted:
+        acc = sums[value(images)]
         acc[0] += re
         acc[1] += im
         count += 1
@@ -312,7 +319,7 @@ def _parity_product(alpha, cycles, pairs, group: GroupSpec, chi: CharacterSpec):
         a_c, b_c = (*a_c, int(any(a_c))), (*b_c, int(any(b_c)))
         flip = 1 - len(cycle) % 2  # a cycle of even length is an odd permutation
         parts = [_plus(_times(parts[p], a_c), _times(parts[p ^ flip], b_c)) for p in (0, 1)]
-    even, odd = parts if alpha.sign() > 0 else parts[::-1]
+    even, odd = parts if images_sign(alpha) > 0 else parts[::-1]
     if isinstance(group, AlternatingGroup):
         return even
     if isinstance(chi, SignCharacter):
@@ -322,15 +329,14 @@ def _parity_product(alpha, cycles, pairs, group: GroupSpec, chi: CharacterSpec):
 
 def _orbits(alpha, beta):
     """The orbits of <alpha, beta> as lists of 0-based points, and each point's orbit index."""
-    a, b = alpha.images, beta.images
-    label = [None] * len(a)
+    label = [None] * len(alpha)
     orbits = []
-    for start in range(len(a)):
+    for start in range(len(alpha)):
         if label[start] is None:
             label[start] = len(orbits)
             orbit = [start]
             for p in orbit:
-                for q in (a[p] - 1, b[p] - 1):
+                for q in (alpha[p] - 1, beta[p] - 1):
                     if label[q] is None:
                         label[q] = len(orbits)
                         orbit.append(q)
@@ -343,28 +349,17 @@ def _orbit_classes(orbit, alpha, beta, moves) -> dict:
 
     ``moves`` holds the orbit's cycles of alpha^-1*beta with their
     (a_c, b_c) Gaussian-integer pairs.  The mixtures are walked on the
-    orbit's points, renumbered from 0 (so from 1 in the cycles the walk
-    reads); the walk skips every choice whose factor is zero, so each
-    mixture reached has a nonzero weight and counts once.
+    orbit's points, renumbered from 1; the walk skips every choice whose
+    factor is zero, so each mixture reached has a nonzero weight and
+    counts once.
     """
-    where = {p: i for i, p in enumerate(orbit)}
-    from_alpha = [where[alpha.images[p] - 1] for p in orbit]
-    from_beta = [where[beta.images[p] - 1] for p in orbit]
-    cycles = [[where[p - 1] + 1 for p in cycle] for cycle, _ in moves]
-    size = len(orbit)
+    where = {p: i for i, p in enumerate(orbit, 1)}
+    from_alpha = [where[alpha[p] - 1] for p in orbit]
+    from_beta = [where[beta[p] - 1] for p in orbit]
+    cycles = [[where[p - 1] for p in cycle] for cycle, _ in moves]
     classes = {}
     for images, re, im in walk_mixtures(from_alpha, from_beta, cycles, [f for _, f in moves]):
-        seen = [False] * size
-        lengths = []
-        for start in range(size):
-            length, p = 0, start
-            while not seen[p]:
-                seen[p] = True
-                p = images[p]
-                length += 1
-            if length:
-                lengths.append(length)
-        acc = classes.setdefault(tuple(sorted(lengths, reverse=True)), [0, 0, 0])
+        acc = classes.setdefault(images_cycle_type(images), [0, 0, 0])
         acc[0] += re
         acc[1] += im
         acc[2] += 1
@@ -409,7 +404,7 @@ def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCh
         moves[label[cycle[0] - 1]].append((cycle, pair))
     if sum(len(orbit) << len(m) for orbit, m in zip(orbits, moves)) > DEFAULT_ENUMERATION_CAP:
         return None
-    n = alpha.degree
+    n = len(alpha)
     totals = {(): [1, 0, 1]}
     for orbit, orbit_moves in zip(orbits, moves):
         classes = _orbit_classes(orbit, alpha, beta, orbit_moves)
@@ -429,16 +424,15 @@ def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCh
 
 
 def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
-    """Yield (pi, re, im) for each in-group mixture with a nonzero (re, im) weight.
+    """Yield (images, re, im) for each in-group mixture with a nonzero (re, im) weight.
 
     ``pairs`` holds the (a_c, b_c) factors of ``cycles`` as (re, im)
-    pairs.  Membership is tested on image tuples; only the yielded
-    members become Permutations.
+    pairs.
     """
-    for images, re, im in walk_mixtures(alpha.images, beta.images, cycles, pairs):
+    for images, re, im in walk_mixtures(alpha, beta, cycles, pairs):
         member = tuple(images)
         if group.contains_images(member):
-            yield Permutation(member), re, im
+            yield member, re, im
 
 
 def _mixture_sum(
@@ -446,23 +440,24 @@ def _mixture_sum(
 ):
     """Sum chi(pi) times the entry product over the mixtures pi of alpha and beta.
 
-    Row x carries coeff_a[x-1] in column alpha(x) and coeff_b[x-1] in
-    column beta(x), so only the mixtures have a nonzero entry product.  A
-    mixture pi takes each cycle of alpha^-1*beta from alpha or from beta,
-    so its entry product is the prefactor, the product of coeff_a +
-    coeff_b over the fixed points, times one factor per cycle: the
-    product of coeff_b over the cycle if pi takes it from beta, else that
-    of coeff_a.  Returns the total over the in-group mixtures and the
-    number of them with a nonzero entry product; a zero prefactor gives
-    zero with no terms.  A pointwise stabilizer becomes S_n with a zero
-    coefficient wherever alpha or beta moves a stabilized point, so every
-    mixture outside it weighs zero.  The factors become Gaussian integers
-    over one denominator den, and each exact route sums them as integers
-    (re, im, terms): on S_n and A_n the O(r) _parity_product for a
-    trivial or sign character and the _class_sums for an irreducible one,
-    unless their tables would exceed the cap; otherwise the walk of the
-    mixtures with a nonzero weight, summed per character value
-    (_value_sums).  The total is prefactor / den^r times that sum.
+    ``alpha``, ``beta`` and each mixture are image tuples.  Row x carries
+    coeff_a[x-1] in column alpha(x) and coeff_b[x-1] in column beta(x), so
+    only the mixtures have a nonzero entry product.  A mixture pi takes
+    each cycle of alpha^-1*beta from alpha or from beta, so its entry
+    product is the prefactor, the product of coeff_a + coeff_b over the
+    fixed points, times one factor per cycle: the product of coeff_b over
+    the cycle if pi takes it from beta, else that of coeff_a.  Returns the
+    total over the in-group mixtures and the number of them with a nonzero
+    entry product; a zero prefactor gives zero with no terms.  A pointwise
+    stabilizer becomes S_n with a zero coefficient wherever alpha or beta
+    moves a stabilized point, so every mixture outside it weighs zero.
+    The factors become Gaussian integers over one denominator den, and
+    each exact route sums them as integers (re, im, terms): on S_n and A_n
+    the O(r) _parity_product for a trivial or sign character and the
+    _class_sums for an irreducible one, unless their tables would exceed
+    the cap; otherwise the walk of the mixtures with a nonzero weight,
+    summed per character value (_value_sums).  The total is prefactor /
+    den^r times that sum.
     ``floating`` walks the same weights, each scaled exactly before it and
     chi.evaluate_float are taken as complex numbers.
     """
@@ -470,12 +465,13 @@ def _mixture_sum(
     if isinstance(group, PointwiseStabilizer):
         coeff_a, coeff_b = list(coeff_a), list(coeff_b)
         for y in group.points:
-            if alpha.images[y - 1] != y:
+            if alpha[y - 1] != y:
                 coeff_a[y - 1] = ZERO
-            if beta.images[y - 1] != y:
+            if beta[y - 1] != y:
                 coeff_b[y - 1] = ZERO
         group = SymmetricGroup(group.n)
-    dec = disjoint_cycles(compose(alpha.inverse(), beta))
+    inverse = images_inverse(alpha)
+    dec = images_cycles([inverse[y - 1] for y in beta])
     prefactor = math.prod(coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points)
     if not prefactor:
         return ZERO, 0
@@ -488,9 +484,9 @@ def _mixture_sum(
     scale = prefactor * Fraction(1, den ** len(pairs))
     if floating:
         total, terms = 0j, 0
-        for pi, re, im in _walk(alpha, beta, dec.cycles, pairs, group):
+        for images, re, im in _walk(alpha, beta, dec.cycles, pairs, group):
             weight = scale * GaussianRational(re, im)
-            total += chi.evaluate_float(pi) * complex(weight.re, weight.im)
+            total += chi.evaluate_float(images) * complex(weight.re, weight.im)
             terms += 1
         return total, terms
     summed = None
@@ -508,7 +504,8 @@ def _linear_mixture_sum(a, b, theta, tau, group, chi, floating=False):
     """_mixture_sum for a*P_theta + b*P_tau, whose row x holds a in column
     theta^-1(x) and b in column tau^-1(x)."""
     n = theta.degree
-    return _mixture_sum(theta.inverse(), tau.inverse(), [a] * n, [b] * n, group, chi, floating)
+    alpha, beta = images_inverse(theta.images), images_inverse(tau.images)
+    return _mixture_sum(alpha, beta, [a] * n, [b] * n, group, chi, floating)
 
 
 def gmf_linear_sum(
@@ -638,15 +635,9 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
         raise DegreeMismatchError(
             f"group degree {group.degree} != block matrix size {spec.size}"
         )
-    alpha, beta = spec.induced_pair()
-    value, terms = _mixture_sum(
-        alpha.inverse(),
-        beta.inverse(),
-        [spec.a[(x - 1) // spec.m] for x in range(1, spec.size + 1)],
-        [spec.b[(x - 1) // spec.m] for x in range(1, spec.size + 1)],
-        group,
-        chi,
-    )
+    alpha, beta = (images_inverse(p.images) for p in spec.induced_pair())
+    coeff_a, coeff_b = ([c[x // spec.m] for x in range(spec.size)] for c in (spec.a, spec.b))
+    value, terms = _mixture_sum(alpha, beta, coeff_a, coeff_b, group, chi)
     return GmfResult(value, Method.BLOCK, terms)
 
 
@@ -948,9 +939,8 @@ def tensor_oracle(
     tx: dict[tuple[int, ...], GaussianRational] = {}
     ty: dict[tuple[int, ...], GaussianRational] = {}
     for images in group._generate():
-        sigma = Permutation(images)
-        weight = chi.evaluate(sigma)
-        key = sigma.inverse().images
+        weight = chi.evaluate(images)
+        key = images_inverse(images)
         tx[key] = tx.get(key, ZERO) + weight
         if weight.is_zero():
             continue

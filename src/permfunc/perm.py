@@ -68,10 +68,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
+        return Permutation(images_inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -89,8 +86,7 @@ class Permutation:
         return images_sign(self.images)
 
     def order(self) -> int:
-        dec = disjoint_cycles(self)
-        return lcm(1, *(len(c) for c in dec.cycles))
+        return lcm(*images_cycle_type(self.images))
 
     def __str__(self) -> str:
         return format_permutation(self)
@@ -129,20 +125,34 @@ class CycleStructure:
 
 
 def images_sign(images: tuple[int, ...]) -> int:
-    """The sign of the permutation with these images."""
-    # parity of n minus the cycle count, without building the decomposition
-    n = len(images)
-    seen = bytearray(n)
-    cycles = 0
-    for start in range(n):
+    """The sign of the permutation with these images: the parity of n minus its cycle count."""
+    return -1 if (len(images) - len(images_cycle_type(images))) % 2 else 1
+
+
+def images_cycle_type(images) -> tuple[int, ...]:
+    """Every cycle length of the permutation with these images, 1s included,
+    in descending order (``CycleStructure.full_type``)."""
+    seen = [False] * (len(images) + 1)
+    lengths = []
+    for start in range(1, len(images) + 1):
         if seen[start]:
             continue
-        cycles += 1
-        point = start
+        length, point = 0, start
         while not seen[point]:
-            seen[point] = 1
-            point = images[point] - 1
-    return -1 if (n - cycles) % 2 else 1
+            seen[point] = True
+            point = images[point - 1]
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+def images_inverse(images) -> tuple[int, ...]:
+    """The images of the inverse of the permutation with these images."""
+    inv = [0] * len(images)
+    for i, v in enumerate(images, 1):
+        inv[v - 1] = i
+    return tuple(inv)
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -159,7 +169,12 @@ def inverse(p: Permutation) -> Permutation:
 
 def disjoint_cycles(p: Permutation) -> CycleDecomposition:
     """Canonical disjoint-cycle decomposition of p."""
-    n = p.degree
+    return images_cycles(p.images)
+
+
+def images_cycles(images) -> CycleDecomposition:
+    """Canonical disjoint-cycle decomposition of the permutation with these images."""
+    n = len(images)
     seen = [False] * (n + 1)
     cycles = []
     fixed = []
@@ -171,7 +186,7 @@ def disjoint_cycles(p: Permutation) -> CycleDecomposition:
         while not seen[point]:
             seen[point] = True
             cycle.append(point)
-            point = p.images[point - 1]
+            point = images[point - 1]
         if len(cycle) == 1:
             fixed.append(start)
         else:
@@ -210,9 +225,9 @@ def power_exponent(dec: CycleDecomposition, images: tuple[int, ...]) -> int | No
 
 
 def cycle_structure(p: Permutation) -> CycleStructure:
-    dec = disjoint_cycles(p)
-    lengths = tuple(sorted((len(c) for c in dec.cycles), reverse=True))
-    return CycleStructure(lengths, len(dec.fixed_points))
+    full = images_cycle_type(p.images)
+    fixed = full.count(1)
+    return CycleStructure(full[: len(full) - fixed], fixed)
 
 
 def mixtures(theta: Permutation, tau: Permutation):
@@ -271,11 +286,6 @@ def _depth_first(images, choices):
         for source, (fr, fi) in options:
             if fr or fi:
                 stack.append((j - 1, points, source, re * fr - im * fi, re * fi + im * fr))
-
-
-def x_set(theta: Permutation, tau: Permutation) -> list[Permutation]:
-    """The elements of mixtures(theta, tau) as a list, in the same order."""
-    return list(mixtures(theta, tau))
 
 
 def shift_embed(f: Permutation, x: int, y: int) -> dict[int, int]:

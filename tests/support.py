@@ -88,7 +88,7 @@ def brute_gmf(matrix: pf.Matrix, group, chi) -> GaussianRational:
         sigma = pf.Permutation(images)
         if not group.contains(sigma):
             continue
-        product = chi.evaluate(sigma)
+        product = chi.evaluate(sigma.images)
         for i in range(1, n + 1):
             product = product * matrix.entry(i, sigma(i))
         total = total + product

@@ -101,14 +101,14 @@ def test_criterion_01_reference_det_all_routes():
 def test_criterion_02_reference_subgroup_value():
     a, b, theta, tau = reference_instance()
     group = PointwiseStabilizer(6, frozenset({1, 3, 5}))
-    survivors = {sigma for sigma in pf.x_set(theta, tau) if group.contains(sigma)}
+    survivors = {sigma for sigma in pf.mixtures(theta, tau) if group.contains(sigma)}
     expected_set = {tau, P("(2 6)", 6)}
     one, two = gauss(1), gauss(2)
     chi = TrivialCharacter()
     # symbolic form (a+b) * (chi(tau^-1) b^5 + chi((2 6)) a^2 b^3) at a=1, b=2
     symbolic = (one + two) * (
-        chi.evaluate(tau.inverse()) * two**5
-        + chi.evaluate(P("(2 6)", 6).inverse()) * one**2 * two**3
+        chi.evaluate(tau.inverse().images) * two**5
+        + chi.evaluate(P("(2 6)", 6).inverse().images) * one**2 * two**3
     )
     fast = pf.gmf_linear_sum(one, two, theta, tau, group, chi).value
     slow = pf.gmf_naive(linear_sum(one, two, theta, tau), group, chi).value
@@ -346,12 +346,12 @@ def restriction_kind(group, chi) -> str | None:
     <chi, chi>_G = chi(1) (so no constituent repeats).  None otherwise.
     """
     elements = enumerate_group(group)
-    norm = sum(chi.evaluate(g).abs_squared() for g in elements) / len(elements)
+    norm = sum(chi.evaluate(g.images).abs_squared() for g in elements) / len(elements)
     if norm == 1:
         return "irreducible"
     degree = gauss(chi.degree())
     commutators_in_kernel = all(
-        chi.evaluate(compose(compose(g.inverse(), h.inverse()), compose(g, h))) == degree
+        chi.evaluate(compose(compose(g.inverse(), h.inverse()), compose(g, h)).images) == degree
         for g in elements
         for h in elements
     )

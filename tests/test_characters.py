@@ -37,9 +37,9 @@ def full_types(n):
 
 
 def test_trivial_and_sign_basics():
-    assert TrivialCharacter().evaluate(P("(1 5 3)(2 6)", 6)) == ONE
-    assert SignCharacter().evaluate(P("(1 5 3)(2 6)", 6)) == gauss(-1)
-    assert SignCharacter().evaluate(P("(1 2 3)", 3)) == ONE
+    assert TrivialCharacter().evaluate(P("(1 5 3)(2 6)", 6).images) == ONE
+    assert SignCharacter().evaluate(P("(1 5 3)(2 6)", 6).images) == gauss(-1)
+    assert SignCharacter().evaluate(P("(1 2 3)", 3).images) == ONE
     assert TrivialCharacter().degree() == 1
     assert SignCharacter().degree() == 1
 
@@ -47,9 +47,9 @@ def test_trivial_and_sign_basics():
 def test_two_one_character_values():
     chi = IrreducibleCharacter(Partition((2, 1)))
     values = {
-        "id": chi.evaluate(Permutation.identity(3)),
-        "swap": chi.evaluate(P("(1 2)", 3)),
-        "rot": chi.evaluate(P("(1 2 3)", 3)),
+        "id": chi.evaluate(Permutation.identity(3).images),
+        "swap": chi.evaluate(P("(1 2)", 3).images),
+        "rot": chi.evaluate(P("(1 2 3)", 3).images),
     }
     assert values == {"id": gauss(2), "swap": gauss(0), "rot": gauss(-1)}
     # column orthogonality of the S_3 table: columns (1,1,2), (1,-1,0), (1,1,-1)
@@ -112,39 +112,39 @@ def test_bounded_by_degree_and_class_function():
             top = chi.degree()
             for _ in range(10):
                 sigma = rand_perm(rng, n)
-                value = chi.evaluate(sigma)
+                value = chi.evaluate(sigma.images)
                 assert value.abs_squared() <= Fraction(top * top)
                 g = rand_perm(rng, n)
                 conjugated = g * sigma * g.inverse()
-                assert chi.evaluate(conjugated) == value
+                assert chi.evaluate(conjugated.images) == value
 
 
 class TestCyclicRoot:
     def test_order_four_exact(self):
         g = P("(1 2 3 4)", 4)
         chi = CyclicRootCharacter(g, 1)
-        assert chi.evaluate(Permutation.identity(4)) == ONE
-        assert chi.evaluate(g) == I
-        assert chi.evaluate(g * g) == gauss(-1)
-        assert chi.evaluate(g.inverse()) == chi.evaluate(g).conjugate()
+        assert chi.evaluate(Permutation.identity(4).images) == ONE
+        assert chi.evaluate(g.images) == I
+        assert chi.evaluate((g * g).images) == gauss(-1)
+        assert chi.evaluate(g.inverse().images) == chi.evaluate(g.images).conjugate()
 
     def test_order_two_exact(self):
         g = P("(1 2)", 2)
         chi = CyclicRootCharacter(g, 1)
-        assert chi.evaluate(g) == gauss(-1)
+        assert chi.evaluate(g.images) == gauss(-1)
 
     def test_order_three_rejected_exactly_but_floats(self):
         g = P("(1 2 3)", 3)
         chi = CyclicRootCharacter(g, 1)
         with pytest.raises(ExactnessError):
-            chi.evaluate(g)
-        value = chi.evaluate_float(g)
+            chi.evaluate(g.images)
+        value = chi.evaluate_float(g.images)
         assert abs(value - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
 
     def test_outside_group(self):
         chi = CyclicRootCharacter(P("(1 2)", 3), 1)
         with pytest.raises(CharacterDomainError):
-            chi.evaluate(P("(1 3)", 3))
+            chi.evaluate(P("(1 3)", 3).images)
 
     def test_values_match_the_root_formula(self):
         # exp(2*pi*i*k*index/order) in its exact form, for every power k
@@ -165,10 +165,10 @@ class TestCyclicRoot:
             for index in range(-9, 10):
                 chi = CyclicRootCharacter(g, index)
                 for k, sigma in enumerate(powers):
-                    value = chi.evaluate(sigma)
+                    value = chi.evaluate(sigma.images)
                     assert value == formula(order, k, index)
                     assert type(value.re) is type(value.im) is Fraction
-                    assert abs(chi.evaluate_float(sigma) - complex(value.re, value.im)) < 1e-12
+                    assert abs(chi.evaluate_float(sigma.images) - complex(value.re, value.im)) < 1e-12
 
     def test_is_homomorphism_order_four(self):
         g = P("(1 2 3 4)", 4)
@@ -176,7 +176,7 @@ class TestCyclicRoot:
         powers = [Permutation.identity(4), g, g * g, g * g * g]
         for x in powers:
             for y in powers:
-                assert chi.evaluate(x * y) == chi.evaluate(x) * chi.evaluate(y)
+                assert chi.evaluate((x * y).images) == chi.evaluate(x.images) * chi.evaluate(y.images)
 
 
 def conjugacy_classes(elements):
@@ -209,19 +209,19 @@ class TestTable:
     def _cyclic4_table(self):
         g = P("(1 2 3 4)", 4)
         chi = CyclicRootCharacter(g, 1)
-        return tuple((sigma, chi.evaluate(sigma)) for sigma in enumerate_group(CyclicGroup(g)))
+        return tuple((sigma, chi.evaluate(sigma.images)) for sigma in enumerate_group(CyclicGroup(g)))
 
     def test_valid_table(self):
         chi = TableCharacter(self._cyclic4_table())
         g = P("(1 2 3 4)", 4)
-        assert chi.evaluate(g) == I
-        assert chi.evaluate(g.inverse()) == I.conjugate()
+        assert chi.evaluate(g.images) == I
+        assert chi.evaluate(g.inverse().images) == I.conjugate()
         assert chi.degree() == 1
 
     def test_table_miss(self):
         chi = TableCharacter(self._cyclic4_table())
         with pytest.raises(CharacterDomainError):
-            chi.evaluate(P("(1 2)", 4))
+            chi.evaluate(P("(1 2)", 4).images)
 
     def test_rejects_value_above_degree(self):
         bad = tuple(
@@ -267,7 +267,7 @@ class TestTable:
         n = TABLE_GROUPS[name][0]
         for values in functions:
             chi = parse_character(write_table(tmp_path / "chi.json", values), n)
-            assert {sigma: chi.evaluate(sigma) for sigma in elements} == values
+            assert {sigma: chi.evaluate(sigma.images) for sigma in elements} == values
 
     # C4 x C2 is abelian: every class is a single element
     @pytest.mark.parametrize("name", [name for name in TABLE_GROUPS if name != "C4xC2"])
@@ -311,6 +311,13 @@ def test_parse_character():
         parse_character("nope")
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_character_text_round_trip(n):
+    irreducible = [IrreducibleCharacter(Partition(parts)) for parts in partitions(n)]
+    for chi in [TrivialCharacter(), SignCharacter(), *irreducible]:
+        assert parse_character(str(chi), n) == chi
+
+
 @pytest.mark.parametrize(
     "text, degree, named",
     [
@@ -342,7 +349,7 @@ def test_table_character_from_json(tmp_path):
         ' "(1 3 2)": {"re": "1", "im": "0"}}'
     )
     chi = parse_character(f"table:{path}", 3)
-    assert chi.evaluate(P("(1 2 3)", 3)) == ONE
+    assert chi.evaluate(P("(1 2 3)", 3).images) == ONE
     with pytest.raises(ParseError):
         parse_character(f"table:{tmp_path / 'missing.json'}", 3)
 

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -646,3 +647,62 @@ def test_pinned_output(case, tmp_path, capsys):
     out = re.sub(r"\d+\.\d{6}s", "0s", out)
     want_code, want_out, want_err = PINNED[case]
     assert (code, out, err) == (want_code, want_out, want_err.format(**paths))
+
+
+# Values a mutation swaps in: malformed and edge-case text for every kind of
+# argument, and small degrees only, so no call enumerates beyond S_6.
+FUZZ_VALUES = [
+    "", " ", "0", "-1", "1", "3", "5", "1/0", "2/-3", "1_0", "+3", "١", "nan", "1e2", "2+i",
+    "-1i", "i", "(1 2", "(1 7)", "(0 1)", "(1,2)", "(1 2)(2 3)", "()", "id", "ID", "(1 2 3)",
+    "S6", "A6", "S0", "A3", "stab:9@6", "stab:@6", "stab:1,,3@6", "gens:@6", "gens:(1 2)@6",
+    "cyclic:", "cyclic:(1 2 3)@6", "irr:[3,3]", "irr:[]", "irr:[6]", "irr:[2,2,1,1]",
+    "trivial", "sign", "table:missing.json", "--json", "--n", "--method", "naive", "closed",
+]
+
+
+def _mutate(rng, argv):
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(argv))
+        op = rng.randrange(5)
+        if op == 0 and len(argv) > 1:
+            del argv[k]
+        elif op == 1:
+            argv.insert(k, argv[k])
+        elif op == 2 and k + 1 < len(argv):
+            argv[k], argv[k + 1] = argv[k + 1], argv[k]
+        elif op == 3:
+            argv[k] = rng.choice(FUZZ_VALUES)
+        elif argv[k]:
+            i = rng.randrange(len(argv[k]))
+            argv[k] = argv[k][:i] + rng.choice("()[],:@ -/i0123456789x") + argv[k][i + 1:]
+    # keep the degree at most 6: a huge --n builds its identity before any
+    # cap applies, and cauchy-binet walks 2^n leaves on permutation inputs
+    return [
+        "6" if k and argv[k - 1] == "--n" and arg.strip().isdigit() and int(arg) > 6 else arg
+        for k, arg in enumerate(argv)
+    ]
+
+
+def test_mutated_pinned_calls_exit_cleanly(tmp_path, capsys):
+    # seeded argv mutations of the pinned cases: every call returns an exit
+    # code (argparse's own exit counts) and raises nothing
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "m": 2, "n": 2, "theta": "id", "tau": "(1 2)", "inner_thetas": ["(1 2)", "id"],
+        "inner_taus": ["id", "id"], "a": ["-1i", "2"], "b": ["-2", "3"],
+    }))
+    paths = {"spec": str(spec), "bad_json": str(spec), "missing": str(tmp_path / "missing")}
+    pinned = [[arg.format(**paths) for arg in argv] for argv in _pinned_argv().values()]
+    rng = random.Random(1618)
+    codes = set()
+    for _ in range(400):
+        argv = _mutate(rng, rng.choice(pinned))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        codes.add(code)
+    assert {0, 2, 3} <= codes

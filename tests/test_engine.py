@@ -168,7 +168,7 @@ class TestNaive:
                 assert result.value == brute_gmf(matrix, group, chi)
                 assert type(result.value) is pf.GaussianRational
                 assert result.term_count == group.order()
-        assert {chi.evaluate(cycle) for _, chi in cyclic} == {ONE, -ONE, gauss(0, 1), gauss(0, -1)}
+        assert {chi.evaluate(cycle.images) for _, chi in cyclic} == {ONE, -ONE, gauss(0, 1), gauss(0, -1)}
         # the column-set sums of S_n, A_n and stabilizers at the smallest degrees
         for n in (1, 2, 3):
             specs = [
@@ -368,7 +368,7 @@ class TestLinearSumFormula:
         theta = P("(1 2 3)", 4)
         chi = SignCharacter()
         inside = pf.gmf_linear_sum(gauss(2), gauss(3), theta, theta, SymmetricGroup(4), chi)
-        assert inside.value == chi.evaluate(theta.inverse()) * gauss(5) ** 4
+        assert inside.value == chi.evaluate(theta.inverse().images) * gauss(5) ** 4
         outside = pf.gmf_linear_sum(
             gauss(2), gauss(3), theta, theta, PointwiseStabilizer(4, frozenset({1})), chi
         )
@@ -380,7 +380,7 @@ class TestLinearSumFormula:
         # at a=1, b=2 the value is (a+b)(b^5 + a^2 b^3) = 120
         _, _, theta, tau = reference_instance()
         group = PointwiseStabilizer(6, frozenset({1, 3, 5}))
-        survivors = [sigma for sigma in pf.x_set(theta, tau) if group.contains(sigma)]
+        survivors = [sigma for sigma in pf.mixtures(theta, tau) if group.contains(sigma)]
         assert set(survivors) == {tau, P("(2 6)", 6)}
         result = pf.gmf_linear_sum(gauss(1), gauss(2), theta, tau, group, TrivialCharacter())
         assert result.value == gauss(120)
@@ -631,6 +631,39 @@ def test_minor_expansion_matches_elimination(pair):
     result = pf.det_cauchy_binet_sum(left, right)
     assert result.value == pf.det_exact(mat_add(left, right))
     assert result.term_count == comb(2 * left.rows, left.rows)
+
+
+@st.composite
+def linear_sum_instances(draw):
+    """(a, b, theta, tau, group, chi), n <= 6: fractional and complex
+    scalars, every group kind, and the trivial, sign and irr: characters."""
+    n = draw(st.integers(1, 6))
+    perms = st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+    theta, tau = draw(perms), draw(perms)
+    group = draw(
+        st.sampled_from(
+            [
+                SymmetricGroup(n),
+                AlternatingGroup(n),
+                PointwiseStabilizer(n, draw(st.frozensets(st.integers(1, n), max_size=n))),
+                CyclicGroup(draw(perms)),
+                GeneratedSubgroup(n, tuple(draw(st.lists(perms, min_size=1, max_size=2)))),
+            ]
+        )
+    )
+    irr = IrreducibleCharacter(Partition(draw(st.sampled_from(list(partitions(n))))))
+    chi = draw(st.sampled_from([TrivialCharacter(), SignCharacter(), irr]))
+    return draw(_SCALARS), draw(_SCALARS), theta, tau, group, chi
+
+
+@given(linear_sum_instances())
+@settings(max_examples=200, deadline=None)
+def test_linear_sum_matches_naive(instance):
+    # the mixture walk, the class sums and the parity product against the
+    # naive route's member stream on the assembled matrix
+    a, b, theta, tau, group, chi = instance
+    fast = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+    assert fast.value == pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value
 
 
 class TestDetRouteIndependence:
@@ -904,7 +937,7 @@ class TestSingularBound:
                 for tau in elements:
                     entries = linear_sum(a, b, theta, tau).entries
                     expected = sum(
-                        chi.evaluate_float(sigma)
+                        chi.evaluate_float(sigma.images)
                         * math.prod(complex(e.re, e.im) for e in (
                             entries[i][sigma.images[i] - 1] for i in range(5)
                         ))
@@ -1278,7 +1311,7 @@ class TestParityProduct:
             n = rng.randint(1, 7)
             theta, tau = rand_perm(rng, n), rand_perm(rng, n)
             for group in parity_groups(rng, n):
-                listed = sum(1 for sigma in pf.x_set(theta, tau) if group.contains(sigma))
+                listed = sum(1 for sigma in pf.mixtures(theta, tau) if group.contains(sigma))
                 assert pf.term_counts(theta, tau, group).formula == listed
                 generated = gens_presentation(group)
                 assert pf.term_counts(theta, tau, generated).formula == listed
@@ -1615,7 +1648,7 @@ def non_real_instances(draw):
         chi = root
     elif kind == "table":
         members = map(Permutation, group._generate())
-        chi = TableCharacter(tuple((sigma, root.evaluate(sigma)) for sigma in members))
+        chi = TableCharacter(tuple((sigma, root.evaluate(sigma.images)) for sigma in members))
     else:
         # on C4 x C2 = <g, h>: chi(g^k h^j) = i^(index*k) * sign^j
         group = GeneratedSubgroup(n, (g, h))
@@ -1623,9 +1656,9 @@ def non_real_instances(draw):
         table = []
         for sigma in map(Permutation, group._generate()):
             if sigma(points[4]) == points[4]:
-                table.append((sigma, on_g.evaluate(sigma)))
+                table.append((sigma, on_g.evaluate(sigma.images)))
             else:
-                table.append((sigma, on_g.evaluate(compose(sigma, h)) * gauss(sign)))
+                table.append((sigma, on_g.evaluate(compose(sigma, h).images) * gauss(sign)))
         chi = TableCharacter(tuple(table))
     members = [Permutation(images) for images in group._generate()]
     anywhere = as_permutations(range(1, n + 1))

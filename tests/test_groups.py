@@ -169,6 +169,29 @@ def test_parse_group_stabilizing_no_point():
 
 
 @st.composite
+def group_specs(draw, kind):
+    n = draw(st.integers(1, 6))
+    perms = st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+    if kind == "S":
+        return SymmetricGroup(n)
+    if kind == "A":
+        return AlternatingGroup(n)
+    if kind == "stab":
+        return PointwiseStabilizer(n, draw(st.frozensets(st.integers(1, n), max_size=n)))
+    if kind == "cyclic":
+        return CyclicGroup(draw(perms))
+    return GeneratedSubgroup(n, tuple(draw(st.lists(perms, min_size=1, max_size=3))))
+
+
+@pytest.mark.parametrize("kind", ["S", "A", "stab", "cyclic", "gens"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_group_text_round_trip(kind, data):
+    group = data.draw(group_specs(kind))
+    assert parse_group(str(group), group.degree) == group
+
+
+@st.composite
 def generator_lists(draw):
     """(n, generators) on n <= 6 points.
 

@@ -5,7 +5,8 @@ and reads their results, so a change of what a wrapped name returns can
 fail requests there while the untraced routes still pass.  This runs the
 same wrappers over one seeded fast_routes pass in process, and the traced
 CLI launcher over one request of each cold_cli route, without editing
-perfbench.
+perfbench.  It also counts, under the same wrappers, the Permutations each
+in-process request builds.
 """
 
 import importlib
@@ -26,6 +27,7 @@ PERFBENCH = ROOT / "perfbench"
 GONE = {
     ("permfunc.kernels", "gmf_sum"),
     ("permfunc.characters", "CharacterSpec.conjugate_evaluate"),
+    ("permfunc.perm", "x_set"),
 }
 
 
@@ -91,6 +93,36 @@ def test_traced_minor_expansion_and_naive_match_their_checks(monkeypatch):
     assert len(requests) == 47
     assert {req.route.split(":")[1] for req in requests} == {"naive", "cauchy-binet"}
     assert not check_traced(requests)
+
+
+def permutations_built(requests):
+    """Per request, the Permutations built while the tracer answers it."""
+    import spans
+    import workloads
+
+    bound = [workloads.bind(req, pf) for req in requests]
+    tracer = spans.Tracer()
+    tracer.install()
+    built = []
+    try:
+        for b in bound:
+            before = tracer.counts["perm.permutations_built"]
+            b.call()
+            built.append(tracer.counts["perm.permutations_built"] - before)
+    finally:
+        tracer.uninstall()
+    return built
+
+
+def test_sums_build_no_permutation(monkeypatch):
+    # the sums speak image tuples; a block request builds only the two
+    # permutations of spec.induced_pair()
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for requests in (workloads.fast_routes(1), workloads.warm_oracles(1)):
+        expected = [2 if req.route == "block-gmf:block" else 0 for req in requests]
+        assert permutations_built(requests) == expected
 
 
 def test_traced_cli_answers_each_cold_cli_route(tmp_path, monkeypatch):
