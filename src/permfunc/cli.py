@@ -15,9 +15,9 @@ import time
 
 from . import engine
 from .characters import CharacterSpec, SignCharacter, TrivialCharacter, parse_character
-from .errors import ParseError, PermfuncError
+from .errors import CapacityError, ParseError, PermfuncError
 from .gaussian import GaussianRational
-from .groups import GroupSpec, SymmetricGroup, parse_group
+from .groups import DEFAULT_ENUMERATION_CAP, GroupSpec, SymmetricGroup, checked_order, parse_group
 from .matrices import BlockSpec, block_matrix, linear_sum, perm_matrix, psd_classify, scalar_mul
 from .perm import format_permutation, mixtures, parse_int, parse_permutation
 
@@ -149,6 +149,19 @@ def _group_and_character(args, degree: int) -> tuple[GroupSpec, CharacterSpec]:
     return group, parse_character(args.character, degree)
 
 
+def _naive(build, size: int, group: GroupSpec, chi: CharacterSpec):
+    """gmf_naive on the size x size matrix ``build()`` makes.
+
+    size*size entries or a group order over the enumeration cap are
+    refused before the matrix is built, the entries first: they need no
+    factorial of a large degree.
+    """
+    if size * size > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"{size}x{size} matrix exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    checked_order(group)
+    return engine.gmf_naive(build(), group, chi)
+
+
 def _routes(theta, tau, a, b, group: GroupSpec, chi: CharacterSpec) -> dict:
     """The evaluation calls for a*P_theta + b*P_tau by --method, built but not run.
 
@@ -162,7 +175,7 @@ def _routes(theta, tau, a, b, group: GroupSpec, chi: CharacterSpec) -> dict:
         "cauchy-binet": lambda: engine.det_cauchy_binet_sum(
             scalar_mul(a, perm_matrix(theta)), scalar_mul(b, perm_matrix(tau))
         ),
-        "naive": lambda: engine.gmf_naive(linear_sum(a, b, theta, tau), group, chi),
+        "naive": lambda: _naive(lambda: linear_sum(a, b, theta, tau), theta.degree, group, chi),
     }
 
 
@@ -215,7 +228,7 @@ def _cmd_block_gmf(args) -> int:
         )
     chi = parse_character(args.character, spec.size)
     if args.method == "naive":
-        result = engine.gmf_naive(block_matrix(spec), group, chi)
+        result = _naive(lambda: block_matrix(spec), spec.size, group, chi)
     else:
         result = engine.gmf_block(spec, group, chi)
     return _emit(args, result.to_json(), result.value)

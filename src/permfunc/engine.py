@@ -21,9 +21,10 @@ Routes provided, all exact unless stated otherwise:
   move its points zeroed) it multiplies that sum out as an O(r) product
   over the cycles for the trivial and sign characters, and sums it by
   cycle type, orbit by orbit of <theta, tau>, for the irreducible
-  characters; otherwise it walks the mixtures with perm.walk_mixtures,
-  which never enters a choice of zero weight; every case adds Gaussian
-  integers over one denominator;
+  characters, never handing them to the walk; otherwise it walks the
+  mixtures with perm.walk_mixtures, which never enters a choice of zero
+  weight; every case adds Gaussian integers over one denominator, and
+  perm.pair_cycles gives every case the cycles of theta^-1*tau;
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
   the structured route's O(r) product over the cycles of theta^-1*tau
   on S_n;
@@ -34,7 +35,11 @@ Routes provided, all exact unless stated otherwise:
   minor products are summed as Gaussian integers;
 * the block generalization for sums of two scaled block-permutation
   layers;
-* relations and closed forms for the symmetric companion S_theta;
+* the symmetric companion S_theta: its value as that of
+  P_theta + P_theta^-1 over 2^(F+2t), F the fixed points and t the
+  2-cycles of theta, and the integer closed forms det(S_theta), a signed
+  power of two read off theta's cycle lengths, and det(P_theta +
+  P_theta^-1), that times 2^(F+2t);
 * floating singular values, a singular-value bound check for linear
   characters, permanent-dominance and superadditivity checks, and a
   tensor-space symmetrizer oracle.
@@ -65,7 +70,6 @@ from .errors import (
 )
 from .gaussian import GaussianRational, ONE, ZERO, gauss
 from .groups import (
-    DEFAULT_ENUMERATION_CAP,
     AlternatingGroup,
     GroupSpec,
     PointwiseStabilizer,
@@ -83,12 +87,15 @@ from .matrices import (
 )
 from .perm import (
     Permutation,
+    check_walk,
+    common_degree,
     compose,
     cycle_structure,
     images_cycle_type,
-    images_cycles,
     images_inverse,
     images_sign,
+    orbit_labels,
+    pair_cycles,
     walk_mixtures,
 )
 from . import kernels
@@ -157,12 +164,7 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
         yield images, re, im
 
 
-def gmf_naive(
-    a: Matrix,
-    group: GroupSpec,
-    chi: CharacterSpec,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> GmfResult:
+def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
     On S_n, A_n and pointwise stabilizers the trivial and sign characters
@@ -171,8 +173,8 @@ def gmf_naive(
     groups and characters visit only the members with a nonzero entry
     product; their products are summed per character value, and each
     distinct value is multiplied in once at the end.  The term count is
-    still |G|.  Raises CapacityError when |G| exceeds ``cap``, before the
-    search starts.
+    still |G|.  Raises CapacityError when |G| exceeds the enumeration cap,
+    before the search starts.
     """
     if not a.is_square:
         raise DegreeMismatchError("generalized matrix functions need square matrices")
@@ -180,7 +182,7 @@ def gmf_naive(
         raise DegreeMismatchError(
             f"matrix degree {a.rows}, group degree {group.degree}"
         )
-    order = checked_order(group, cap)
+    order = checked_order(group)
     chi.check_domain(group)
     pre, pim, den = integer_grid(a)
     if isinstance(group, _COLUMN_SET_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
@@ -327,36 +329,19 @@ def _parity_product(alpha, cycles, pairs, group: GroupSpec, chi: CharacterSpec):
     return _plus(even, odd)
 
 
-def _orbits(alpha, beta):
-    """The orbits of <alpha, beta> as lists of 0-based points, and each point's orbit index."""
-    label = [None] * len(alpha)
-    orbits = []
-    for start in range(len(alpha)):
-        if label[start] is None:
-            label[start] = len(orbits)
-            orbit = [start]
-            for p in orbit:
-                for q in (alpha[p] - 1, beta[p] - 1):
-                    if label[q] is None:
-                        label[q] = len(orbits)
-                        orbit.append(q)
-            orbits.append(orbit)
-    return orbits, label
-
-
 def _orbit_classes(orbit, alpha, beta, moves) -> dict:
     """Cycle type on one orbit -> [re, im, count] over the orbit's mixtures.
 
-    ``moves`` holds the orbit's cycles of alpha^-1*beta with their
-    (a_c, b_c) Gaussian-integer pairs.  The mixtures are walked on the
-    orbit's points, renumbered from 1; the walk skips every choice whose
-    factor is zero, so each mixture reached has a nonzero weight and
-    counts once.
+    ``orbit`` lists the orbit's points and ``moves`` its cycles of
+    alpha^-1*beta with their (a_c, b_c) Gaussian-integer pairs.  The
+    mixtures are walked on the orbit's points, renumbered from 1; the walk
+    skips every choice whose factor is zero, so each mixture reached has a
+    nonzero weight and counts once.
     """
     where = {p: i for i, p in enumerate(orbit, 1)}
-    from_alpha = [where[alpha[p] - 1] for p in orbit]
-    from_beta = [where[beta[p] - 1] for p in orbit]
-    cycles = [[where[p - 1] for p in cycle] for cycle, _ in moves]
+    from_alpha = [where[alpha[p - 1]] for p in orbit]
+    from_beta = [where[beta[p - 1]] for p in orbit]
+    cycles = [[where[p] for p in cycle] for cycle, _ in moves]
     classes = {}
     for images, re, im in walk_mixtures(from_alpha, from_beta, cycles, [f for _, f in moves]):
         acc = classes.setdefault(images_cycle_type(images), [0, 0, 0])
@@ -390,26 +375,27 @@ def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCh
     per class.  Returns the Gaussian-integer sum (re, im) and the number
     of in-group mixtures with a nonzero weight.
 
-    Returns None, and the caller walks the mixtures instead, when the
-    orbits' walks (2^(r_O) choices of |O| points each, summed) or a
-    convolved table (n times the product of the sizes of its two
-    inputs) could exceed the enumeration cap.  The first is checked
-    before any orbit is walked, the second before each convolution, so
-    time and memory stay within the cap; the walk then refuses 2^r
-    mixtures over the cap just as it does for any other character.
+    Its work is the orbits' walks (2^(r_O) choices of |O| points each,
+    summed), checked before any orbit is walked, and each convolved table
+    (n times the product of the sizes of its two inputs), checked before
+    each convolution.  When the 2^r mixtures fit the enumeration cap that
+    work is at most about n * 2^r, as the walk's would be, and it always
+    answers; otherwise it raises the walk's CapacityError once a check
+    exceeds the cap too, so time and memory stay within the cap.
     """
-    orbits, label = _orbits(alpha, beta)
-    moves = [[] for _ in orbits]
+    n, r = len(alpha), len(cycles)
+    labels = orbit_labels(n, (alpha, beta))
+    orbits = {}
+    for p in range(1, n + 1):
+        orbits.setdefault(labels[p], []).append(p)
+    moves = {least: [] for least in orbits}
     for cycle, pair in zip(cycles, pairs):
-        moves[label[cycle[0] - 1]].append((cycle, pair))
-    if sum(len(orbit) << len(m) for orbit, m in zip(orbits, moves)) > DEFAULT_ENUMERATION_CAP:
-        return None
-    n = len(alpha)
+        moves[labels[cycle[0]]].append((cycle, pair))
+    check_walk(r, sum(len(orbit) << len(moves[least]) for least, orbit in orbits.items()))
     totals = {(): [1, 0, 1]}
-    for orbit, orbit_moves in zip(orbits, moves):
-        classes = _orbit_classes(orbit, alpha, beta, orbit_moves)
-        if n * len(totals) * len(classes) > DEFAULT_ENUMERATION_CAP:
-            return None
+    for least, orbit in orbits.items():
+        classes = _orbit_classes(orbit, alpha, beta, moves[least])
+        check_walk(r, n * len(totals) * len(classes))
         totals = _convolve(totals, classes)
     alternating = isinstance(group, AlternatingGroup)
     sum_re = sum_im = terms = 0
@@ -452,12 +438,11 @@ def _mixture_sum(
     stabilizer becomes S_n with a zero coefficient wherever alpha or beta
     moves a stabilized point, so every mixture outside it weighs zero.
     The factors become Gaussian integers over one denominator den, and
-    each exact route sums them as integers (re, im, terms): on S_n and A_n
-    the O(r) _parity_product for a trivial or sign character and the
-    _class_sums for an irreducible one, unless their tables would exceed
-    the cap; otherwise the walk of the mixtures with a nonzero weight,
-    summed per character value (_value_sums).  The total is prefactor /
-    den^r times that sum.
+    one exact route, picked once, sums them as integers (re, im, terms):
+    on S_n and A_n the O(r) _parity_product for a trivial or sign
+    character and the _class_sums for an irreducible one; otherwise the
+    walk of the mixtures with a nonzero weight, summed per character value
+    (_value_sums).  The total is prefactor / den^r times that sum.
     ``floating`` walks the same weights, each scaled exactly before it and
     chi.evaluate_float are taken as complex numbers.
     """
@@ -470,8 +455,7 @@ def _mixture_sum(
             if beta[y - 1] != y:
                 coeff_b[y - 1] = ZERO
         group = SymmetricGroup(group.n)
-    inverse = images_inverse(alpha)
-    dec = images_cycles([inverse[y - 1] for y in beta])
+    dec = pair_cycles(alpha, beta)
     prefactor = math.prod(coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points)
     if not prefactor:
         return ZERO, 0
@@ -489,12 +473,11 @@ def _mixture_sum(
             total += chi.evaluate_float(images) * complex(weight.re, weight.im)
             terms += 1
         return total, terms
-    summed = None
     if isinstance(group, _PARITY_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
         summed = _parity_product(alpha, dec.cycles, pairs, group, chi)
     elif isinstance(group, _PARITY_GROUPS) and isinstance(chi, IrreducibleCharacter):
         summed = _class_sums(alpha, beta, dec.cycles, pairs, group, chi)
-    if summed is None:
+    else:
         summed = _value_sums(chi.evaluate, _walk(alpha, beta, dec.cycles, pairs, group))
     re, im, terms = summed
     return scale * GaussianRational(re, im), terms
@@ -525,12 +508,9 @@ def gmf_linear_sum(
     the points where pi follows tau^-1.  0^0 counts as 1, and a
     vanishing (a+b) with F > 0 short-circuits to exact zero.
     """
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    if group.degree != theta.degree:
-        raise DegreeMismatchError(
-            f"permutation degree {theta.degree}, group degree {group.degree}"
-        )
+    n = common_degree(theta, tau)
+    if group.degree != n:
+        raise DegreeMismatchError(f"permutation degree {n}, group degree {group.degree}")
     value, terms = _linear_mixture_sum(a, b, theta, tau, group, chi)
     return GmfResult(value, Method.FORMULA, terms)
 
@@ -544,9 +524,7 @@ def det_linear_sum(
     (a^l - (-b)^l), F the fixed-point count and l the cycle length: the
     mixture sum's parity product on S_n with the sign character.
     """
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    group = SymmetricGroup(theta.degree)
+    group = SymmetricGroup(common_degree(theta, tau))
     value, terms = _linear_mixture_sum(a, b, theta, tau, group, SignCharacter())
     return GmfResult(value, Method.CLOSED_FORM, terms)
 
@@ -558,9 +536,7 @@ def per_linear_sum(
 
     The mixture sum's parity product on S_n with the trivial character.
     """
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    group = SymmetricGroup(theta.degree)
+    group = SymmetricGroup(common_degree(theta, tau))
     value, terms = _linear_mixture_sum(a, b, theta, tau, group, TrivialCharacter())
     return GmfResult(value, Method.CLOSED_FORM, terms)
 
@@ -641,6 +617,13 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
     return GmfResult(value, Method.BLOCK, terms)
 
 
+def _doubled_count(theta: Permutation) -> int:
+    """F + 2t, F the fixed points and t the 2-cycles of theta: P_theta +
+    P_theta^-1 is S_theta with the entries on those F + 2t points doubled."""
+    cs = cycle_structure(theta)
+    return cs.fixed_count + 2 * cs.lengths.count(2)
+
+
 def gmf_s_matrix(
     theta: Permutation, group: GroupSpec, chi: CharacterSpec
 ) -> GmfResult:
@@ -649,22 +632,9 @@ def gmf_s_matrix(
     P_theta + P_theta^-1 doubles the entries of S_theta on fixed points
     and 2-cycles, so the linear-sum value divides by 2^(F + 2t).
     """
-    cs = cycle_structure(theta)
-    doubled = gmf_linear_sum(
-        ONE, ONE, theta, theta.inverse(), group, chi
-    )
-    twos = cs.fixed_count + 2 * sum(1 for length in cs.lengths if length == 2)
-    half = GaussianRational(Fraction(1, 2**twos))
+    doubled = gmf_linear_sum(ONE, ONE, theta, theta.inverse(), group, chi)
+    half = GaussianRational(Fraction(1, 2 ** _doubled_count(theta)))
     return GmfResult(doubled.value * half, Method.FORMULA, doubled.term_count)
-
-
-def _s_cycle_counts(theta: Permutation) -> tuple[int, int, int, int]:
-    """(fixed, odd cycles, cycles of length 2 mod 4 above 2, 2-cycles)."""
-    cs = cycle_structure(theta)
-    odd = sum(1 for length in cs.lengths if length % 2 == 1)
-    two_mod_four = sum(1 for length in cs.lengths if length > 2 and length % 4 == 2)
-    transpositions = sum(1 for length in cs.lengths if length == 2)
-    return cs.fixed_count, odd, two_mod_four, transpositions
 
 
 def det_s_closed(theta: Permutation) -> GaussianRational:
@@ -674,22 +644,18 @@ def det_s_closed(theta: Permutation) -> GaussianRational:
     (-1)^(s+t) * 2^(r+2s) with r odd cycles (length >= 3), s cycles of
     length 2 mod 4 above 2, and t transpositions.
     """
-    cs = cycle_structure(theta)
-    if any(length % 4 == 0 for length in cs.lengths):
+    lengths = cycle_structure(theta).lengths
+    if any(length % 4 == 0 for length in lengths):
         return ZERO
-    _, odd, two_mod_four, transpositions = _s_cycle_counts(theta)
-    sign = -1 if (two_mod_four + transpositions) % 2 else 1
+    odd = sum(length % 2 for length in lengths)
+    two_mod_four = sum(1 for length in lengths if length > 2 and length % 4 == 2)
+    sign = -1 if (two_mod_four + lengths.count(2)) % 2 else 1
     return gauss(sign * 2 ** (odd + 2 * two_mod_four))
 
 
 def det_perm_pair_closed(theta: Permutation) -> GaussianRational:
-    """det(P_theta + P_theta^-1) in closed form."""
-    cs = cycle_structure(theta)
-    if any(length % 4 == 0 for length in cs.lengths):
-        return ZERO
-    fixed, odd, two_mod_four, transpositions = _s_cycle_counts(theta)
-    sign = -1 if (two_mod_four + transpositions) % 2 else 1
-    return gauss(sign * 2 ** (fixed + odd + 2 * (two_mod_four + transpositions)))
+    """det(P_theta + P_theta^-1) in closed form: det(S_theta) times 2^(F + 2t)."""
+    return det_s_closed(theta) * gauss(2 ** _doubled_count(theta))
 
 
 def s_product(theta: Permutation, tau: Permutation) -> Matrix:
@@ -699,8 +665,7 @@ def s_product(theta: Permutation, tau: Permutation) -> Matrix:
     genuinely fails there.  The returned matrix is checked against the
     actual product.
     """
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
+    common_degree(theta, tau)
     if theta.support() & tau.support():
         raise DisjointnessError("moved points of the two permutations overlap")
     expected = s_matrix(compose(theta, tau))
@@ -739,14 +704,13 @@ def singular_values(
     the values sqrt(|a|^2 + |b|^2 + 2 Re(conj(a) b zeta)) over the l-th
     roots of unity zeta.
     """
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    rho = compose(theta.inverse(), tau)
+    common_degree(theta, tau)
+    dec = pair_cycles(theta.images, tau.images)
     base = float(a.abs_squared() + b.abs_squared())
     cross = a.conjugate() * b
     cr, ci = float(cross.re), float(cross.im)
     out = []
-    for length in cycle_structure(rho).full_type():
+    for length in [*map(len, dec.cycles), *[1] * len(dec.fixed_points)]:
         for k in range(length):
             angle = 2.0 * math.pi * k / length
             radicand = base + 2.0 * (cr * math.cos(angle) - ci * math.sin(angle))
@@ -872,11 +836,9 @@ def check_superadditivity(
     matrix, evaluated by the naive route over S_n; the parts use the
     fast route.  All values are exact rationals.
     """
-    if pi1.degree != pi2.degree:
-        raise DegreeMismatchError(f"degrees differ: {pi1.degree} vs {pi2.degree}")
+    n = common_degree(pi1, pi2)
     _require_psd_pair(k1, m1, pi1)
     _require_psd_pair(k2, m2, pi2)
-    n = pi1.degree
     ident = Permutation.identity(n)
     group = SymmetricGroup(n)
     total_matrix = mat_add(
@@ -978,9 +940,9 @@ class TermCounts:
 
 def term_counts(theta: Permutation, tau: Permutation, group: GroupSpec) -> TermCounts:
     """Summand counts of the three evaluation routes for one instance."""
-    if theta.degree != tau.degree or group.degree != theta.degree:
-        raise DegreeMismatchError("degrees must agree")
-    n = theta.degree
+    n = common_degree(theta, tau)
+    if group.degree != n:
+        raise DegreeMismatchError(f"permutation degree {n}, group degree {group.degree}")
     # unit coefficients give every mixture a nonzero entry product, so the
     # term count is the number of in-group mixtures
     _, in_group = _linear_mixture_sum(ONE, ONE, theta, tau, group, TrivialCharacter())

@@ -1,14 +1,11 @@
 """Symbolic subgroups of the symmetric group on [n].
 
-No variant enumerates its elements to test membership or to find its
-order: a generated subgroup builds a base and strong generating set
-when it is made and reads both from it.  Enumeration is capped (10! by
-default); the naive generalized-matrix-function oracle applies the same
-cap to the group order.  For the trivial and sign characters on S_n,
-A_n and pointwise stabilizers it needs neither membership nor
-enumeration: it sums by column set and parity.  Elsewhere its work
-stays within |G|: it walks the candidates with a nonzero entry product
-or the group's elements, whichever set is smaller.
+Each variant answers membership of an image tuple, knows its order and
+yields its members as image tuples.  None enumerates its elements to
+test membership or to find its order: a generated subgroup builds a
+base and strong generating set when it is made and reads both from it.
+checked_order refuses an order over the enumeration cap (10!), and
+enumerate_group lists the members only under it.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from .perm import (
     _list_items,
     disjoint_cycles,
     images_sign,
+    orbit_labels,
     parse_int,
     parse_permutation,
     power_exponent,
@@ -251,23 +249,12 @@ def _orbit_bound(n: int, generators) -> tuple[tuple[int, ...], int, bool]:
     in A_n too when every generator is even, so its order is at most
     prod |O|!, halved in that case when some orbit has two or more points.
     """
-    labels = [0] * (n + 1)
-    for start in range(1, n + 1):
-        if labels[start]:
-            continue
-        labels[start] = start
-        queue = [start]
-        for x in queue:
-            for g in generators:
-                y = g.images[x - 1]
-                if not labels[y]:
-                    labels[y] = start
-                    queue.append(y)
+    labels = orbit_labels(n, [g.images for g in generators])
     bound = 1
     for size in Counter(labels[1:]).values():
         bound *= factorial(size)
     even = bound > 1 and all(g.sign() == 1 for g in generators)
-    return tuple(labels), bound // 2 if even else bound, even
+    return labels, bound // 2 if even else bound, even
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -450,28 +437,26 @@ def _random_members(padded, identity):
             yield acc
 
 
-def checked_order(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """The group order; raises CapacityError when it exceeds ``cap``.
+def checked_order(spec: GroupSpec) -> int:
+    """The group order; raises CapacityError when it exceeds the enumeration cap.
 
     Every variant knows its order without building an element (a
     generated subgroup from its base and strong generating set), so the
     cap bounds enumeration only and fails before any element is built.
     """
     order = spec.order()
-    if order > cap:
-        raise CapacityError(f"group order {order} exceeds cap {cap}")
+    if order > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"group order {order} exceeds cap {DEFAULT_ENUMERATION_CAP}")
     return order
 
 
-def enumerate_group(
-    spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Permutation, ...]:
+def enumerate_group(spec: GroupSpec) -> tuple[Permutation, ...]:
     """All elements of the subgroup, sorted by image sequence.
 
-    Raises CapacityError when the group order exceeds ``cap``, before any
-    enumeration.
+    Raises CapacityError when the group order exceeds the enumeration cap,
+    before any enumeration.
     """
-    checked_order(spec, cap)
+    checked_order(spec)
     return tuple(map(Permutation, sorted(spec._generate())))
 
 

@@ -16,6 +16,7 @@ from .errors import DegreeMismatchError, ParseError
 from .gaussian import GaussianRational, ZERO, gauss
 from .perm import (
     Permutation,
+    common_degree,
     disjoint_union,
     format_permutation,
     parse_permutation,
@@ -166,11 +167,7 @@ def linear_sum(
     tau: Permutation,
 ) -> Matrix:
     """a*P_theta + b*P_tau; positions where theta and tau agree get a+b."""
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(
-            f"degrees differ: {theta.degree} vs {tau.degree}"
-        )
-    n = theta.degree
+    n = common_degree(theta, tau)
     grid = [[ZERO] * n for _ in range(n)]
     for j in range(1, n + 1):
         grid[theta(j) - 1][j - 1] = grid[theta(j) - 1][j - 1] + a
@@ -390,8 +387,6 @@ def psd_classify(
     cancellation family, where columns on which theta and tau agree
     vanish and pi pairs up the surviving columns.
     """
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
     matrix = linear_sum(a, b, theta, tau)
     decomposition = _match_scaled_involution(matrix)
     if decomposition is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from math import factorial, gcd, lcm
+from math import factorial, gcd, inf, lcm
 
 from .errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 
@@ -155,10 +155,16 @@ def images_inverse(images) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p*q)(i) = p(q(i))."""
+def common_degree(p: Permutation, q: Permutation) -> int:
+    """The degree of p and q; DegreeMismatchError when they differ."""
     if p.degree != q.degree:
         raise DegreeMismatchError(f"degrees differ: {p.degree} vs {q.degree}")
+    return p.degree
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """(p*q)(i) = p(q(i))."""
+    common_degree(p, q)
     pi = p.images
     return Permutation(tuple(pi[v - 1] for v in q.images))
 
@@ -192,6 +198,30 @@ def images_cycles(images) -> CycleDecomposition:
         else:
             cycles.append(tuple(cycle))
     return CycleDecomposition(n, tuple(cycles), frozenset(fixed))
+
+
+def pair_cycles(alpha, beta) -> CycleDecomposition:
+    """Canonical disjoint-cycle decomposition of alpha^-1*beta, for image tuples alpha and beta."""
+    inverse = images_inverse(alpha)
+    return images_cycles([inverse[y - 1] for y in beta])
+
+
+def orbit_labels(n: int, generators) -> tuple[int, ...]:
+    """Each point of [n] labelled by the least point of its orbit under the
+    image tuples ``generators``: labels[x] for the point x, labels[0] = 0."""
+    labels = [0] * (n + 1)
+    for start in range(1, n + 1):
+        if labels[start]:
+            continue
+        labels[start] = start
+        queue = [start]
+        for x in queue:
+            for g in generators:
+                y = g[x - 1]
+                if not labels[y]:
+                    labels[y] = start
+                    queue.append(y)
+    return tuple(labels)
 
 
 def power_exponent(dec: CycleDecomposition, images: tuple[int, ...]) -> int | None:
@@ -239,9 +269,8 @@ def mixtures(theta: Permutation, tau: Permutation):
     theta and the last element is tau.  Raises CapacityError, before
     anything is built, when the 2^r elements exceed the enumeration cap.
     """
-    if theta.degree != tau.degree:
-        raise DegreeMismatchError(f"degrees differ: {theta.degree} vs {tau.degree}")
-    cycles = disjoint_cycles(compose(theta.inverse(), tau)).cycles
+    common_degree(theta, tau)
+    cycles = pair_cycles(theta.images, tau.images).cycles
     unit = ((1, 0), (1, 0))
     walk = walk_mixtures(theta.images, tau.images, cycles, [unit] * len(cycles))
     return (Permutation(tuple(images)) for images, _, _ in walk)
@@ -260,16 +289,21 @@ def walk_mixtures(alpha, beta, cycles, factors):
     yield hands out the same list, set to the mixture's images.  Raises
     CapacityError, before any walking, when 2^r exceeds the cap.
     """
-    if 1 << len(cycles) > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(
-            f"walk of 2^{len(cycles)} mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}"
-        )
+    check_walk(len(cycles))
     # beta before alpha: _depth_first pushes both, so it takes alpha first
     choices = [
         ([p - 1 for p in cycle], ((beta, b_c), (alpha, a_c)))
         for cycle, (a_c, b_c) in zip(cycles, factors)
     ]
     return _depth_first(list(alpha), choices)
+
+
+def check_walk(r: int, work=inf) -> None:
+    """Refuse a walk of 2^r mixtures over the enumeration cap with
+    CapacityError, unless ``work``, the cost of another way to the same
+    sum, is within the cap."""
+    if 1 << r > DEFAULT_ENUMERATION_CAP and work > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"walk of 2^{r} mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
 
 def _depth_first(images, choices):
@@ -346,11 +380,14 @@ def _list_items(listing: str, separator, text: str) -> list[str]:
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(1 5 3)(2 6)"; "id" and "()" are the identity.
 
-    Blank text is a ParseError, not the identity.
+    Blank text is a ParseError, not the identity.  A degree over the
+    enumeration cap is a CapacityError, raised before anything is built.
     """
     s = text.strip()
     if degree < 1:
         raise ParseError("degree must be positive")
+    if degree > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"permutation degree {degree} exceeds cap {DEFAULT_ENUMERATION_CAP}")
     if not s:
         raise ParseError(f"blank permutation text {text!r}; write id for the identity")
     if s in ("id", "()"):

@@ -430,6 +430,67 @@ def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
         assert "exceeds cap" in err
 
 
+def test_irreducible_on_forty_four_points_pinned(capsys):
+    # irr:[43,1] on 44 points, rho the 22 transpositions (1 2)...(43 44):
+    # with theta = id, <theta, tau> has 22 orbits of one transposition each
+    # and the class sums answer over the 2^22 mixtures; with theta a
+    # 44-cycle and tau = theta*rho there is one orbit, whose 2^22 choices
+    # are refused with the walk's text
+    rho = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(22))
+    group = ["--group", "S44", "--character", "irr:[43,1]"]
+    code, out, err = run(capsys, "gmf", "--n", "44", "--theta", "id", "--tau", rho, *group,
+                         "--json")
+    value = {"value": {"re": str(21 * 2**22), "im": "0"}, "method": "formula", "terms": 2**22}
+    assert (code, json.loads(out), err) == (0, value, "")
+    long_cycle = "(" + " ".join(map(str, range(1, 45))) + ")"
+    perm = permfunc.perm
+    tau = perm.format_permutation(
+        perm.parse_permutation(long_cycle, 44) * perm.parse_permutation(rho, 44)
+    )
+    code, out, err = run(capsys, "gmf", "--n", "44", "--theta", long_cycle, "--tau", tau, *group)
+    assert (code, out, err) == (3, "", "error: walk of 2^22 mixtures exceeds cap 3628800\n")
+
+
+def test_degree_over_the_cap_builds_nothing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation was built for a degree over the cap")
+
+    monkeypatch.setattr(permfunc.perm.Permutation, "identity", refuse)
+    monkeypatch.setattr(permfunc.perm.Permutation, "from_cycles", refuse)
+    for theta in ("id", "(1 2)"):
+        code, out, err = run(capsys, "s-det", "--n", "3628801", "--theta", theta)
+        message = "error: permutation degree 3628801 exceeds cap 3628800\n"
+        assert (code, out, err) == (3, "", message)
+
+
+def test_naive_routes_refuse_before_building_the_matrix(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matrix was built before the cap was checked")
+
+    for module in (permfunc.cli, permfunc.matrices):
+        monkeypatch.setattr(module, "linear_sum", refuse)
+        monkeypatch.setattr(module, "block_matrix", refuse)
+    pair = ["--theta", "id", "--tau", "id"]
+    for argv, message in [
+        (["det", "--n", "2000", *pair], "2000x2000 matrix exceeds cap 3628800"),
+        (["per", "--n", "2000", *pair], "2000x2000 matrix exceeds cap 3628800"),
+        (["gmf", "--n", "1905", *pair, "--group", "stab:1@1905", "--character", "sign"],
+         "1905x1905 matrix exceeds cap 3628800"),
+        (["gmf", "--n", "11", *pair, "--group", "S11", "--character", "trivial"],
+         "group order 39916800 exceeds cap 3628800"),
+    ]:
+        code, out, err = run(capsys, *argv, "--method", "naive")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "m": 1, "n": 11, "theta": "id", "tau": "id", "inner_thetas": ["id"] * 11,
+        "inner_taus": ["id"] * 11, "a": ["1"] * 11, "b": ["1"] * 11,
+    }))
+    code, out, err = run(capsys, "block-gmf", "--spec", str(spec), "--character", "sign",
+                         "--method", "naive")
+    assert (code, out, err) == (3, "", "error: group order 39916800 exceeds cap 3628800\n")
+
+
 def test_class_tables_over_the_cap_exit_three(capsys):
     # one cycle of each length 2..23 on 275 points: every orbit of
     # <id, tau> is small, but the 2^22 mixtures have 2^22 cycle types
@@ -676,8 +737,8 @@ def _mutate(rng, argv):
         elif argv[k]:
             i = rng.randrange(len(argv[k]))
             argv[k] = argv[k][:i] + rng.choice("()[],:@ -/i0123456789x") + argv[k][i + 1:]
-    # keep the degree at most 6: a huge --n builds its identity before any
-    # cap applies, and cauchy-binet walks 2^n leaves on permutation inputs
+    # keep the degree at most 6: a large --n under the cap still builds its
+    # identity, and cauchy-binet walks 2^n leaves on permutation inputs
     return [
         "6" if k and argv[k - 1] == "--n" and arg.strip().isdigit() and int(arg) > 6 else arg
         for k, arg in enumerate(argv)

@@ -333,9 +333,10 @@ class TestNaive:
             return image_compose(p, q)
 
         monkeypatch.setattr(groups, "_compose", counted)
-        group = GeneratedSubgroup(7, (P("(2 5)", 7), P("(1 2 3 4 5 6 7)", 7)))
+        # (2 5) and an 11-cycle generate S11, of order 11! over the cap
+        group = GeneratedSubgroup(11, (P("(2 5)", 11), P("(1 2 3 4 5 6 7 8 9 10 11)", 11)))
         with pytest.raises(CapacityError):
-            pf.gmf_naive(Matrix.identity(7), group, SignCharacter(), cap=100)
+            pf.gmf_naive(Matrix.identity(11), group, SignCharacter())
         assert len(steps) < 1000
 
 
@@ -1530,10 +1531,13 @@ class TestClassSums:
         assert scalar_kinds == {"a = 0", "b = 0", "b = -a", "random"}
         assert class_sum_calls
 
-    def test_tables_over_the_cap_fall_back_to_the_walk(self, monkeypatch):
-        # the same draws with the table bound lowered: some are refused
-        # before any orbit is walked, some before a convolution, and the
-        # walk then gives the same result
+    def test_lowered_cap_answers_whenever_the_walk_fits(self, monkeypatch):
+        # the same draws with the cap lowered: every draw whose 2^r mixtures
+        # fit the cap is answered, also where the class sums' own work
+        # exceeds it; the others are refused with the walk's text only when
+        # that work exceeds the cap too; the walk never runs
+        from permfunc import perm
+
         rng = random.Random(8383)
         cases = []
         for _ in range(60):
@@ -1546,28 +1550,38 @@ class TestClassSums:
             for group in parity_groups(rng, n):
                 expected = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
                 cases.append(((a, b, theta, tau, group, chi), expected))
-        calls = []
-        orbit_classes, walk = engine._orbit_classes, engine._walk
 
-        def spy_orbit(*args):
-            calls.append("orbit")
-            return orbit_classes(*args)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the class sums handed the mixtures to the walk")
 
-        def spy_walk(*args):
-            calls.append("walk")
-            return walk(*args)
+        checks = []
+        check_walk = engine.check_walk
 
-        monkeypatch.setattr(engine, "_orbit_classes", spy_orbit)
-        monkeypatch.setattr(engine, "_walk", spy_walk)
+        def spy(r, work):
+            checks.append(work)
+            return check_walk(r, work)
+
+        monkeypatch.setattr(engine, "_walk", refuse)
+        monkeypatch.setattr(engine, "check_walk", spy)
         outcomes = set()
         for cap in (0, 15, 30, 60):
-            monkeypatch.setattr(engine, "DEFAULT_ENUMERATION_CAP", cap)
+            for module in (perm, groups):
+                monkeypatch.setattr(module, "DEFAULT_ENUMERATION_CAP", cap)
             for args, expected in cases:
-                calls.clear()
-                assert_same_result(pf.gmf_linear_sum(*args), expected)
-                outcomes.add(("orbit" in calls, "walk" in calls))
-        # (False, False) is a zero prefactor, answered before either
-        assert outcomes >= {(False, True), (True, True), (True, False)}
+                checks.clear()
+                r = len(perm.pair_cycles(args[2].images, args[3].images).cycles)
+                try:
+                    result = pf.gmf_linear_sum(*args)
+                except CapacityError as exc:
+                    assert 1 << r > cap and checks[-1] > cap
+                    assert str(exc) == f"walk of 2^{r} mixtures exceeds cap {cap}"
+                    outcomes.add("refused")
+                    continue
+                assert_same_result(result, expected)
+                if checks:
+                    outcomes.add((1 << r <= cap, max(checks) <= cap))
+        # (True, False): 2^r fits, and the class sums answer over their own bound
+        assert outcomes >= {"refused", (True, True), (True, False)}
 
     def test_block_matches_walk(self, class_sum_calls):
         rng = random.Random(8282)

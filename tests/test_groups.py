@@ -99,11 +99,9 @@ def test_contains_agrees_with_enumeration(n):
 
 def test_capacity_error():
     with pytest.raises(CapacityError):
-        enumerate_group(SymmetricGroup(5), cap=100)
+        enumerate_group(SymmetricGroup(11))
     with pytest.raises(CapacityError):
-        enumerate_group(
-            GeneratedSubgroup(5, (P("(1 2)", 5), P("(1 2 3 4 5)", 5))), cap=100
-        )
+        enumerate_group(parse_group("gens:(1 2),(1 2 3 4 5 6 7 8 9 10 11)@11"))
 
 
 def test_order_without_enumeration():

@@ -8,19 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from permfunc.errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 from permfunc.perm import (
+    DEFAULT_ENUMERATION_CAP,
     Permutation,
+    check_walk,
+    common_degree,
     compose,
     cycle_structure,
     disjoint_cycles,
     disjoint_union,
     format_permutation,
     mixtures,
+    orbit_labels,
+    pair_cycles,
     parse_permutation,
     power_exponent,
     shift_embed,
     walk_mixtures,
 )
-from support import brute_x_set, rand_perm
+from support import brute_closure, brute_x_set, rand_perm
 
 
 def P(text: str, n: int) -> Permutation:
@@ -191,6 +196,47 @@ class TestXSet:
         walk = mixtures(theta, tau)
         assert next(walk) == theta
         assert next(walk) == transpositions(1, n)
+
+
+class TestSharedHelpers:
+    """The one degree check, cycle decomposition, orbit labelling and walk
+    cap that every sum shares."""
+
+    def test_common_degree(self):
+        assert common_degree(P("(1 2)", 3), P("id", 3)) == 3
+        with pytest.raises(DegreeMismatchError, match="degrees differ: 3 vs 4"):
+            common_degree(P("(1 2)", 3), P("id", 4))
+
+    @given(small_perms, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_cycles_decompose_the_quotient(self, alpha, rnd):
+        beta = rand_perm(rnd, alpha.degree)
+        dec = pair_cycles(alpha.images, beta.images)
+        assert dec == disjoint_cycles(compose(alpha.inverse(), beta))
+
+    def test_orbit_labels_match_the_generated_group(self):
+        # each point's label is the least point it reaches under <gens>
+        rng = random.Random(5151)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            gens = [rand_perm(rng, n) for _ in range(rng.randint(0, 3))]
+            group = brute_closure(n, gens)
+            expected = [0] + [min(sigma(x) for sigma in group) for x in range(1, n + 1)]
+            assert orbit_labels(n, [g.images for g in gens]) == tuple(expected)
+
+    def test_walk_cap_text(self):
+        check_walk(21)
+        check_walk(22, work=DEFAULT_ENUMERATION_CAP)
+        for work in ({}, {"work": DEFAULT_ENUMERATION_CAP + 1}):
+            with pytest.raises(CapacityError) as exc:
+                check_walk(22, **work)
+            assert str(exc.value) == f"walk of 2^22 mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}"
+
+    def test_degree_over_the_cap_is_refused_before_parsing(self):
+        degree = DEFAULT_ENUMERATION_CAP + 1
+        for text in ("id", "(1 2)", ""):
+            with pytest.raises(CapacityError, match=f"permutation degree {degree} exceeds cap"):
+                parse_permutation(text, degree)
 
 
 @st.composite
