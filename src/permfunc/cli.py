@@ -149,33 +149,35 @@ def _group_and_character(args, degree: int) -> tuple[GroupSpec, CharacterSpec]:
     return group, parse_character(args.character, degree)
 
 
-def _naive(build, size: int, group: GroupSpec, chi: CharacterSpec):
-    """gmf_naive on the size x size matrix ``build()`` makes.
-
-    size*size entries or a group order over the enumeration cap are
-    refused before the matrix is built, the entries first: they need no
-    factorial of a large degree.
-    """
+def _check_naive(size: int, group: GroupSpec) -> None:
+    """Refuse the naive route before its size x size matrix is built:
+    size*size entries or a group order over the enumeration cap, the
+    entries first, since they need no factorial of a large degree."""
     if size * size > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"{size}x{size} matrix exceeds cap {DEFAULT_ENUMERATION_CAP}")
     checked_order(group)
-    return engine.gmf_naive(build(), group, chi)
 
 
 def _routes(theta, tau, a, b, group: GroupSpec, chi: CharacterSpec) -> dict:
     """The evaluation calls for a*P_theta + b*P_tau by --method, built but not run.
 
-    Each call builds its own input matrix.  "closed" is the determinant
-    for the sign character and the permanent otherwise.
+    Each call builds its own input matrix, the naive one only once
+    _check_naive lets it.  "closed" is the determinant for the sign
+    character and the permanent otherwise.
     """
     closed = engine.det_linear_sum if isinstance(chi, SignCharacter) else engine.per_linear_sum
+
+    def naive():
+        _check_naive(theta.degree, group)
+        return engine.gmf_naive(linear_sum(a, b, theta, tau), group, chi)
+
     return {
         "closed": lambda: closed(a, b, theta, tau),
         "formula": lambda: engine.gmf_linear_sum(a, b, theta, tau, group, chi),
         "cauchy-binet": lambda: engine.det_cauchy_binet_sum(
             scalar_mul(a, perm_matrix(theta)), scalar_mul(b, perm_matrix(tau))
         ),
-        "naive": lambda: _naive(lambda: linear_sum(a, b, theta, tau), theta.degree, group, chi),
+        "naive": naive,
     }
 
 
@@ -228,7 +230,8 @@ def _cmd_block_gmf(args) -> int:
         )
     chi = parse_character(args.character, spec.size)
     if args.method == "naive":
-        result = _naive(lambda: block_matrix(spec), spec.size, group, chi)
+        _check_naive(spec.size, group)
+        result = engine.gmf_naive(block_matrix(spec), group, chi)
     else:
         result = engine.gmf_block(spec, group, chi)
     return _emit(args, result.to_json(), result.value)

@@ -329,37 +329,35 @@ def _parity_product(alpha, cycles, pairs, group: GroupSpec, chi: CharacterSpec):
     return _plus(even, odd)
 
 
-def _orbit_classes(orbit, alpha, beta, moves) -> dict:
-    """Cycle type on one orbit -> [re, im, count] over the orbit's mixtures.
-
-    ``orbit`` lists the orbit's points and ``moves`` its cycles of
-    alpha^-1*beta with their (a_c, b_c) Gaussian-integer pairs.  The
-    mixtures are walked on the orbit's points, renumbered from 1; the walk
-    skips every choice whose factor is zero, so each mixture reached has a
-    nonzero weight and counts once.
+def _orbit_mixtures(points, alpha, beta, moves):
+    """Yield (cycle type, re, im) for each mixture on ``points``, a union of
+    orbits of <alpha, beta> whose cycles of alpha^-1*beta are ``moves``,
+    each with its (a_c, b_c) pair.  The walk, on the points renumbered
+    from 1, skips every zero factor, so each mixture yielded weighs nonzero.
     """
-    where = {p: i for i, p in enumerate(orbit, 1)}
-    from_alpha = [where[alpha[p - 1]] for p in orbit]
-    from_beta = [where[beta[p - 1]] for p in orbit]
+    where = {p: i for i, p in enumerate(points, 1)}
+    from_alpha = [where[alpha[p - 1]] for p in points]
+    from_beta = [where[beta[p - 1]] for p in points]
     cycles = [[where[p] for p in cycle] for cycle, _ in moves]
-    classes = {}
     for images, re, im in walk_mixtures(from_alpha, from_beta, cycles, [f for _, f in moves]):
-        acc = classes.setdefault(images_cycle_type(images), [0, 0, 0])
-        acc[0] += re
-        acc[1] += im
-        acc[2] += 1
+        yield images_cycle_type(images), re, im
+
+
+def _orbit_classes(points, alpha, beta, moves) -> dict:
+    """Cycle type on ``points`` -> (re, im, count) over their mixtures."""
+    classes = {}
+    for cycle_type, re, im in _orbit_mixtures(points, alpha, beta, moves):
+        classes[cycle_type] = _plus(classes.get(cycle_type, (0, 0, 0)), (re, im, 1))
     return classes
 
 
 def _convolve(left: dict, right: dict) -> dict:
     """Classes of two disjoint orbits combined: types merged, weights multiplied."""
     out = {}
-    for t1, (r1, i1, c1) in left.items():
-        for t2, (r2, i2, c2) in right.items():
-            acc = out.setdefault(tuple(sorted(t1 + t2, reverse=True)), [0, 0, 0])
-            acc[0] += r1 * r2 - i1 * i2
-            acc[1] += r1 * i2 + i1 * r2
-            acc[2] += c1 * c2
+    for t1, x in left.items():
+        for t2, y in right.items():
+            merged = tuple(sorted(t1 + t2, reverse=True))
+            out[merged] = _plus(out.get(merged, (0, 0, 0)), _times(x, y))
     return out
 
 
@@ -370,43 +368,48 @@ def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCh
     orbit of <alpha, beta> onto itself: its cycle type is the union of its
     types on the orbits, and its weight the product of its (a_c, b_c)
     factors there.  Each orbit's 2^(r_O) cycle choices are summed by type
-    (_orbit_classes), the orbits' dicts convolved, the odd types dropped
+    (_orbit_classes), the orbits' tables convolved, the odd types dropped
     for A_n, and chi, an integer-valued class function, evaluated once
     per class.  Returns the Gaussian-integer sum (re, im) and the number
     of in-group mixtures with a nonzero weight.
 
-    Its work is the orbits' walks (2^(r_O) choices of |O| points each,
-    summed), checked before any orbit is walked, and each convolved table
-    (n times the product of the sizes of its two inputs), checked before
-    each convolution.  When the 2^r mixtures fit the enumeration cap that
-    work is at most about n * 2^r, as the walk's would be, and it always
-    answers; otherwise it raises the walk's CapacityError once a check
-    exceeds the cap too, so time and memory stay within the cap.
+    Every table stays within the enumeration cap: an orbit is tabulated
+    only if |O| * 2^(r_O) fits, and convolved into the running table T
+    only if n * |T| * |C| fits; the other orbits are walked together, each
+    of their mixtures convolved with T and summed at once.  The work is
+    about n * 2^r at most, as the walk's, so with 2^r within the cap they
+    always answer; otherwise check_walk raises the walk's CapacityError
+    once a bound, or the orbits' walks checked first, exceeds the cap too.
     """
     n, r = len(alpha), len(cycles)
     labels = orbit_labels(n, (alpha, beta))
     orbits = {}
     for p in range(1, n + 1):
-        orbits.setdefault(labels[p], []).append(p)
-    moves = {least: [] for least in orbits}
+        orbits.setdefault(labels[p], ([], []))[0].append(p)
     for cycle, pair in zip(cycles, pairs):
-        moves[labels[cycle[0]]].append((cycle, pair))
-    check_walk(r, sum(len(orbit) << len(moves[least]) for least, orbit in orbits.items()))
-    totals = {(): [1, 0, 1]}
-    for least, orbit in orbits.items():
-        classes = _orbit_classes(orbit, alpha, beta, moves[least])
-        check_walk(r, n * len(totals) * len(classes))
-        totals = _convolve(totals, classes)
+        orbits[labels[cycle[0]]][1].append((cycle, pair))
+    check_walk(r, sum(len(points) << len(moves) for points, moves in orbits.values()))
+    totals, points, moves = {(): (1, 0, 1)}, [], []
+    for orbit, orbit_moves in orbits.values():
+        if check_walk(r, len(orbit) << len(orbit_moves)):
+            classes = _orbit_classes(orbit, alpha, beta, orbit_moves)
+            if check_walk(r, n * len(totals) * len(classes)):
+                totals = _convolve(totals, classes)
+                continue
+        points += orbit
+        moves += orbit_moves
+    # with no orbit left over, the walk yields one empty mixture: T itself
+    tables = (
+        _convolve(totals, {cycle_type: (re, im, 1)})
+        for cycle_type, re, im in _orbit_mixtures(points, alpha, beta, moves)
+    )
     alternating = isinstance(group, AlternatingGroup)
-    sum_re = sum_im = terms = 0
-    for cycle_type, (re, im, count) in totals.items():
-        if alternating and (n - len(cycle_type)) % 2:
-            continue
-        value = chi.class_value(cycle_type)
-        sum_re += value * re
-        sum_im += value * im
-        terms += count
-    return sum_re, sum_im, terms
+    total = (0, 0, 0)
+    for table in tables:
+        for cycle_type, x in table.items():
+            if not (alternating and (n - len(cycle_type)) % 2):
+                total = _plus(total, _times(x, (chi.class_value(cycle_type), 0, 1)))
+    return total
 
 
 def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
@@ -618,10 +621,9 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
 
 
 def _doubled_count(theta: Permutation) -> int:
-    """F + 2t, F the fixed points and t the 2-cycles of theta: P_theta +
-    P_theta^-1 is S_theta with the entries on those F + 2t points doubled."""
-    cs = cycle_structure(theta)
-    return cs.fixed_count + 2 * cs.lengths.count(2)
+    """F + 2t, F the fixed points and t the 2-cycles of theta: the points theta^2 fixes."""
+    images = theta.images
+    return sum(images[y - 1] == x for x, y in enumerate(images, 1))
 
 
 def gmf_s_matrix(

@@ -298,12 +298,14 @@ def walk_mixtures(alpha, beta, cycles, factors):
     return _depth_first(list(alpha), choices)
 
 
-def check_walk(r: int, work=inf) -> None:
+def check_walk(r: int, work=inf) -> bool:
     """Refuse a walk of 2^r mixtures over the enumeration cap with
     CapacityError, unless ``work``, the cost of another way to the same
-    sum, is within the cap."""
-    if 1 << r > DEFAULT_ENUMERATION_CAP and work > DEFAULT_ENUMERATION_CAP:
+    sum, is within the cap; return whether it is."""
+    fits = work <= DEFAULT_ENUMERATION_CAP
+    if 1 << r > DEFAULT_ENUMERATION_CAP and not fits:
         raise CapacityError(f"walk of 2^{r} mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    return fits
 
 
 def _depth_first(images, choices):

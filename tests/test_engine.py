@@ -1531,11 +1531,34 @@ class TestClassSums:
         assert scalar_kinds == {"a = 0", "b = 0", "b = -a", "random"}
         assert class_sum_calls
 
+    @staticmethod
+    def bounded_tables(monkeypatch, cap):
+        """Lower the cap in every module that reads it, and record the
+        largest n * |table| of each table the class sums build that holds
+        more than one class (one class is a single mixture's O(n) type)."""
+        from permfunc import perm
+
+        for module in (perm, groups):
+            monkeypatch.setattr(module, "DEFAULT_ENUMERATION_CAP", cap)
+        sizes = []
+        for name in ("_orbit_classes", "_convolve"):
+            build = getattr(engine, name)
+
+            def spy(*args, build=build):
+                table = build(*args)
+                if len(table) > 1:
+                    sizes.append(max(map(sum, table)) * len(table))
+                return table
+
+            monkeypatch.setattr(engine, name, spy)
+        return sizes
+
     def test_lowered_cap_answers_whenever_the_walk_fits(self, monkeypatch):
         # the same draws with the cap lowered: every draw whose 2^r mixtures
-        # fit the cap is answered, also where the class sums' own work
-        # exceeds it; the others are refused with the walk's text only when
-        # that work exceeds the cap too; the walk never runs
+        # fit the cap is answered, by the tables alone or with the orbits
+        # past the tables' bound walked; the others are refused with the
+        # walk's text only when the class sums' own work exceeds the cap
+        # too; no table outgrows the cap, and _walk never runs
         from permfunc import perm
 
         rng = random.Random(8383)
@@ -1565,8 +1588,7 @@ class TestClassSums:
         monkeypatch.setattr(engine, "check_walk", spy)
         outcomes = set()
         for cap in (0, 15, 30, 60):
-            for module in (perm, groups):
-                monkeypatch.setattr(module, "DEFAULT_ENUMERATION_CAP", cap)
+            sizes = self.bounded_tables(monkeypatch, cap)
             for args, expected in cases:
                 checks.clear()
                 r = len(perm.pair_cycles(args[2].images, args[3].images).cycles)
@@ -1579,9 +1601,30 @@ class TestClassSums:
                     continue
                 assert_same_result(result, expected)
                 if checks:
-                    outcomes.add((1 << r <= cap, max(checks) <= cap))
-        # (True, False): 2^r fits, and the class sums answer over their own bound
-        assert outcomes >= {"refused", (True, True), (True, False)}
+                    outcomes.add("walked" if max(checks) > cap else "tabulated")
+            assert all(size <= cap for size in sizes)
+        assert outcomes == {"refused", "tabulated", "walked"}
+
+    @pytest.mark.parametrize("group", [SymmetricGroup(35), AlternatingGroup(35)], ids=str)
+    def test_tables_stay_within_the_cap_when_the_walk_fits(self, monkeypatch, group):
+        # one cycle of each length 2..8 on 35 points with theta = id: the
+        # 2^7 mixtures have 2^7 cycle types, so the convolved tables would
+        # reach 35 * 2^7 entries; with the cap at 1000 the class sums
+        # tabulate while the tables fit and walk the remaining orbits
+        cycles, start = [], 1
+        for length in range(2, 9):
+            cycles.append(tuple(range(start, start + length)))
+            start += length
+        theta, tau = Permutation.identity(35), Permutation.from_cycles(35, cycles)
+        chi = IrreducibleCharacter(Partition((34, 1)))
+        a, b = gauss(2), gauss(1, -1)
+        expected = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+        sizes = self.bounded_tables(monkeypatch, 1000)
+        monkeypatch.setattr(engine, "_walk", None)
+        assert_same_result(pf.gmf_linear_sum(a, b, theta, tau, group, chi), expected)
+        assert sizes and max(sizes) <= 1000
+        # 2^7 = 128 mixtures: the walk's own bound
+        assert expected.term_count == (128 if isinstance(group, SymmetricGroup) else 64)
 
     def test_block_matches_walk(self, class_sum_calls):
         rng = random.Random(8282)

@@ -225,8 +225,10 @@ class TestSharedHelpers:
             assert orbit_labels(n, [g.images for g in gens]) == tuple(expected)
 
     def test_walk_cap_text(self):
-        check_walk(21)
-        check_walk(22, work=DEFAULT_ENUMERATION_CAP)
+        # under the cap the walk is allowed, and the answer says whether work fits
+        assert check_walk(21) is False
+        assert check_walk(21, work=DEFAULT_ENUMERATION_CAP + 1) is False
+        assert check_walk(22, work=DEFAULT_ENUMERATION_CAP) is True
         for work in ({}, {"work": DEFAULT_ENUMERATION_CAP + 1}):
             with pytest.raises(CapacityError) as exc:
                 check_walk(22, **work)
