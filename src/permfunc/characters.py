@@ -17,9 +17,9 @@ import cmath
 import functools
 import json
 import re as _re
-from dataclasses import dataclass
 from math import factorial, lcm, prod
 
+from ._record import record
 from .errors import CharacterDomainError, ExactnessError, ParseError
 from .gaussian import GaussianRational, I, ONE, gauss
 from .groups import GeneratedSubgroup
@@ -34,7 +34,7 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """Weakly decreasing positive parts; indexes an irreducible character."""
 
@@ -165,7 +165,7 @@ def _gauss_int(value: int) -> GaussianRational:
 _MINUS_ONE = _gauss_int(-1)
 
 
-@dataclass(frozen=True)
+@record
 class TrivialCharacter(CharacterSpec):
     def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
         return ONE
@@ -177,7 +177,7 @@ class TrivialCharacter(CharacterSpec):
         return "trivial"
 
 
-@dataclass(frozen=True)
+@record
 class SignCharacter(CharacterSpec):
     def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
         return ONE if images_sign(images) > 0 else _MINUS_ONE
@@ -189,7 +189,7 @@ class SignCharacter(CharacterSpec):
         return "sign"
 
 
-@dataclass(frozen=True)
+@record
 class IrreducibleCharacter(CharacterSpec):
     """Irreducible character of S_n for the given shape, restrictable to
     any subgroup; values are integers computed by border-strip recursion."""
@@ -215,7 +215,7 @@ class IrreducibleCharacter(CharacterSpec):
         return f"irr:{self.partition}"
 
 
-@dataclass(frozen=True)
+@record
 class TableCharacter(CharacterSpec):
     """Explicit value table over the subgroup its keys form.
 
@@ -278,7 +278,7 @@ class TableCharacter(CharacterSpec):
 _FOURTH_ROOTS = (ONE, I, _MINUS_ONE, -I)
 
 
-@dataclass(frozen=True)
+@record
 class CyclicRootCharacter(CharacterSpec):
     """Linear character of <generator> mapping it to exp(2*pi*i*k/order).
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
@@ -296,6 +295,8 @@ def _cmd_tensor_check(args) -> int:
 
 
 def _median_seconds(fn, reps: int) -> float:
+    import statistics  # only `bench` needs it; every other call skips the import
+
     times = []
     for _ in range(reps):
         start = time.perf_counter()

@@ -56,10 +56,10 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._record import record
 from .characters import CharacterSpec, IrreducibleCharacter, SignCharacter, TrivialCharacter
 from .errors import (
     CharacterDomainError,
@@ -111,7 +111,7 @@ class Method(str, enum.Enum):
     BLOCK = "block"
 
 
-@dataclass(frozen=True)
+@record
 class GmfResult:
     value: GaussianRational
     method: Method
@@ -677,7 +677,7 @@ def s_product(theta: Permutation, tau: Permutation) -> Matrix:
     return expected
 
 
-@dataclass(frozen=True)
+@record
 class SingularSpectrum:
     """All n singular values (floating, descending)."""
 
@@ -722,7 +722,7 @@ def singular_values(
     return SingularSpectrum(tuple(sorted(out, reverse=True)))
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     lhs: float
     rhs: float
@@ -765,7 +765,7 @@ def check_singular_bound(
     return BoundReport(lhs, rhs, holds)
 
 
-@dataclass(frozen=True)
+@record
 class DominanceReport:
     lhs: Fraction
     rhs: Fraction
@@ -807,7 +807,7 @@ def check_dominance(
     return DominanceReport(lhs, rhs, lhs <= rhs)
 
 
-@dataclass(frozen=True)
+@record
 class SuperadditivityReport:
     combined: Fraction
     left: Fraction
@@ -926,7 +926,7 @@ def tensor_oracle(
     return pairing / gauss(order)
 
 
-@dataclass(frozen=True)
+@record
 class TermCounts:
     naive: int
     formula: int

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import re as _re
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial, prod
 
+from ._record import record
 from .errors import CapacityError, DegreeMismatchError, ParseError
 from .perm import (
     DEFAULT_ENUMERATION_CAP,
@@ -30,7 +30,7 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     """Base class; concrete variants implement membership and enumeration
     on image tuples (images[i-1] = sigma(i))."""
@@ -58,7 +58,7 @@ class GroupSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class SymmetricGroup(GroupSpec):
     n: int
 
@@ -83,7 +83,7 @@ class SymmetricGroup(GroupSpec):
         return f"S{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class AlternatingGroup(GroupSpec):
     n: int
 
@@ -108,7 +108,7 @@ class AlternatingGroup(GroupSpec):
         return f"A{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class CyclicGroup(GroupSpec):
     generator: Permutation
 
@@ -137,7 +137,7 @@ class CyclicGroup(GroupSpec):
         return f"cyclic:{self.generator}"
 
 
-@dataclass(frozen=True)
+@record
 class PointwiseStabilizer(GroupSpec):
     """All permutations fixing every point of a given set."""
 
@@ -172,7 +172,7 @@ class PointwiseStabilizer(GroupSpec):
         return f"stab:{','.join(map(str, sorted(self.points)))}@{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class GeneratedSubgroup(GroupSpec):
     """The subgroup generated by a list of permutations.
 
@@ -446,7 +446,10 @@ def checked_order(spec: GroupSpec) -> int:
     """
     order = spec.order()
     if order > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(f"group order {order} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+        # Python turns no integer of more than 4300 digits into text, so an
+        # order of more than 13000 bits (about 3900 digits) is named by its group
+        shown = order if order.bit_length() <= 13000 else f"of {spec}"
+        raise CapacityError(f"group order {shown} exceeds cap {DEFAULT_ENUMERATION_CAP}")
     return order
 
 

@@ -8,10 +8,10 @@ structural positive-semidefiniteness classification for linear sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import record
 from .errors import DegreeMismatchError, ParseError
 from .gaussian import GaussianRational, ZERO, gauss
 from .perm import (
@@ -187,7 +187,7 @@ def s_matrix(theta: Permutation) -> Matrix:
     return Matrix(grid)
 
 
-@dataclass(frozen=True)
+@record
 class BlockSpec:
     """Description of an (m*n) x (m*n) sum of two block-permutation layers.
 
@@ -307,7 +307,7 @@ def block_matrix(spec: BlockSpec) -> Matrix:
     return Matrix(grid)
 
 
-@dataclass(frozen=True)
+@record
 class PsdClassification:
     """Outcome of the structural semidefiniteness test for a*P_theta + b*P_tau.
 

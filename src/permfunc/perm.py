@@ -11,16 +11,16 @@ per cycle, drives the fast evaluation of generalized matrix functions.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from math import factorial, gcd, inf, lcm
 
+from ._record import record
 from .errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 
 # The most elements any enumeration (a group, or the mixtures of a pair) may visit.
 DEFAULT_ENUMERATION_CAP = factorial(10)
 
 
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A bijection on [n]; images[i-1] = sigma(i)."""
 
@@ -92,7 +92,7 @@ class Permutation:
         return format_permutation(self)
 
 
-@dataclass(frozen=True)
+@record
 class CycleDecomposition:
     """Canonical disjoint cycles (length >= 2) plus the fixed points.
 
@@ -108,7 +108,7 @@ class CycleDecomposition:
         return Permutation.from_cycles(self.degree, self.cycles)
 
 
-@dataclass(frozen=True)
+@record
 class CycleStructure:
     """Multiset of nontrivial cycle lengths plus the fixed-point count."""
 

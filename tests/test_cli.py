@@ -591,6 +591,30 @@ def test_generated_group_call_peaks_like_a_closed_form_call():
     assert gens_kb - det_kb < 2 * 1024
 
 
+def test_cli_import_loads_no_code_generation_or_bench_modules():
+    # records generate no code, so dataclasses and the inspect it imports
+    # stay out; statistics is imported by `bench` alone
+    src = pathlib.Path(permfunc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, permfunc.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv, group", [
+    (["det", "--n", "1600", "--theta", "id", "--tau", "id"], "S1600"),
+    (["gmf", "--n", "1700", "--theta", "id", "--tau", "id", "--group", "A1700",
+      "--character", "sign"], "A1700"),
+])
+def test_order_too_long_to_print_names_the_group(capsys, argv, group):
+    # 1600! and 1700!/2 have more digits than Python turns into text
+    code, out, err = run(capsys, *argv, "--method", "naive")
+    assert (code, out, err) == (3, "", f"error: group order of {group} exceeds cap 3628800\n")
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
