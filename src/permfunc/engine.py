@@ -29,10 +29,10 @@ Routes provided, all exact unless stated otherwise:
   the structured route's O(r) product over the cycles of theta^-1*tau
   on S_n;
 * a minor-expansion oracle for det(A+B) over all complementary index
-  pairs: a depth-first walk gives each row to A or to B and extends
-  that side's table of minors by one Laplace step, so each minor is
-  built once and at most n+1 tables per side are alive; each size's
-  minor products are summed as Gaussian integers;
+  pairs: the sum over pairs with |alpha| = k is the coefficient of t^k
+  in det(tA + B), so one fold of Laplace steps over the rows, each
+  row's entries taken from A and from B and the table keyed by column
+  set and k, yields every k's sum at once as Gaussian integers;
 * the block generalization for sums of two scaled block-permutation
   layers;
 * the symmetric companion S_theta: its value as that of
@@ -128,7 +128,7 @@ class GmfResult:
 def det_exact(a: Matrix) -> GaussianRational:
     """Exact determinant by fraction-free elimination."""
     if not a.is_square:
-        raise DegreeMismatchError("determinant needs a square matrix")
+        raise DegreeMismatchError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     pre, pim, den = integer_grid(a)
     dre, dim = kernels.det_gaussian_int(pre, pim)
     scale = Fraction(1, den**a.rows)
@@ -177,7 +177,9 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     before the search starts.
     """
     if not a.is_square:
-        raise DegreeMismatchError("generalized matrix functions need square matrices")
+        raise DegreeMismatchError(
+            f"generalized matrix functions need a square matrix, got {a.rows}x{a.cols}"
+        )
     if group.degree != a.rows:
         raise DegreeMismatchError(
             f"matrix degree {a.rows}, group degree {group.degree}"
@@ -222,17 +224,21 @@ def _parity_naive(pre, pim, group: GroupSpec, chi: CharacterSpec):
     alternating = isinstance(group, AlternatingGroup)
     if isinstance(chi, SignCharacter) and not alternating:
         return _fold(rows)
-    per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in rows])
+    per = _fold([[(bit, 0, er, ei, step) for bit, _, er, ei, step in row] for row in rows])
     if not alternating:
         return per
     det = _fold(rows)
     return (per[0] + det[0]) // 2, (per[1] + det[1]) // 2
 
 
-def _row_entries(row_re, row_im) -> list:
-    """A row's nonzero entries as (column bit, the bits above it, re, im)."""
+def _row_entries(row_re, row_im, grade=0) -> list:
+    """A row's nonzero entries as (column bit, the column bits above it,
+    re, im, key step): placing one adds its bit and ``grade`` to the key."""
+    n = len(row_re)
     return [
-        (1 << j, -2 << j, er, ei) for j, (er, ei) in enumerate(zip(row_re, row_im)) if er or ei
+        (1 << j, (1 << n) - (2 << j), er, ei, (1 << j) + grade)
+        for j, (er, ei) in enumerate(zip(row_re, row_im))
+        if er or ei
     ]
 
 
@@ -247,8 +253,9 @@ def _fold(rows):
 def _laplace_step(table, entries):
     """Extend a minor table by one row along its Laplace expansion.
 
-    ``table`` maps the column mask of each minor over the rows placed so
-    far to its determinant (re, im); ``entries`` are the new row's
+    ``table`` maps the key of each minor over the rows placed so far,
+    its column mask plus any grade the entries' key steps add above the
+    columns, to its determinant (re, im); ``entries`` are the new row's
     nonzero entries from _row_entries.  The new row is the last of the
     minor, so placing it in column j adds one inversion for each used
     column above j.  Returns the table over the rows placed so far plus
@@ -256,14 +263,14 @@ def _laplace_step(table, entries):
     """
     extended = {}
     for used, (pr, pi) in table.items():
-        for bit, above, er, ei in entries:
+        for bit, above, er, ei, step in entries:
             if used & bit:
                 continue
             re, im = pr * er - pi * ei, pr * ei + pi * er
             if (used & above).bit_count() & 1:
                 re, im = -re, -im
-            acc = extended.get(used | bit)
-            extended[used | bit] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+            acc = extended.get(used + step)
+            extended[used + step] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
     return extended
 
 
@@ -548,55 +555,32 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
     """det(a+b) expanded over all complementary minor pairs.
 
     Sums (-1)^(r(alpha)+r(beta)) det(a[alpha|beta]) det(b(alpha|beta))
-    over all k and all strictly increasing index pairs.  A depth-first
-    walk gives each row in turn to a or to b; each side keeps a stack of
-    minor tables, {column mask: determinant} over the rows it holds, and
-    taking a row extends that side's top table by one Laplace step
-    along it (_laplace_step).  So each row subset's minors are built
-    once, from its parent's, with at most n+1 tables per side alive, and
-    a branch whose extended table is empty (every minor over its rows
-    vanishes) is pruned.  At a leaf alpha is the set of rows given to a,
-    and a's minor on columns beta pairs with b's on the complement.
-    Each k sums its products as Gaussian integers, scaled once by
-    den_a^k * den_b^(n-k); the term count is still the full pair count.
+    over all k and all strictly increasing index pairs with |alpha| = k.
+    By the generalized Laplace expansion that sum is the coefficient of
+    t^k in det(t*a + b), and det(t*a + b) is multilinear in the rows: one
+    fold of _laplace_step over the rows, each row's entries taken from a
+    and from b, builds it with the table keyed by column mask plus
+    k * 2^n, k the rows given to a so far.  The fold ends with each k's
+    sum on key (2^n - 1) + k * 2^n, and runs no elimination.  Each k's
+    Gaussian integers are scaled once by den_a^k * den_b^(n-k); the term
+    count is still the full pair count.
     """
     if not a.is_square or not b.is_square or a.rows != b.rows:
-        raise DegreeMismatchError("need two square matrices of equal size")
+        raise DegreeMismatchError(
+            "cauchy-binet needs two square matrices of equal size, "
+            f"got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
+        )
     n = a.rows
     pre_a, pim_a, den_a = integer_grid(a)
     pre_b, pim_b, den_b = integer_grid(b)
-    rows_a = list(map(_row_entries, pre_a, pim_a))
-    rows_b = list(map(_row_entries, pre_b, pim_b))
-    everything = (1 << n) - 1
-    # a bit at each 1-based odd index: r(alpha) + r(beta) is odd exactly
-    # when an odd number of them lie in alpha ^ beta
-    odd_positions = everything // 3
-    sums = [[0, 0] for _ in range(n + 1)]
-
-    def walk(i, alpha, table_a, table_b):
-        if i < n:
-            extended = _laplace_step(table_a, rows_a[i])
-            if extended:
-                walk(i + 1, alpha | 1 << i, extended, table_b)
-            extended = _laplace_step(table_b, rows_b[i])
-            if extended:
-                walk(i + 1, alpha, table_a, extended)
-            return
-        acc = sums[alpha.bit_count()]
-        for beta, (ar, ai) in table_a.items():
-            minor_b = table_b.get(everything ^ beta)
-            if minor_b is None:
-                continue
-            br, bi = minor_b
-            re, im = ar * br - ai * bi, ar * bi + ai * br
-            if ((alpha ^ beta) & odd_positions).bit_count() & 1:
-                re, im = -re, -im
-            acc[0] += re
-            acc[1] += im
-
-    walk(0, 0, {0: (1, 0)}, {0: (1, 0)})
+    rows = [
+        _row_entries(ar, ai, 1 << n) + _row_entries(br, bi)
+        for ar, ai, br, bi in zip(pre_a, pim_a, pre_b, pim_b)
+    ]
+    table = functools.reduce(_laplace_step, rows, {0: (1, 0)})
     total = ZERO
-    for k, (sum_re, sum_im) in enumerate(sums):
+    for k in range(n + 1):
+        sum_re, sum_im = table.get((1 << n) - 1 + (k << n), (0, 0))
         scale = Fraction(1, den_a**k * den_b ** (n - k))
         total = total + GaussianRational(sum_re * scale, sum_im * scale)
     return GmfResult(total, Method.CAUCHY_BINET, comb(2 * n, n))

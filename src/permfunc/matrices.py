@@ -146,7 +146,7 @@ def conjugate_transpose(a: Matrix) -> Matrix:
 
 def trace(a: Matrix) -> GaussianRational:
     if not a.is_square:
-        raise DegreeMismatchError("trace needs a square matrix")
+        raise DegreeMismatchError(f"trace needs a square matrix, got {a.rows}x{a.cols}")
     return sum((a.entries[i][i] for i in range(a.rows)), ZERO)
 
 

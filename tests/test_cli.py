@@ -762,7 +762,7 @@ def _mutate(rng, argv):
             i = rng.randrange(len(argv[k]))
             argv[k] = argv[k][:i] + rng.choice("()[],:@ -/i0123456789x") + argv[k][i + 1:]
     # keep the degree at most 6: a large --n under the cap still builds its
-    # identity, and cauchy-binet walks 2^n leaves on permutation inputs
+    # identity and the n x n matrices the det routes read
     return [
         "6" if k and argv[k - 1] == "--n" and arg.strip().isdigit() and int(arg) > 6 else arg
         for k, arg in enumerate(argv)

@@ -97,6 +97,10 @@ class TestNaive:
         with pytest.raises(DegreeMismatchError):
             pf.gmf_naive(Matrix.identity(3), SymmetricGroup(4), SignCharacter())
 
+    def test_non_square_error_names_its_shape(self):
+        with pytest.raises(DegreeMismatchError, match="need a square matrix, got 2x3"):
+            pf.gmf_naive(Matrix.zero(2, 3), SymmetricGroup(2), SignCharacter())
+
     def test_dense_matches_brute_force(self):
         rng = random.Random(913)
         nonzero = [v for v in range(-3, 4) if v]
@@ -570,8 +574,54 @@ class TestCauchyBinet:
         )
         assert result.term_count == 12870
         assert result.value == pf.det_linear_sum(gauss(3), gauss(2), theta, tau).value
-        # one nonzero entry per row: a dense n = 8 pair builds 25,738 entries
+        # one nonzero entry per row: a dense n = 8 pair builds 1,279 entries
         assert sum(sizes) <= 2 ** (8 + 1)
+
+    def test_prunes_vanishing_minors_at_degree_14(self, monkeypatch):
+        # the 14-cycle against the two 7-cycles on the odd and the even
+        # points: a branch per row side would build 32,766 entries
+        theta = P("(1 2 3 4 5 6 7 8 9 10 11 12 13 14)", 14)
+        tau = P("(1 3 5 7 9 11 13)(2 4 6 8 10 12 14)", 14)
+        sizes = []
+        step = engine._laplace_step
+
+        def counted(table, entries):
+            extended = step(table, entries)
+            sizes.append(len(extended))
+            return extended
+
+        monkeypatch.setattr(engine, "_laplace_step", counted)
+        result = pf.det_cauchy_binet_sum(
+            scalar_mul(gauss(3), perm_matrix(theta)), scalar_mul(gauss(2), perm_matrix(tau))
+        )
+        assert result.term_count == comb(28, 14)
+        assert result.value == pf.det_linear_sum(gauss(3), gauss(2), theta, tau).value
+        assert sum(sizes) <= 14**2
+
+    def test_grades_each_minor_size(self):
+        # scaling a by t scales the pairs with |alpha| = k by t^k, so a wrong
+        # grade, or den_a^k and den_b^(n-k) swapped, fails here even where
+        # the t = 1 value is right; a's entries lie over 2, b's over 3
+        rng = random.Random(1907)
+
+        def entry(den, dense):
+            if not dense and rng.random() < 0.5:
+                return ZERO
+            numerators = [x for x in range(-5, 6) if x % den]
+            return gauss(Fraction(rng.choice(numerators), den), Fraction(rng.choice(numerators), den))
+
+        for n in range(1, 9):
+            for dense in (True, False):
+                left = Matrix([[entry(2, dense) for _ in range(n)] for _ in range(n)])
+                right = Matrix([[entry(3, dense) for _ in range(n)] for _ in range(n)])
+                for t in (gauss(0), gauss(2), gauss(Fraction(1, 3)), gauss(0, 1)):
+                    scaled = scalar_mul(t, left)
+                    result = pf.det_cauchy_binet_sum(scaled, right)
+                    assert result.value == pf.det_exact(mat_add(scaled, right))
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(DegreeMismatchError, match="got 3x3 and 3x4"):
+            pf.det_cauchy_binet_sum(Matrix.identity(3), Matrix.zero(3, 4))
 
     def test_dense_n8_keeps_few_tables_alive(self):
         rng = random.Random(21)
@@ -588,7 +638,7 @@ class TestCauchyBinet:
         finally:
             tracemalloc.stop()
         assert result.value == pf.det_exact(mat_add(left, right))
-        # n + 1 tables per side, not the 2^n row subsets' tables at once
+        # one graded table alive at a time, at most 350 entries here
         assert peak < 500_000
 
     def test_matches_expansion_on_dense_random(self):
@@ -685,6 +735,10 @@ class TestDetRouteIndependence:
                 pf.det_exact(matrix),
             }
             assert len(values) == 1
+
+    def test_det_exact_error_names_its_shape(self):
+        with pytest.raises(DegreeMismatchError, match="determinant needs a square matrix, got 3x2"):
+            pf.det_exact(Matrix.zero(3, 2))
 
 
 def reference_block_spec():

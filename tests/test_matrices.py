@@ -322,3 +322,7 @@ class TestMatrixPlumbing:
             mat_mul(Matrix.identity(2), Matrix.identity(3))
         with pytest.raises(DegreeMismatchError):
             trace(Matrix.zero(2, 3))
+
+    def test_trace_error_names_its_shape(self):
+        with pytest.raises(DegreeMismatchError, match="trace needs a square matrix, got 2x3"):
+            trace(Matrix.zero(2, 3))
