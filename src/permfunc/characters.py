@@ -149,8 +149,9 @@ class CharacterSpec:
 
     def check_domain(self, group) -> None:
         """Raise CharacterDomainError unless the character is defined on
-        every member of ``group``; every variant but a table and a
-        cyclic root is."""
+        every member of ``group``: a trivial or sign character always is,
+        an irreducible one on the degree of its partition, a table or a
+        cyclic root on the members it covers."""
 
     def is_linear(self) -> bool:
         return self.degree() == 1
@@ -199,11 +200,17 @@ class IrreducibleCharacter(CharacterSpec):
     def class_value(self, cycle_type: tuple[int, ...]) -> int:
         """The value on the class of ``cycle_type``: every cycle length, 1s
         included, in descending order (``CycleStructure.full_type``)."""
-        if sum(cycle_type) != self.partition.size:
-            raise CharacterDomainError(
-                f"degree {sum(cycle_type)} element for a character of S_{self.partition.size}"
-            )
+        self._check_degree(sum(cycle_type))
         return mn_value(self.partition.parts, cycle_type)
+
+    def check_domain(self, group) -> None:
+        self._check_degree(group.degree)
+
+    def _check_degree(self, degree: int) -> None:
+        if degree != self.partition.size:
+            raise CharacterDomainError(
+                f"degree {degree} element for a character of S_{self.partition.size}"
+            )
 
     def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
         return _gauss_int(self.class_value(images_cycle_type(images)))

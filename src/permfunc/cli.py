@@ -12,11 +12,11 @@ import json
 import sys
 import time
 
-from . import engine
+from . import engine, perm
 from .characters import CharacterSpec, SignCharacter, TrivialCharacter, parse_character
 from .errors import CapacityError, ParseError, PermfuncError
 from .gaussian import GaussianRational
-from .groups import DEFAULT_ENUMERATION_CAP, GroupSpec, SymmetricGroup, checked_order, parse_group
+from .groups import GroupSpec, SymmetricGroup, checked_order, parse_group
 from .matrices import BlockSpec, block_matrix, linear_sum, perm_matrix, psd_classify, scalar_mul
 from .perm import format_permutation, mixtures, parse_int, parse_permutation
 
@@ -152,8 +152,9 @@ def _check_naive(size: int, group: GroupSpec) -> None:
     """Refuse the naive route before its size x size matrix is built:
     size*size entries or a group order over the enumeration cap, the
     entries first, since they need no factorial of a large degree."""
-    if size * size > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(f"{size}x{size} matrix exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    cap = perm.DEFAULT_ENUMERATION_CAP
+    if size * size > cap:
+        raise CapacityError(f"{size}x{size} matrix exceeds cap {cap}")
     checked_order(group)
 
 

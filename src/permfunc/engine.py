@@ -46,7 +46,10 @@ Routes provided, all exact unless stated otherwise:
 
 Permutations are objects only in the routes' arguments.  Inside every
 sum a member or mixture is its image tuple (images[i-1] = sigma(i)):
-groups test membership of it, and chi.evaluate reads it.
+groups test membership of it, and chi.evaluate reads it.  Likewise a
+scalar enters every sum as a Gaussian integer over one denominator, by
+gaussian.integer_parts (matrices.integer_grid for a matrix), and each
+result leaves by gaussian.from_integers.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from fractions import Fraction
 from math import comb
 
 from ._record import record
@@ -68,7 +70,7 @@ from .errors import (
     ExactnessError,
     PermfuncError,
 )
-from .gaussian import GaussianRational, ONE, ZERO, gauss
+from .gaussian import GaussianRational, ONE, ZERO, RationalLike, from_integers, gauss, integer_parts
 from .groups import (
     AlternatingGroup,
     GroupSpec,
@@ -130,9 +132,7 @@ def det_exact(a: Matrix) -> GaussianRational:
     if not a.is_square:
         raise DegreeMismatchError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     pre, pim, den = integer_grid(a)
-    dre, dim = kernels.det_gaussian_int(pre, pim)
-    scale = Fraction(1, den**a.rows)
-    return GaussianRational(dre * scale, dim * scale)
+    return from_integers(*kernels.det_gaussian_int(pre, pim), den**a.rows)
 
 
 def _nonzero_members(pre, pim, group: GroupSpec, order: int):
@@ -191,7 +191,7 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
         re, im = _parity_naive(pre, pim, group, chi)
     else:
         re, im, _ = _value_sums(chi.evaluate, _nonzero_members(pre, pim, group, order))
-    return GmfResult(GaussianRational(re, im) * Fraction(1, den**a.rows), Method.NAIVE, order)
+    return GmfResult(from_integers(re, im, den**a.rows), Method.NAIVE, order)
 
 
 # groups whose membership, and characters whose value, a permutation's
@@ -292,15 +292,6 @@ def _value_sums(value, weighted):
         total_re += v.re * re - v.im * im
         total_im += v.re * im + v.im * re
     return total_re, total_im, count
-
-
-def _gaussian_integers(factors):
-    """The (a_c, b_c) factors as Gaussian-integer pairs over one common denominator.
-
-    Returns [((a_re, a_im), (b_re, b_im)), ...] and the denominator.
-    """
-    den = math.lcm(*(x.denominator for pair in factors for z in pair for x in (z.re, z.im)))
-    return [tuple((int(z.re * den), int(z.im * den)) for z in pair) for pair in factors], den
 
 
 def _times(x, y):
@@ -447,14 +438,14 @@ def _mixture_sum(
     entry product; a zero prefactor gives zero with no terms.  A pointwise
     stabilizer becomes S_n with a zero coefficient wherever alpha or beta
     moves a stabilized point, so every mixture outside it weighs zero.
-    The factors become Gaussian integers over one denominator den, and
-    one exact route, picked once, sums them as integers (re, im, terms):
-    on S_n and A_n the O(r) _parity_product for a trivial or sign
-    character and the _class_sums for an irreducible one; otherwise the
-    walk of the mixtures with a nonzero weight, summed per character value
-    (_value_sums).  The total is prefactor / den^r times that sum.
-    ``floating`` walks the same weights, each scaled exactly before it and
-    chi.evaluate_float are taken as complex numbers.
+    The prefactor and factors become Gaussian integers over one den
+    (gaussian.integer_parts), and one exact route, picked once, sums the
+    factors as integers (re, im, terms): on S_n and A_n the O(r)
+    _parity_product for a trivial or sign character and the _class_sums for
+    an irreducible one; otherwise the walk of the mixtures with a nonzero
+    weight, summed per character value (_value_sums).  The total is the
+    prefactor times that sum over den^(r+1) (gaussian.from_integers).
+    ``floating`` walks the same weights, each exact before it is floated.
     """
     chi.check_domain(group)
     if isinstance(group, PointwiseStabilizer):
@@ -466,20 +457,17 @@ def _mixture_sum(
                 coeff_b[y - 1] = ZERO
         group = SymmetricGroup(group.n)
     dec = pair_cycles(alpha, beta)
-    prefactor = math.prod(coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points)
+    prefactor = math.prod((coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points), start=ONE)
     if not prefactor:
         return ZERO, 0
-    pairs, den = _gaussian_integers(
-        [
-            (math.prod(coeff_a[y - 1] for y in cycle), math.prod(coeff_b[y - 1] for y in cycle))
-            for cycle in dec.cycles
-        ]
-    )
-    scale = prefactor * Fraction(1, den ** len(pairs))
+    products = [math.prod(c[y - 1] for y in cyc) for cyc in dec.cycles for c in (coeff_a, coeff_b)]
+    res, ims, den = integer_parts([prefactor, *products])  # then each cycle's a_c and b_c
+    pairs = list(zip(zip(res[1::2], ims[1::2]), zip(res[2::2], ims[2::2])))
+    pre, scale = (res[0], ims[0], 1), den ** (len(pairs) + 1)
     if floating:
         total, terms = 0j, 0
         for images, re, im in _walk(alpha, beta, dec.cycles, pairs, group):
-            weight = scale * GaussianRational(re, im)
+            weight = from_integers(*_times(pre, (re, im, 1))[:2], scale)
             total += chi.evaluate_float(images) * complex(weight.re, weight.im)
             terms += 1
         return total, terms
@@ -489,8 +477,8 @@ def _mixture_sum(
         summed = _class_sums(alpha, beta, dec.cycles, pairs, group, chi)
     else:
         summed = _value_sums(chi.evaluate, _walk(alpha, beta, dec.cycles, pairs, group))
-    re, im, terms = summed
-    return scale * GaussianRational(re, im), terms
+    re, im, terms = _times(pre, summed)
+    return from_integers(re, im, scale), terms
 
 
 def _linear_mixture_sum(a, b, theta, tau, group, chi, floating=False):
@@ -562,7 +550,7 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
     and from b, builds it with the table keyed by column mask plus
     k * 2^n, k the rows given to a so far.  The fold ends with each k's
     sum on key (2^n - 1) + k * 2^n, and runs no elimination.  Each k's
-    Gaussian integers are scaled once by den_a^k * den_b^(n-k); the term
+    Gaussian integers are taken over (den_a * den_b)^n and added; the term
     count is still the full pair count.
     """
     if not a.is_square or not b.is_square or a.rows != b.rows:
@@ -578,11 +566,12 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
         for ar, ai, br, bi in zip(pre_a, pim_a, pre_b, pim_b)
     ]
     table = functools.reduce(_laplace_step, rows, {0: (1, 0)})
-    total = ZERO
+    total_re = total_im = 0
     for k in range(n + 1):
         sum_re, sum_im = table.get((1 << n) - 1 + (k << n), (0, 0))
-        scale = Fraction(1, den_a**k * den_b ** (n - k))
-        total = total + GaussianRational(sum_re * scale, sum_im * scale)
+        scale = den_a ** (n - k) * den_b**k
+        total_re, total_im = total_re + sum_re * scale, total_im + sum_im * scale
+    total = from_integers(total_re, total_im, (den_a * den_b) ** n)
     return GmfResult(total, Method.CAUCHY_BINET, comb(2 * n, n))
 
 
@@ -619,7 +608,7 @@ def gmf_s_matrix(
     and 2-cycles, so the linear-sum value divides by 2^(F + 2t).
     """
     doubled = gmf_linear_sum(ONE, ONE, theta, theta.inverse(), group, chi)
-    half = GaussianRational(Fraction(1, 2 ** _doubled_count(theta)))
+    half = from_integers(1, 0, 2 ** _doubled_count(theta))
     return GmfResult(doubled.value * half, Method.FORMULA, doubled.term_count)
 
 
@@ -751,15 +740,15 @@ def check_singular_bound(
 
 @record
 class DominanceReport:
-    lhs: Fraction
-    rhs: Fraction
+    lhs: RationalLike
+    rhs: RationalLike
     holds: bool
 
     def to_json(self) -> dict:
         return {"lhs": str(self.lhs), "rhs": str(self.rhs), "holds": self.holds}
 
 
-def _require_psd_pair(k: Fraction, m: Fraction, pi: Permutation):
+def _require_psd_pair(k: RationalLike, m: RationalLike, pi: Permutation):
     if k < abs(m):
         raise ValueError(f"need k >= |m|, got k={k}, m={m}")
     if not pi.is_involution():
@@ -767,8 +756,8 @@ def _require_psd_pair(k: Fraction, m: Fraction, pi: Permutation):
 
 
 def check_dominance(
-    k: Fraction,
-    m: Fraction,
+    k: RationalLike,
+    m: RationalLike,
     pi: Permutation,
     chi: CharacterSpec,
 ) -> DominanceReport:
@@ -786,16 +775,16 @@ def check_dominance(
     if not value.is_real():
         raise PermfuncError("dominance check produced a non-real value")
     permanent = per_linear_sum(gauss(k), gauss(m), ident, pi).value
-    lhs = value.re / Fraction(chi.degree())
+    lhs = value.re / chi.degree()
     rhs = permanent.re
     return DominanceReport(lhs, rhs, lhs <= rhs)
 
 
 @record
 class SuperadditivityReport:
-    combined: Fraction
-    left: Fraction
-    right: Fraction
+    combined: RationalLike
+    left: RationalLike
+    right: RationalLike
     holds: bool
 
     def to_json(self) -> dict:
@@ -808,11 +797,11 @@ class SuperadditivityReport:
 
 
 def check_superadditivity(
-    k1: Fraction,
-    m1: Fraction,
+    k1: RationalLike,
+    m1: RationalLike,
     pi1: Permutation,
-    k2: Fraction,
-    m2: Fraction,
+    k2: RationalLike,
+    m2: RationalLike,
     pi2: Permutation,
     chi: CharacterSpec,
 ) -> SuperadditivityReport:

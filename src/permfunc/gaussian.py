@@ -2,13 +2,15 @@
 
 All arithmetic in the package is carried out in the field Q(i) so that
 results such as -85+30i are reproduced bit-exactly.  Scalars are immutable;
-``fractions.Fraction`` keeps each component in lowest terms.
+``fractions.Fraction`` keeps each component in lowest terms.  The exact sums
+run on Gaussian integers over one denominator: ``integer_parts`` in, ``from_integers`` out.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 
@@ -16,6 +18,8 @@ RationalLike = int | Fraction
 
 
 def _frac(x: RationalLike) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
     return Fraction(x)
@@ -228,3 +232,17 @@ I = GaussianRational(0, 1)
 def gauss(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
     """Shorthand constructor used heavily in tests."""
     return GaussianRational(re, im)
+
+
+def integer_parts(values) -> tuple[list[int], list[int], int]:
+    """A list of scalars as (real parts, imaginary parts, den), den the lcm of the
+    parts' denominators and values[k] = (re[k] + im[k]*i) / den; no Fraction products."""
+    den = lcm(*{x.denominator for v in values for x in (v.re, v.im)})
+    re = [v.re.numerator * (den // v.re.denominator) for v in values]
+    im = [v.im.numerator * (den // v.im.denominator) for v in values]
+    return re, im, den
+
+
+def from_integers(re: int, im: int, den: int) -> GaussianRational:
+    """(re + im*i) / den as an exact scalar: the way back from integer_parts."""
+    return GaussianRational(Fraction(re, den), Fraction(im, den))

@@ -15,10 +15,10 @@ import re as _re
 from collections import Counter
 from math import factorial, prod
 
+from . import perm
 from ._record import record
 from .errors import CapacityError, DegreeMismatchError, ParseError
 from .perm import (
-    DEFAULT_ENUMERATION_CAP,
     Permutation,
     _list_items,
     disjoint_cycles,
@@ -134,7 +134,7 @@ class CyclicGroup(GroupSpec):
             power = tuple(step[v - 1] for v in power)
 
     def __str__(self):
-        return f"cyclic:{self.generator}"
+        return f"cyclic:{self.generator}@{self.degree}"
 
 
 @record
@@ -444,12 +444,12 @@ def checked_order(spec: GroupSpec) -> int:
     generated subgroup from its base and strong generating set), so the
     cap bounds enumeration only and fails before any element is built.
     """
-    order = spec.order()
-    if order > DEFAULT_ENUMERATION_CAP:
+    order, cap = spec.order(), perm.DEFAULT_ENUMERATION_CAP
+    if order > cap:
         # Python turns no integer of more than 4300 digits into text, so an
         # order of more than 13000 bits (about 3900 digits) is named by its group
         shown = order if order.bit_length() <= 13000 else f"of {spec}"
-        raise CapacityError(f"group order {shown} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+        raise CapacityError(f"group order {shown} exceeds cap {cap}")
     return order
 
 

@@ -9,11 +9,10 @@ structural positive-semidefiniteness classification for linear sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ._record import record
 from .errors import DegreeMismatchError, ParseError
-from .gaussian import GaussianRational, ZERO, gauss
+from .gaussian import GaussianRational, ZERO, gauss, integer_parts
 from .perm import (
     Permutation,
     common_degree,
@@ -417,16 +416,12 @@ def psd_classify(
 
 
 def integer_grid(matrix: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    """Scale all entries by one common denominator to Gaussian integers.
+    """The entries as Gaussian integers over one common denominator.
 
     Returns (real parts, imaginary parts, denominator); the matrix equals
     (re + im*i) / denominator entrywise.  This is the working form of the
-    exact kernels.
+    exact kernels: gaussian.integer_parts on the entries, cut into rows.
     """
-    den = 1
-    for row in matrix.entries:
-        for e in row:
-            den = lcm(den, e.re.denominator, e.im.denominator)
-    pre = [[int(e.re * den) for e in row] for row in matrix.entries]
-    pim = [[int(e.im * den) for e in row] for row in matrix.entries]
-    return pre, pim, den
+    re, im, den = integer_parts([e for row in matrix.entries for e in row])
+    starts = range(0, len(re), matrix.cols)
+    return [re[k : k + matrix.cols] for k in starts], [im[k : k + matrix.cols] for k in starts], den

@@ -12,7 +12,9 @@ import pytest
 
 import permfunc
 from permfunc.cli import main
+from permfunc.errors import CapacityError
 from permfunc.gaussian import GaussianRational
+from permfunc.groups import SymmetricGroup, checked_order
 from permfunc.matrices import BlockSpec
 from support import refuse_membership
 
@@ -489,6 +491,17 @@ def test_naive_routes_refuse_before_building_the_matrix(capsys, monkeypatch, tmp
     code, out, err = run(capsys, "block-gmf", "--spec", str(spec), "--character", "sign",
                          "--method", "naive")
     assert (code, out, err) == (3, "", "error: group order 39916800 exceeds cap 3628800\n")
+
+
+def test_the_enumeration_cap_has_one_binding(capsys, monkeypatch):
+    # lowering the cap where perm defines it lowers it for the group order
+    # and the CLI's matrix pre-check too, read when they are called
+    monkeypatch.setattr(permfunc.perm, "DEFAULT_ENUMERATION_CAP", 100)
+    with pytest.raises(CapacityError, match="^group order 720 exceeds cap 100$"):
+        checked_order(SymmetricGroup(6))
+    code, out, err = run(capsys, "det", "--method", "naive", "--n", "11",
+                         "--theta", "id", "--tau", "id")
+    assert (code, out, err) == (3, "", "error: 11x11 matrix exceeds cap 100\n")
 
 
 def test_class_tables_over_the_cap_exit_three(capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permfunc as pf
-from permfunc import engine, groups, kernels
+from permfunc import engine, groups, kernels, perm
 from permfunc.characters import (
     CyclicRootCharacter,
     IrreducibleCharacter,
@@ -684,14 +684,9 @@ def test_minor_expansion_matches_elimination(pair):
     assert result.term_count == comb(2 * left.rows, left.rows)
 
 
-@st.composite
-def linear_sum_instances(draw):
-    """(a, b, theta, tau, group, chi), n <= 6: fractional and complex
-    scalars, every group kind, and the trivial, sign and irr: characters."""
-    n = draw(st.integers(1, 6))
-    perms = st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
-    theta, tau = draw(perms), draw(perms)
-    group = draw(
+def any_group(draw, n, perms):
+    """One group of degree n of each kind: S_n, A_n, stab:, cyclic: or gens:."""
+    return draw(
         st.sampled_from(
             [
                 SymmetricGroup(n),
@@ -702,19 +697,64 @@ def linear_sum_instances(draw):
             ]
         )
     )
+
+
+@st.composite
+def linear_sum_instances(draw):
+    """(a, b, theta, tau, group, chi), n <= 6: fractional and complex
+    scalars, every group kind, and the trivial, sign and irr: characters."""
+    n = draw(st.integers(1, 6))
+    perms = st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+    theta, tau = draw(perms), draw(perms)
+    group = any_group(draw, n, perms)
     irr = IrreducibleCharacter(Partition(draw(st.sampled_from(list(partitions(n))))))
     chi = draw(st.sampled_from([TrivialCharacter(), SignCharacter(), irr]))
     return draw(_SCALARS), draw(_SCALARS), theta, tau, group, chi
 
 
 @given(linear_sum_instances())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_linear_sum_matches_naive(instance):
     # the mixture walk, the class sums and the parity product against the
     # naive route's member stream on the assembled matrix
     a, b, theta, tau, group, chi = instance
     fast = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
     assert fast.value == pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value
+
+
+@st.composite
+def block_instances(draw):
+    """(spec, group, chi) for block specs of at most 6 points, with
+    fractional complex coefficients, every group kind and the trivial,
+    sign and irr: characters."""
+    m, n = draw(st.sampled_from([(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 6), (6, 1)]))
+
+    def perms(k):
+        return st.permutations(range(1, k + 1)).map(lambda images: Permutation(tuple(images)))
+
+    spec = BlockSpec(
+        m=m,
+        n=n,
+        theta=draw(perms(n)),
+        tau=draw(perms(n)),
+        inner_thetas=tuple(draw(st.lists(perms(m), min_size=n, max_size=n))),
+        inner_taus=tuple(draw(st.lists(perms(m), min_size=n, max_size=n))),
+        a=tuple(draw(st.lists(_SCALARS, min_size=n, max_size=n))),
+        b=tuple(draw(st.lists(_SCALARS, min_size=n, max_size=n))),
+    )
+    size = m * n
+    irr = IrreducibleCharacter(Partition(draw(st.sampled_from(list(partitions(size))))))
+    chi = draw(st.sampled_from([TrivialCharacter(), SignCharacter(), irr]))
+    return spec, any_group(draw, size, perms(size)), chi
+
+
+@given(block_instances())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_block_matches_naive_and_round_trips(instance):
+    spec, group, chi = instance
+    assert BlockSpec.from_json(spec.to_json()) == spec
+    block = pf.gmf_block(spec, group, chi)
+    assert block.value == pf.gmf_naive(block_matrix(spec), group, chi).value
 
 
 class TestDetRouteIndependence:
@@ -1381,8 +1421,6 @@ class TestParityProductScale:
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
-        from permfunc import perm
-
         def refuse(*args, **kwargs):
             raise AssertionError("the O(r) product must not walk the mixtures")
 
@@ -1433,8 +1471,6 @@ class TestWalkCap:
 
     @pytest.fixture
     def nothing_built(self, monkeypatch):
-        from permfunc import perm
-
         def refuse(*args, **kwargs):
             raise AssertionError("built before the cap was checked")
 
@@ -1487,7 +1523,7 @@ class TestWalkCap:
         for group in (SymmetricGroup(n), AlternatingGroup(n)):
             with pytest.raises(CapacityError, match=r"walk of 2\^22 mixtures exceeds cap"):
                 pf.gmf_linear_sum(ONE, ONE, theta, tau, group, chi)
-        assert tables and n * max(tables) <= groups.DEFAULT_ENUMERATION_CAP
+        assert tables and n * max(tables) <= perm.DEFAULT_ENUMERATION_CAP
 
     def test_stabilizer_emptied_before_the_walk(self, nothing_built):
         # theta and tau both send the stabilized point 45 to 46, so no
@@ -1508,8 +1544,6 @@ class TestClassSums:
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
-        from permfunc import perm
-
         def refuse(*args, **kwargs):
             raise AssertionError("the class sums must not walk the mixtures")
 
@@ -1554,6 +1588,32 @@ class TestClassSums:
                 assert result.term_count == 2**m
                 assert type(result.value) is pf.GaussianRational
 
+    def test_character_of_another_degree_is_refused_before_any_sum(self):
+        # irr:[3,2] is a character of S_5: on S_6 every route refuses it
+        # with the same text, whichever of its terms would vanish
+        n, chi = 6, IrreducibleCharacter(Partition((3, 2)))
+        ident, group = Permutation.identity(n), SymmetricGroup(n)
+        spec = BlockSpec(
+            m=2, n=3, theta=Permutation.identity(3), tau=Permutation.identity(3),
+            inner_thetas=(Permutation.identity(2),) * 3, inner_taus=(Permutation.identity(2),) * 3,
+            a=(ONE,) * 3, b=(-ONE,) * 3,
+        )
+        calls = [
+            lambda: pf.gmf_linear_sum(ONE, -ONE, ident, ident, group, chi),
+            lambda: pf.gmf_linear_sum(ONE, ONE, ident, ident, group, chi),
+            lambda: pf.gmf_naive(Matrix.zero(n, n), group, chi),
+            lambda: pf.gmf_naive(Matrix.identity(n), group, chi),
+            lambda: pf.gmf_block(spec, group, chi),
+            lambda: pf.check_dominance(Fraction(1), Fraction(1), P("(1 2)", n), chi),
+        ]
+        for call in calls:
+            with pytest.raises(CharacterDomainError, match="degree 6 element for a character of S_5"):
+                call()
+        small = IrreducibleCharacter(Partition((2, 1)))
+        four = Permutation.identity(4)
+        with pytest.raises(CharacterDomainError, match="degree 4 element for a character of S_3"):
+            pf.tensor_oracle(ONE, ONE, four, four, SymmetricGroup(4), small)
+
     def test_wrong_degree_is_a_domain_error(self, no_walk):
         theta, tau = Permutation.identity(4), P("(1 2)", 4)
         chi = IrreducibleCharacter(Partition((3, 2)))
@@ -1587,13 +1647,10 @@ class TestClassSums:
 
     @staticmethod
     def bounded_tables(monkeypatch, cap):
-        """Lower the cap in every module that reads it, and record the
-        largest n * |table| of each table the class sums build that holds
-        more than one class (one class is a single mixture's O(n) type)."""
-        from permfunc import perm
-
-        for module in (perm, groups):
-            monkeypatch.setattr(module, "DEFAULT_ENUMERATION_CAP", cap)
+        """Lower the cap, and record the largest n * |table| of each table
+        the class sums build that holds more than one class (one class is a
+        single mixture's O(n) type)."""
+        monkeypatch.setattr(perm, "DEFAULT_ENUMERATION_CAP", cap)
         sizes = []
         for name in ("_orbit_classes", "_convolve"):
             build = getattr(engine, name)
@@ -1613,8 +1670,6 @@ class TestClassSums:
         # past the tables' bound walked; the others are refused with the
         # walk's text only when the class sums' own work exceeds the cap
         # too; no table outgrows the cap, and _walk never runs
-        from permfunc import perm
-
         rng = random.Random(8383)
         cases = []
         for _ in range(60):

@@ -1,12 +1,21 @@
 """Exact scalar field: arithmetic, literals, JSON."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permfunc.errors import ParseError
-from permfunc.gaussian import GaussianRational, I, ONE, ZERO, gauss
+from permfunc.gaussian import (
+    GaussianRational,
+    I,
+    ONE,
+    ZERO,
+    from_integers,
+    gauss,
+    integer_parts,
+)
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -148,3 +157,37 @@ def test_hash_of_integral_components():
     values = {gauss(3): "three", gauss(0, 1): "i"}
     assert values[3] == values[Fraction(3)] == "three"
     assert values[I] == "i"
+
+
+class Tenth(Fraction):
+    """A Fraction subclass, which a scalar must not keep."""
+
+
+def test_scalar_keeps_the_fraction_it_is_given():
+    x, y = Fraction(3, 4), Fraction(-1, 6)
+    z = GaussianRational(x, y)
+    assert z.re is x and z.im is y
+    sub = GaussianRational(Tenth(1, 10))
+    assert type(sub.re) is Fraction and sub.re == Fraction(1, 10)
+    assert type(GaussianRational(3).re) is Fraction
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError, match="expected an integer or Fraction"):
+            GaussianRational(bad)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(scalars, max_size=12))
+def test_integer_parts_over_the_lcm_of_the_denominators(values):
+    re, im, den = integer_parts(values)
+    assert den == math.lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+    assert all(type(x) is int for x in re + im)
+    assert [from_integers(r, i, den) for r, i in zip(re, im)] == values
+
+
+def test_integer_parts_of_nothing_and_of_integers():
+    assert integer_parts([]) == ([], [], 1)
+    assert integer_parts([gauss(2, -3), ZERO, I]) == ([2, 0, 0], [-3, 0, 1], 1)
+    assert integer_parts([gauss(Fraction(1, 2)), gauss(0, Fraction(-2, 3))]) == (
+        [3, 0], [0, -4], 6
+    )
+    assert from_integers(-3, 4, 6) == gauss(Fraction(-1, 2), Fraction(2, 3))

@@ -182,11 +182,18 @@ def group_specs(draw, kind):
 
 
 @pytest.mark.parametrize("kind", ["S", "A", "stab", "cyclic", "gens"])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_group_text_round_trip(kind, data):
+    # every group's text names its degree, so it parses with no default
     group = data.draw(group_specs(kind))
-    assert parse_group(str(group), group.degree) == group
+    assert parse_group(str(group)) == group
+
+
+def test_cyclic_group_text_names_its_degree():
+    group = CyclicGroup(Permutation.from_cycles(5, [(1, 2, 3)]))
+    assert str(group) == "cyclic:(1 2 3)@5"
+    assert str(CyclicGroup(Permutation.identity(3))) == "cyclic:id@3"
 
 
 @st.composite

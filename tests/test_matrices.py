@@ -315,6 +315,28 @@ class TestMatrixPlumbing:
         assert pre == [[3], [12]]
         assert pim == [[-2], [0]]
 
+    def test_integer_grid_does_no_fraction_arithmetic(self, monkeypatch):
+        # a 3x2 grid of fractional complex entries converts with every
+        # Fraction product, sum and int() refused: integer division only
+        m = grid(
+            [
+                [(Fraction(1, 2), Fraction(-1, 3)), (0, Fraction(5, 4))],
+                [(2, 0), (Fraction(-7, 6), 1)],
+                [(0, 0), (3, Fraction(1, 9))],
+            ]
+        )
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in integer_grid")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__int__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        pre, pim, den = integer_grid(m)
+        monkeypatch.undo()
+        assert den == 36
+        assert pre == [[18, 0], [72, -42], [0, 108]]
+        assert pim == [[-12, 45], [0, 36], [0, 4]]
+
     def test_shape_errors(self):
         with pytest.raises(DegreeMismatchError):
             mat_add(Matrix.identity(2), Matrix.identity(3))
