@@ -25,10 +25,10 @@ from .gaussian import GaussianRational, I, ONE, gauss
 from .groups import GeneratedSubgroup
 from .perm import (
     Permutation,
-    _list_items,
     disjoint_cycles,
     images_cycle_type,
     images_sign,
+    parse_ints,
     parse_permutation,
     power_exponent,
 )
@@ -338,7 +338,7 @@ class CyclicRootCharacter(CharacterSpec):
         return f"cyclic-root:{self.generator}^{self.index}"
 
 
-_IRR_RE = _re.compile(r"^irr:\[([0-9,\s]*)\]$")
+_IRR_RE = _re.compile(r"\s*irr:\[([^\]]*)\]\s*")
 
 
 def parse_character(text: str, degree: int | None = None) -> CharacterSpec:
@@ -352,10 +352,10 @@ def parse_character(text: str, degree: int | None = None) -> CharacterSpec:
         return TrivialCharacter()
     if s == "sign":
         return SignCharacter()
-    m = _IRR_RE.match(s)
+    m = _IRR_RE.fullmatch(text)
     if m:
+        parts = tuple(parse_ints(text, *m.span(1), f"bad partition in {text!r}"))
         try:
-            parts = tuple(int(tok) for tok in _list_items(m.group(1), ",", text))
             partition = Partition(parts)
         except ValueError as exc:
             raise ParseError(f"bad partition in {text!r}") from exc

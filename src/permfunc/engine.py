@@ -48,8 +48,8 @@ Permutations are objects only in the routes' arguments.  Inside every
 sum a member or mixture is its image tuple (images[i-1] = sigma(i)):
 groups test membership of it, and chi.evaluate reads it.  Likewise a
 scalar enters every sum as a Gaussian integer over one denominator, by
-gaussian.integer_parts (matrices.integer_grid for a matrix), and each
-result leaves by gaussian.from_integers.
+gaussian.integer_parts (a Matrix is stored so, and matrices.integer_grid
+reads it), and each result leaves by gaussian.from_integers.
 """
 
 from __future__ import annotations
@@ -869,7 +869,7 @@ def tensor_oracle(
         )
     order = checked_order(group)
     chi.check_domain(group)
-    matrix = linear_sum(a, b, theta, tau)
+    entries = linear_sum(a, b, theta, tau).entries
 
     # T x for x = e_1 x ... x e_n has one basis vector per group element;
     # T y for y = y_1 x ... x y_n with (y_j)_i = A[i][j].
@@ -884,7 +884,7 @@ def tensor_oracle(
         for key in itertools.product(range(1, n + 1), repeat=n):
             coeff = weight
             for j in range(1, n + 1):
-                coeff = coeff * matrix.entry(key[images[j - 1] - 1], j)
+                coeff = coeff * entries[key[images[j - 1] - 1] - 1][j - 1]
                 if coeff.is_zero():
                     break
             if coeff.is_zero():

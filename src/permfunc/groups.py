@@ -25,6 +25,7 @@ from .perm import (
     images_sign,
     orbit_labels,
     parse_int,
+    parse_ints,
     parse_permutation,
     power_exponent,
 )
@@ -499,11 +500,9 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
         return CyclicGroup(parse_permutation(generator, degree))
     if body.startswith("stab:"):
         # "stab:@n" stabilizes no point, the whole S_n
-        items = _list_items(body[len("stab:") :], ",", text)
-        try:
-            points = [parse_int(tok) for tok in items]
-        except ValueError as exc:
-            raise ParseError(f"bad stabilizer points in {text!r}") from exc
+        lead = len(text) - len(text.lstrip())
+        points = parse_ints(text, lead + len("stab:"), lead + len(body),
+                            f"bad stabilizer points in {text!r}")
         repeated = [p for k, p in enumerate(points) if p in points[:k]]
         if repeated:
             raise ParseError(f"stabilizer point {repeated[0]} repeated in {text!r}")

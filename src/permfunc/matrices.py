@@ -9,10 +9,12 @@ structural positive-semidefiniteness classification for linear sums.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from ._record import record
 from .errors import DegreeMismatchError, ParseError
-from .gaussian import GaussianRational, ZERO, gauss, integer_parts
+from .gaussian import ONE, GaussianRational, ZERO, from_integers, gauss, integer_parts
 from .perm import (
     Permutation,
     common_degree,
@@ -22,11 +24,13 @@ from .perm import (
     shift_embed,
 )
 
-
 class Matrix:
-    """Immutable dense matrix of GaussianRational entries (row-major)."""
+    """Immutable dense matrix over Q(i): entry (i, j) is (re[i-1][j-1] +
+    im[i-1][j-1]*i) / den, rows of integers over one den > 0 with gcd(den, every
+    part) = 1, so equal matrices have equal fields.  GaussianRational entries
+    are built only on request (entry, entries, repr, to_json)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, entries):
         grid = tuple(tuple(row) for row in entries)
@@ -34,13 +38,13 @@ class Matrix:
             raise ValueError("matrix must have positive dimensions")
         if any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("ragged rows")
-        for row in grid:
-            for e in row:
-                if not isinstance(e, GaussianRational):
-                    raise TypeError(f"entries must be GaussianRational, got {type(e)}")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]))
-        object.__setattr__(self, "entries", grid)
+        flat = [e for row in grid for e in row]
+        for e in flat:
+            if not isinstance(e, GaussianRational):
+                raise TypeError(f"entries must be GaussianRational, got {type(e)}")
+        re, im, den = integer_parts(flat)
+        rows = [slice(k, k + len(grid[0])) for k in range(0, len(re), len(grid[0]))]
+        _matrix([re[r] for r in rows], [im[r] for r in rows], den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -51,27 +55,30 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[gauss(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    rows = property(lambda self: len(self.re))
+    cols = property(lambda self: len(self.re[0]))
+    is_square = property(lambda self: len(self.re) == len(self.re[0]))
+
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        rows = zip(self.re, self.im)
+        return tuple(tuple(from_integers(x, y, self.den) for x, y in zip(*row)) for row in rows)
 
     def entry(self, i: int, j: int) -> GaussianRational:
         """1-based access, matching the point labels of permutations."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i - 1][j - 1]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+        return from_integers(self.re[i - 1][j - 1], self.im[i - 1][j - 1], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.den, self.re, self.im) == (other.den, other.re, other.im)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.den, self.re, self.im))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -94,9 +101,7 @@ class Matrix:
     def from_json(cls, obj) -> "Matrix":
         try:
             rows, cols = obj["rows"], obj["cols"]
-            grid = [
-                [GaussianRational.from_json(e) for e in row] for row in obj["entries"]
-            ]
+            grid = [[GaussianRational.from_json(e) for e in row] for row in obj["entries"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad matrix object: {exc}") from exc
         m = cls(grid)
@@ -105,58 +110,76 @@ class Matrix:
         return m
 
 
+def _matrix(re, im, den: int, m: Matrix | None = None) -> Matrix:
+    """The Matrix (re + im*i) / den, or m set to it, reduced by gcd(den, every part)."""
+    m = object.__new__(Matrix) if m is None else m
+    g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im)) if den > 1 else 1
+    if g > 1:
+        re, im = ([[x // g for x in row] for row in parts] for parts in (re, im))
+    object.__setattr__(m, "re", tuple(map(tuple, re)))
+    object.__setattr__(m, "im", tuple(map(tuple, im)))
+    object.__setattr__(m, "den", den // g)
+    return m
+
+
+def _placed(size: int, placements, values) -> Matrix:
+    """The size x size matrix with values[k] added in at each 0-based (row, col, k)."""
+    value_re, value_im, den = integer_parts(values)
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for r, c, k in placements:
+        re[r][c] += value_re[k]
+        im[r][c] += value_im[k]
+    return _matrix(re, im, den)
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DegreeMismatchError(
-            f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}"
-        )
-    return Matrix(
-        [
-            [x + y for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.entries, b.entries)
-        ]
+        raise DegreeMismatchError(f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    return _matrix(
+        [[x * sa + y * sb for x, y in zip(ra, rb)] for ra, rb in zip(a.re, b.re)],
+        [[x * sa + y * sb for x, y in zip(ia, ib)] for ia, ib in zip(a.im, b.im)],
+        den,
     )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
-        raise DegreeMismatchError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    bt = list(zip(*b.entries))
-    return Matrix(
-        [
-            [sum((x * y for x, y in zip(row, col)), ZERO) for col in bt]
-            for row in a.entries
-        ]
-    )
+        raise DegreeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    cols = list(zip(zip(*b.re), zip(*b.im)))
+    re, im = [], []
+    for ar, ai in zip(a.re, a.im):
+        re.append([sum(x * u - y * v for x, y, u, v in zip(ar, ai, cr, ci)) for cr, ci in cols])
+        im.append([sum(x * v + y * u for x, y, u, v in zip(ar, ai, cr, ci)) for cr, ci in cols])
+    return _matrix(re, im, a.den * b.den)
 
 
 def scalar_mul(c: GaussianRational, a: Matrix) -> Matrix:
-    # zero entries stay as they are: a scaled permutation matrix is mostly zeros
-    return Matrix([[c * e if e else e for e in row] for row in a.entries])
+    (cr,), (ci,), den = integer_parts([c])
+    rows = list(zip(a.re, a.im))
+    return _matrix(
+        [[x * cr - y * ci for x, y in zip(ar, ai)] for ar, ai in rows],
+        [[x * ci + y * cr for x, y in zip(ar, ai)] for ar, ai in rows],
+        a.den * den,
+    )
 
 
 def conjugate_transpose(a: Matrix) -> Matrix:
-    return Matrix(
-        [[a.entries[i][j].conjugate() for i in range(a.rows)] for j in range(a.cols)]
-    )
+    return _matrix(list(zip(*a.re)), [[-y for y in col] for col in zip(*a.im)], a.den)
 
 
 def trace(a: Matrix) -> GaussianRational:
     if not a.is_square:
         raise DegreeMismatchError(f"trace needs a square matrix, got {a.rows}x{a.cols}")
-    return sum((a.entries[i][i] for i in range(a.rows)), ZERO)
+    re, im = (sum(row[i] for i, row in enumerate(part)) for part in (a.re, a.im))
+    return from_integers(re, im, a.den)
 
 
 def perm_matrix(theta: Permutation) -> Matrix:
     """0/1 matrix with the 1 of column j in row theta(j)."""
-    n = theta.degree
-    grid = [[ZERO] * n for _ in range(n)]
-    one = gauss(1)
-    for j in range(1, n + 1):
-        grid[theta(j) - 1][j - 1] = one
-    return Matrix(grid)
+    return _placed(theta.degree, ((t - 1, j, 0) for j, t in enumerate(theta.images)), [ONE])
 
 
 def linear_sum(
@@ -167,23 +190,15 @@ def linear_sum(
 ) -> Matrix:
     """a*P_theta + b*P_tau; positions where theta and tau agree get a+b."""
     n = common_degree(theta, tau)
-    grid = [[ZERO] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        grid[theta(j) - 1][j - 1] = grid[theta(j) - 1][j - 1] + a
-        grid[tau(j) - 1][j - 1] = grid[tau(j) - 1][j - 1] + b
-    return Matrix(grid)
+    placements = [(t - 1, j, k) for k, p in enumerate((theta, tau)) for j, t in enumerate(p.images)]
+    return _placed(n, placements, [a, b])
 
 
 def s_matrix(theta: Permutation) -> Matrix:
     """Symmetric 0/1 matrix marking j = theta(i) or j = theta^-1(i)."""
-    n = theta.degree
-    inv = theta.inverse()
-    one = gauss(1)
-    grid = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        grid[i - 1][theta(i) - 1] = one
-        grid[i - 1][inv(i) - 1] = one
-    return Matrix(grid)
+    # a set: where theta(i) = theta^-1(i) the entry is still 1
+    placements = {(i, t - 1, 0) for p in (theta, theta.inverse()) for i, t in enumerate(p.images)}
+    return _placed(theta.degree, placements, [ONE])
 
 
 @record
@@ -228,19 +243,13 @@ class BlockSpec:
         (beta(y), y): block (i, theta(i)) holds its 1s at rows
         (i-1)m + inner(v) for columns (theta(i)-1)m + v.
         """
-        alpha = disjoint_union(
-            shift_embed(
-                self.inner_thetas[i - 1], (self.theta(i) - 1) * self.m, (i - 1) * self.m
+        return tuple(
+            disjoint_union(
+                shift_embed(inners[i - 1], (outer(i) - 1) * self.m, (i - 1) * self.m)
+                for i in range(1, self.n + 1)
             )
-            for i in range(1, self.n + 1)
+            for outer, inners in ((self.theta, self.inner_thetas), (self.tau, self.inner_taus))
         )
-        beta = disjoint_union(
-            shift_embed(
-                self.inner_taus[i - 1], (self.tau(i) - 1) * self.m, (i - 1) * self.m
-            )
-            for i in range(1, self.n + 1)
-        )
-        return alpha, beta
 
     def to_json(self) -> dict:
         return {
@@ -291,19 +300,14 @@ class BlockSpec:
 
 def block_matrix(spec: BlockSpec) -> Matrix:
     """Assemble the two block layers entrywise (independent of induced_pair)."""
-    size = spec.size
-    grid = [[ZERO] * size for _ in range(size)]
-    for i in range(1, spec.n + 1):
-        row0 = (i - 1) * spec.m
-        for layer, outer, inner, coeff in (
-            (0, spec.theta, spec.inner_thetas[i - 1], spec.a[i - 1]),
-            (1, spec.tau, spec.inner_taus[i - 1], spec.b[i - 1]),
-        ):
-            col0 = (outer(i) - 1) * spec.m
-            for v in range(1, spec.m + 1):
-                r, c = row0 + inner(v) - 1, col0 + v - 1
-                grid[r][c] = grid[r][c] + coeff
-    return Matrix(grid)
+    m, n = spec.m, spec.n
+    placements = []
+    layers = ((spec.theta, spec.inner_thetas), (spec.tau, spec.inner_taus))
+    for layer, (outer, inners) in enumerate(layers):
+        for i, inner in enumerate(inners):
+            row0, col0, k = i * m, (outer(i + 1) - 1) * m, layer * n + i
+            placements += [(row0 + t - 1, col0 + v, k) for v, t in enumerate(inner.images)]
+    return _placed(spec.size, placements, spec.a + spec.b)
 
 
 @record
@@ -328,47 +332,32 @@ class PsdClassification:
 def _match_scaled_involution(matrix: Matrix):
     """Decompose as k*I + m*P_pi (pi an involution), or return None.
 
-    Pure pattern matching on the entries: the off-diagonal support must
-    form a symmetric perfect matching carrying one common real value m,
-    matched rows carry diagonal k and unmatched rows k + m.
+    Pure pattern matching on the integer rows: each row holds at most one
+    off-diagonal nonzero, their columns pair the rows up (an involution
+    pi), all of them carry one real value m, matched rows carry diagonal k
+    and unmatched rows k + m.
     """
-    n = matrix.rows
-    pairs: dict[int, int] = {}
-    m_value: GaussianRational | None = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            entry = matrix.entry(i, j)
-            if entry.is_zero():
-                continue
-            if m_value is None:
-                m_value = entry
-            if entry != m_value or matrix.entry(j, i) != entry:
-                return None
-            if pairs.setdefault(i, j) != j or pairs.setdefault(j, i) != i:
-                return None
-    if m_value is None:
-        # diagonal matrix: needs one uniform scale
-        scale = matrix.entry(1, 1)
-        if any(matrix.entry(i, i) != scale for i in range(2, n + 1)):
+    images, off_diagonal, diagonal = [], set(), []
+    for i, (row_re, row_im) in enumerate(zip(matrix.re, matrix.im)):
+        cells = list(zip(row_re, row_im))
+        support = [j for j, cell in enumerate(cells) if j != i and cell != (0, 0)]
+        if len(support) > 1:
             return None
-        if not scale.is_real():
-            return None
-        return scale.re, Fraction(0), Permutation.identity(n)
-    if not m_value.is_real():
+        j = support[0] if support else i
+        images.append(j + 1)
+        if j != i:
+            off_diagonal.add(cells[j])
+        diagonal.append(cells[i])
+    if len(off_diagonal) > 1 or any(images[j - 1] != i for i, j in enumerate(images, 1)):
         return None
-    k_value: GaussianRational | None = None
-    for i in range(1, n + 1):
-        diag = matrix.entry(i, i) if i in pairs else matrix.entry(i, i) - m_value
-        if k_value is None:
-            k_value = diag
-        elif diag != k_value:
-            return None
-    if not k_value.is_real():
+    m_re, m_im = off_diagonal.pop() if off_diagonal else (0, 0)
+    k_values = {
+        (x - m_re if images[i] == i + 1 else x, y) for i, (x, y) in enumerate(diagonal)
+    }
+    (k_re, k_im), *others = k_values
+    if m_im or k_im or others:
         return None
-    images = [pairs.get(i, i) for i in range(1, n + 1)]
-    return k_value.re, m_value.re, Permutation(tuple(images))
+    return Fraction(k_re, matrix.den), Fraction(m_re, matrix.den), Permutation(tuple(images))
 
 
 def psd_classify(
@@ -415,13 +404,8 @@ def psd_classify(
     return PsdClassification(True, k, m, pi, condition)
 
 
-def integer_grid(matrix: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    """The entries as Gaussian integers over one common denominator.
-
-    Returns (real parts, imaginary parts, denominator); the matrix equals
-    (re + im*i) / denominator entrywise.  This is the working form of the
-    exact kernels: gaussian.integer_parts on the entries, cut into rows.
-    """
-    re, im, den = integer_parts([e for row in matrix.entries for e in row])
-    starts = range(0, len(re), matrix.cols)
-    return [re[k : k + matrix.cols] for k in starts], [im[k : k + matrix.cols] for k in starts], den
+def integer_grid(matrix: Matrix) -> tuple[tuple, tuple, int]:
+    """The entries as Gaussian integers over one common denominator: (real
+    parts, imaginary parts, denominator), each part a tuple of integer rows.
+    The working form of the exact kernels, and the one the matrix is stored in."""
+    return matrix.re, matrix.im, matrix.den

@@ -365,6 +365,20 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+def parse_ints(text: str, start: int, end: int, message: str, words: bool = False) -> list[int]:
+    """The integers of the comma-separated list text[start:end], or with ``words`` of the
+    words its items split into at blanks.  An empty item, or a token that is no integer,
+    is a ParseError; the latter says ``message``, the token and its column in ``text``."""
+    items = _list_items(text[start:end], ",", text)
+    tokens = [w for item in items for w in item.split()] if words else [i.strip() for i in items]
+    if all(map(_INTEGER_RE.fullmatch, tokens)):
+        return list(map(int, tokens))
+    # only an error needs columns, and only then is a pattern compiled
+    token = _re.compile(r"[^\s,]+" if words else r"[^\s,](?:[^,]*[^\s,])?")
+    bad = next(m for m in token.finditer(text, start, end) if not _INTEGER_RE.fullmatch(m[0]))
+    raise ParseError(f"{message}: {bad[0]!r} at column {bad.start() + 1} is not an integer")
+
+
 def _list_items(listing: str, separator, text: str) -> list[str]:
     """The comma-separated items of ``listing``; none when it is blank.
 
@@ -396,19 +410,15 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         return Permutation.identity(degree)
     pos = 0
     cycles = []
-    for m in _CYCLE_RE.finditer(s):
-        if s[pos : m.start()].strip():
+    for m in _CYCLE_RE.finditer(text):
+        if text[pos : m.start()].strip():
             raise ParseError(f"bad permutation text: {text!r}")
-        items = _list_items(m.group(1), ",", text)
-        try:
-            cycle = [parse_int(tok) for item in items for tok in item.split()]
-        except ValueError as exc:
-            raise ParseError(f"bad cycle in {text!r}") from exc
+        cycle = parse_ints(text, m.start(1), m.end(1), f"bad cycle in {text!r}", words=True)
         if len(cycle) < 1:
             raise ParseError(f"empty cycle in {text!r}")
         cycles.append(cycle)
         pos = m.end()
-    if pos != len(s) or s[pos:].strip():
+    if text[pos:].strip():
         raise ParseError(f"bad permutation text: {text!r}")
     try:
         return Permutation.from_cycles(degree, cycles)

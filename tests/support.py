@@ -67,13 +67,16 @@ def brute_x_set(theta: pf.Permutation, tau: pf.Permutation) -> set[pf.Permutatio
 
 def naive_det_expansion(matrix: pf.Matrix) -> GaussianRational:
     """Determinant by full permutation expansion (reference, n <= 7)."""
-    n = matrix.rows
+    return _det_expansion(matrix.entries)
+
+
+def _det_expansion(entries) -> GaussianRational:
     total = ZERO
-    for images in permutations(range(1, n + 1)):
+    for images in permutations(range(1, len(entries) + 1)):
         sigma = pf.Permutation(images)
         product = gauss(sigma.sign())
-        for i in range(1, n + 1):
-            product = product * matrix.entry(i, sigma(i))
+        for row, j in zip(entries, images):
+            product = product * row[j - 1]
             if product.is_zero():
                 break
         total = total + product
@@ -82,15 +85,15 @@ def naive_det_expansion(matrix: pf.Matrix) -> GaussianRational:
 
 def brute_gmf(matrix: pf.Matrix, group, chi) -> GaussianRational:
     """Generalized matrix function by scanning all of S_n and filtering by membership."""
-    n = matrix.rows
+    n, entries = matrix.rows, matrix.entries
     total = ZERO
     for images in permutations(range(1, n + 1)):
         sigma = pf.Permutation(images)
         if not group.contains(sigma):
             continue
         product = chi.evaluate(sigma.images)
-        for i in range(1, n + 1):
-            product = product * matrix.entry(i, sigma(i))
+        for row, j in zip(entries, images):
+            product = product * row[j - 1]
         total = total + product
     return total
 
@@ -134,13 +137,10 @@ def principal_minors_psd(matrix: pf.Matrix) -> bool:
     """Exact semidefiniteness test: hermitian and all principal minors >= 0."""
     if not is_hermitian(matrix):
         return False
-    n = matrix.rows
+    n, entries = matrix.rows, matrix.entries
     for size in range(1, n + 1):
-        for rows in combinations(range(1, n + 1), size):
-            sub = pf.Matrix(
-                [[matrix.entry(i, j) for j in rows] for i in rows]
-            )
-            minor = naive_det_expansion(sub)
+        for rows in combinations(range(n), size):
+            minor = _det_expansion([[entries[i][j] for j in rows] for i in rows])
             if not minor.is_real() or minor.re < 0:
                 return False
     return True

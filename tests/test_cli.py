@@ -375,6 +375,23 @@ def test_numbers_take_ascii_digits_only(capsys, argv, named):
     assert err.startswith("parse error: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["det", "--n", "3", "--theta", "(1 2 x)", "--tau", "id"],
+         "bad cycle in '(1 2 x)': 'x' at column 6 is not an integer"),
+        ([*GMF_N3, "--group", "S3", "--character", "irr:[3,x]"],
+         "bad partition in 'irr:[3,x]': 'x' at column 8 is not an integer"),
+        (["gmf", "--n", "5", *INSTANCE, "--group", "stab:1,z@5", "--character", "sign"],
+         "bad stabilizer points in 'stab:1,z@5': 'z' at column 8 is not an integer"),
+    ],
+    ids=["cycle", "partition", "stabilizer"],
+)
+def test_parse_errors_name_the_bad_token_and_its_column(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
 @pytest.mark.parametrize("part", [0.1, "1e2", "1_0"], ids=["float", "exponent", "underscore"])
 def test_table_scalars_take_integers_and_exact_text_only(tmp_path, capsys, part):
     path = tmp_path / "table.json"

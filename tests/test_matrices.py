@@ -1,12 +1,19 @@
 """Matrix constructors, block assembly, structural semidefiniteness."""
 
+import copy
+import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from permfunc.characters import SignCharacter, TrivialCharacter, parse_character
+from permfunc.engine import det_cauchy_binet_sum, det_exact, gmf_naive
 from permfunc.errors import DegreeMismatchError, ParseError
-from permfunc.gaussian import ZERO, gauss
+from permfunc.gaussian import ONE, ZERO, gauss
+from permfunc.groups import parse_group
 from permfunc.matrices import (
     BlockSpec,
     Matrix,
@@ -312,8 +319,8 @@ class TestMatrixPlumbing:
         m = grid([[(Fraction(1, 2), Fraction(-1, 3))], [(2, 0)]])
         pre, pim, den = integer_grid(m)
         assert den == 6
-        assert pre == [[3], [12]]
-        assert pim == [[-2], [0]]
+        assert pre == ((3,), (12,))
+        assert pim == ((-2,), (0,))
 
     def test_integer_grid_does_no_fraction_arithmetic(self, monkeypatch):
         # a 3x2 grid of fractional complex entries converts with every
@@ -334,8 +341,8 @@ class TestMatrixPlumbing:
         pre, pim, den = integer_grid(m)
         monkeypatch.undo()
         assert den == 36
-        assert pre == [[18, 0], [72, -42], [0, 108]]
-        assert pim == [[-12, 45], [0, 36], [0, 4]]
+        assert pre == ((18, 0), (72, -42), (0, 108))
+        assert pim == ((-12, 45), (0, 36), (0, 4))
 
     def test_shape_errors(self):
         with pytest.raises(DegreeMismatchError):
@@ -348,3 +355,173 @@ class TestMatrixPlumbing:
     def test_trace_error_names_its_shape(self):
         with pytest.raises(DegreeMismatchError, match="trace needs a square matrix, got 2x3"):
             trace(Matrix.zero(2, 3))
+
+
+# -- the stored form: Gaussian integer rows over one denominator ---------------
+
+
+def grid_sum(n, layers):
+    """The n x n GaussianRational grid with each (row, col, value) of layers added in (1-based)."""
+    grid = [[ZERO] * n for _ in range(n)]
+    for r, c, value in layers:
+        grid[r - 1][c - 1] = grid[r - 1][c - 1] + value
+    return grid
+
+
+def assert_stored_as(built, grid):
+    """built is the matrix of the GaussianRational grid: by value, by hash, in
+    every API form, and in its stored integers, which are in lowest terms."""
+    reference = Matrix(grid)
+    assert built == reference and hash(built) == hash(reference)
+    assert built.entries == reference.entries == tuple(map(tuple, grid))
+    body = "; ".join(" ".join(str(e) for e in row) for row in grid)
+    assert repr(built) == repr(reference) == f"Matrix[{body}]"
+    assert built.to_json() == reference.to_json()
+    assert Matrix.from_json(built.to_json()) == built
+    assert integer_grid(built) == integer_grid(reference)
+    re, im, den = integer_grid(built)
+    assert den > 0 and math.gcd(den, *chain(*re), *chain(*im)) == 1
+
+
+scalars = st.builds(
+    lambda p, q, r, s: gauss(Fraction(p, q), Fraction(r, s)),
+    st.integers(-3, 3), st.integers(1, 4), st.integers(-3, 3), st.integers(1, 3),
+)
+
+
+@st.composite
+def coefficient_pairs(draw):
+    """(a, b), sometimes b = -a or b = a, so agreement columns vanish or double."""
+    a = draw(scalars)
+    return a, draw(st.sampled_from([draw(scalars), -a, a]))
+
+
+@st.composite
+def linear_sum_instances(draw):
+    """(a, b, theta, tau, c): theta = tau at times, so every column agrees."""
+    n = draw(st.integers(1, 6))
+    theta = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    tau = draw(st.sampled_from([theta, Permutation(tuple(draw(st.permutations(range(1, n + 1)))))]))
+    return (*draw(coefficient_pairs()), theta, tau, draw(scalars))
+
+
+@given(linear_sum_instances())
+@example((gauss(Fraction(1, 2)), gauss(Fraction(1, 2)), P("(1 2 3)", 3), P("(1 2 3)", 3), ONE))
+@example((gauss(Fraction(2, 3), 1), gauss(Fraction(-2, 3), -1), P("(1 2)", 3), P("(1 2)", 3), ZERO))
+@example((gauss(1, Fraction(1, 2)), gauss(-1, Fraction(-1, 2)), P("(1 2)", 4), P("(3 4)", 4), ONE))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_structured_builders_store_their_grid(instance):
+    a, b, theta, tau, c = instance
+    n = theta.degree
+    images = lambda p: list(enumerate(p.images, 1))  # noqa: E731
+    layers = [(t, j, a) for j, t in images(theta)] + [(t, j, b) for j, t in images(tau)]
+    summed = linear_sum(a, b, theta, tau)
+    assert_stored_as(summed, grid_sum(n, layers))
+    assert_stored_as(perm_matrix(theta), grid_sum(n, [(t, j, ONE) for j, t in images(theta)]))
+    marks = {(i, t) for p in (theta, theta.inverse()) for i, t in images(p)}
+    assert_stored_as(s_matrix(theta), grid_sum(n, [(i, t, ONE) for i, t in marks]))
+    grid = summed.entries
+    assert_stored_as(scalar_mul(c, summed), [[c * e for e in row] for row in grid])
+    assert_stored_as(mat_add(summed, summed), [[e + e for e in row] for row in grid])
+    assert_stored_as(
+        mat_mul(summed, perm_matrix(tau)),
+        [[sum((grid[i][k] * e for k, e in enumerate(col)), ZERO) for col in zip(*perm_matrix(tau).entries)]
+         for i in range(n)],
+    )
+    assert_stored_as(
+        conjugate_transpose(summed), [[grid[i][j].conjugate() for i in range(n)] for j in range(n)]
+    )
+    assert trace(summed) == sum((grid[i][i] for i in range(n)), ZERO)
+
+
+def test_one_half_plus_one_half_and_the_zero_matrix_have_denominator_one():
+    theta = P("(1 3)", 3)
+    half = gauss(Fraction(1, 2))
+    assert integer_grid(linear_sum(half, half, theta, theta)) == (
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)), ((0, 0, 0),) * 3, 1)
+    third = gauss(Fraction(1, 3), Fraction(-2, 3))
+    zero = linear_sum(third, -third, theta, theta)
+    assert integer_grid(zero) == (((0, 0, 0),) * 3, ((0, 0, 0),) * 3, 1)
+    assert zero == Matrix.zero(3, 3) == scalar_mul(ZERO, perm_matrix(theta))
+    # b = -a: only the columns where theta and tau differ keep an entry
+    assert integer_grid(linear_sum(third, -third, theta, Permutation.identity(3))) == (
+        ((-1, 0, 1), (0, 0, 0), (1, 0, -1)), ((2, 0, -2), (0, 0, 0), (-2, 0, 2)), 3)
+
+
+@st.composite
+def block_specs(draw):
+    """Block specs over fractional complex coefficients; the second layer
+    copies the first at times, so blocks agree entry by entry."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    perm = lambda k: Permutation(tuple(draw(st.permutations(range(1, k + 1)))))  # noqa: E731
+    theta, inner_thetas = perm(n), tuple(perm(m) for _ in range(n))
+    copied = draw(st.booleans())
+    tau = theta if copied else perm(n)
+    inner_taus = inner_thetas if copied else tuple(perm(m) for _ in range(n))
+    a = tuple(draw(scalars) for _ in range(n))
+    b = tuple(draw(st.sampled_from([draw(scalars), -x, x])) for x in a)
+    return BlockSpec(m=m, n=n, theta=theta, tau=tau, inner_thetas=inner_thetas,
+                     inner_taus=inner_taus, a=a, b=b)
+
+
+@given(block_specs())
+@example(BlockSpec(m=2, n=2, theta=Permutation.identity(2), tau=P("(1 2)", 2),
+                   inner_thetas=(P("(1 2)", 2), Permutation.identity(2)),
+                   inner_taus=(Permutation.identity(2), Permutation.identity(2)),
+                   a=(gauss(Fraction(1, 2)), gauss(0, Fraction(1, 3))),
+                   b=(gauss(Fraction(1, 2)), gauss(0, Fraction(-1, 3)))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_block_matrix_stores_its_grid(spec):
+    # block i of layer one sits at block column theta(i) with its 1s at
+    # (inner(v), v); the layers add where the two agree inside a block
+    layers = [
+        ((i - 1) * spec.m + inner(v), (outer(i) - 1) * spec.m + v, coeff[i - 1])
+        for outer, inners, coeff in ((spec.theta, spec.inner_thetas, spec.a), (spec.tau, spec.inner_taus, spec.b))
+        for i, inner in enumerate(inners, 1)
+        for v in range(1, spec.m + 1)
+    ]
+    assert_stored_as(block_matrix(spec), grid_sum(spec.size, layers))
+
+
+def test_builders_do_no_fraction_arithmetic(monkeypatch):
+    # with every Fraction operator refused, the structured builders place
+    # integers, and integer_grid reads the stored form
+    a, b, c = gauss(Fraction(1, 2), Fraction(-1, 3)), gauss(Fraction(-1, 2), Fraction(5, 4)), gauss(0, Fraction(2, 7))
+    minus_a = -a
+    theta, tau = P("(1 2 3)(4 5)", 5), P("(1 3)", 5)
+    spec = reference_block_spec()
+    ones = perm_matrix(theta)
+    summed = linear_sum(a, b, theta, tau)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a matrix builder")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__int__", "__eq__", "__lt__", "__bool__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    built = [
+        perm_matrix(theta), linear_sum(a, b, theta, tau), linear_sum(a, minus_a, theta, theta),
+        scalar_mul(c, ones), s_matrix(theta), block_matrix(spec), mat_add(summed, ones),
+        mat_mul(summed, summed), conjugate_transpose(summed),
+    ]
+    diagonal = trace(summed)
+    grids = [integer_grid(m) for m in built]
+    monkeypatch.undo()
+    assert diagonal == b + b + b  # tau fixes 2, 4 and 5, theta no point
+    assert grids[1][2] == 12 and grids[2][2] == 1 and grids[3] == integer_grid(scalar_mul(c, ones))
+
+
+def test_routes_leave_their_input_unchanged():
+    # every route reads the stored rows themselves, not a copy of them
+    a = linear_sum(gauss(Fraction(1, 2), 1), gauss(-2, Fraction(1, 3)), P("(1 2 3 4 5)", 5), P("(2 4)", 5))
+    b = scalar_mul(gauss(Fraction(3, 2), -1), perm_matrix(P("(1 5)(2 3)", 5)))
+    dense = Matrix([[gauss(Fraction(i - j, i + 1), i * j % 3) for j in range(5)] for i in range(5)])
+    before = [(m.to_json(), copy.deepcopy(integer_grid(m))) for m in (a, b, dense)]
+    for m in (a, b, dense):
+        det_exact(m)
+        for group, chi in (("S5", "sign"), ("A5", "trivial"), ("stab:2@5", "sign"),
+                           ("cyclic:(1 2 3 4 5)@5", "trivial"), ("S5", "irr:[3,2]")):
+            gmf_naive(m, parse_group(group, 5), parse_character(chi, 5))
+    det_cauchy_binet_sum(a, b)
+    det_cauchy_binet_sum(dense, a)
+    assert [(m.to_json(), integer_grid(m)) for m in (a, b, dense)] == before
