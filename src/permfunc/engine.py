@@ -29,10 +29,9 @@ Routes provided, all exact unless stated otherwise:
   the structured route's O(r) product over the cycles of theta^-1*tau
   on S_n;
 * a minor-expansion oracle for det(A+B) over all complementary index
-  pairs: the sum over pairs with |alpha| = k is the coefficient of t^k
-  in det(tA + B), so one fold of Laplace steps over the rows, each
-  row's entries taken from A and from B and the table keyed by column
-  set and k, yields every k's sum at once as Gaussian integers;
+  pairs: the pairs with |alpha| = k sum to the coefficient of t^k in
+  det(tA + B), so one Laplace fold at t = 2^s, each entry b + (a << s),
+  yields every k's sum as a balanced base-2^s digit;
 * the block generalization for sums of two scaled block-permutation
   layers;
 * the symmetric companion S_theta: its value as that of
@@ -181,9 +180,7 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
             f"generalized matrix functions need a square matrix, got {a.rows}x{a.cols}"
         )
     if group.degree != a.rows:
-        raise DegreeMismatchError(
-            f"matrix degree {a.rows}, group degree {group.degree}"
-        )
+        raise DegreeMismatchError(f"matrix degree {a.rows}, group degree {group.degree}")
     order = checked_order(group)
     chi.check_domain(group)
     pre, pim, den = integer_grid(a)
@@ -224,19 +221,18 @@ def _parity_naive(pre, pim, group: GroupSpec, chi: CharacterSpec):
     alternating = isinstance(group, AlternatingGroup)
     if isinstance(chi, SignCharacter) and not alternating:
         return _fold(rows)
-    per = _fold([[(bit, 0, er, ei, step) for bit, _, er, ei, step in row] for row in rows])
+    per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in rows])
     if not alternating:
         return per
     det = _fold(rows)
     return (per[0] + det[0]) // 2, (per[1] + det[1]) // 2
 
 
-def _row_entries(row_re, row_im, grade=0) -> list:
-    """A row's nonzero entries as (column bit, the column bits above it,
-    re, im, key step): placing one adds its bit and ``grade`` to the key."""
+def _row_entries(row_re, row_im) -> list:
+    """A row's nonzero entries as (column bit, the column bits above it, re, im)."""
     n = len(row_re)
     return [
-        (1 << j, (1 << n) - (2 << j), er, ei, (1 << j) + grade)
+        (1 << j, (1 << n) - (2 << j), er, ei)
         for j, (er, ei) in enumerate(zip(row_re, row_im))
         if er or ei
     ]
@@ -253,24 +249,24 @@ def _fold(rows):
 def _laplace_step(table, entries):
     """Extend a minor table by one row along its Laplace expansion.
 
-    ``table`` maps the key of each minor over the rows placed so far,
-    its column mask plus any grade the entries' key steps add above the
-    columns, to its determinant (re, im); ``entries`` are the new row's
-    nonzero entries from _row_entries.  The new row is the last of the
+    ``table`` maps the column mask of each minor over the rows placed so
+    far to its determinant (re, im); ``entries`` are the new row's
+    nonzero entries as from _row_entries.  The new row is the last of the
     minor, so placing it in column j adds one inversion for each used
     column above j.  Returns the table over the rows placed so far plus
     the new one, empty when every such minor vanishes.
     """
     extended = {}
     for used, (pr, pi) in table.items():
-        for bit, above, er, ei, step in entries:
+        for bit, above, er, ei in entries:
             if used & bit:
                 continue
             re, im = pr * er - pi * ei, pr * ei + pi * er
             if (used & above).bit_count() & 1:
                 re, im = -re, -im
-            acc = extended.get(used + step)
-            extended[used + step] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+            key = used | bit
+            acc = extended.get(key)
+            extended[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
     return extended
 
 
@@ -543,15 +539,9 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
     """det(a+b) expanded over all complementary minor pairs.
 
     Sums (-1)^(r(alpha)+r(beta)) det(a[alpha|beta]) det(b(alpha|beta))
-    over all k and all strictly increasing index pairs with |alpha| = k.
-    By the generalized Laplace expansion that sum is the coefficient of
-    t^k in det(t*a + b), and det(t*a + b) is multilinear in the rows: one
-    fold of _laplace_step over the rows, each row's entries taken from a
-    and from b, builds it with the table keyed by column mask plus
-    k * 2^n, k the rows given to a so far.  The fold ends with each k's
-    sum on key (2^n - 1) + k * 2^n, and runs no elimination.  Each k's
-    Gaussian integers are taken over (den_a * den_b)^n and added; the term
-    count is still the full pair count.
+    over all k and all strictly increasing index pairs with |alpha| = k,
+    each k's sum from _graded_minor_sums (no elimination) taken over
+    den_a^k den_b^(n-k).  The term count is still the full pair count.
     """
     if not a.is_square or not b.is_square or a.rows != b.rows:
         raise DegreeMismatchError(
@@ -561,18 +551,38 @@ def det_cauchy_binet_sum(a: Matrix, b: Matrix) -> GmfResult:
     n = a.rows
     pre_a, pim_a, den_a = integer_grid(a)
     pre_b, pim_b, den_b = integer_grid(b)
-    rows = [
-        _row_entries(ar, ai, 1 << n) + _row_entries(br, bi)
-        for ar, ai, br, bi in zip(pre_a, pim_a, pre_b, pim_b)
-    ]
-    table = functools.reduce(_laplace_step, rows, {0: (1, 0)})
     total_re = total_im = 0
-    for k in range(n + 1):
-        sum_re, sum_im = table.get((1 << n) - 1 + (k << n), (0, 0))
+    for k, (sum_re, sum_im) in enumerate(_graded_minor_sums(pre_a, pim_a, pre_b, pim_b)):
         scale = den_a ** (n - k) * den_b**k
         total_re, total_im = total_re + sum_re * scale, total_im + sum_im * scale
     total = from_integers(total_re, total_im, (den_a * den_b) ** n)
     return GmfResult(total, Method.CAUCHY_BINET, comb(2 * n, n))
+
+
+def _graded_minor_sums(pre_a, pim_a, pre_b, pim_b) -> list:
+    """For k = 0..n, the sum (re, im) of the signed minor pairs with
+    |alpha| = k, over the Gaussian-integer rows of A and B.
+
+    By the generalized Laplace expansion the k-th sum is the coefficient
+    of t^k in det(tA + B).  One _fold takes it at t = 2^s (Kronecker
+    substitution), each row's nonzero column j holding b_ij + (a_ij << s),
+    and the sums are the balanced base-2^s digits of its two parts, read
+    as unsigned ones after adding 2^(s-1) to each.  A digit is at most the
+    product over the rows of the sum of |re| + |im| of the row's A and B
+    entries, so s = 1 + that bound's bit length keeps it inside +-2^(s-1).
+    """
+    n = len(pre_a)
+    rows = [
+        [(j, xa, ya, xb, yb) for j, xa, ya, xb, yb in zip(range(n), *row) if xa or ya or xb or yb]
+        for row in zip(pre_a, pim_a, pre_b, pim_b)
+    ]
+    s = 1 + math.prod([sum([abs(xa) + abs(ya) + abs(xb) + abs(yb) for _, xa, ya, xb, yb in row])
+                       for row in rows]).bit_length()
+    re, im = _fold([[(1 << j, (1 << n) - (2 << j), xb + (xa << s), yb + (ya << s))
+                     for j, xa, ya, xb, yb in row] for row in rows])
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    re, im = (part + half * ((1 << s * (n + 1)) - 1) // mask for part in (re, im))
+    return [(((re >> s * k) & mask) - half, ((im >> s * k) & mask) - half) for k in range(n + 1)]
 
 
 def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
@@ -584,9 +594,7 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
     beta^-1(x); agreement points contribute (a_j + b_j) factors.
     """
     if group.degree != spec.size:
-        raise DegreeMismatchError(
-            f"group degree {group.degree} != block matrix size {spec.size}"
-        )
+        raise DegreeMismatchError(f"group degree {group.degree} != block matrix size {spec.size}")
     alpha, beta = (images_inverse(p.images) for p in spec.induced_pair())
     coeff_a, coeff_b = ([c[x // spec.m] for x in range(spec.size)] for c in (spec.a, spec.b))
     value, terms = _mixture_sum(alpha, beta, coeff_a, coeff_b, group, chi)
@@ -599,9 +607,7 @@ def _doubled_count(theta: Permutation) -> int:
     return sum(images[y - 1] == x for x, y in enumerate(images, 1))
 
 
-def gmf_s_matrix(
-    theta: Permutation, group: GroupSpec, chi: CharacterSpec
-) -> GmfResult:
+def gmf_s_matrix(theta: Permutation, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     """Value on the symmetric companion S_theta.
 
     P_theta + P_theta^-1 doubles the entries of S_theta on fixed points
@@ -769,9 +775,7 @@ def check_dominance(
     _require_psd_pair(k, m, pi)
     n = pi.degree
     ident = Permutation.identity(n)
-    value = gmf_linear_sum(
-        gauss(k), gauss(m), ident, pi, SymmetricGroup(n), chi
-    ).value
+    value = gmf_linear_sum(gauss(k), gauss(m), ident, pi, SymmetricGroup(n), chi).value
     if not value.is_real():
         raise PermfuncError("dominance check produced a non-real value")
     permanent = per_linear_sum(gauss(k), gauss(m), ident, pi).value
@@ -826,9 +830,7 @@ def check_superadditivity(
     for v in (combined, left, right):
         if not v.is_real():
             raise PermfuncError("superadditivity check produced a non-real value")
-    return SuperadditivityReport(
-        combined.re, left.re, right.re, combined.re >= left.re + right.re
-    )
+    return SuperadditivityReport(combined.re, left.re, right.re, combined.re >= left.re + right.re)
 
 
 # the largest degree whose n^n dimensional tensor space tensor_oracle builds
@@ -858,15 +860,11 @@ def tensor_oracle(
     """
     n = theta.degree
     if n > TENSOR_MAX_DEGREE:
-        raise ValueError(
-            f"tensor space would have dimension {n}^{n}; max is {TENSOR_MAX_DEGREE}"
-        )
+        raise ValueError(f"tensor space would have dimension {n}^{n}; max is {TENSOR_MAX_DEGREE}")
     if not (a.is_real() and b.is_real()):
         raise ExactnessError("tensor oracle is restricted to real coefficients")
     if group.degree != n:
-        raise DegreeMismatchError(
-            f"permutation degree {n}, group degree {group.degree}"
-        )
+        raise DegreeMismatchError(f"permutation degree {n}, group degree {group.degree}")
     order = checked_order(group)
     chi.check_domain(group)
     entries = linear_sum(a, b, theta, tau).entries

@@ -237,10 +237,10 @@ def gauss(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
 def integer_parts(values) -> tuple[list[int], list[int], int]:
     """A list of scalars as (real parts, imaginary parts, den), den the lcm of the
     parts' denominators and values[k] = (re[k] + im[k]*i) / den; no Fraction products."""
-    den = lcm(*{x.denominator for v in values for x in (v.re, v.im)})
-    re = [v.re.numerator * (den // v.re.denominator) for v in values]
-    im = [v.im.numerator * (den // v.im.denominator) for v in values]
-    return re, im, den
+    re = [v.re.as_integer_ratio() for v in values]
+    im = [v.im.as_integer_ratio() for v in values]
+    den = lcm(*{q for _, q in re + im})
+    return [p * (den // q) for p, q in re], [p * (den // q) for p, q in im], den
 
 
 def from_integers(re: int, im: int, den: int) -> GaussianRational:
