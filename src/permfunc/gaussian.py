@@ -2,8 +2,12 @@
 
 All arithmetic in the package is carried out in the field Q(i) so that
 results such as -85+30i are reproduced bit-exactly.  Scalars are immutable;
-``fractions.Fraction`` keeps each component in lowest terms.  The exact sums
-run on Gaussian integers over one denominator: ``integer_parts`` in, ``from_integers`` out.
+``fractions.Fraction`` keeps each component in lowest terms, and the public
+constructor keeps the Fractions it is given.  Arithmetic runs on the
+Gaussian-integer form: each operation reads its operands as (re, im, den)
+and leaves through ``from_integers``, which builds one Fraction per part.
+The exact sums run on the same form over one denominator: ``integer_parts``
+in, ``from_integers`` out.
 """
 
 from __future__ import annotations
@@ -49,64 +53,73 @@ class GaussianRational:
         return not self.is_zero()
 
     # -- field arithmetic ---------------------------------------------------
+    # Each operation reads its operands once as Gaussian integers over one
+    # denominator and leaves through from_integers: one Fraction per part.
+
+    def _integers(self) -> tuple[int, int, int]:
+        """(re, im, den) with self = (re + im*i) / den, den the lcm of the parts'
+        denominators."""
+        p, q = self.re.as_integer_ratio()
+        r, s = self.im.as_integer_ratio()
+        if q == s:
+            return p, r, q
+        den = lcm(q, s)
+        return p * (den // q), r * (den // s), den
 
     @staticmethod
-    def _coerce(other) -> "GaussianRational | None":
+    def _operand(other) -> "tuple[int, int, int] | None":
         if isinstance(other, GaussianRational):
-            return other
+            return other._integers()
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return GaussianRational(other)
+            p, q = other.as_integer_ratio()
+            return p, 0, q
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _sum(self._integers(), o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        re, im, den = self._integers()
+        return from_integers(-re, -im, den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _sum(self._integers(), o, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(o, self._integers(), -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        ar, ai, ad = self._integers()
+        br, bi, bd = o
+        return from_integers(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        n = o.abs_squared()
-        if not n:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n
-        )
+        return _quotient(self._integers(), o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(o, self._integers())
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -124,19 +137,22 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        re, im, den = self._integers()
+        return from_integers(re, -im, den)
 
     def abs_squared(self) -> Fraction:
         """|z|^2, always an exact rational."""
-        return self.re * self.re + self.im * self.im
+        re, im, den = self._integers()
+        return Fraction(re * re + im * im, den * den)
 
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        # parts in lowest terms over the lcm of their denominators: one form per number
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._integers() == o
 
     def __hash__(self):
         # an integral component hashes as its int, equal to the Fraction's
@@ -165,9 +181,9 @@ class GaussianRational:
         return "".join(parts)
 
     _TERM = _re.compile(
-        r"""(?P<sign>[+-]?)            # leading sign
+        r"""(?:\s*(?P<sign>[+-])\s*)?     # optional sign, blanks allowed around it
             (?P<num>[0-9]+(?:/[0-9]+)?)?  # optional rational magnitude
-            (?P<imag>i)?               # imaginary marker
+            (?P<imag>i)?                  # imaginary marker
             """,
         _re.VERBOSE,
     )
@@ -180,28 +196,39 @@ class GaussianRational:
         one signed, and every denominator is nonzero; whitespace is
         allowed only around a sign.  No floating point forms are
         accepted; this keeps every CLI input inside the exact field.
+        A malformed literal is a ParseError naming the first character
+        that cannot be read, the repeated term or the zero denominator,
+        and its column in text.
         """
-        s = _re.sub(r"\s*([+-])\s*", r"\1", text.strip())
-        if not s:
+        pos, end = len(text) - len(text.lstrip()), len(text.rstrip())
+        if pos >= end:
             raise ParseError("empty scalar literal")
+        first, terms = pos, []
+        while pos < end:
+            m = cls._TERM.match(text, pos, end)
+            if (m["sign"] is None and pos > first) or (m["num"] is None and m["imag"] is None):
+                at = pos if m["sign"] is None else m.end()
+                what = repr(text[at]) if at < end else "end"
+                raise ParseError(f"bad scalar literal: {text!r}: unexpected {what} at column {at + 1}")
+            terms.append(m)
+            pos = m.end()
         parts: dict[bool, Fraction] = {}  # keyed by "is imaginary"
-        pos = 0
-        while pos < len(s):
-            m = cls._TERM.match(s, pos)
-            if (
-                not m
-                or m.end() == pos
-                or (m["num"] is None and m["imag"] is None)
-                or (pos and not m["sign"])
-                or bool(m["imag"]) in parts
-            ):
-                raise ParseError(f"bad scalar literal: {text!r}")
+        for m in terms:
+            imag = m["imag"] is not None
+            if imag in parts:
+                raise ParseError(
+                    f"bad scalar literal: {text!r}: second {'imaginary' if imag else 'real'} "
+                    f"part {m[0].lstrip()!r} at column {m.start('sign') + 1}"
+                )
             try:
                 mag = Fraction(m["num"]) if m["num"] is not None else Fraction(1)
             except ZeroDivisionError as exc:
-                raise ParseError(f"zero denominator in scalar literal: {text!r}") from exc
-            parts[bool(m["imag"])] = -mag if m["sign"] == "-" else mag
-            pos = m.end()
+                den = m["num"].partition("/")[2]
+                raise ParseError(
+                    f"bad scalar literal: {text!r}: zero denominator {den!r} "
+                    f"at column {m.end('num') - len(den) + 1}"
+                ) from exc
+            parts[imag] = -mag if m["sign"] == "-" else mag
         return cls(parts.get(False, 0), parts.get(True, 0))
 
     def to_json(self) -> dict:
@@ -224,6 +251,9 @@ class GaussianRational:
             raise ParseError(f"bad scalar object: {obj!r}") from exc
 
 
+# the slots' own setters: quicker than object.__setattr__, which looks the name up
+_set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
@@ -244,5 +274,29 @@ def integer_parts(values) -> tuple[list[int], list[int], int]:
 
 
 def from_integers(re: int, im: int, den: int) -> GaussianRational:
-    """(re + im*i) / den as an exact scalar: the way back from integer_parts."""
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    """(re + im*i) / den as an exact scalar: the way back from integer_parts and
+    the way out of every arithmetic operation.  Builds one normalized Fraction
+    per part and skips the public constructor's type checks."""
+    z = object.__new__(GaussianRational)
+    _set_re(z, Fraction(re, den))
+    _set_im(z, Fraction(im, den))
+    return z
+
+
+def _sum(x: tuple[int, int, int], y: tuple[int, int, int], sign: int) -> GaussianRational:
+    """x + sign*y for Gaussian integers over denominators, sign = 1 or -1."""
+    xr, xi, xd = x
+    yr, yi, yd = y
+    if xd == yd:
+        return from_integers(xr + sign * yr, xi + sign * yi, xd)
+    return from_integers(xr * yd + sign * yr * xd, xi * yd + sign * yi * xd, xd * yd)
+
+
+def _quotient(x: tuple[int, int, int], y: tuple[int, int, int]) -> GaussianRational:
+    """x / y for Gaussian integers over denominators: x times conj(y) over |y|^2."""
+    xr, xi, xd = x
+    yr, yi, yd = y
+    norm = yr * yr + yi * yi
+    if not norm:
+        raise ZeroDivisionError("division by zero GaussianRational")
+    return from_integers((xr * yr + xi * yi) * yd, (xi * yr - xr * yi) * yd, xd * norm)

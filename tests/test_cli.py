@@ -384,8 +384,19 @@ def test_numbers_take_ascii_digits_only(capsys, argv, named):
          "bad partition in 'irr:[3,x]': 'x' at column 8 is not an integer"),
         (["gmf", "--n", "5", *INSTANCE, "--group", "stab:1,z@5", "--character", "sign"],
          "bad stabilizer points in 'stab:1,z@5': 'z' at column 8 is not an integer"),
+        (["det", "--n", "3", *INSTANCE, "--a", "2+3j"],
+         "bad scalar literal: '2+3j': unexpected 'j' at column 4"),
+        (["per", "--n", "3", *INSTANCE, "--b", " 2 +  3j"],
+         "bad scalar literal: ' 2 +  3j': unexpected 'j' at column 8"),
+        (["det", "--n", "3", *INSTANCE, "--a", "1/2 - "],
+         "bad scalar literal: '1/2 - ': unexpected end at column 6"),
+        (["det", "--n", "3", *INSTANCE, "--b", "1i + 2i"],
+         "bad scalar literal: '1i + 2i': second imaginary part '+ 2i' at column 4"),
+        (["det", "--n", "3", *INSTANCE, "--a", "2 - 3/00i"],
+         "bad scalar literal: '2 - 3/00i': zero denominator '00' at column 7"),
     ],
-    ids=["cycle", "partition", "stabilizer"],
+    ids=["cycle", "partition", "stabilizer", "scalar", "scalar-blanks", "scalar-end",
+         "scalar-twice", "scalar-zero-denominator"],
 )
 def test_parse_errors_name_the_bad_token_and_its_column(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -742,7 +753,7 @@ PINNED = {
     'block-gmf-unreadable': (2, '', "parse error: cannot read '{missing}': [Errno 2] No such file or directory: '{missing}'\n"),
     'block-gmf-bad-json': (2, '', "parse error: bad JSON in '{bad_json}': Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
     'block-gmf-wrong-degree': (3, '', 'error: group degree 5 does not match block size 8\n'),
-    'bad-k': (2, '', "parse error: bad scalar literal: '1.5x'\n"),
+    'bad-k': (2, '', "parse error: bad scalar literal: '1.5x': unexpected '.' at column 2\n"),
 }
 
 

@@ -739,7 +739,7 @@ def minor_expansion_pairs(draw):
 
 
 @given(minor_expansion_pairs())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 def test_minor_expansion_matches_elimination(pair):
     left, right = pair
     result = pf.det_cauchy_binet_sum(left, right)
@@ -796,7 +796,7 @@ def graded_pairs(draw):
 
 
 @given(graded_pairs())
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 def test_graded_minor_sums_match_brute_force(pair):
     # each balanced base-2^s digit of the packed fold is one grade's sum
     left, right = pair
@@ -833,7 +833,7 @@ def linear_sum_instances(draw):
 
 
 @given(linear_sum_instances())
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 def test_linear_sum_matches_naive(instance):
     # the mixture walk, the class sums and the parity product against the
     # naive route's member stream on the assembled matrix
@@ -869,7 +869,7 @@ def block_instances(draw):
 
 
 @given(block_instances())
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_block_matches_naive_and_round_trips(instance):
     spec, group, chi = instance
     assert BlockSpec.from_json(spec.to_json()) == spec
@@ -1502,7 +1502,7 @@ class TestParityProduct:
         assert product_calls
 
     @given(closed_form_instances())
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     def test_det_and_per_closed_forms(self, instance):
         a, b, theta, tau = instance
         n = theta.degree
@@ -1965,7 +1965,7 @@ def non_real_instances(draw):
 
 
 @given(non_real_instances())
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_non_real_characters_match_brute_force(instance):
     # the fast routes sum chi(pi) over the pi whose entry products they
     # weigh, so a character with chi(pi) != chi(pi^-1) pins the frame

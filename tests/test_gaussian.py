@@ -175,7 +175,6 @@ def test_scalar_keeps_the_fraction_it_is_given():
             GaussianRational(bad)
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.lists(scalars, max_size=12))
 def test_integer_parts_over_the_lcm_of_the_denominators(values):
     re, im, den = integer_parts(values)
@@ -191,3 +190,72 @@ def test_integer_parts_of_nothing_and_of_integers():
         [3, 0], [0, -4], 6
     )
     assert from_integers(-3, 4, 6) == gauss(Fraction(-1, 2), Fraction(2, 3))
+
+
+# Parts up to 10^40 over denominators up to 10^6, with zero, negative and
+# integral parts; each operation is checked against the plain-Fraction
+# formulas below, written out as they were before the Gaussian-integer form.
+big_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**40, 10**40).map(Fraction),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6)),
+)
+big_scalars = st.builds(GaussianRational, big_parts, big_parts)
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def _pow(x, e):
+    if e < 0:
+        x, e = _div((Fraction(1), Fraction(0)), x), -e
+    result = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        result = _mul(result, x)
+    return result
+
+
+@settings(max_examples=200)
+@given(big_scalars, big_scalars, st.one_of(st.integers(-10**40, 10**40), big_parts),
+       st.integers(-3, 4))
+def test_arithmetic_matches_the_plain_fraction_formulas(x, y, q, e):
+    xs, ys, qs = (x.re, x.im), (y.re, y.im), (Fraction(q), Fraction(0))
+    cases = [
+        (x + y, _add(xs, ys)),
+        (x - y, _add(xs, (-y.re, -y.im))),
+        (-x, (-x.re, -x.im)),
+        (x * y, _mul(xs, ys)),
+        (x.conjugate(), (x.re, -x.im)),
+        (x + q, _add(xs, qs)),
+        (q + x, _add(qs, xs)),
+        (q - x, _add(qs, (-x.re, -x.im))),
+        (x * q, _mul(xs, qs)),
+        (q * x, _mul(qs, xs)),
+    ]
+    if y:
+        cases += [(x / y, _div(xs, ys)), (q / y, _div(qs, ys))]
+    if q:
+        cases.append((x / q, _div(xs, qs)))
+    if x or e >= 0:
+        cases.append((x**e, _pow(xs, e)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x**e
+    for z, (re, im) in cases:
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert all(math.gcd(f.numerator, f.denominator) == 1 for f in (z.re, z.im))
+        want = GaussianRational(re, im)
+        assert (z.re, z.im) == (re, im)
+        assert z == want and hash(z) == hash(want)
+    n = x.abs_squared()
+    assert type(n) is Fraction and n == x.re * x.re + x.im * x.im

@@ -182,7 +182,7 @@ def group_specs(draw, kind):
 
 
 @pytest.mark.parametrize("kind", ["S", "A", "stab", "cyclic", "gens"])
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_group_text_round_trip(kind, data):
     # every group's text names its degree, so it parses with no default
@@ -237,7 +237,7 @@ def assert_matches_closure(group):
 
 
 @given(generator_lists())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_generated_group_matches_its_closure(case):
     n, gens = case
     assert_matches_closure(GeneratedSubgroup(n, gens))

@@ -409,7 +409,7 @@ def linear_sum_instances(draw):
 @example((gauss(Fraction(1, 2)), gauss(Fraction(1, 2)), P("(1 2 3)", 3), P("(1 2 3)", 3), ONE))
 @example((gauss(Fraction(2, 3), 1), gauss(Fraction(-2, 3), -1), P("(1 2)", 3), P("(1 2)", 3), ZERO))
 @example((gauss(1, Fraction(1, 2)), gauss(-1, Fraction(-1, 2)), P("(1 2)", 4), P("(3 4)", 4), ONE))
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_structured_builders_store_their_grid(instance):
     a, b, theta, tau, c = instance
     n = theta.degree
@@ -470,7 +470,7 @@ def block_specs(draw):
                    inner_taus=(Permutation.identity(2), Permutation.identity(2)),
                    a=(gauss(Fraction(1, 2)), gauss(0, Fraction(1, 3))),
                    b=(gauss(Fraction(1, 2)), gauss(0, Fraction(-1, 3)))))
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_block_matrix_stores_its_grid(spec):
     # block i of layer one sits at block column theta(i) with its 1s at
     # (inner(v), v); the layers add where the two agree inside a block

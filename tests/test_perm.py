@@ -208,7 +208,7 @@ class TestSharedHelpers:
             common_degree(P("(1 2)", 3), P("id", 4))
 
     @given(small_perms, st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_pair_cycles_decompose_the_quotient(self, alpha, rnd):
         beta = rand_perm(rnd, alpha.degree)
         dec = pair_cycles(alpha.images, beta.images)
@@ -254,7 +254,7 @@ def weighted_pairs(draw):
 
 
 @given(weighted_pairs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_weighted_walk_keeps_the_nonzero_mixtures_in_order(instance):
     theta, tau, factors = instance
     cycles = disjoint_cycles(compose(theta.inverse(), tau)).cycles
