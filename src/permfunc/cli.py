@@ -18,7 +18,7 @@ from .errors import CapacityError, ParseError, PermfuncError
 from .gaussian import GaussianRational
 from .groups import GroupSpec, SymmetricGroup, checked_order, parse_group
 from .matrices import BlockSpec, block_matrix, linear_sum, perm_matrix, psd_classify, scalar_mul
-from .perm import format_permutation, mixtures, parse_int, parse_permutation
+from .perm import format_permutation, mixtures, parse_degree, parse_int, parse_permutation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,6 +52,11 @@ def _integer(text: str) -> int:
         raise ParseError(f"bad integer {text!r}") from None
 
 
+def _degree(text: str) -> int:
+    """The --n flag: a positive integer."""
+    return parse_degree(text, 0, f"bad integer {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permfunc",
@@ -60,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p, scalars=True):
-        p.add_argument("--n", type=_integer, required=True, help="degree of the point set")
+        p.add_argument("--n", type=_degree, required=True, help="degree of the point set")
         p.add_argument("--theta", required=True, help='cycle notation, e.g. "(1 5 3)(2 6)"')
         p.add_argument("--tau", required=True, help="cycle notation")
         if scalars:
@@ -97,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("s-det", help="closed-form determinant of the symmetric companion")
-    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--n", type=_degree, required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--json", action="store_true")
 
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_flags(p)
 
     p = sub.add_parser("dominance", help="permanent dominance check on k*I + m*P_pi")
-    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--n", type=_degree, required=True)
     p.add_argument("--k", required=True, help="real scalar literal, e.g. 3/2")
     p.add_argument("--m", required=True, help="real scalar literal")
     p.add_argument("--pi", required=True, help="involution in cycle notation")

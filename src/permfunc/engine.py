@@ -8,23 +8,24 @@ permanent (S_n, trivial), immanants (S_n, irreducible chi).
 Routes provided, all exact unless stated otherwise:
 
 * naive summation of the defining formula: for the trivial and sign
-  characters on S_n, A_n and pointwise stabilizers as a determinant or
-  permanent folded row by row over column sets by Laplace steps (A_n
-  their mean, a stabilizer S_n with zeroed entries), building no
-  permutation; otherwise visiting only the members whose entry product
-  is nonzero;
+  characters on a Young subgroup (GroupSpec.young: S_n, A_n, a
+  pointwise stabilizer, a gens: group its orbits and parity decide) as
+  a determinant or permanent folded row by row over column sets by
+  Laplace steps, with the entries that cross blocks dropped (the even
+  part their mean), building no permutation; otherwise visiting only
+  the members whose entry product is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, whose row x holds
   a in column theta^-1(x) and b in column tau^-1(x): it sums only the
   2^r permutations that agree pointwise with theta^-1 or tau^-1, each
-  weighed by its own entry product and chi at itself; on S_n, A_n and
-  pointwise stabilizers (a stabilizer as S_n with the coefficients that
-  move its points zeroed) it multiplies that sum out as an O(r) product
-  over the cycles for the trivial and sign characters, and sums it by
-  cycle type, orbit by orbit of <theta, tau>, for the irreducible
-  characters, never handing them to the walk; otherwise it walks the
-  mixtures with perm.walk_mixtures, which never enters a choice of zero
-  weight; every case adds Gaussian integers over one denominator, and
-  perm.pair_cycles gives every case the cycles of theta^-1*tau;
+  weighed by its own entry product and chi at itself; on a Young
+  subgroup (as S_n or A_n with the coefficients that cross blocks
+  zeroed) it multiplies that sum out as an O(r) product over the cycles
+  for the trivial and sign characters, and sums it by cycle type, orbit
+  by orbit of <theta, tau>, for the irreducible characters, never
+  handing them to the walk; otherwise it walks the mixtures with
+  perm.walk_mixtures, which never enters a choice of zero weight; every
+  case adds Gaussian integers over one denominator, and perm.pair_cycles
+  gives every case the cycles of theta^-1*tau;
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
   the structured route's O(r) product over the cycles of theta^-1*tau
   on S_n;
@@ -70,13 +71,7 @@ from .errors import (
     PermfuncError,
 )
 from .gaussian import GaussianRational, ONE, ZERO, RationalLike, from_integers, gauss, integer_parts
-from .groups import (
-    AlternatingGroup,
-    GroupSpec,
-    PointwiseStabilizer,
-    SymmetricGroup,
-    checked_order,
-)
+from .groups import GroupSpec, SymmetricGroup, checked_order
 from .matrices import (
     BlockSpec,
     Matrix,
@@ -166,7 +161,7 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
 def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
-    On S_n, A_n and pointwise stabilizers the trivial and sign characters
+    On a Young subgroup (GroupSpec.young) the trivial and sign characters
     depend only on parity, so the Gaussian-integer entry products are
     summed by column set (_parity_naive) and no member is built.  Other
     groups and characters visit only the members with a nonzero entry
@@ -184,45 +179,39 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     order = checked_order(group)
     chi.check_domain(group)
     pre, pim, den = integer_grid(a)
-    if isinstance(group, _COLUMN_SET_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
-        re, im = _parity_naive(pre, pim, group, chi)
+    young = group.young()
+    if young and isinstance(chi, _PARITY_CHARACTERS):
+        re, im = _parity_naive(pre, pim, *young, chi)
     else:
         re, im, _ = _value_sums(chi.evaluate, _nonzero_members(pre, pim, group, order))
     return GmfResult(from_integers(re, im, den**a.rows), Method.NAIVE, order)
 
 
-# groups whose membership, and characters whose value, a permutation's
-# parity decides: cycle by cycle for a mixture, column by column in the
-# naive sum (a stabilizer in both as S_n with zeroed entries)
-_PARITY_GROUPS = (SymmetricGroup, AlternatingGroup)
+# characters whose value a permutation's parity decides, cycle by cycle or column by column
 _PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
-_COLUMN_SET_GROUPS = (*_PARITY_GROUPS, PointwiseStabilizer)
 
 
-def _parity_naive(pre, pim, group: GroupSpec, chi: CharacterSpec):
-    """The naive sum, as a Gaussian integer (re, im), for the groups of
-    _COLUMN_SET_GROUPS and the characters of _PARITY_CHARACTERS.
+def _parity_naive(pre, pim, labels, even: bool, chi: CharacterSpec):
+    """The naive sum, as a Gaussian integer (re, im), on the Young subgroup
+    young() answers with (labels, even), for the characters of
+    _PARITY_CHARACTERS.
 
-    The determinant folds _laplace_step over the rows' entries; the
-    permanent folds the same entries with no used column counted above
-    any placement, so no sign flips.  S_n with sign takes the first,
-    with trivial the second, and A_n their mean: the even permutations
-    count twice and the odd cancel.  A stabilizer is S_n with the
-    off-diagonal entries in its points' rows and columns zeroed, so
-    every permutation moving one of them weighs zero.
+    The group is S_n with the entries whose row and column lie in
+    different blocks dropped, so every permutation leaving a block weighs
+    zero.  The determinant folds _laplace_step over the rows' entries;
+    the permanent folds the same entries with no used column counted
+    above any placement, so no sign flips.  Sign takes the first, trivial
+    the second, and the even part their mean: the even permutations count
+    twice and the odd cancel.
     """
     rows = list(map(_row_entries, pre, pim))
-    if isinstance(group, PointwiseStabilizer):
-        fixed = sum(1 << (p - 1) for p in group.points)
-        rows = [
-            [entry for entry in row if entry[0] == 1 << i or not (entry[0] | 1 << i) & fixed]
-            for i, row in enumerate(rows)
-        ]
-    alternating = isinstance(group, AlternatingGroup)
-    if isinstance(chi, SignCharacter) and not alternating:
+    if labels.count(1) < len(rows):  # some point lies outside the block of 1
+        rows = [[e for e in row if labels[e[0].bit_length()] == labels[x]]
+                for x, row in enumerate(rows, 1)]
+    if isinstance(chi, SignCharacter) and not even:
         return _fold(rows)
     per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in rows])
-    if not alternating:
+    if not even:
         return per
     det = _fold(rows)
     return (per[0] + det[0]) // 2, (per[1] + det[1]) // 2
@@ -300,10 +289,10 @@ def _plus(x, y):
     return x[0] + y[0], x[1] + y[1], x[2] + y[2]
 
 
-def _parity_product(alpha, cycles, pairs, group: GroupSpec, chi: CharacterSpec):
+def _parity_product(alpha, cycles, pairs, even: bool, chi: CharacterSpec):
     """The mixture sum without its prefactor, as (re, im, terms), in O(r).
 
-    For the groups of _PARITY_GROUPS and the characters of
+    On S_n, or on A_n with ``even``, for the characters of
     _PARITY_CHARACTERS.  A mixture's sign is sign(alpha) times (-1)^(l-1)
     for each cycle of length l it takes from beta, which decides A_n and
     the sign character.  The Gaussian-integer (a_c, b_c) ``pairs`` are
@@ -315,12 +304,12 @@ def _parity_product(alpha, cycles, pairs, group: GroupSpec, chi: CharacterSpec):
         a_c, b_c = (*a_c, int(any(a_c))), (*b_c, int(any(b_c)))
         flip = 1 - len(cycle) % 2  # a cycle of even length is an odd permutation
         parts = [_plus(_times(parts[p], a_c), _times(parts[p ^ flip], b_c)) for p in (0, 1)]
-    even, odd = parts if images_sign(alpha) > 0 else parts[::-1]
-    if isinstance(group, AlternatingGroup):
-        return even
+    evens, odds = parts if images_sign(alpha) > 0 else parts[::-1]
+    if even:
+        return evens
     if isinstance(chi, SignCharacter):
-        odd = _times(odd, (-1, 0, 1))
-    return _plus(even, odd)
+        odds = _times(odds, (-1, 0, 1))
+    return _plus(evens, odds)
 
 
 def _orbit_mixtures(points, alpha, beta, moves):
@@ -355,8 +344,9 @@ def _convolve(left: dict, right: dict) -> dict:
     return out
 
 
-def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCharacter):
-    """The mixture sum for an irreducible character of S_n on S_n or A_n, by cycle type.
+def _class_sums(alpha, beta, cycles, pairs, even: bool, chi: IrreducibleCharacter):
+    """The mixture sum for an irreducible character of S_n on S_n, or on A_n
+    with ``even``, by cycle type.
 
     A mixture agrees with alpha or beta at every point, so it maps each
     orbit of <alpha, beta> onto itself: its cycle type is the union of its
@@ -397,11 +387,10 @@ def _class_sums(alpha, beta, cycles, pairs, group: GroupSpec, chi: IrreducibleCh
         _convolve(totals, {cycle_type: (re, im, 1)})
         for cycle_type, re, im in _orbit_mixtures(points, alpha, beta, moves)
     )
-    alternating = isinstance(group, AlternatingGroup)
     total = (0, 0, 0)
     for table in tables:
         for cycle_type, x in table.items():
-            if not (alternating and (n - len(cycle_type)) % 2):
+            if not (even and (n - len(cycle_type)) % 2):
                 total = _plus(total, _times(x, (chi.class_value(cycle_type), 0, 1)))
     return total
 
@@ -431,27 +420,28 @@ def _mixture_sum(
     fixed points, times one factor per cycle: the product of coeff_b over
     the cycle if pi takes it from beta, else that of coeff_a.  Returns the
     total over the in-group mixtures and the number of them with a nonzero
-    entry product; a zero prefactor gives zero with no terms.  A pointwise
-    stabilizer becomes S_n with a zero coefficient wherever alpha or beta
-    moves a stabilized point, so every mixture outside it weighs zero.
-    The prefactor and factors become Gaussian integers over one den
-    (gaussian.integer_parts), and one exact route, picked once, sums the
-    factors as integers (re, im, terms): on S_n and A_n the O(r)
-    _parity_product for a trivial or sign character and the _class_sums for
-    an irreducible one; otherwise the walk of the mixtures with a nonzero
-    weight, summed per character value (_value_sums).  The total is the
-    prefactor times that sum over den^(r+1) (gaussian.from_integers).
-    ``floating`` walks the same weights, each exact before it is floated.
+    entry product; a zero prefactor gives zero with no terms.  On a Young
+    subgroup (GroupSpec.young) a coefficient is zeroed wherever alpha or
+    beta carries a point out of its block, so every mixture outside the
+    group weighs zero and the group acts as S_n, or as A_n when it is the
+    even part.  The prefactor and factors become Gaussian integers over
+    one den (gaussian.integer_parts), and one exact route, picked once,
+    sums the factors as integers (re, im, terms): on a Young subgroup the
+    O(r) _parity_product for a trivial or sign character and the
+    _class_sums for an irreducible one; otherwise the walk of the
+    in-group mixtures with a nonzero weight, summed per character value
+    (_value_sums).  The total is the prefactor times that sum over
+    den^(r+1) (gaussian.from_integers).  ``floating`` walks the same
+    weights, each exact before it is floated.
     """
     chi.check_domain(group)
-    if isinstance(group, PointwiseStabilizer):
-        coeff_a, coeff_b = list(coeff_a), list(coeff_b)
-        for y in group.points:
-            if alpha[y - 1] != y:
-                coeff_a[y - 1] = ZERO
-            if beta[y - 1] != y:
-                coeff_b[y - 1] = ZERO
-        group = SymmetricGroup(group.n)
+    young = group.young()
+    if young and young[0].count(1) < len(alpha):  # some point lies outside the block of 1
+        labels = young[0]
+        coeff_a, coeff_b = (
+            [c if labels[y] == block else ZERO for c, y, block in zip(coeffs, images, labels[1:])]
+            for images, coeffs in ((alpha, coeff_a), (beta, coeff_b))
+        )
     dec = pair_cycles(alpha, beta)
     prefactor = math.prod((coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points), start=ONE)
     if not prefactor:
@@ -467,10 +457,10 @@ def _mixture_sum(
             total += chi.evaluate_float(images) * complex(weight.re, weight.im)
             terms += 1
         return total, terms
-    if isinstance(group, _PARITY_GROUPS) and isinstance(chi, _PARITY_CHARACTERS):
-        summed = _parity_product(alpha, dec.cycles, pairs, group, chi)
-    elif isinstance(group, _PARITY_GROUPS) and isinstance(chi, IrreducibleCharacter):
-        summed = _class_sums(alpha, beta, dec.cycles, pairs, group, chi)
+    if young and isinstance(chi, _PARITY_CHARACTERS):
+        summed = _parity_product(alpha, dec.cycles, pairs, young[1], chi)
+    elif young and isinstance(chi, IrreducibleCharacter):
+        summed = _class_sums(alpha, beta, dec.cycles, pairs, young[1], chi)
     else:
         summed = _value_sums(chi.evaluate, _walk(alpha, beta, dec.cycles, pairs, group))
     re, im, terms = _times(pre, summed)

@@ -1,9 +1,10 @@
 """Symbolic subgroups of the symmetric group on [n].
 
-Each variant answers membership of an image tuple, knows its order and
-yields its members as image tuples.  None enumerates its elements to
-test membership or to find its order: a generated subgroup builds a
-base and strong generating set when it is made and reads both from it.
+Each variant answers membership of an image tuple, knows its order,
+yields its members as image tuples and says which Young subgroup it
+is, if any (young).  None enumerates its elements to test membership
+or to find its order: a generated subgroup builds a base and strong
+generating set when it is made and reads both from it.
 checked_order refuses an order over the enumeration cap (10!), and
 enumerate_group lists the members only under it.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re as _re
-from collections import Counter
 from math import factorial, prod
 
 from . import perm
@@ -21,10 +21,11 @@ from .errors import CapacityError, DegreeMismatchError, ParseError
 from .perm import (
     Permutation,
     _list_items,
+    check_points,
     disjoint_cycles,
     images_sign,
     orbit_labels,
-    parse_int,
+    parse_degree,
     parse_ints,
     parse_permutation,
     power_exponent,
@@ -51,8 +52,14 @@ class GroupSpec:
         """Membership of the permutation with these images, of the group's degree."""
         raise NotImplementedError
 
+    def young(self) -> tuple[tuple[int, ...], bool] | None:
+        """(labels, even) when the group is the product of the symmetric groups on
+        some blocks of points, or with ``even`` its even part; labels[x] is the least
+        point of the block of x (labels[0] = 0, as perm.orbit_labels).  Else None."""
+        return None
+
     def order(self) -> int:
-        raise NotImplementedError
+        return _young_order(*self.young())
 
     def _generate(self):
         """The members' image tuples, lazily, in no particular order."""
@@ -60,7 +67,9 @@ class GroupSpec:
 
 
 @record
-class SymmetricGroup(GroupSpec):
+class _OfDegree(GroupSpec):
+    """Base of the variants whose first field is their degree n."""
+
     n: int
 
     def __post_init__(self):
@@ -71,11 +80,14 @@ class SymmetricGroup(GroupSpec):
     def degree(self) -> int:
         return self.n
 
+
+@record
+class SymmetricGroup(_OfDegree):
     def contains_images(self, images: tuple[int, ...]) -> bool:
         return True
 
-    def order(self) -> int:
-        return factorial(self.n)
+    def young(self):
+        return (0, *[1] * self.n), False
 
     def _generate(self):
         return itertools.permutations(range(1, self.n + 1))
@@ -85,22 +97,12 @@ class SymmetricGroup(GroupSpec):
 
 
 @record
-class AlternatingGroup(GroupSpec):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("degree must be positive")
-
-    @property
-    def degree(self) -> int:
-        return self.n
-
+class AlternatingGroup(_OfDegree):
     def contains_images(self, images: tuple[int, ...]) -> bool:
         return images_sign(images) == 1
 
-    def order(self) -> int:
-        return max(1, factorial(self.n) // 2)
+    def young(self):
+        return (0, *[1] * self.n), True
 
     def _generate(self):
         return filter(self.contains_images, itertools.permutations(range(1, self.n + 1)))
@@ -139,27 +141,25 @@ class CyclicGroup(GroupSpec):
 
 
 @record
-class PointwiseStabilizer(GroupSpec):
+class PointwiseStabilizer(_OfDegree):
     """All permutations fixing every point of a given set."""
 
-    n: int
     points: frozenset[int]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("degree must be positive")
+        super().__post_init__()
         if not all(1 <= p <= self.n for p in self.points):
             raise ValueError(f"stabilized points must lie in [1..{self.n}]")
-
-    @property
-    def degree(self) -> int:
-        return self.n
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
         return all(images[p - 1] == p for p in self.points)
 
-    def order(self) -> int:
-        return factorial(self.n - len(self.points))
+    def young(self):
+        # each stabilized point is a block of its own, the free points one block
+        labels = [next((p for p in range(1, self.n + 1) if p not in self.points), 0)] * (self.n + 1)
+        for p in (0, *self.points):
+            labels[p] = p
+        return tuple(labels), False
 
     def _generate(self):
         free = sorted(set(range(1, self.n + 1)) - self.points)
@@ -174,7 +174,7 @@ class PointwiseStabilizer(GroupSpec):
 
 
 @record
-class GeneratedSubgroup(GroupSpec):
+class GeneratedSubgroup(_OfDegree):
     """The subgroup generated by a list of permutations.
 
     A base and strong generating set is built once, when the instance is
@@ -183,45 +183,42 @@ class GeneratedSubgroup(GroupSpec):
     built.  A member keeps every point in its orbit.  When the order
     reaches the bound set by the generators' orbits and parity, the group
     is the product of the symmetric groups on its orbits (its even part
-    when every generator is even), so the orbits and the parity decide
-    membership; otherwise the image tuple is sifted through the
-    transversals.
+    when every generator is even): that is its young() answer, and the
+    orbits and the parity decide membership; otherwise the image tuple is
+    sifted through the transversals.
     """
 
-    n: int
     generators: tuple[Permutation, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("degree must be positive")
+        super().__post_init__()
         for g in self.generators:
             if g.degree != self.n:
                 raise DegreeMismatchError(
                     f"generator degree {g.degree} != group degree {self.n}"
                 )
-        labels, bound, even = _orbit_bound(self.n, self.generators)
+        # the group lies in the Young subgroup of its orbits, in its even part
+        # when every generator is even, and is all of it when it is as large
+        labels = orbit_labels(self.n, [g.images for g in self.generators])
+        young = labels, all(g.sign() == 1 for g in self.generators)
+        bound = _young_order(*young)
         chain = _StabilizerChain.of(self.n, self.generators, bound)
-        order = chain.order()
-        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_order", chain.order())
         object.__setattr__(self, "_chain", chain)
-        # a group whose order reaches the bound is all of it: the orbits and
-        # the parity decide membership, which otherwise sifts
-        object.__setattr__(self, "_sift", order < bound)
+        object.__setattr__(self, "_young", young if self._order == bound else None)
         object.__setattr__(self, "_labels", labels if len(set(labels[1:])) > 1 else None)
-        object.__setattr__(self, "_even", even)
-
-    @property
-    def degree(self) -> int:
-        return self.n
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
         # a member keeps every point in its orbit
         labels = self._labels
         if labels is not None and tuple(map(labels.__getitem__, images)) != labels[1:]:
             return False
-        if self._sift:
+        if self._young is None:
             return self._chain.sifts(images)
-        return not self._even or images_sign(images) == 1
+        return not self._young[1] or images_sign(images) == 1
+
+    def young(self):
+        return self._young
 
     def order(self) -> int:
         return self._order
@@ -242,20 +239,10 @@ class GeneratedSubgroup(GroupSpec):
         return f"gens:{gens}@{self.n}"
 
 
-def _orbit_bound(n: int, generators) -> tuple[tuple[int, ...], int, bool]:
-    """Orbit labels, the order bound and the parity flag of a generator list.
-
-    labels[x] is the least point of the orbit of x (labels[0] = 0).  The
-    group lies in the product of the symmetric groups on its orbits, and
-    in A_n too when every generator is even, so its order is at most
-    prod |O|!, halved in that case when some orbit has two or more points.
-    """
-    labels = orbit_labels(n, [g.images for g in generators])
-    bound = 1
-    for size in Counter(labels[1:]).values():
-        bound *= factorial(size)
-    even = bound > 1 and all(g.sign() == 1 for g in generators)
-    return labels, bound // 2 if even else bound, even
+def _young_order(labels: tuple[int, ...], even: bool) -> int:
+    """The order of the Young subgroup (labels, even): prod |block|!, halved when even."""
+    size = prod(factorial(labels.count(block)) for block in set(labels[1:]))
+    return max(1, size // 2) if even else size
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -486,13 +473,12 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     body = s
     degree = default_degree
     if "@" in s:
-        body, _, suffix = s.rpartition("@")
-        try:
-            degree = parse_int(suffix)
-        except ValueError as exc:
-            raise ParseError(f"bad degree suffix in {text!r}") from exc
+        body = s.rpartition("@")[0]
+        degree = parse_degree(text, text.rindex("@") + 1, f"bad degree suffix in {text!r}")
     if degree is None:
         raise ParseError(f"group {text!r} needs an @n suffix or an explicit degree")
+    if degree < 1:
+        raise ParseError("degree must be positive")
     if body.startswith("cyclic:"):
         generator = body[len("cyclic:") :]
         if not generator.strip():
@@ -501,15 +487,11 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
     if body.startswith("stab:"):
         # "stab:@n" stabilizes no point, the whole S_n
         lead = len(text) - len(text.lstrip())
-        points = parse_ints(text, lead + len("stab:"), lead + len(body),
-                            f"bad stabilizer points in {text!r}")
-        repeated = [p for k, p in enumerate(points) if p in points[:k]]
-        if repeated:
-            raise ParseError(f"stabilizer point {repeated[0]} repeated in {text!r}")
-        try:
-            return PointwiseStabilizer(degree, frozenset(points))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        start, end = lead + len("stab:"), lead + len(body)
+        message = f"bad stabilizer points in {text!r}"
+        points = parse_ints(text, start, end, message)
+        check_points(text, start, end, message, degree)
+        return PointwiseStabilizer(degree, frozenset(points))
     if body.startswith("gens:"):
         gens = tuple(
             parse_permutation(tok, degree)

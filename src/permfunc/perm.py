@@ -379,6 +379,31 @@ def parse_ints(text: str, start: int, end: int, message: str, words: bool = Fals
     raise ParseError(f"{message}: {bad[0]!r} at column {bad.start() + 1} is not an integer")
 
 
+def check_points(text: str, start: int, end: int, message: str, degree: int) -> None:
+    """A ParseError unless the integers of text[start:end] are distinct points of
+    [1..degree]; it says ``message``, the first bad one and its column in ``text``."""
+    seen = set()
+    for m in _INTEGER_RE.finditer(text, start, end):
+        point = int(m[0])
+        if point in seen or not 1 <= point <= degree:
+            problem = "repeated" if point in seen else f"outside [1..{degree}]"
+            raise ParseError(f"{message}: point {point} {problem} at column {m.start() + 1}")
+        seen.add(point)
+
+
+def parse_degree(text: str, start: int, message: str) -> int:
+    """The positive integer text[start:]; otherwise a ParseError saying
+    ``message``, and for an integer below 1 the integer and its column."""
+    try:
+        degree = parse_int(text[start:])
+    except ValueError:
+        raise ParseError(message) from None
+    if degree < 1:
+        column = _INTEGER_RE.search(text, start).start() + 1
+        raise ParseError(f"{message}: degree {degree} not positive at column {column}")
+    return degree
+
+
 def _list_items(listing: str, separator, text: str) -> list[str]:
     """The comma-separated items of ``listing``; none when it is blank.
 
@@ -420,10 +445,8 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         pos = m.end()
     if text[pos:].strip():
         raise ParseError(f"bad permutation text: {text!r}")
-    try:
-        return Permutation.from_cycles(degree, cycles)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    check_points(text, 0, len(text), f"bad cycle in {text!r}", degree)
+    return Permutation.from_cycles(degree, cycles)
 
 
 def format_permutation(p: Permutation) -> str:

@@ -38,9 +38,12 @@ def rand_scalar(rng: random.Random, span: int = 3, complex_ok: bool = True):
 
 def refuse_membership(monkeypatch, refuse) -> None:
     """Make every membership test call ``refuse``: GroupSpec.contains and
-    each group variant's contains_images, which the routes call directly."""
+    each group variant's contains_images, at any depth below GroupSpec,
+    which the routes call directly."""
     monkeypatch.setattr(pf.GroupSpec, "contains", refuse)
-    for cls in pf.GroupSpec.__subclasses__():
+    classes = pf.GroupSpec.__subclasses__()
+    for cls in classes:  # grows as it goes, so every descendant is reached
+        classes += cls.__subclasses__()
         monkeypatch.setattr(cls, "contains_images", refuse)
 
 

@@ -341,6 +341,7 @@ def test_zero_denominator_in_block_spec(tmp_path, capsys, change, named):
 
 INSTANCE = ["--theta", "id", "--tau", "(1 2)"]
 GMF_N3 = ["gmf", "--n", "3", *INSTANCE]
+GMF_N4 = ["gmf", "--n", "4", *INSTANCE]
 DOMINANCE_N2 = ["dominance", "--n", "2", "--pi", "(1 2)", "--character", "sign"]
 
 
@@ -394,9 +395,29 @@ def test_numbers_take_ascii_digits_only(capsys, argv, named):
          "bad scalar literal: '1i + 2i': second imaginary part '+ 2i' at column 4"),
         (["det", "--n", "3", *INSTANCE, "--a", "2 - 3/00i"],
          "bad scalar literal: '2 - 3/00i': zero denominator '00' at column 7"),
+        (["det", "--n", "4", "--theta", "(1 5)", "--tau", "id"],
+         "bad cycle in '(1 5)': point 5 outside [1..4] at column 4"),
+        ([*GMF_N4, "--group", "gens:(1 5)@4", "--character", "sign"],
+         "bad cycle in '(1 5)': point 5 outside [1..4] at column 4"),
+        (["det", "--n", "4", "--theta", "(1 2)(2 3)", "--tau", "id"],
+         "bad cycle in '(1 2)(2 3)': point 2 repeated at column 7"),
+        ([*GMF_N4, "--group", "cyclic:(1 2)(2 3)@4", "--character", "sign"],
+         "bad cycle in '(1 2)(2 3)': point 2 repeated at column 7"),
+        ([*GMF_N4, "--group", "stab:5@4", "--character", "sign"],
+         "bad stabilizer points in 'stab:5@4': point 5 outside [1..4] at column 6"),
+        ([*GMF_N4, "--group", "stab:0@4", "--character", "sign"],
+         "bad stabilizer points in 'stab:0@4': point 0 outside [1..4] at column 6"),
+        ([*GMF_N4, "--group", "stab:2, 2@4", "--character", "sign"],
+         "bad stabilizer points in 'stab:2, 2@4': point 2 repeated at column 9"),
+        ([*GMF_N4, "--group", "gens:(1 2)@0", "--character", "sign"],
+         "bad degree suffix in 'gens:(1 2)@0': degree 0 not positive at column 12"),
+        (["det", "--n", "0", "--theta", "id", "--tau", "id"],
+         "bad integer '0': degree 0 not positive at column 1"),
     ],
     ids=["cycle", "partition", "stabilizer", "scalar", "scalar-blanks", "scalar-end",
-         "scalar-twice", "scalar-zero-denominator"],
+         "scalar-twice", "scalar-zero-denominator", "cycle-point-outside", "gens-point-outside",
+         "cycle-point-repeated", "cyclic-point-repeated", "stabilizer-outside",
+         "stabilizer-zero", "stabilizer-repeated", "suffix-zero", "n-zero"],
 )
 def test_parse_errors_name_the_bad_token_and_its_column(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -458,6 +479,22 @@ def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
         code, out, err = run(capsys, "xset", "--n", "44", "--theta", "id", "--tau", fewer, *extra)
         assert (code, out) == (3, "")
         assert "exceeds cap" in err
+
+
+def test_young_gens_group_answers_over_the_walk_cap(capsys):
+    # (1 2) and the 60-cycle generate S_60, a Young subgroup: 2^28 mixtures
+    # are summed as a product; the cyclic group and the dihedral group of
+    # order 120 on the same points sift, so their walks are still refused
+    many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
+    cycle = "(" + " ".join(map(str, range(1, 61))) + ")"
+    reflection = "".join(f"({k} {62 - k})" for k in range(2, 31))
+    instance = ["gmf", "--n", "60", "--theta", "id", "--tau", many, "--character", "trivial"]
+    code, out, err = run(capsys, *instance, "--group", f"gens:(1 2),{cycle}@60", "--json")
+    value = {"value": {"re": str(2**32), "im": "0"}, "method": "formula", "terms": 2**28}
+    assert (code, json.loads(out), err) == (0, value, "")
+    for group in (f"cyclic:{cycle}@60", f"gens:{cycle},{reflection}@60"):
+        code, out, err = run(capsys, *instance, "--group", group)
+        assert (code, out, err) == (3, "", "error: walk of 2^28 mixtures exceeds cap 3628800\n")
 
 
 def test_irreducible_on_forty_four_points_pinned(capsys):

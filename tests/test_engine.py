@@ -1,5 +1,6 @@
 """Evaluation routes: frozen reference values and cross-route equivalences."""
 
+import functools
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import permfunc as pf
 from permfunc import engine, groups, kernels, perm
@@ -31,10 +32,12 @@ from permfunc.errors import (
     ExactnessError,
 )
 from permfunc.gaussian import ONE, ZERO, gauss
+from permfunc._record import record
 from permfunc.groups import (
     AlternatingGroup,
     CyclicGroup,
     GeneratedSubgroup,
+    GroupSpec,
     PointwiseStabilizer,
     SymmetricGroup,
     parse_group,
@@ -1329,7 +1332,8 @@ class TestTermCounts:
 
 
 def gens_presentation(group):
-    """The same group as a gens: closure, which the mixture walk serves."""
+    """The same group as a gens: closure, which reaches its orbit bound, so
+    that its young() answer sends it down the same routes as ``group``."""
     n = group.degree
     if isinstance(group, AlternatingGroup):
         cycles = [(1, 2, k) for k in range(3, n + 1)]
@@ -1338,6 +1342,28 @@ def gens_presentation(group):
         cycles = list(zip(free, free[1:]))
     gens = tuple(Permutation.from_cycles(n, [c]) for c in cycles)
     return GeneratedSubgroup(n, gens or (Permutation.identity(n),))
+
+
+@record
+class Walked(GroupSpec):
+    """``group`` without a young() answer: every route walks the mixtures or
+    members and tests each for membership in ``group``, which makes it the
+    reference the Young routes are checked against."""
+
+    group: GroupSpec
+
+    @property
+    def degree(self):
+        return self.group.degree
+
+    def contains_images(self, images):
+        return self.group.contains_images(images)
+
+    def order(self):
+        return self.group.order()
+
+    def _generate(self):
+        return self.group._generate()
 
 
 def walk_characters(n):
@@ -1413,7 +1439,8 @@ def assert_same_result(fast, slow):
 class TestParityProduct:
     """The O(r) product for trivial and sign on S_n, A_n and stabilizers
     against the class sums of irr:[n] and irr:[1^n] and the 2^r mixture
-    walk on a gens: presentation, on the same instance."""
+    walk of the same group, on the same instance; a gens: presentation of
+    the group takes the product too."""
 
     @pytest.fixture
     def product_calls(self, monkeypatch):
@@ -1428,20 +1455,25 @@ class TestParityProduct:
         return calls
 
     def check_routes(self, evaluate, group, product_calls):
-        """Trivial and sign on ``group`` against irr:[n], irr:[1^n] and a gens: presentation."""
+        """Trivial and sign on ``group`` against irr:[n], irr:[1^n] and the walk,
+        which never reaches the product, and against a gens: presentation;
+        returns how often the presentation reached the product."""
         n = group.degree
-        generated = gens_presentation(group)
+        generated, walked, reached = gens_presentation(group), Walked(group), 0
         for name, irr in walk_characters(n).items():
             chi = TrivialCharacter() if name == "trivial" else SignCharacter()
             fast = evaluate(group, chi)
             before = len(product_calls)
             assert_same_result(fast, evaluate(group, irr))
-            assert_same_result(fast, evaluate(generated, chi))
+            assert_same_result(fast, evaluate(walked, chi))
             assert len(product_calls) == before
+            assert_same_result(fast, evaluate(generated, chi))
+            reached += len(product_calls) - before
+        return reached
 
     def test_linear_sum_matches_walk(self, product_calls):
         rng = random.Random(5151)
-        stab_cases, scalar_kinds = set(), set()
+        stab_cases, scalar_kinds, reached = set(), set(), 0
         for _ in range(250):
             n = rng.randint(1, 7)
             theta, tau = rand_perm(rng, n), rand_perm(rng, n)
@@ -1450,12 +1482,12 @@ class TestParityProduct:
             for group in parity_groups(rng, n):
                 if isinstance(group, PointwiseStabilizer):
                     stab_cases |= stabilizer_cases(theta, tau, group.points)
-                self.check_routes(
+                reached += self.check_routes(
                     lambda g, chi: pf.gmf_linear_sum(a, b, theta, tau, g, chi),
                     group,
                     product_calls,
                 )
-        assert product_calls
+        assert product_calls and reached
         assert scalar_kinds == {"a = 0", "b = 0", "b = -a", "random"}
         assert stab_cases == {
             "no points", "forced", "forbidden", "conflicting", "fixed by rho, moved by alpha",
@@ -1494,12 +1526,15 @@ class TestParityProduct:
     def test_block_matches_walk(self, product_calls):
         rng = random.Random(5252)
         shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 7), (7, 1)]
+        reached = 0
         for _ in range(60):
             m, blocks = rng.choice(shapes)
             spec = random_block_spec(rng, m, blocks)
             for group in parity_groups(rng, m * blocks):
-                self.check_routes(lambda g, chi: pf.gmf_block(spec, g, chi), group, product_calls)
-        assert product_calls
+                reached += self.check_routes(
+                    lambda g, chi: pf.gmf_block(spec, g, chi), group, product_calls
+                )
+        assert product_calls and reached
 
     @given(closed_form_instances())
     @settings(max_examples=150)
@@ -1574,6 +1609,19 @@ class TestParityProductScale:
                 assert (block.value, block.term_count) == (value, terms)
             assert pf.term_counts(theta, tau, group).formula == terms
 
+    @pytest.mark.parametrize("count", [16, 28])
+    def test_sixty_points_as_a_generated_group(self, no_walk, count):
+        # (1 2) and the 60-cycle generate S_60, which reaches its orbit bound:
+        # the gens: group takes the product, for 2^28 mixtures too
+        theta, tau = Permutation.identity(60), transpositions(count, 60)
+        cycle = Permutation.from_cycles(60, [tuple(range(1, 61))])
+        group = GeneratedSubgroup(60, (P("(1 2)", 60), cycle))
+        a, b = gauss(2), gauss(3)
+        for chi in (TrivialCharacter(), SignCharacter()):
+            result = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+            assert result == pf.gmf_linear_sum(a, b, theta, tau, SymmetricGroup(60), chi)
+            assert result.term_count == 2**count
+
     def test_more_cycles_than_a_bitmask_holds(self, no_walk):
         # r = 70: 2^70 mixtures are far over the cap, and the product walks none
         n = 140
@@ -1607,9 +1655,14 @@ class TestWalkCap:
         long_cycle = Permutation.from_cycles(44, [tuple(range(1, 45))])
         one_orbit = compose(long_cycle, transpositions(22, 44))
         irr = parse_character("irr:[43,1]", 44)
+        # the dihedral group of order 120 on the 60-gon sifts: no Young answer
+        reflection = Permutation.from_cycles(n, [(k, n + 2 - k) for k in range(2, n // 2 + 1)])
+        dihedral = GeneratedSubgroup(n, (cycle, reflection))
+        assert dihedral.order() == 120 and dihedral.young() is None
         for call in (
             lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, CyclicGroup(cycle), TrivialCharacter()),
             lambda: pf.term_counts(theta, tau, CyclicGroup(cycle)),
+            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, dihedral, TrivialCharacter()),
             lambda: pf.gmf_linear_sum(ONE, ONE, long_cycle, one_orbit, SymmetricGroup(44), irr),
             lambda: pf.gmf_linear_sum(ONE, ONE, long_cycle, one_orbit, AlternatingGroup(44), irr),
         ):
@@ -1660,7 +1713,7 @@ class TestWalkCap:
 class TestClassSums:
     """Irreducible characters on S_n, A_n and stabilizers, summed by cycle
     type over the orbits of <theta, tau>, against the brute-force sum and
-    the mixture walk on a gens: presentation of the same group."""
+    the mixture walk of the same group, and on a gens: presentation of it."""
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
@@ -1708,6 +1761,18 @@ class TestClassSums:
                 assert result.term_count == 2**m
                 assert type(result.value) is pf.GaussianRational
 
+    @pytest.mark.parametrize("count", [16, 28])
+    def test_sixty_points_as_a_generated_group(self, no_walk, count):
+        # the gens: presentation of S_60 takes the class sums, as S_60 does
+        theta, tau = Permutation.identity(60), transpositions(count, 60)
+        cycle = Permutation.from_cycles(60, [tuple(range(1, 61))])
+        group = GeneratedSubgroup(60, (P("(1 2)", 60), cycle))
+        chi = parse_character("irr:[58,2]", 60)
+        result = pf.gmf_linear_sum(gauss(2), gauss(3), theta, tau, group, chi)
+        assert result == pf.gmf_linear_sum(gauss(2), gauss(3), theta, tau, SymmetricGroup(60), chi)
+        assert result.value == self.binomial_sum(gauss(2), gauss(3), 60, count, (58, 2))
+        assert result.term_count == 2**count
+
     def test_character_of_another_degree_is_refused_before_any_sum(self):
         # irr:[3,2] is a character of S_5: on S_6 every route refuses it
         # with the same text, whichever of its terms would vanish
@@ -1743,9 +1808,21 @@ class TestClassSums:
             with pytest.raises(CharacterDomainError, match=message):
                 pf.gmf_linear_sum(ONE, ONE, theta, tau, group, chi)
 
+    @staticmethod
+    def check_routes(evaluate, group, class_sum_calls):
+        """``group`` against its walk, which never reaches the class sums, and
+        against a gens: presentation; returns the result and how often the
+        presentation reached the class sums."""
+        fast = evaluate(group)
+        before = len(class_sum_calls)
+        assert_same_result(fast, evaluate(Walked(group)))
+        assert len(class_sum_calls) == before
+        assert_same_result(fast, evaluate(gens_presentation(group)))
+        return fast, len(class_sum_calls) - before
+
     def test_linear_sum_matches_brute_force_and_walk(self, class_sum_calls):
         rng = random.Random(8181)
-        scalar_kinds = set()
+        scalar_kinds, reached = set(), 0
         for _ in range(120):
             n = rng.randint(1, 6)
             theta, tau = rand_perm(rng, n), rand_perm(rng, n)
@@ -1757,13 +1834,14 @@ class TestClassSums:
             scalar_kinds.add(kind)
             chi = IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
             for group in parity_groups(rng, n):
-                fast = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
-                walk = pf.gmf_linear_sum(a, b, theta, tau, gens_presentation(group), chi)
-                assert_same_result(fast, walk)
+                fast, calls = self.check_routes(
+                    lambda g: pf.gmf_linear_sum(a, b, theta, tau, g, chi), group, class_sum_calls
+                )
+                reached += calls
                 if n <= 5:
                     assert fast.value == brute_gmf(linear_sum(a, b, theta, tau), group, chi)
         assert scalar_kinds == {"a = 0", "b = 0", "b = -a", "random"}
-        assert class_sum_calls
+        assert class_sum_calls and reached
 
     @staticmethod
     def bounded_tables(monkeypatch, cap):
@@ -1858,14 +1936,116 @@ class TestClassSums:
     def test_block_matches_walk(self, class_sum_calls):
         rng = random.Random(8282)
         shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 6), (6, 1)]
+        reached = 0
         for _ in range(40):
             m, blocks = rng.choice(shapes)
             spec = random_block_spec(rng, m, blocks)
             chi = IrreducibleCharacter(Partition(rng.choice(list(partitions(m * blocks)))))
             for group in parity_groups(rng, m * blocks):
-                fast = pf.gmf_block(spec, group, chi)
-                assert_same_result(fast, pf.gmf_block(spec, gens_presentation(group), chi))
-        assert class_sum_calls
+                evaluate = functools.partial(pf.gmf_block, spec, chi=chi)
+                reached += self.check_routes(evaluate, group, class_sum_calls)[1]
+        assert class_sum_calls and reached
+
+
+YOUNG_KINDS = ("transitive", "intransitive", "even", "trivial")
+
+
+def young_generators(rng, n, kind):
+    """Generators of a gens: group on n points that reaches its orbit bound:
+    the symmetric group on all points or on each of several blocks, the
+    even part of such a product (3-cycles in each block and pairs of
+    transpositions across blocks, every one even), or the trivial group."""
+    points = rng.sample(range(1, n + 1), n)
+    cuts = []
+    if kind != "transitive" and n > 1:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+    blocks = [points[i:j] for i, j in zip([0, *cuts], [*cuts, n]) if j - i > 1]
+    if kind == "trivial":
+        cycles = []
+    elif kind == "even":
+        cycles = [[(b[0], b[1], b[k])] for b in blocks for k in range(2, len(b))]
+        cycles += [[b[:2], c[:2]] for b, c in zip(blocks, blocks[1:])]
+    else:
+        cycles = [[c] for b in blocks for c in (b[:2], b)]
+    gens = [Permutation.from_cycles(n, c) for c in cycles]
+    rng.shuffle(gens)
+    return gens or [Permutation.identity(n)]
+
+
+def orbit_blocks(n, gens):
+    """labels[x], the least point of the orbit of x under ``gens`` (labels[0] = 0),
+    closing each point's orbit by repeated application."""
+    labels = [0]
+    for x in range(1, n + 1):
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = [g(y) for g in gens for y in frontier if g(y) not in orbit]
+            orbit.update(frontier)
+        labels.append(min(orbit))
+    return tuple(labels)
+
+
+def block_member(rng, labels):
+    """A random permutation that keeps every point in its block."""
+    images = list(range(len(labels)))
+    for block in set(labels[1:]):
+        points = [x for x in range(1, len(labels)) if labels[x] == block]
+        for x, y in zip(points, rng.sample(points, len(points))):
+            images[x] = y
+    return Permutation(tuple(images[1:]))
+
+
+class TestYoungSubgroups:
+    """A gens: group that reaches its orbit bound answers young() with its
+    orbits and parity, and its routes equal the walk of the same group."""
+
+    @given(st.sampled_from(YOUNG_KINDS), st.integers(0, 2**32 - 1))
+    @example("transitive", 1)
+    @example("intransitive", 2)
+    @example("even", 3)
+    @example("trivial", 4)
+    def test_young_routes_match_the_walk(self, kind, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        gens = young_generators(rng, n, kind)
+        group = GeneratedSubgroup(n, tuple(gens))
+        labels, even = orbit_blocks(n, gens), all(g.sign() == 1 for g in gens)
+        assert group.young() == (labels, even)
+        for _ in range(20):
+            images = (block_member(rng, labels) if rng.random() < 0.5 else rand_perm(rng, n)).images
+            kept = all(labels[y] == labels[x] for x, y in enumerate(images, 1))
+            parity = not even or Permutation(images).sign() == 1
+            assert group.contains_images(images) == (kept and parity)
+        theta, tau = (
+            block_member(rng, labels) if rng.random() < 0.7 else rand_perm(rng, n) for _ in range(2)
+        )
+        a, b, _ = draw_scalars(rng)
+        m = rng.choice([m for m in range(1, n + 1) if n % m == 0])
+        spec, walked = random_block_spec(rng, m, n // m), Walked(group)
+        characters = [TrivialCharacter(), SignCharacter()]
+        for chi in characters + [IrreducibleCharacter(Partition(p)) for p in partitions(n)]:
+            linear = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+            assert_same_result(linear, pf.gmf_linear_sum(a, b, theta, tau, walked, chi))
+            assert_same_result(pf.gmf_block(spec, group, chi), pf.gmf_block(spec, walked, chi))
+        entry = lambda: rand_scalar(rng, 2) if rng.random() < 0.6 else ZERO  # noqa: E731
+        dense = Matrix([[entry() for _ in range(n)] for _ in range(n)])
+        for matrix in (linear_sum(a, b, theta, tau), dense):
+            for chi in characters:
+                naive = pf.gmf_naive(matrix, group, chi)
+                assert_same_result(naive, pf.gmf_naive(matrix, walked, chi))
+
+    @given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_young_answer_is_the_orbit_bound(self, n, count, seed):
+        # random generators: the group answers young() exactly when its
+        # order reaches prod |O|! over its orbits, halved when every
+        # generator is even and some orbit has two points or more
+        rng = random.Random(seed)
+        gens = [rand_perm(rng, n) for _ in range(count)]
+        group = GeneratedSubgroup(n, tuple(gens))
+        labels, even = orbit_blocks(n, gens), all(g.sign() == 1 for g in gens)
+        bound = math.prod(math.factorial(labels[1:].count(x)) for x in set(labels[1:]))
+        bound = max(1, bound // 2) if even else bound
+        assert group.young() == ((labels, even) if group.order() == bound else None)
 
 
 class TestTableDomain:

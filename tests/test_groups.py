@@ -138,6 +138,9 @@ def test_parse_group_errors():
         parse_group("wat@4")
     with pytest.raises(ParseError):
         parse_group("stab:9@4")
+    for text in ("stab:", "stab:1", "cyclic:(1 2)", "gens:(1 2)"):
+        with pytest.raises(ParseError, match="degree"):
+            parse_group(text, 0)  # a default degree below 1
     for text in (
         "S0",
         "A0",
