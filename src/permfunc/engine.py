@@ -24,8 +24,8 @@ Routes provided, all exact unless stated otherwise:
   by orbit of <theta, tau>, for the irreducible characters, never
   handing them to the walk; otherwise it walks the mixtures with
   perm.walk_mixtures, which never enters a choice of zero weight; every
-  case adds Gaussian integers over one denominator, and perm.pair_cycles
-  gives every case the cycles of theta^-1*tau;
+  case multiplies Gaussian integers over one denominator, and
+  perm.pair_cycles gives every case the cycles of theta^-1*tau;
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
   the structured route's O(r) product over the cycles of theta^-1*tau
   on S_n;
@@ -284,6 +284,14 @@ def _times(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] * y[2]
 
 
+def _product(factors) -> tuple[int, int]:
+    """The product (re, im) of Gaussian integers (re, im)."""
+    re, im = 1, 0
+    for fr, fi in factors:
+        re, im = re * fr - im * fi, re * fi + im * fr
+    return re, im
+
+
 def _plus(x, y):
     """Sum of two (re, im, count) triples."""
     return x[0] + y[0], x[1] + y[1], x[2] + y[2]
@@ -408,7 +416,7 @@ def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
 
 
 def _mixture_sum(
-    alpha, beta, coeff_a, coeff_b, group: GroupSpec, chi: CharacterSpec, floating=False
+    alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: CharacterSpec, floating=False
 ):
     """Sum chi(pi) times the entry product over the mixtures pi of alpha and beta.
 
@@ -424,32 +432,33 @@ def _mixture_sum(
     subgroup (GroupSpec.young) a coefficient is zeroed wherever alpha or
     beta carries a point out of its block, so every mixture outside the
     group weighs zero and the group acts as S_n, or as A_n when it is the
-    even part.  The prefactor and factors become Gaussian integers over
-    one den (gaussian.integer_parts), and one exact route, picked once,
-    sums the factors as integers (re, im, terms): on a Young subgroup the
-    O(r) _parity_product for a trivial or sign character and the
-    _class_sums for an irreducible one; otherwise the walk of the
-    in-group mixtures with a nonzero weight, summed per character value
-    (_value_sums).  The total is the prefactor times that sum over
-    den^(r+1) (gaussian.from_integers).  ``floating`` walks the same
-    weights, each exact before it is floated.
+    even part.  The coefficients are Gaussian integers (re, im) over one
+    ``den`` (the callers' gaussian.integer_parts), so the prefactor and
+    factors are integer products, and one exact route, picked once, sums
+    the factors (re, im, terms): on a Young subgroup the O(r)
+    _parity_product for a trivial or sign character and the _class_sums
+    for an irreducible one; otherwise the walk of the in-group mixtures
+    with a nonzero weight, summed per character value (_value_sums).  A
+    weight has n coefficients, so the total is the prefactor times that
+    sum over den^n (gaussian.from_integers).  ``floating`` walks the
+    same weights, each exact before it is floated.
     """
     chi.check_domain(group)
     young = group.young()
     if young and young[0].count(1) < len(alpha):  # some point lies outside the block of 1
         labels = young[0]
         coeff_a, coeff_b = (
-            [c if labels[y] == block else ZERO for c, y, block in zip(coeffs, images, labels[1:])]
+            [c if labels[y] == block else (0, 0) for c, y, block in zip(coeffs, images, labels[1:])]
             for images, coeffs in ((alpha, coeff_a), (beta, coeff_b))
         )
     dec = pair_cycles(alpha, beta)
-    prefactor = math.prod((coeff_a[y - 1] + coeff_b[y - 1] for y in dec.fixed_points), start=ONE)
-    if not prefactor:
+    fixed = [(coeff_a[y - 1], coeff_b[y - 1]) for y in dec.fixed_points]
+    pre = _product((ar + br, ai + bi) for (ar, ai), (br, bi) in fixed)
+    if pre == (0, 0):
         return ZERO, 0
-    products = [math.prod(c[y - 1] for y in cyc) for cyc in dec.cycles for c in (coeff_a, coeff_b)]
-    res, ims, den = integer_parts([prefactor, *products])  # then each cycle's a_c and b_c
-    pairs = list(zip(zip(res[1::2], ims[1::2]), zip(res[2::2], ims[2::2])))
-    pre, scale = (res[0], ims[0], 1), den ** (len(pairs) + 1)
+    pairs = [tuple(_product(c[y - 1] for y in cycle) for c in (coeff_a, coeff_b))
+             for cycle in dec.cycles]
+    pre, scale = (*pre, 1), den ** len(alpha)
     if floating:
         total, terms = 0j, 0
         for images, re, im in _walk(alpha, beta, dec.cycles, pairs, group):
@@ -472,7 +481,8 @@ def _linear_mixture_sum(a, b, theta, tau, group, chi, floating=False):
     theta^-1(x) and b in column tau^-1(x)."""
     n = theta.degree
     alpha, beta = images_inverse(theta.images), images_inverse(tau.images)
-    return _mixture_sum(alpha, beta, [a] * n, [b] * n, group, chi, floating)
+    (ar, br), (ai, bi), den = integer_parts([a, b])
+    return _mixture_sum(alpha, beta, [(ar, ai)] * n, [(br, bi)] * n, den, group, chi, floating)
 
 
 def gmf_linear_sum(
@@ -586,8 +596,10 @@ def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResul
     if group.degree != spec.size:
         raise DegreeMismatchError(f"group degree {group.degree} != block matrix size {spec.size}")
     alpha, beta = (images_inverse(p.images) for p in spec.induced_pair())
-    coeff_a, coeff_b = ([c[x // spec.m] for x in range(spec.size)] for c in (spec.a, spec.b))
-    value, terms = _mixture_sum(alpha, beta, coeff_a, coeff_b, group, chi)
+    re, im, den = integer_parts(spec.a + spec.b)
+    coeffs = list(zip(re, im))  # a_1..a_n, then b_1..b_n
+    coeff_a, coeff_b = ([coeffs[k + x // spec.m] for x in range(spec.size)] for k in (0, spec.n))
+    value, terms = _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group, chi)
     return GmfResult(value, Method.BLOCK, terms)
 
 

@@ -118,6 +118,12 @@ class CyclicGroup(GroupSpec):
     def __post_init__(self):
         # membership solves for the exponent on these cycles, in O(n)
         object.__setattr__(self, "_cycles", disjoint_cycles(self.generator))
+        # <g> reaches the order of the Young subgroup of its orbits (of its even
+        # part for an even g) only for g = id, (a b), (a b c) and (a b)(c d)
+        young = None
+        if sorted(map(len, self._cycles.cycles)) in ([], [2], [3], [2, 2]):
+            young = orbit_labels(self.degree, [self.generator.images]), self.generator.sign() == 1
+        object.__setattr__(self, "_young", young)
 
     @property
     def degree(self) -> int:
@@ -125,6 +131,9 @@ class CyclicGroup(GroupSpec):
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
         return power_exponent(self._cycles, images) is not None
+
+    def young(self):
+        return self._young
 
     def order(self) -> int:
         return self.generator.order()
@@ -479,25 +488,26 @@ def parse_group(text: str, default_degree: int | None = None) -> GroupSpec:
         raise ParseError(f"group {text!r} needs an @n suffix or an explicit degree")
     if degree < 1:
         raise ParseError("degree must be positive")
+    # the generators' columns count from the start of text
+    lead = len(text) - len(text.lstrip())
+    end = lead + len(body)
     if body.startswith("cyclic:"):
-        generator = body[len("cyclic:") :]
-        if not generator.strip():
+        if not body[len("cyclic:") :].strip():
             raise ParseError(f"no generator in {text!r}")
-        return CyclicGroup(parse_permutation(generator, degree))
+        return CyclicGroup(parse_permutation(text, degree, lead + len("cyclic:"), end))
     if body.startswith("stab:"):
         # "stab:@n" stabilizes no point, the whole S_n
-        lead = len(text) - len(text.lstrip())
-        start, end = lead + len("stab:"), lead + len(body)
+        start = lead + len("stab:")
         message = f"bad stabilizer points in {text!r}"
         points = parse_ints(text, start, end, message)
         check_points(text, start, end, message, degree)
         return PointwiseStabilizer(degree, frozenset(points))
     if body.startswith("gens:"):
-        gens = tuple(
-            parse_permutation(tok, degree)
-            for tok in _list_items(body[len("gens:") :], _GENERATOR_SEP, text)
-        )
+        start, gens = lead + len("gens:"), []
+        for token in _list_items(text[start:end], _GENERATOR_SEP, text):
+            gens.append(parse_permutation(text, degree, start, start + len(token)))
+            start += len(token) + 1  # and the comma
         if not gens:
             raise ParseError(f"no generators in {text!r}")
-        return GeneratedSubgroup(degree, gens)
+        return GeneratedSubgroup(degree, tuple(gens))
     raise ParseError(f"unrecognized group spec: {text!r}")

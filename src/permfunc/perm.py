@@ -49,11 +49,12 @@ class Permutation:
         images = list(range(1, n + 1))
         seen = set()
         for cycle in cycles:
-            for p in cycle:
+            for k, p in enumerate(cycle):
                 if not 1 <= p <= n:
                     raise ValueError(f"point {p} outside [1..{n}]")
                 if p in seen:
-                    raise ValueError(f"point {p} repeated across cycles")
+                    where = "within its cycle" if p in cycle[:k] else "across cycles"
+                    raise ValueError(f"point {p} repeated {where}")
                 seen.add(p)
             for i, p in enumerate(cycle):
                 images[p - 1] = cycle[(i + 1) % len(cycle)]
@@ -418,13 +419,17 @@ def _list_items(listing: str, separator, text: str) -> list[str]:
     return items
 
 
-def parse_permutation(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like "(1 5 3)(2 6)"; "id" and "()" are the identity.
+def parse_permutation(
+    text: str, degree: int, start: int = 0, end: int | None = None
+) -> Permutation:
+    """Parse cycle notation like "(1 5 3)(2 6)" in text[start:end]; "id" and "()" are
+    the identity.  An error names ``text`` and gives its columns in ``text``.
 
     Blank text is a ParseError, not the identity.  A degree over the
     enumeration cap is a CapacityError, raised before anything is built.
     """
-    s = text.strip()
+    end = len(text) if end is None else end
+    s = text[start:end].strip()
     if degree < 1:
         raise ParseError("degree must be positive")
     if degree > DEFAULT_ENUMERATION_CAP:
@@ -433,9 +438,9 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         raise ParseError(f"blank permutation text {text!r}; write id for the identity")
     if s in ("id", "()"):
         return Permutation.identity(degree)
-    pos = 0
+    pos = start
     cycles = []
-    for m in _CYCLE_RE.finditer(text):
+    for m in _CYCLE_RE.finditer(text, start, end):
         if text[pos : m.start()].strip():
             raise ParseError(f"bad permutation text: {text!r}")
         cycle = parse_ints(text, m.start(1), m.end(1), f"bad cycle in {text!r}", words=True)
@@ -443,9 +448,9 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             raise ParseError(f"empty cycle in {text!r}")
         cycles.append(cycle)
         pos = m.end()
-    if text[pos:].strip():
+    if text[pos:end].strip():
         raise ParseError(f"bad permutation text: {text!r}")
-    check_points(text, 0, len(text), f"bad cycle in {text!r}", degree)
+    check_points(text, start, end, f"bad cycle in {text!r}", degree)
     return Permutation.from_cycles(degree, cycles)
 
 

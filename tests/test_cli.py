@@ -398,11 +398,17 @@ def test_numbers_take_ascii_digits_only(capsys, argv, named):
         (["det", "--n", "4", "--theta", "(1 5)", "--tau", "id"],
          "bad cycle in '(1 5)': point 5 outside [1..4] at column 4"),
         ([*GMF_N4, "--group", "gens:(1 5)@4", "--character", "sign"],
-         "bad cycle in '(1 5)': point 5 outside [1..4] at column 4"),
+         "bad cycle in 'gens:(1 5)@4': point 5 outside [1..4] at column 9"),
+        ([*GMF_N4, "--group", "gens:(1 2),(1 5)@4", "--character", "sign"],
+         "bad cycle in 'gens:(1 2),(1 5)@4': point 5 outside [1..4] at column 15"),
+        ([*GMF_N4, "--group", " gens:(1 2), (1 x)@4", "--character", "sign"],
+         "bad cycle in ' gens:(1 2), (1 x)@4': 'x' at column 17 is not an integer"),
         (["det", "--n", "4", "--theta", "(1 2)(2 3)", "--tau", "id"],
          "bad cycle in '(1 2)(2 3)': point 2 repeated at column 7"),
         ([*GMF_N4, "--group", "cyclic:(1 2)(2 3)@4", "--character", "sign"],
-         "bad cycle in '(1 2)(2 3)': point 2 repeated at column 7"),
+         "bad cycle in 'cyclic:(1 2)(2 3)@4': point 2 repeated at column 14"),
+        ([*GMF_N4, "--group", " cyclic: (3 0)@4", "--character", "sign"],
+         "bad cycle in ' cyclic: (3 0)@4': point 0 outside [1..4] at column 13"),
         ([*GMF_N4, "--group", "stab:5@4", "--character", "sign"],
          "bad stabilizer points in 'stab:5@4': point 5 outside [1..4] at column 6"),
         ([*GMF_N4, "--group", "stab:0@4", "--character", "sign"],
@@ -416,7 +422,8 @@ def test_numbers_take_ascii_digits_only(capsys, argv, named):
     ],
     ids=["cycle", "partition", "stabilizer", "scalar", "scalar-blanks", "scalar-end",
          "scalar-twice", "scalar-zero-denominator", "cycle-point-outside", "gens-point-outside",
-         "cycle-point-repeated", "cyclic-point-repeated", "stabilizer-outside",
+         "gens-second-generator", "gens-blanks", "cycle-point-repeated", "cyclic-point-repeated",
+         "cyclic-blanks", "stabilizer-outside",
          "stabilizer-zero", "stabilizer-repeated", "suffix-zero", "n-zero"],
 )
 def test_parse_errors_name_the_bad_token_and_its_column(capsys, argv, message):
@@ -448,6 +455,17 @@ def test_gmf_beyond_subset_enumeration(capsys):
     assert code == 0
     _, det, _ = run(capsys, "det", *inst)
     assert out == det
+
+
+def test_cyclic_young_group_answers_past_the_walk_cap(capsys, monkeypatch):
+    # <(1 2)> is the Young subgroup of its orbits, so its 2^28 mixtures are
+    # multiplied out, never walked: only (1 2) may come from tau, and the
+    # four points both fix give (a+b)^4
+    refuse_membership(monkeypatch, lambda *args: pytest.fail("membership tested"))
+    many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
+    code, out, err = run(capsys, "gmf", "--n", "60", "--a", "2", "--b", "3", "--theta", "id",
+                         "--tau", many, "--group", "cyclic:(1 2)@60", "--character", "trivial")
+    assert (code, out, err) == (0, f"{5**4 * (2**2 + 3**2) * (2**2) ** 27}\n", "")
 
 
 def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):

@@ -1985,6 +1985,12 @@ def orbit_blocks(n, gens):
     return tuple(labels)
 
 
+def orbit_bound(labels, even):
+    """prod |O|! over the orbits of ``labels``, halved when ``even`` (at least 1)."""
+    bound = math.prod(math.factorial(labels[1:].count(x)) for x in set(labels[1:]))
+    return max(1, bound // 2) if even else bound
+
+
 def block_member(rng, labels):
     """A random permutation that keeps every point in its block."""
     images = list(range(len(labels)))
@@ -2043,9 +2049,121 @@ class TestYoungSubgroups:
         gens = [rand_perm(rng, n) for _ in range(count)]
         group = GeneratedSubgroup(n, tuple(gens))
         labels, even = orbit_blocks(n, gens), all(g.sign() == 1 for g in gens)
-        bound = math.prod(math.factorial(labels[1:].count(x)) for x in set(labels[1:]))
-        bound = max(1, bound // 2) if even else bound
-        assert group.young() == ((labels, even) if group.order() == bound else None)
+        assert group.young() == ((labels, even) if group.order() == orbit_bound(labels, even) else None)
+
+    @given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @example(0, 1)
+    @example(1, 2)
+    @example(2, 3)
+    def test_cyclic_young_answer_is_the_orbit_bound(self, cycles, seed):
+        # <g> answers young() exactly when its order reaches the orbit bound
+        # (g = id, a transposition, a 3-cycle or a double transposition), and
+        # then its routes equal the walk of the same group
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        points = rng.sample(range(1, n + 1), n)
+        lengths = [rng.choice((2, 3)) for _ in range(cycles)]
+        chosen = [points[sum(lengths[:k]):sum(lengths[:k + 1])] for k in range(cycles)]
+        generator = Permutation.from_cycles(n, [c for c in chosen if len(c) > 1])
+        if rng.random() < 0.2:
+            generator = rand_perm(rng, n)
+        group = CyclicGroup(generator)
+        labels, even = orbit_blocks(n, [generator]), generator.sign() == 1
+        assert group.young() == ((labels, even) if group.order() == orbit_bound(labels, even) else None)
+        theta, tau = (
+            block_member(rng, labels) if rng.random() < 0.7 else rand_perm(rng, n) for _ in range(2)
+        )
+        a, b, _ = draw_scalars(rng)
+        spec, walked = random_block_spec(rng, 1, n), Walked(group)
+        characters = [TrivialCharacter(), SignCharacter()]
+        for chi in characters + [IrreducibleCharacter(Partition(p)) for p in partitions(n)]:
+            linear = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+            assert_same_result(linear, pf.gmf_linear_sum(a, b, theta, tau, walked, chi))
+            assert_same_result(pf.gmf_block(spec, group, chi), pf.gmf_block(spec, walked, chi))
+        for chi in characters:
+            matrix = linear_sum(a, b, theta, tau)
+            assert_same_result(pf.gmf_naive(matrix, group, chi), pf.gmf_naive(matrix, walked, chi))
+
+
+def distinct_denominator_scalars(rng, count):
+    """``count`` scalars whose 2 * count parts have pairwise different
+    denominators, one of them 3^300, far wider than a machine word; each
+    numerator is prime to its denominator, and some imaginary parts are 0."""
+    dens = [3**300, *rng.sample(range(1, 2 * count + 8), 2 * count - 1)]
+    rng.shuffle(dens)
+    parts = [Fraction(rng.choice([-1, 1]) * rng.choice([1, d + 1]), d) for d in dens]
+    return [gauss(parts[2 * k], parts[2 * k + 1] * rng.randint(0, 1)) for k in range(count)]
+
+
+def with_coefficients(spec, coefficients):
+    """``spec`` with a_1..a_n and b_1..b_n read in turn from ``coefficients``."""
+    n = spec.n
+    return BlockSpec(m=spec.m, n=n, theta=spec.theta, tau=spec.tau,
+                     inner_thetas=spec.inner_thetas, inner_taus=spec.inner_taus,
+                     a=tuple(coefficients[:n]), b=tuple(coefficients[n:]))
+
+
+def coefficient_groups(rng, n):
+    """S_n, A_n, a stab: group and a gens: group that reaches its orbit bound."""
+    gens = young_generators(rng, n, rng.choice(YOUNG_KINDS))
+    return [*parity_groups(rng, n), GeneratedSubgroup(n, tuple(gens))]
+
+
+class TestCoefficientFirst:
+    """The fast routes turn their coefficients into Gaussian integers once and
+    multiply integers only: no scalar arithmetic before the value leaves
+    through from_integers."""
+
+    def test_no_scalar_arithmetic_inside_the_routes(self, monkeypatch):
+        rng = random.Random(25)
+        theta, tau = rand_perm(rng, 6), rand_perm(rng, 6)
+        a, b = distinct_denominator_scalars(rng, 2)
+        spec = with_coefficients(random_block_spec(rng, 2, 3), distinct_denominator_scalars(rng, 6))
+        chis = [TrivialCharacter(), SignCharacter(), IrreducibleCharacter(Partition((4, 2)))]
+        calls = [
+            lambda: pf.det_linear_sum(a, b, theta, tau),
+            lambda: pf.per_linear_sum(a, b, theta, tau),
+        ]
+        for group, chi in itertools.product(coefficient_groups(rng, 6), chis):
+            calls.append(functools.partial(pf.gmf_linear_sum, a, b, theta, tau, group, chi))
+            calls.append(functools.partial(pf.gmf_block, spec, group, chi))
+        expected = [call() for call in calls]
+
+        def refuse(*args):
+            raise AssertionError("GaussianRational arithmetic inside a fast route")
+
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(pf.GaussianRational, name, refuse)
+        leaving = []
+        from_integers = engine.from_integers
+
+        def spy(*args):
+            leaving.append(from_integers(*args))
+            return leaving[-1]
+
+        monkeypatch.setattr(engine, "from_integers", spy)
+        for call, result in zip(calls, expected):
+            leaving.clear()
+            got = call()
+            assert got == result
+            # the value is what from_integers built, or the zero of a vanished prefactor
+            assert got.value is (leaving[0] if leaving else ZERO) and len(leaving) <= 1
+
+    @given(st.sampled_from([(1, 1), (1, 3), (3, 1), (2, 2), (1, 5), (2, 3), (3, 2), (6, 1)]),
+           st.integers(0, 2**32 - 1))
+    @example((1, 7), 7)  # the brute force scans S_7 once per group and character
+    @settings(max_examples=20)
+    def test_distinct_denominators_match_brute_force_and_the_walk(self, shape, seed):
+        rng = random.Random(seed)
+        m, n = shape
+        spec = with_coefficients(random_block_spec(rng, m, n), distinct_denominator_scalars(rng, 2 * n))
+        matrix = block_matrix(spec)
+        irr = IrreducibleCharacter(Partition(rng.choice(list(partitions(m * n)))))
+        for group in coefficient_groups(rng, m * n):
+            for chi in (TrivialCharacter(), SignCharacter(), irr):
+                block = pf.gmf_block(spec, group, chi)
+                assert_same_result(block, pf.gmf_block(spec, Walked(group), chi))
+                assert block.value == brute_gmf(matrix, group, chi)
 
 
 class TestTableDomain:

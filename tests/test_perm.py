@@ -43,6 +43,21 @@ def test_rejects_non_permutations(images):
         Permutation(images)
 
 
+@pytest.mark.parametrize(
+    "cycles, message",
+    [
+        ([(1, 2, 1)], "point 1 repeated within its cycle"),
+        ([(3, 2, 2)], "point 2 repeated within its cycle"),
+        ([(1, 2), (3, 1)], "point 1 repeated across cycles"),
+        ([(1, 2), (2, 2)], "point 2 repeated across cycles"),
+        ([(1, 4)], r"point 4 outside \[1..3\]"),
+    ],
+)
+def test_from_cycles_names_where_a_point_repeats(cycles, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Permutation.from_cycles(3, cycles)
+
+
 class TestCompose:
     def test_involution_squared(self):
         swap = P("(1 2)", 2)
