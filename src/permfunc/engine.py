@@ -10,9 +10,10 @@ Routes provided, all exact unless stated otherwise:
 * naive summation of the defining formula: for the trivial and sign
   characters on a Young subgroup (GroupSpec.young: S_n, A_n, a
   pointwise stabilizer, a gens: group its orbits and parity decide) as
-  a determinant or permanent folded row by row over column sets by
-  Laplace steps, with the entries that cross blocks dropped (the even
-  part their mean), building no permutation; otherwise visiting only
+  a permanent folded block by block over column sets by Laplace steps,
+  and a determinant folded so or, when a row keeps more than two
+  entries, eliminated, with the entries that cross blocks dropped (the
+  even part their mean), building no permutation; otherwise visiting only
   the members whose entry product is nonzero;
 * the structured fast route for a*P_theta + b*P_tau, whose row x holds
   a in column theta^-1(x) and b in column tau^-1(x): it sums only the
@@ -162,8 +163,11 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
     On a Young subgroup (GroupSpec.young) the trivial and sign characters
-    depend only on parity, so the Gaussian-integer entry products are
-    summed by column set (_parity_naive) and no member is built.  Other
+    depend only on parity, and no member is built (_parity_naive): the
+    permanent sums the Gaussian-integer entry products by column set, and
+    so does the determinant when no row keeps more than two entries, as
+    a*P_theta + b*P_tau; past two a row, where fraction-free elimination
+    becomes the cheaper, it eliminates (kernels.det_gaussian_int).  Other
     groups and characters visit only the members with a nonzero entry
     product; their products are summed per character value, and each
     distinct value is multiplied in once at the end.  The term count is
@@ -198,22 +202,40 @@ def _parity_naive(pre, pim, labels, even: bool, chi: CharacterSpec):
 
     The group is S_n with the entries whose row and column lie in
     different blocks dropped, so every permutation leaving a block weighs
-    zero.  The determinant folds _laplace_step over the rows' entries;
-    the permanent folds the same entries with no used column counted
-    above any placement, so no sign flips.  Sign takes the first, trivial
-    the second, and the even part their mean: the even permutations count
-    twice and the odd cancel.
+    zero.  Sign takes the determinant, trivial the permanent, and the even
+    part their mean: the even permutations count twice and the odd cancel.
+
+    The determinant folds _laplace_step over the rows' entries when no
+    row keeps more than two, as a*P_theta + b*P_tau; otherwise it is
+    kernels.det_gaussian_int of the n x n rows with the crossing entries
+    zeroed, block diagonal up to one relabelling, so no split is needed.
+    Two entries a row is where the costs cross: the fold took 33 against
+    82 us on two permutations at n = 9, 155 against 96 us on three at
+    n = 8, and 7.7 against 0.28 ms dense at n = 12.  The permanent folds
+    the same entries with no used column counted above any placement, so
+    no sign flips, block by block: its table then holds one block's
+    partial column sets at a time, not their product.
     """
     rows = list(map(_row_entries, pre, pim))
-    if labels.count(1) < len(rows):  # some point lies outside the block of 1
+    split = labels.count(1) < len(rows)  # some point lies outside the block of 1
+    if split:
         rows = [[e for e in row if labels[e[0].bit_length()] == labels[x]]
                 for x, row in enumerate(rows, 1)]
-    if isinstance(chi, SignCharacter) and not even:
-        return _fold(rows)
+    if even or isinstance(chi, SignCharacter):
+        if max(map(len, rows)) <= 2:
+            det = _fold(rows)
+        else:
+            if split:
+                pre, pim = ([[v if labels[j] == labels[x] else 0 for j, v in enumerate(row, 1)]
+                             for x, row in enumerate(part, 1)] for part in (pre, pim))
+            det = kernels.det_gaussian_int(pre, pim)
+        if not even:
+            return det
+    if split:
+        rows = [rows[x - 1] for x in sorted(range(1, len(rows) + 1), key=labels.__getitem__)]
     per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in rows])
     if not even:
         return per
-    det = _fold(rows)
     return (per[0] + det[0]) // 2, (per[1] + det[1]) // 2
 
 

@@ -250,7 +250,10 @@ class GeneratedSubgroup(_OfDegree):
 
 def _young_order(labels: tuple[int, ...], even: bool) -> int:
     """The order of the Young subgroup (labels, even): prod |block|!, halved when even."""
-    size = prod(factorial(labels.count(block)) for block in set(labels[1:]))
+    sizes = [0] * len(labels)
+    for block in labels[1:]:
+        sizes[block] += 1
+    size = prod(map(factorial, sizes))
     return max(1, size // 2) if even else size
 
 

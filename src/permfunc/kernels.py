@@ -1,4 +1,6 @@
-"""The exact determinant kernel behind det_exact.
+"""The exact determinant kernel behind det_exact, and behind the naive
+route's sign character (engine._parity_naive) when some row keeps more
+than two entries.  The minor expansion never calls it.
 
 It works on Gaussian integers held as plain Python ints (real and
 imaginary parts separately) so that values never leave exact arithmetic.

@@ -158,12 +158,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def scalar_mul(c: GaussianRational, a: Matrix) -> Matrix:
     (cr,), (ci,), den = integer_parts([c])
-    rows = list(zip(a.re, a.im))
-    return _matrix(
-        [[x * cr - y * ci for x, y in zip(ar, ai)] for ar, ai in rows],
-        [[x * ci + y * cr for x, y in zip(ar, ai)] for ar, ai in rows],
-        a.den * den,
-    )
+    re, im = [], []
+    for ar, ai in zip(a.re, a.im):
+        if any(ai):
+            re.append([x * cr - y * ci for x, y in zip(ar, ai)])
+            im.append([x * ci + y * cr for x, y in zip(ar, ai)])
+        else:  # a real row, as every row of a permutation matrix: no cross terms
+            re.append([x * cr for x in ar])
+            im.append([x * ci for x in ar])
+    return _matrix(re, im, a.den * den)
 
 
 def conjugate_transpose(a: Matrix) -> Matrix:

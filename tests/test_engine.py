@@ -215,7 +215,8 @@ class TestNaive:
                 for chi in (TrivialCharacter(), SignCharacter()):
                     cases.append((matrix, group, chi, brute_gmf(matrix, group, chi)))
         s8 = Matrix([[gauss(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(8)] for _ in range(8)])
-        s8_det = pf.det_exact(s8)
+        # the Laplace fold of the minor expansion, not the elimination the route runs
+        s8_det = pf.det_cauchy_binet_sum(s8, Matrix.zero(8, 8)).value
 
         def refuse(*args, **kwargs):
             raise AssertionError("the naive route visited group members")
@@ -234,8 +235,9 @@ class TestNaive:
 
     def test_stabilizer_sums_its_free_block(self, monkeypatch):
         # 24 points, 16 of them fixed: the fixed diagonal times the 8x8 block
-        # of the points the stabilizer moves, whose column sets are all the
-        # Laplace tables hold
+        # of the points the stabilizer moves.  The permanent's Laplace tables
+        # hold only that block's column sets; the determinant of its dense
+        # rows is one elimination of the 24 rows, with the crossing entries zeroed
         rng = random.Random(6101)
         n = 24
         fixed = frozenset(rng.sample(range(1, n + 1), 16))
@@ -256,24 +258,33 @@ class TestNaive:
                 re, im = re * pre[i][j] - im * pim[i][j], re * pim[i][j] + im * pre[i][j]
             per_re, per_im = per_re + re, per_im + im
         permanent = gauss(Fraction(per_re, den**8), Fraction(per_im, den**8))
-        sizes = []
+        determinant = pf.det_cauchy_binet_sum(block, Matrix.zero(8, 8)).value
+        sizes, eliminated = [], []
 
         def recorded(table, entries):
             extended = step(table, entries)
             sizes.append(len(extended))
             return extended
 
-        step = engine._laplace_step
+        def eliminate(pre, pim):
+            eliminated.append(len(pre))
+            return det(pre, pim)
+
+        step, det = engine._laplace_step, kernels.det_gaussian_int
         monkeypatch.setattr(engine, "_laplace_step", recorded)
+        monkeypatch.setattr(kernels, "det_gaussian_int", eliminate)
         group = PointwiseStabilizer(n, fixed)
-        for chi, value in ((SignCharacter(), pf.det_exact(block)), (TrivialCharacter(), permanent)):
-            sizes.clear()
-            result = pf.gmf_naive(matrix, group, chi)
-            assert result.value == diagonal * value
-            assert result.term_count == math.factorial(8)
-            # the free rows fill C(8, k) sets of free columns; a fixed row adds its own bit
-            assert max(sizes) <= comb(8, 4)
-            assert sum(sizes) <= 8 * 2**7
+        result = pf.gmf_naive(matrix, group, SignCharacter())
+        assert result.value == diagonal * determinant
+        assert result.term_count == math.factorial(8)
+        assert (eliminated, sizes) == ([n], [])
+        result = pf.gmf_naive(matrix, group, TrivialCharacter())
+        assert result.value == diagonal * permanent
+        assert result.term_count == math.factorial(8)
+        assert eliminated == [n]
+        # the free rows fill C(8, k) sets of free columns; a fixed row adds its own bit
+        assert max(sizes) <= comb(8, 4)
+        assert sum(sizes) <= 8 * 2**7
 
     def test_partly_sparse_matches_brute_force(self):
         # Row supports of one to n entries take the naive route through both
@@ -2083,6 +2094,47 @@ class TestYoungSubgroups:
         for chi in characters:
             matrix = linear_sum(a, b, theta, tau)
             assert_same_result(pf.gmf_naive(matrix, group, chi), pf.gmf_naive(matrix, walked, chi))
+
+    @given(
+        st.sampled_from(("symmetric", "alternating", "stab", *YOUNG_KINDS)),
+        st.sampled_from((1, 2, 3, None)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    @example("symmetric", None, 1)
+    @example("alternating", 3, 2)
+    @example("intransitive", None, 3)
+    @example("even", None, 4)
+    @example("stab", 2, 5)
+    def test_naive_parity_sums_match_brute_force(self, kind, width, seed):
+        # trivial and sign, and the even part, on S_n, A_n and Young subgroups
+        # with interleaved blocks; rows of 1, 2, 3 or n (None) nonzero entries
+        # take the determinant's fold (two or fewer a row) or its elimination,
+        # and the permanent's fold block by block
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        if kind == "symmetric":
+            group = SymmetricGroup(n)
+        elif kind == "alternating":
+            group = AlternatingGroup(n)
+        elif kind == "stab":
+            group = PointwiseStabilizer(n, frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))))
+        else:
+            group = GeneratedSubgroup(n, tuple(young_generators(rng, n, kind)))
+        assert group.young() is not None
+
+        def entry():
+            return gauss(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2)), rng.randint(-2, 2))
+
+        rows = []
+        for _ in range(n):
+            support = rng.sample(range(n), min(width or n, n))
+            rows.append([entry() if j in support else ZERO for j in range(n)])
+        matrix = Matrix(rows)
+        for chi in (TrivialCharacter(), SignCharacter()):
+            result = pf.gmf_naive(matrix, group, chi)
+            assert result.value == brute_gmf(matrix, group, chi)
+            assert (result.method, result.term_count) == (engine.Method.NAIVE, group.order())
 
 
 def distinct_denominator_scalars(rng, count):

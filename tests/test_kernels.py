@@ -50,3 +50,27 @@ def test_engine_reference_value():
     naive = pf.gmf_naive(matrix, pf.SymmetricGroup(6), pf.SignCharacter())
     assert naive.value == gauss(-85, 30)
     assert pf.det_exact(matrix) == gauss(-85, 30)
+
+
+def test_python_det_of_relabelled_block_diagonal_matches_expansion():
+    # the entries whose row and column lie in different blocks are zero, so
+    # the matrix is block diagonal up to one relabelling; zeroed diagonals
+    # force row swaps, and a block with two proportional rows is singular
+    rng = random.Random(2609)
+    for case in range(40):
+        n = rng.randint(2, 6)
+        labels = [rng.randint(1, 3) for _ in range(n)]
+        pre, pim = random_int_matrix(rng, n)
+        for i in range(n):
+            for j in range(n):
+                if labels[i] != labels[j] or (i == j and rng.random() < 0.5):
+                    pre[i][j] = pim[i][j] = 0
+        singular = case % 3 == 0 and len(set(labels)) < n
+        if singular:
+            i, k = next((i, k) for i in range(n) for k in range(i + 1, n) if labels[i] == labels[k])
+            pre[k], pim[k] = [-2 * x for x in pre[i]], [-2 * y for y in pim[i]]
+        matrix = Matrix([[gauss(pre[i][j], pim[i][j]) for j in range(n)] for i in range(n)])
+        dre, dim = det_gaussian_int([row[:] for row in pre], [row[:] for row in pim])
+        assert gauss(dre, dim) == naive_det_expansion(matrix)
+        if singular:
+            assert (dre, dim) == (0, 0)
