@@ -6,21 +6,22 @@ border-strip recursion), explicit lookup tables over the subgroup
 their keys form, and the linear characters of a cyclic group sending the
 generator to a root of unity.
 
-Values stay in the exact field Q(i); cyclic-group characters whose root
-of unity leaves that field are rejected in exact mode and exposed only
-through ``evaluate_float``.
+Values stay in the exact field Q(i); a cyclic-group character whose root
+of unity leaves that field raises ExactnessError from ``evaluate``, and
+only its own ``evaluate_float`` gives its values, as floats.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import re as _re
 from math import factorial, lcm, prod
 
 from ._record import record
-from .errors import CharacterDomainError, ExactnessError, ParseError
+from .errors import CapacityError, CharacterDomainError, ExactnessError, ParseError
 from .gaussian import GaussianRational, I, ONE, gauss
 from .groups import GeneratedSubgroup
 from .perm import (
@@ -108,29 +109,48 @@ def _strip_removals(parts: tuple[int, ...], size: int):
 # one over every lambda |- 30 (8 transpositions) 128,868, about 0.4 KB each.
 _MN_CACHE_SIZE = 1 << 15
 
+# The most cycles longer than 1 that mn_value recurses through: on Python
+# 3.11 each takes two of the default limit of 1000 frames (the memo's C
+# wrapper counts too), so 400 leaves 200 to the callers.
+_MN_MAX_DEPTH = 400
+
 
 @functools.lru_cache(maxsize=_MN_CACHE_SIZE)
 def mn_value(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
     """Irreducible character value for shape ``parts`` at ``cycle_type``.
 
     ``cycle_type`` lists all cycle lengths including fixed points as 1s.
-    Border strips are removed for the largest cycle first; the recursion
-    is memoized because dominance sweeps revisit the same pairs heavily,
-    and the memo is bounded so that a long-lived process does not grow
-    with every shape it has evaluated.
+    Border strips are removed for the largest cycle first, one recursion
+    level per cycle longer than 1; once only 1-cycles remain the value is
+    the number of standard tableaux of the shape left.  The recursion is
+    memoized because dominance sweeps revisit the same pairs heavily, and
+    the memo is bounded so that a long-lived process does not grow with
+    every shape it has evaluated.  Raises CapacityError, before any
+    evaluation, for a class of more than _MN_MAX_DEPTH cycles longer than 1.
     """
     if sum(parts) != sum(cycle_type):
         raise ValueError(
             f"partition of {sum(parts)} evaluated at class of {sum(cycle_type)}"
         )
-    if not cycle_type:
-        return 1
     ordered = tuple(sorted(cycle_type, reverse=True))
+    if not ordered or ordered[0] == 1:
+        return hook_length_degree(parts)
+    if len(ordered) > _MN_MAX_DEPTH and ordered[_MN_MAX_DEPTH] > 1:
+        moved = sum(length > 1 for length in ordered)
+        raise CapacityError(
+            f"the class of cycle type {_type_text(ordered)} has {moved} cycles longer "
+            f"than 1; the border-strip recursion takes at most {_MN_MAX_DEPTH}"
+        )
     largest, rest = ordered[0], ordered[1:]
     total = 0
     for smaller, height in _strip_removals(parts, largest):
         total += (-1) ** height * mn_value(smaller, rest)
     return total
+
+
+def _type_text(ordered: tuple[int, ...]) -> str:
+    """A descending cycle type as lengths to the power of their counts: 2^500 1^3."""
+    return " ".join(f"{length}^{len(list(run))}" for length, run in itertools.groupby(ordered))
 
 
 class CharacterSpec:
@@ -139,10 +159,6 @@ class CharacterSpec:
 
     def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
         raise NotImplementedError
-
-    def evaluate_float(self, images: tuple[int, ...]) -> complex:
-        v = self.evaluate(images)
-        return complex(v.re, v.im)
 
     def degree(self):
         raise NotImplementedError
@@ -290,8 +306,9 @@ class CyclicRootCharacter(CharacterSpec):
     """Linear character of <generator> mapping it to exp(2*pi*i*k/order).
 
     Exact values exist only when the generator's order divides 4 (roots
-    1, -1, +-i); other orders raise in exact mode and are served by
-    ``evaluate_float``.
+    1, -1, +-i); for other orders ``evaluate`` raises ExactnessError, so
+    every exact route does, and ``evaluate_float`` gives the value as a
+    float, which the singular-value bound's member sum uses.
     """
 
     generator: Permutation

@@ -59,7 +59,9 @@ import enum
 import functools
 import itertools
 import math
+import sys
 from collections import defaultdict
+from fractions import Fraction
 from math import comb
 
 from ._record import record
@@ -437,9 +439,7 @@ def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
             yield member, re, im
 
 
-def _mixture_sum(
-    alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: CharacterSpec, floating=False
-):
+def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: CharacterSpec):
     """Sum chi(pi) times the entry product over the mixtures pi of alpha and beta.
 
     ``alpha``, ``beta`` and each mixture are image tuples.  Row x carries
@@ -462,8 +462,8 @@ def _mixture_sum(
     for an irreducible one; otherwise the walk of the in-group mixtures
     with a nonzero weight, summed per character value (_value_sums).  A
     weight has n coefficients, so the total is the prefactor times that
-    sum over den^n (gaussian.from_integers).  ``floating`` walks the
-    same weights, each exact before it is floated.
+    sum over den^n (gaussian.from_integers).  A character whose values
+    leave Q(i) raises ExactnessError from the walk.
     """
     chi.check_domain(group)
     young = group.young()
@@ -480,31 +480,23 @@ def _mixture_sum(
         return ZERO, 0
     pairs = [tuple(_product(c[y - 1] for y in cycle) for c in (coeff_a, coeff_b))
              for cycle in dec.cycles]
-    pre, scale = (*pre, 1), den ** len(alpha)
-    if floating:
-        total, terms = 0j, 0
-        for images, re, im in _walk(alpha, beta, dec.cycles, pairs, group):
-            weight = from_integers(*_times(pre, (re, im, 1))[:2], scale)
-            total += chi.evaluate_float(images) * complex(weight.re, weight.im)
-            terms += 1
-        return total, terms
     if young and isinstance(chi, _PARITY_CHARACTERS):
         summed = _parity_product(alpha, dec.cycles, pairs, young[1], chi)
     elif young and isinstance(chi, IrreducibleCharacter):
         summed = _class_sums(alpha, beta, dec.cycles, pairs, young[1], chi)
     else:
         summed = _value_sums(chi.evaluate, _walk(alpha, beta, dec.cycles, pairs, group))
-    re, im, terms = _times(pre, summed)
-    return from_integers(re, im, scale), terms
+    re, im, terms = _times((*pre, 1), summed)
+    return from_integers(re, im, den ** len(alpha)), terms
 
 
-def _linear_mixture_sum(a, b, theta, tau, group, chi, floating=False):
+def _linear_mixture_sum(a, b, theta, tau, group, chi):
     """_mixture_sum for a*P_theta + b*P_tau, whose row x holds a in column
     theta^-1(x) and b in column tau^-1(x)."""
     n = theta.degree
     alpha, beta = images_inverse(theta.images), images_inverse(tau.images)
     (ar, br), (ai, bi), den = integer_parts([a, b])
-    return _mixture_sum(alpha, beta, [(ar, ai)] * n, [(br, bi)] * n, den, group, chi, floating)
+    return _mixture_sum(alpha, beta, [(ar, ai)] * n, [(br, bi)] * n, den, group, chi)
 
 
 def gmf_linear_sum(
@@ -680,6 +672,16 @@ def s_product(theta: Permutation, tau: Permutation) -> Matrix:
     return expected
 
 
+def _float(x, name: str) -> float:
+    """The rational or float ``x`` as a float; PermfuncError naming ``name``
+    and the float range when |x| lies past it.  Underflow gives 0.0."""
+    if abs(x) > sys.float_info.max:
+        raise PermfuncError(
+            f"{name} lies outside the float range (magnitudes up to {sys.float_info.max:.4g})"
+        )
+    return float(x)
+
+
 @record
 class SingularSpectrum:
     """All n singular values (floating, descending)."""
@@ -711,14 +713,15 @@ def singular_values(
     """
     common_degree(theta, tau)
     dec = pair_cycles(theta.images, tau.images)
-    base = float(a.abs_squared() + b.abs_squared())
+    base = _float(a.abs_squared() + b.abs_squared(), "|a|^2 + |b|^2")
     cross = a.conjugate() * b
     cr, ci = float(cross.re), float(cross.im)
     out = []
     for length in [*map(len, dec.cycles), *[1] * len(dec.fixed_points)]:
         for k in range(length):
             angle = 2.0 * math.pi * k / length
-            radicand = base + 2.0 * (cr * math.cos(angle) - ci * math.sin(angle))
+            radicand = _float(base + 2.0 * (cr * math.cos(angle) - ci * math.sin(angle)),
+                              "a squared singular value")
             if radicand < -REL_TOL * max(1.0, base):
                 raise PermfuncError(f"negative squared singular value: {radicand}")
             out.append(math.sqrt(max(radicand, 0.0)))
@@ -749,21 +752,33 @@ def check_singular_bound(
     2n-th powers of the singular values.  The left side is computed
     exactly and floated; the comparison margin uses a relative 1e-9
     tolerance because equality cases are common (all singular values
-    equal) and the right side is floating.
+    equal) and the right side is floating.  A character with values
+    outside Q(i) makes the exact route raise ExactnessError; the left
+    side is then the defining sum over G's members, each entry product
+    exact until it is floated.  A side past the float range raises
+    PermfuncError.
     """
     if not chi.is_linear():
         raise CharacterDomainError("the singular-value bound needs a linear character")
     n = theta.degree
     try:
         value = gmf_linear_sum(a, b, theta, tau, group, chi).value
-        lhs = float(value.abs_squared())
+        lhs = _float(value.abs_squared(), "|value|^2")
     except ExactnessError:
-        # the same walk with chi's values as floats, for characters outside
-        # Q(i); only the walk evaluates chi, so the prefactor is nonzero here
-        value, _ = _linear_mixture_sum(a, b, theta, tau, group, chi, floating=True)
-        lhs = abs(value) ** 2
+        # chi leaves Q(i): float the defining sum over G's members, which
+        # chi.check_domain has already enumerated
+        pre, pim, den = integer_grid(linear_sum(a, b, theta, tau))
+        scale, total = den**n, 0j
+        for images, re, im in _nonzero_members(pre, pim, group, group.order()):
+            product = (_float(Fraction(x, scale), "an entry product") for x in (re, im))
+            total += chi.evaluate_float(images) * complex(*product)
+        lhs = _float(total.real * total.real + total.imag * total.imag, "|value|^2")
     spectrum = singular_values(a, b, theta, tau)
-    rhs = sum((v * v) ** n for v in spectrum.values) / n
+    try:
+        rhs = sum((v * v) ** n for v in spectrum.values) / n
+    except OverflowError:
+        rhs = math.inf
+    rhs = _float(rhs, "the mean of the singular values' 2n-th powers")
     holds = lhs <= rhs + REL_TOL * max(1.0, abs(lhs), abs(rhs))
     return BoundReport(lhs, rhs, holds)
 

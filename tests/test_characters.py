@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from permfunc import characters
 from permfunc.characters import (
     CyclicRootCharacter,
     IrreducibleCharacter,
@@ -20,7 +21,7 @@ from permfunc.characters import (
     parse_character,
     partitions,
 )
-from permfunc.errors import CharacterDomainError, ExactnessError, ParseError
+from permfunc.errors import CapacityError, CharacterDomainError, ExactnessError, ParseError
 from permfunc.gaussian import I, ONE, gauss
 from permfunc.groups import CyclicGroup, enumerate_group
 from permfunc.perm import Permutation, cycle_structure, parse_permutation
@@ -81,6 +82,31 @@ def test_mn_against_polynomial_oracle():
 def test_mn_size_mismatch():
     with pytest.raises(ValueError):
         mn_value((2, 1), (2, 2))
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_standard_character_is_fixed_points_minus_one_at_large_degree(n):
+    # chi_(n-1,1)(sigma) = fix(sigma) - 1; the recursion takes one level per
+    # cycle longer than 1, none for the fixed points
+    chi = IrreducibleCharacter(Partition((n - 1, 1)))
+    rng = random.Random(n)
+    transpositions = Permutation(tuple(x - 1 + 2 * (x % 2) if x <= 800 else x for x in range(1, n + 1)))
+    for sigma in (Permutation.identity(n), P("(1 2)", n), rand_perm(rng, n), transpositions):
+        fixed = sum(x == y for x, y in enumerate(sigma.images, 1))
+        assert chi.evaluate(sigma.images) == gauss(fixed - 1)
+
+
+def test_mn_refuses_a_class_past_the_recursion_depth():
+    limit = characters._MN_MAX_DEPTH
+    n = 2 * limit + 10
+    assert mn_value((n - 1, 1), (2,) * limit + (1,) * 10) == 9
+    mn_value.cache_clear()
+    for count in (limit + 1, 500):
+        n = 2 * count
+        with pytest.raises(CapacityError, match=rf"cycle type 2\^{count} has {count} cycles"):
+            mn_value((n - 1, 1), (2,) * count)
+    # refused before any evaluation: nothing entered the memo
+    assert mn_value.cache_info().currsize == 0
 
 
 def test_first_orthogonality():

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import permfunc
+from permfunc import characters
 from permfunc.cli import main
 from permfunc.errors import CapacityError
 from permfunc.gaussian import GaussianRational
@@ -140,6 +141,53 @@ def test_bound(capsys):
     payload = json.loads(out)
     assert payload["holds"] is True
     assert payload["lhs"] == pytest.approx(8125.0)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # |value|^2 = (10^160 - 1)^2, past the float range
+        (["bound", "--n", "8", "--theta", "id", "--tau", "(1 2 3 4 5 6 7 8)",
+          "--a", "1" + "0" * 20, "--b", "1", "--group", "S8", "--character", "sign"], "|value|^2"),
+        (["singvals", "--n", "2", "--theta", "id", "--tau", "(1 2)",
+          "--a", "1" + "0" * 400, "--b", "1"], "|a|^2 + |b|^2"),
+        # |a|^2 + |b|^2 fits, |a + b|^2 does not
+        (["singvals", "--n", "2", "--theta", "id", "--tau", "(1 2)",
+          "--a", "9" + "0" * 153, "--b", "9" + "0" * 153], "a squared singular value"),
+    ],
+    ids=["bound", "singvals", "singvals-sum"],
+)
+def test_float_reports_past_the_float_range_exit_three(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name} lies outside the float range")
+
+
+def test_standard_character_at_large_degree(capsys):
+    # the border-strip recursion takes no level for a fixed point: 598 of them
+    # at n = 600, 1098 at n = 1100
+    n = 600
+    code, out, _ = run(capsys, "gmf", "--n", str(n), "--theta", "id", "--tau", "(1 2)",
+                       "--group", f"S{n}", "--character", f"irr:[{n - 1},1]")
+    # the fixed points give 2^598 * (chi(id) + chi((1 2))) = 2^598 * (599 + 597)
+    assert code == 0 and int(out) == 2**598 * (599 + 597)
+    code, out, _ = run(capsys, "dominance", "--n", "1100", "--k", "2", "--m", "1",
+                       "--pi", "(1 2)", "--character", "irr:[1099,1]", "--json")
+    assert code == 0 and json.loads(out)["holds"] is True
+
+
+@pytest.mark.parametrize("count", [400, 500])
+def test_class_past_the_recursion_depth_exits_three(capsys, count):
+    # theta = tau = pi, pi a product of transpositions: the one mixture is
+    # pi, weighed (a+b)^n = 2^1000 and chi(pi) = fix(pi) - 1
+    pi = "".join(f"({2 * k - 1} {2 * k})" for k in range(1, count + 1))
+    code, out, err = run(capsys, "gmf", "--n", "1000", "--theta", pi, "--tau", pi,
+                         "--group", "S1000", "--character", "irr:[999,1]")
+    if count <= characters._MN_MAX_DEPTH:
+        assert code == 0 and int(out) == 2**1000 * (1000 - 2 * count - 1)
+    else:
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: the class of cycle type 2^{count} has {count} cycles")
 
 
 def test_tensor_check_match(capsys):

@@ -1,9 +1,11 @@
 """Evaluation routes: frozen reference values and cross-route equivalences."""
 
+import contextlib
 import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -1180,6 +1182,64 @@ class TestSingularBound:
                     assert report.lhs == pytest.approx(abs(expected) ** 2, rel=1e-9)
                     assert report.holds
         assert fallbacks == 2 * len(elements) ** 2
+
+    @pytest.mark.parametrize("text, n", [("(1 2 3)", 3), ("(1 2 3)", 4), ("(1 2 3)", 5),
+                                         ("(1 2 3)(4 5 6)", 6)])
+    def test_order_three_fallback_against_exact_value_sums(self, text, n):
+        # chi(g^k) = omega^(k*index), omega = exp(2*pi*i/3).  With S_e the
+        # exact sum of the entry products over the members where chi = omega^e,
+        # the value is S_0 + S_1*omega + S_2*omega^2, and for real a and b its
+        # squared modulus is the rational below
+        g = P(text, n)
+        group = CyclicGroup(g)
+        powers = [Permutation.identity(n), g, g * g]
+        rng = random.Random(31 + n)
+        fallbacks = 0
+        for index in (1, 2):
+            chi = CyclicRootCharacter(g, index)
+            for _ in range(30):
+                theta, tau = (rng.choice(powers) if rng.random() < 0.5 else rand_perm(rng, n)
+                              for _ in range(2))
+                a, b = (gauss(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+                        for _ in range(2))
+                entries = linear_sum(a, b, theta, tau).entries
+                sums = [Fraction(0)] * 3
+                for k, sigma in enumerate(powers):
+                    product = math.prod(entries[i][sigma.images[i] - 1] for i in range(n))
+                    sums[k * index % 3] += product.re
+                s0, s1, s2 = sums
+                expected = float(s0 * s0 + s1 * s1 + s2 * s2 - s0 * s1 - s1 * s2 - s2 * s0)
+                # the exact route evaluates chi exactly when some member weighs nonzero
+                with pytest.raises(ExactnessError) if any(sums) else contextlib.nullcontext():
+                    pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                fallbacks += any(sums)
+                report = pf.check_singular_bound(a, b, theta, tau, group, chi)
+                assert report.lhs == pytest.approx(expected, rel=1e-12, abs=0)
+                assert report.holds
+        assert fallbacks >= 20
+
+    def test_past_the_float_range_raises(self):
+        identity, cycle = Permutation.identity(8), P("(1 2 3 4 5 6 7 8)", 8)
+        sign, s8 = SignCharacter(), SymmetricGroup(8)
+        # |value|^2 = (10^160 - 1)^2
+        with pytest.raises(pf.PermfuncError, match=r"^\|value\|\^2 lies outside the float range"):
+            pf.check_singular_bound(gauss(10**20), ONE, identity, cycle, s8, sign)
+        # the value a^2 - b^2 vanishes; the singular values are 2*10^100 and 0
+        big = gauss(10**100)
+        with pytest.raises(pf.PermfuncError, match=r"^the mean of the singular values' 2n-th powers"):
+            pf.check_singular_bound(big, big, Permutation.identity(2), P("(1 2)", 2),
+                                    SymmetricGroup(2), sign)
+        with pytest.raises(pf.PermfuncError, match=r"^\|a\|\^2 \+ \|b\|\^2 lies outside"):
+            pf.singular_values(gauss(10**400), ONE, identity, cycle)
+        # the member sum of the float fallback: (a+b)^3 at the identity
+        g = P("(1 2 3)", 3)
+        chi, group, identity = CyclicRootCharacter(g), CyclicGroup(g), Permutation.identity(3)
+        for a, name in ((10**200, "an entry product"), (10**60, "|value|^2")):
+            with pytest.raises(pf.PermfuncError, match=rf"^{re.escape(name)} lies outside"):
+                pf.check_singular_bound(gauss(a), ZERO, identity, identity, group, chi)
+        # underflow stays: |value|^2 = 10^-600 floats to 0.0
+        tiny = gauss(Fraction(1, 10**100))
+        assert pf.check_singular_bound(tiny, ZERO, identity, identity, group, chi).lhs == 0.0
 
 
 class TestDominance:

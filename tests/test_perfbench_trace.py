@@ -27,6 +27,7 @@ PERFBENCH = ROOT / "perfbench"
 GONE = {
     ("permfunc.kernels", "gmf_sum"),
     ("permfunc.characters", "CharacterSpec.conjugate_evaluate"),
+    ("permfunc.characters", "CharacterSpec.evaluate_float"),
     ("permfunc.perm", "x_set"),
 }
 
