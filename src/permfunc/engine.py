@@ -24,7 +24,8 @@ Routes provided, all exact unless stated otherwise:
   for the trivial and sign characters, and sums it by cycle type, orbit
   by orbit of <theta, tau>, for the irreducible characters, never
   handing them to the walk; otherwise it walks the mixtures with
-  perm.walk_mixtures, which never enters a choice of zero weight; every
+  perm.walk_mixtures, which never enters a choice of zero weight, such
+  as one that leaves an orbit (GroupSpec.orbits); every
   case multiplies Gaussian integers over one denominator, and
   perm.pair_cycles gives every case the cycles of theta^-1*tau;
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
@@ -136,16 +137,21 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
     """Yield (images, re, im) for each member of ``group`` with a nonzero entry product re + im*i.
 
     Walks the smaller of two sets, so the work stays within |G|: the
-    image tuples built row by row from each row's nonzero columns, kept
-    when injective and in the group, when there are at most |G| of them;
-    otherwise the group's elements, skipping those with a zero entry.
+    image tuples built row by row from each row's nonzero columns (in its
+    point's orbit, outside a Young subgroup), kept when injective and in
+    the group, when there are at most |G| of them; otherwise the group's
+    elements, skipping those with a zero entry.
     """
     n = len(pre)
     columns = [[j for j in range(1, n + 1) if pre[i][j - 1] or pim[i][j - 1]] for i in range(n)]
+    dense = all(len(row) == n for row in columns)
+    labels = None if group.young() else group.orbits()
+    if labels:
+        columns = [[j for j in row if labels[j] == labels[x]] for x, row in enumerate(columns, 1)]
     if math.prod(map(len, columns)) <= order:
         injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
         members = filter(group.contains_images, injective)
-    elif all(len(row) == n for row in columns):
+    elif dense:
         members = group._generate()
     else:
         members = (
@@ -303,6 +309,16 @@ def _value_sums(value, weighted):
     return total_re, total_im, count
 
 
+def _weight_sum(weighted):
+    """Sum the weights re + im*i of (images, re, im) triples; returns (re, im, count)."""
+    total_re = total_im = count = 0
+    for _, re, im in weighted:
+        total_re += re
+        total_im += im
+        count += 1
+    return total_re, total_im, count
+
+
 def _times(x, y):
     """Product of two (re, im, count) triples: Gaussian integers times, counts times."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] * y[2]
@@ -450,25 +466,27 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     fixed points, times one factor per cycle: the product of coeff_b over
     the cycle if pi takes it from beta, else that of coeff_a.  Returns the
     total over the in-group mixtures and the number of them with a nonzero
-    entry product; a zero prefactor gives zero with no terms.  On a Young
-    subgroup (GroupSpec.young) a coefficient is zeroed wherever alpha or
-    beta carries a point out of its block, so every mixture outside the
-    group weighs zero and the group acts as S_n, or as A_n when it is the
-    even part.  The coefficients are Gaussian integers (re, im) over one
-    ``den`` (the callers' gaussian.integer_parts), so the prefactor and
-    factors are integer products, and one exact route, picked once, sums
-    the factors (re, im, terms): on a Young subgroup the O(r)
-    _parity_product for a trivial or sign character and the _class_sums
-    for an irreducible one; otherwise the walk of the in-group mixtures
-    with a nonzero weight, summed per character value (_value_sums).  A
-    weight has n coefficients, so the total is the prefactor times that
-    sum over den^n (gaussian.from_integers).  A character whose values
-    leave Q(i) raises ExactnessError from the walk.
+    entry product; a zero prefactor gives zero with no terms.  A
+    coefficient is zeroed wherever alpha or beta carries a point out of
+    its orbit (GroupSpec.orbits), which no member does.  On a Young
+    subgroup (GroupSpec.young) the orbits are its blocks, so every
+    mixture outside the group weighs zero and the group acts as S_n, or
+    as A_n when it is the even part.  The coefficients are Gaussian
+    integers (re, im) over one ``den`` (the callers'
+    gaussian.integer_parts), so the prefactor and factors are integer
+    products, and one exact route, picked once, sums the factors (re, im,
+    terms): on a Young subgroup the O(r) _parity_product for a trivial or
+    sign character and the _class_sums for an irreducible one; otherwise
+    the walk of the in-group mixtures with a nonzero weight, summed
+    directly for trivial and sign (the sign folded into the factors) and
+    per character value (_value_sums) for the rest.  A weight has n
+    coefficients, so the total is the prefactor times that sum over den^n
+    (gaussian.from_integers).  A character whose values leave Q(i) raises
+    ExactnessError from the walk.
     """
     chi.check_domain(group)
-    young = group.young()
-    if young and young[0].count(1) < len(alpha):  # some point lies outside the block of 1
-        labels = young[0]
+    labels = group.orbits()
+    if labels and labels.count(1) < len(alpha):  # some point lies outside the orbit of 1
         coeff_a, coeff_b = (
             [c if labels[y] == block else (0, 0) for c, y, block in zip(coeffs, images, labels[1:])]
             for images, coeffs in ((alpha, coeff_a), (beta, coeff_b))
@@ -480,10 +498,19 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
         return ZERO, 0
     pairs = [tuple(_product(c[y - 1] for y in cycle) for c in (coeff_a, coeff_b))
              for cycle in dec.cycles]
+    young = group.young()
     if young and isinstance(chi, _PARITY_CHARACTERS):
         summed = _parity_product(alpha, dec.cycles, pairs, young[1], chi)
     elif young and isinstance(chi, IrreducibleCharacter):
         summed = _class_sums(alpha, beta, dec.cycles, pairs, young[1], chi)
+    elif isinstance(chi, _PARITY_CHARACTERS):
+        if isinstance(chi, SignCharacter):
+            # a mixture's sign is sign(alpha), flipped by each cycle of even length from beta
+            if images_sign(alpha) < 0:
+                pre = -pre[0], -pre[1]
+            pairs = [(a_c, (-b_c[0], -b_c[1]) if len(cycle) % 2 == 0 else b_c)
+                     for cycle, (a_c, b_c) in zip(dec.cycles, pairs)]
+        summed = _weight_sum(_walk(alpha, beta, dec.cycles, pairs, group))
     else:
         summed = _value_sums(chi.evaluate, _walk(alpha, beta, dec.cycles, pairs, group))
     re, im, terms = _times((*pre, 1), summed)

@@ -1,10 +1,11 @@
 """Symbolic subgroups of the symmetric group on [n].
 
 Each variant answers membership of an image tuple, knows its order,
-yields its members as image tuples and says which Young subgroup it
-is, if any (young).  None enumerates its elements to test membership
-or to find its order: a generated subgroup builds a base and strong
-generating set when it is made and reads both from it.
+yields its members as image tuples, says which Young subgroup it is, if
+any (young), and labels its orbits (orbits).  None enumerates its
+elements to test membership or to find its order: a generated subgroup
+builds a base and strong generating set when it is made and reads both
+from it.
 checked_order refuses an order over the enumeration cap (10!), and
 enumerate_group lists the members only under it.
 """
@@ -57,6 +58,12 @@ class GroupSpec:
         some blocks of points, or with ``even`` its even part; labels[x] is the least
         point of the block of x (labels[0] = 0, as perm.orbit_labels).  Else None."""
         return None
+
+    def orbits(self) -> tuple[int, ...] | None:
+        """Labels as young()'s, of orbits that every member keeps each point in,
+        or None, which promises nothing."""
+        young = self.young()
+        return young and young[0]
 
     def order(self) -> int:
         return _young_order(*self.young())
@@ -118,11 +125,13 @@ class CyclicGroup(GroupSpec):
     def __post_init__(self):
         # membership solves for the exponent on these cycles, in O(n)
         object.__setattr__(self, "_cycles", disjoint_cycles(self.generator))
+        labels = orbit_labels(self.degree, [self.generator.images])
+        object.__setattr__(self, "_orbits", labels)
         # <g> reaches the order of the Young subgroup of its orbits (of its even
         # part for an even g) only for g = id, (a b), (a b c) and (a b)(c d)
         young = None
         if sorted(map(len, self._cycles.cycles)) in ([], [2], [3], [2, 2]):
-            young = orbit_labels(self.degree, [self.generator.images]), self.generator.sign() == 1
+            young = labels, self.generator.sign() == 1
         object.__setattr__(self, "_young", young)
 
     @property
@@ -134,6 +143,9 @@ class CyclicGroup(GroupSpec):
 
     def young(self):
         return self._young
+
+    def orbits(self):
+        return self._orbits
 
     def order(self) -> int:
         return self.generator.order()
@@ -189,7 +201,7 @@ class GeneratedSubgroup(_OfDegree):
     A base and strong generating set is built once, when the instance is
     made (_StabilizerChain).  The order is the product of the basic orbit
     lengths and enumeration walks the basic transversals; no closure is
-    built.  A member keeps every point in its orbit.  When the order
+    built.  A member keeps every point in its orbit (orbits).  When the order
     reaches the bound set by the generators' orbits and parity, the group
     is the product of the symmetric groups on its orbits (its even part
     when every generator is even): that is its young() answer, and the
@@ -228,6 +240,9 @@ class GeneratedSubgroup(_OfDegree):
 
     def young(self):
         return self._young
+
+    def orbits(self):
+        return self._labels
 
     def order(self) -> int:
         return self._order

@@ -288,9 +288,11 @@ def walk_mixtures(alpha, beta, cycles, factors):
     k-th mixture takes cycle j from beta exactly when bit j of k is set,
     except that an option whose factor is zero is never entered.  Every
     yield hands out the same list, set to the mixture's images.  Raises
-    CapacityError, before any walking, when 2^r exceeds the cap.
+    CapacityError, before any walking, when 2^k exceeds the cap, k the
+    cycles whose two factors are both nonzero: the walk branches on those
+    alone, so it enters at most 2^k mixtures.
     """
-    check_walk(len(cycles))
+    check_walk(sum(1 for a_c, b_c in factors if any(a_c) and any(b_c)))
     # beta before alpha: _depth_first pushes both, so it takes alpha first
     choices = [
         ([p - 1 for p in cycle], ((beta, b_c), (alpha, a_c)))

@@ -563,6 +563,27 @@ def test_young_gens_group_answers_over_the_walk_cap(capsys):
         assert (code, out, err) == (3, "", "error: walk of 2^28 mixtures exceeds cap 3628800\n")
 
 
+def test_sifting_group_walks_only_its_orbits_past_the_cap(capsys):
+    # <(1 2 3 4 5)> sifts, but a member fixes 6..60, so only (1 2) and (3 4)
+    # may come from tau: the walk branches on 2 of the 28 cycles, and of its
+    # 4 mixtures only theta = id is in the group, weighed a^2 for each of the
+    # 28 transpositions and (a+b)^4 for the points 57..60 that both fix
+    many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
+    instance = ["gmf", "--n", "60", "--theta", "id", "--tau", many]
+    code, out, err = run(capsys, *instance, "--group", "gens:(1 2 3 4 5)@60",
+                         "--character", "trivial", "--a", "2", "--b", "3", "--json")
+    value = {"value": {"re": str(2**56 * 5**4), "im": "0"}, "method": "formula", "terms": 1}
+    assert (code, json.loads(out), err) == (0, value, "")
+    code, out, err = run(capsys, *instance, "--group", "cyclic:(1 2 3 4 5)@60",
+                         "--character", "sign", "--a", "1", "--b", "1")
+    assert (code, out, err) == (0, "16\n", "")
+    # the 60-cycle is transitive: no coefficient is zeroed and 2^28 is refused
+    cycle = "(" + " ".join(map(str, range(1, 61))) + ")"
+    code, out, err = run(capsys, *instance, "--group", f"cyclic:{cycle}@60",
+                         "--character", "trivial", "--a", "2", "--b", "3")
+    assert (code, out, err) == (3, "", "error: walk of 2^28 mixtures exceeds cap 3628800\n")
+
+
 def test_irreducible_on_forty_four_points_pinned(capsys):
     # irr:[43,1] on 44 points, rho the 22 transpositions (1 2)...(43 44):
     # with theta = id, <theta, tau> has 22 orbits of one transposition each

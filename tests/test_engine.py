@@ -58,6 +58,7 @@ from permfunc.matrices import (
 from permfunc.perm import Permutation, compose, cycle_structure, parse_permutation
 from support import (
     brute_gmf,
+    brute_x_set,
     cycle_lengths,
     linear_sum_det_per,
     naive_det_expansion,
@@ -2195,6 +2196,133 @@ class TestYoungSubgroups:
             result = pf.gmf_naive(matrix, group, chi)
             assert result.value == brute_gmf(matrix, group, chi)
             assert (result.method, result.term_count) == (engine.Method.NAIVE, group.order())
+
+
+def sifting_group(rng, n, kind, transitive):
+    """A gens: or cyclic: group on n points with no young() answer, and its
+    orbit labels: each generator turns every block of a random partition by
+    a random cycle of it, so the blocks are the orbits; one block when
+    ``transitive`` (n >= 4), else two or three (n >= 5), points fixed too."""
+    while True:
+        points = rng.sample(range(1, n + 1), n)
+        cuts = [] if transitive else sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+        blocks = [points[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+        gens = [
+            Permutation.from_cycles(n, [rng.sample(b, len(b)) for b in blocks if len(b) > 1])
+            for _ in range(1 if kind == "cyclic" else rng.randint(1, 2))
+        ]
+        group = CyclicGroup(gens[0]) if kind == "cyclic" else GeneratedSubgroup(n, tuple(gens))
+        if group.young() is None:
+            return group, orbit_blocks(n, gens)
+
+
+@contextlib.contextmanager
+def membership_calls(cls):
+    """The image tuples ``cls.contains_images`` is called with, while the block runs."""
+    calls, contains = [], cls.contains_images
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cls, "contains_images",
+                      lambda self, images: calls.append(images) or contains(self, images))
+        yield calls
+
+
+class TestOrbitZeroing:
+    """A sifting gens: or cyclic: group zeroes the coefficients that leave an
+    orbit (GroupSpec.orbits), so its walk enters only the mixtures that keep
+    every point in its orbit; its routes equal the unpruned walk of the same
+    group and the brute-force sum."""
+
+    @given(st.sampled_from(("gens", "cyclic")), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    @example("gens", False, 1)
+    @example("cyclic", False, 2)
+    @example("gens", True, 3)
+    @example("cyclic", True, 4)
+    def test_routes_match_the_walk_and_brute_force(self, kind, transitive, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4 if transitive else 5, 7)
+        group, labels = sifting_group(rng, n, kind, transitive)
+        assert (len(set(labels[1:])) == 1) == transitive
+        assert group.orbits() == labels or (transitive and group.orbits() is None)
+        members = [Permutation(images) for images in group._generate()]
+        theta, tau = (
+            rng.choice(members) if rng.random() < 0.7
+            else block_member(rng, labels) if rng.random() < 0.7 else rand_perm(rng, n)
+            for _ in range(2)
+        )
+        a, b, _ = draw_scalars(rng)
+        if rng.random() < 0.3:
+            m = rng.choice([m for m in range(1, n + 1) if n % m == 0])
+            spec = random_block_spec(rng, m, n // m)
+        else:  # one point a block, a coefficient pair a row
+            one, coefficients = Permutation.identity(1), [rand_scalar(rng, 2) for _ in range(2 * n)]
+            spec = BlockSpec(1, n, theta, tau, (one,) * n, (one,) * n,
+                             tuple(coefficients[:n]), tuple(coefficients[n:]))
+        walked = Walked(group)
+        # the walk tests exactly the mixtures that keep every point in its
+        # orbit and weigh nonzero, found here by scanning S_n
+        matrix = linear_sum(a, b, theta, tau)
+        kept = [
+            sigma for sigma in brute_x_set(theta.inverse(), tau.inverse())
+            if all(labels[y] == labels[x] and not matrix.entries[x - 1][y - 1].is_zero()
+                   for x, y in enumerate(sigma.images, 1))
+        ]
+        with membership_calls(type(group)) as calls:
+            pf.gmf_linear_sum(a, b, theta, tau, group, TrivialCharacter())
+        assert sorted(calls) == sorted(sigma.images for sigma in kept)
+        irr, restricted = (IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+                           for _ in range(2))
+        table = TableCharacter(tuple((p, restricted.evaluate(p.images)) for p in members))
+        entry = lambda: rand_scalar(rng, 2) if rng.random() < 0.6 else ZERO  # noqa: E731
+        dense = Matrix([[entry() for _ in range(n)] for _ in range(n)])
+        for chi in (TrivialCharacter(), SignCharacter(), irr, table):
+            linear = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+            assert_same_result(linear, pf.gmf_linear_sum(a, b, theta, tau, walked, chi))
+            assert linear.value == brute_gmf(matrix, group, chi)
+            block = pf.gmf_block(spec, group, chi)
+            assert_same_result(block, pf.gmf_block(spec, walked, chi))
+            assert block.value == brute_gmf(block_matrix(spec), group, chi)
+            naive = pf.gmf_naive(dense, group, chi)
+            assert_same_result(naive, pf.gmf_naive(dense, walked, chi))
+            assert naive.value == brute_gmf(dense, group, chi)
+            naive = pf.gmf_naive(matrix, group, chi)
+            assert_same_result(naive, pf.gmf_naive(matrix, walked, chi))
+            assert naive.value == linear.value
+
+    def test_walk_enters_only_the_orbit_keeping_mixtures(self, monkeypatch):
+        # rho has 8 cycles; three of them generate the group, theta is a
+        # member, and tau = theta*rho: only those three may come from tau,
+        # so 2^3 mixtures are tested for membership, all of them in the group
+        rng = random.Random(28)
+        lengths = [4, 5, 6, 2, 3, 4, 2, 3]
+        n = sum(lengths) + 3
+        points = rng.sample(range(1, n + 1), n)
+        cycles = [points[sum(lengths[:k]):sum(lengths[:k + 1])] for k in range(8)]
+        rho = Permutation.from_cycles(n, cycles)
+        gens = tuple(Permutation.from_cycles(n, [c]) for c in cycles[:3])
+        group = GeneratedSubgroup(n, gens)
+        assert group.young() is None
+        theta = compose(compose(gens[0], gens[1]), compose(gens[2], gens[2]))
+        tau, a, b = compose(theta, rho), gauss(2), gauss(-1, 1)
+        characters = [TrivialCharacter(), SignCharacter(), IrreducibleCharacter(Partition((n - 1, 1)))]
+        expected = []
+        for chi in characters:
+            with membership_calls(GeneratedSubgroup) as calls:
+                expected.append(pf.gmf_linear_sum(a, b, theta, tau, Walked(group), chi))
+            assert len(calls) == 2**8
+            with membership_calls(GeneratedSubgroup) as calls:
+                result = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+            assert len(calls) == 2**3 and result.term_count == 2**3
+            assert_same_result(result, expected[-1])
+
+        # the trivial and sign characters are folded into the factors
+        def refuse(*args):
+            raise AssertionError("a character evaluated on the walk")
+
+        for cls in (TrivialCharacter, SignCharacter):
+            monkeypatch.setattr(cls, "evaluate", refuse)
+        for chi, result in zip(characters[:2], expected):
+            assert_same_result(pf.gmf_linear_sum(a, b, theta, tau, group, chi), result)
 
 
 def distinct_denominator_scalars(rng, count):
