@@ -308,7 +308,7 @@ class CyclicRootCharacter(CharacterSpec):
     Exact values exist only when the generator's order divides 4 (roots
     1, -1, +-i); for other orders ``evaluate`` raises ExactnessError, so
     every exact route does, and ``evaluate_float`` gives the value as a
-    float, which the singular-value bound's member sum uses.
+    float, which the singular-value bound's float mixture sum uses.
     """
 
     generator: Permutation

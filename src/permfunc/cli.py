@@ -14,9 +14,9 @@ import time
 
 from . import engine, perm
 from .characters import CharacterSpec, SignCharacter, TrivialCharacter, parse_character
-from .errors import CapacityError, ParseError, PermfuncError
+from .errors import ParseError, PermfuncError
 from .gaussian import GaussianRational
-from .groups import GroupSpec, SymmetricGroup, checked_order, parse_group
+from .groups import GroupSpec, SymmetricGroup, parse_group
 from .matrices import BlockSpec, block_matrix, linear_sum, perm_matrix, psd_classify, scalar_mul
 from .perm import format_permutation, mixtures, parse_degree, parse_int, parse_permutation
 
@@ -153,27 +153,18 @@ def _group_and_character(args, degree: int) -> tuple[GroupSpec, CharacterSpec]:
     return group, parse_character(args.character, degree)
 
 
-def _check_naive(size: int, group: GroupSpec) -> None:
-    """Refuse the naive route before its size x size matrix is built:
-    size*size entries or a group order over the enumeration cap, the
-    entries first, since they need no factorial of a large degree."""
-    cap = perm.DEFAULT_ENUMERATION_CAP
-    if size * size > cap:
-        raise CapacityError(f"{size}x{size} matrix exceeds cap {cap}")
-    checked_order(group)
-
-
 def _routes(theta, tau, a, b, group: GroupSpec, chi: CharacterSpec) -> dict:
     """The evaluation calls for a*P_theta + b*P_tau by --method, built but not run.
 
-    Each call builds its own input matrix, the naive one only once
-    _check_naive lets it.  "closed" is the determinant for the sign
-    character and the permanent otherwise.
+    Each call builds its own input matrix, the naive one only once its
+    n x n entries pass perm.check_work; gmf_naive then checks its own
+    work.  "closed" is the determinant for the sign character and the
+    permanent otherwise.
     """
     closed = engine.det_linear_sum if isinstance(chi, SignCharacter) else engine.per_linear_sum
 
     def naive():
-        _check_naive(theta.degree, group)
+        perm.check_work(f"{theta.degree}x{theta.degree} matrix", theta.degree**2)
         return engine.gmf_naive(linear_sum(a, b, theta, tau), group, chi)
 
     return {
@@ -187,8 +178,22 @@ def _routes(theta, tau, a, b, group: GroupSpec, chi: CharacterSpec) -> dict:
 
 
 def _emit(args, payload, text, code: int = EXIT_OK) -> int:
-    """Print ``payload`` as JSON under --json, else ``text``; return ``code``."""
-    print(json.dumps(payload) if args.json else text)
+    """Print ``payload`` as JSON under --json, an object in it by its
+    to_json(), else ``text``; return ``code``.
+
+    Exact values and counts may pass the 4300 digits Python turns into
+    text by default, so the limit is lifted while they are printed, and
+    only then: every input was parsed under it.  A Python without
+    sys.get_int_max_str_digits has no limit, and 0 means none.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(payload, default=lambda obj: obj.to_json()) if args.json else text)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 
@@ -215,7 +220,7 @@ def _cmd_route(args) -> int:
         group = SymmetricGroup(args.n)
         chi = SignCharacter() if args.command == "det" else TrivialCharacter()
     result = _routes(theta, tau, a, b, group, chi)[args.method]()
-    return _emit(args, result.to_json(), result.value)
+    return _emit(args, result, result.value)
 
 
 def _cmd_block_gmf(args) -> int:
@@ -235,16 +240,16 @@ def _cmd_block_gmf(args) -> int:
         )
     chi = parse_character(args.character, spec.size)
     if args.method == "naive":
-        _check_naive(spec.size, group)
+        perm.check_work(f"{spec.size}x{spec.size} matrix", spec.size**2)
         result = engine.gmf_naive(block_matrix(spec), group, chi)
     else:
         result = engine.gmf_block(spec, group, chi)
-    return _emit(args, result.to_json(), result.value)
+    return _emit(args, result, result.value)
 
 
 def _cmd_s_det(args) -> int:
     value = engine.det_s_closed(parse_permutation(args.theta, args.n))
-    return _emit(args, {"value": value.to_json()}, value)
+    return _emit(args, {"value": value}, value)
 
 
 def _cmd_psd(args) -> int:

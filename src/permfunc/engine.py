@@ -14,7 +14,7 @@ Routes provided, all exact unless stated otherwise:
   and a determinant folded so or, when a row keeps more than two
   entries, eliminated, with the entries that cross blocks dropped (the
   even part their mean), building no permutation; otherwise visiting only
-  the members whose entry product is nonzero;
+  the members whose entry product is nonzero; the term count is |G|;
 * the structured fast route for a*P_theta + b*P_tau, whose row x holds
   a in column theta^-1(x) and b in column tau^-1(x): it sums only the
   2^r permutations that agree pointwise with theta^-1 or tau^-1, each
@@ -46,6 +46,14 @@ Routes provided, all exact unless stated otherwise:
   characters, permanent-dominance and superadditivity checks, and a
   tensor-space symmetrizer oracle.
 
+Every route passes perm.check_work, before it starts, the smallest count
+it can prove of its own work: the walk its 2^k mixtures (k the cycles
+that keep both factors), the class sums the smaller of those and the
+points their orbit walks trace, the naive Young route its Laplace steps
+and eliminations and the member walk its candidate tuples, each of the
+last two only when it is smaller than |G|.  A route is refused for its
+own work, not for |G| or 2^r.
+
 Permutations are objects only in the routes' arguments.  Inside every
 sum a member or mixture is its image tuple (images[i-1] = sigma(i)):
 groups test membership of it, and chi.evaluate reads it.  Likewise a
@@ -75,7 +83,7 @@ from .errors import (
     PermfuncError,
 )
 from .gaussian import GaussianRational, ONE, ZERO, RationalLike, from_integers, gauss, integer_parts
-from .groups import GroupSpec, SymmetricGroup, checked_order
+from .groups import GroupSpec, SymmetricGroup, order_text
 from .matrices import (
     BlockSpec,
     Matrix,
@@ -87,7 +95,6 @@ from .matrices import (
 )
 from .perm import (
     Permutation,
-    check_walk,
     common_degree,
     compose,
     cycle_structure,
@@ -98,7 +105,7 @@ from .perm import (
     pair_cycles,
     walk_mixtures,
 )
-from . import kernels
+from . import kernels, perm
 
 REL_TOL = 1e-9
 
@@ -134,37 +141,39 @@ def det_exact(a: Matrix) -> GaussianRational:
 
 
 def _nonzero_members(pre, pim, group: GroupSpec, order: int):
-    """Yield (images, re, im) for each member of ``group`` with a nonzero entry product re + im*i.
+    """The (images, re, im) of each member of ``group`` with a nonzero entry
+    product re + im*i, lazily.
 
-    Walks the smaller of two sets, so the work stays within |G|: the
-    image tuples built row by row from each row's nonzero columns (in its
-    point's orbit, outside a Young subgroup), kept when injective and in
-    the group, when there are at most |G| of them; otherwise the group's
-    elements, skipping those with a zero entry.
+    Walks the smaller of two sets: the image tuples built row by row from
+    each row's nonzero columns (in its point's orbit, outside a Young
+    subgroup), kept when injective and in the group; or the group's
+    elements.  A member's product stops at its first zero entry.  Raises
+    CapacityError, when called, if the smaller exceeds the cap.
     """
     n = len(pre)
     columns = [[j for j in range(1, n + 1) if pre[i][j - 1] or pim[i][j - 1]] for i in range(n)]
-    dense = all(len(row) == n for row in columns)
     labels = None if group.young() else group.orbits()
     if labels:
         columns = [[j for j in row if labels[j] == labels[x]] for x, row in enumerate(columns, 1)]
-    if math.prod(map(len, columns)) <= order:
-        injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
-        members = filter(group.contains_images, injective)
-    elif dense:
-        members = group._generate()
-    else:
-        members = (
-            images
-            for images in group._generate()
-            if all(pre[i][k - 1] or pim[i][k - 1] for i, k in enumerate(images))
-        )
-    for images in members:
-        re, im = 1, 0
-        for row_re, row_im, j in zip(pre, pim, images):
-            er, ei = row_re[j - 1], row_im[j - 1]
-            re, im = re * er - im * ei, re * ei + im * er
-        yield images, re, im
+    candidates = math.prod(map(len, columns))
+    work = min(candidates, order)
+    perm.check_work(order_text(group, order) if work == order
+                    else f"member walk of {work} candidate tuples", work)
+    injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
+    members = filter(group.contains_images, injective) if candidates <= order else group._generate()
+
+    def weighed():
+        for images in members:
+            re, im = 1, 0
+            for row_re, row_im, j in zip(pre, pim, images):
+                er, ei = row_re[j - 1], row_im[j - 1]
+                if not (er or ei):  # a group element may take a zero entry
+                    break
+                re, im = re * er - im * ei, re * ei + im * er
+            else:
+                yield images, re, im
+
+    return weighed()
 
 
 def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
@@ -177,10 +186,12 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     a*P_theta + b*P_tau; past two a row, where fraction-free elimination
     becomes the cheaper, it eliminates (kernels.det_gaussian_int).  Other
     groups and characters visit only the members with a nonzero entry
-    product; their products are summed per character value, and each
-    distinct value is multiplied in once at the end.  The term count is
-    still |G|.  Raises CapacityError when |G| exceeds the enumeration cap,
-    before the search starts.
+    product (_nonzero_members); their products are summed per character
+    value, and each distinct value is multiplied in once at the end.  The
+    term count is still |G|.  Each route raises CapacityError, before it
+    starts, when its own work exceeds the enumeration cap: the Laplace
+    steps or elimination on the Young route, the candidate tuples on the
+    member walk, or |G| when that is smaller.
     """
     if not a.is_square:
         raise DegreeMismatchError(
@@ -188,14 +199,16 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
         )
     if group.degree != a.rows:
         raise DegreeMismatchError(f"matrix degree {a.rows}, group degree {group.degree}")
-    order = checked_order(group)
-    chi.check_domain(group)
+    order = group.order()
     pre, pim, den = integer_grid(a)
     young = group.young()
     if young and isinstance(chi, _PARITY_CHARACTERS):
-        re, im = _parity_naive(pre, pim, *young, chi)
+        re, im = _parity_naive(pre, pim, *young, chi, group, order)
     else:
-        re, im, _ = _value_sums(chi.evaluate, _nonzero_members(pre, pim, group, order))
+        # the work is checked before the domain, which a character may enumerate
+        members = _nonzero_members(pre, pim, group, order)
+        chi.check_domain(group)
+        re, im, _ = _value_sums(chi.evaluate, members)
     return GmfResult(from_integers(re, im, den**a.rows), Method.NAIVE, order)
 
 
@@ -203,10 +216,10 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
 _PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
 
 
-def _parity_naive(pre, pim, labels, even: bool, chi: CharacterSpec):
+def _parity_naive(pre, pim, labels, even: bool, chi: CharacterSpec, group: GroupSpec, order: int):
     """The naive sum, as a Gaussian integer (re, im), on the Young subgroup
-    young() answers with (labels, even), for the characters of
-    _PARITY_CHARACTERS.
+    ``group`` of ``order`` members, which young() answers with (labels,
+    even), for the characters of _PARITY_CHARACTERS.
 
     The group is S_n with the entries whose row and column lie in
     different blocks dropped, so every permutation leaving a block weighs
@@ -222,26 +235,36 @@ def _parity_naive(pre, pim, labels, even: bool, chi: CharacterSpec):
     n = 8, and 7.7 against 0.28 ms dense at n = 12.  The permanent folds
     the same entries with no used column counted above any placement, so
     no sign flips, block by block: its table then holds one block's
-    partial column sets at a time, not their product.
+    partial column sets at a time, not their product.  Before either
+    runs, the folds' Laplace steps (_fold_steps) plus n^3 for an
+    elimination, or |G| when smaller, are checked against the cap.
     """
-    rows = list(map(_row_entries, pre, pim))
-    split = labels.count(1) < len(rows)  # some point lies outside the block of 1
+    n, rows = len(pre), list(map(_row_entries, pre, pim))
+    split = labels.count(1) < n  # some point lies outside the block of 1
+    blocks = rows
     if split:
         rows = [[e for e in row if labels[e[0].bit_length()] == labels[x]]
                 for x, row in enumerate(rows, 1)]
-    if even or isinstance(chi, SignCharacter):
-        if max(map(len, rows)) <= 2:
-            det = _fold(rows)
-        else:
+        blocks = [rows[x - 1] for x in sorted(range(1, n + 1), key=labels.__getitem__)]
+    signed = even or isinstance(chi, SignCharacter)
+    eliminate = signed and max(map(len, rows)) > 2
+    work = order
+    if order > perm.DEFAULT_ENUMERATION_CAP:  # counting costs about a fifth of a small fold
+        det_steps = (n**3 if eliminate else _fold_steps(rows)) if signed else 0
+        work = min(order, det_steps + (_fold_steps(blocks) if even or not signed else 0))
+    perm.check_work(order_text(group, order) if work == order
+                    else f"Young parity route of {work} steps", work)
+    if signed:
+        if eliminate:
             if split:
                 pre, pim = ([[v if labels[j] == labels[x] else 0 for j, v in enumerate(row, 1)]
                              for x, row in enumerate(part, 1)] for part in (pre, pim))
             det = kernels.det_gaussian_int(pre, pim)
+        else:
+            det = _fold(rows)
         if not even:
             return det
-    if split:
-        rows = [rows[x - 1] for x in sorted(range(1, len(rows) + 1), key=labels.__getitem__)]
-    per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in rows])
+    per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in blocks])
     if not even:
         return per
     return (per[0] + det[0]) // 2, (per[1] + det[1]) // 2
@@ -263,6 +286,19 @@ def _fold(rows):
     row: the subset sums behind Ryser's permanent formula (Ryser 1963), at
     most m * 2^(m-1) steps instead of m! products."""
     return functools.reduce(_laplace_step, rows, {0: (1, 0)}).get((1 << len(rows)) - 1, (0, 0))
+
+
+def _fold_steps(rows) -> int:
+    """An upper bound on the Laplace steps _fold takes over ``rows``: each
+    row's entries times the minors before it, which number at most the
+    product of the earlier rows' entry counts and the column sets of their
+    size among the columns those rows use."""
+    steps, minors, used = 0, 1, 0
+    for placed, row in enumerate(rows, 1):
+        steps += minors * len(row)
+        used |= sum(entry[0] for entry in row)  # the columns are distinct bits
+        minors = min(minors * len(row), comb(used.bit_count(), placed))
+    return steps
 
 
 def _laplace_step(table, entries):
@@ -405,41 +441,44 @@ def _class_sums(alpha, beta, cycles, pairs, even: bool, chi: IrreducibleCharacte
     per class.  Returns the Gaussian-integer sum (re, im) and the number
     of in-group mixtures with a nonzero weight.
 
-    Every table stays within the enumeration cap: an orbit is tabulated
-    only if |O| * 2^(r_O) fits, and convolved into the running table T
-    only if n * |T| * |C| fits; the other orbits are walked together, each
-    of their mixtures convolved with T and summed at once.  The work is
-    about n * 2^r at most, as the walk's, so with 2^r within the cap they
-    always answer; otherwise check_walk raises the walk's CapacityError
-    once a bound, or the orbits' walks checked first, exceeds the cap too.
+    The walks branch only on the cycles whose two factors are both
+    nonzero, k of them in all and k_O on the orbit O, so the route first
+    checks the smaller of the 2^k mixtures and the sum of |O| * 2^(k_O)
+    points its orbit walks trace.  An orbit is then tabulated if its
+    |O| * 2^(k_O) is within the cap, and convolved into the running
+    table T if n * |T| * |C| is; the other orbits are walked together,
+    each of their mixtures convolved with T and summed at once, which
+    takes at most the 2^k mixtures of the walk, checked before that walk.
     """
-    n, r = len(alpha), len(cycles)
+    n = len(alpha)
     labels = orbit_labels(n, (alpha, beta))
     orbits = {}
     for p in range(1, n + 1):
         orbits.setdefault(labels[p], ([], []))[0].append(p)
     for cycle, pair in zip(cycles, pairs):
         orbits[labels[cycle[0]]][1].append((cycle, pair))
-    check_walk(r, sum(len(points) << len(moves) for points, moves in orbits.values()))
+    traced = [len(o) << perm.branching(f for _, f in m) for o, m in orbits.values()]
+    k = perm.branching(pairs)
+    walk = f"walk of 2^{k} mixtures", 1 << k
+    tracing = f"class sums tracing {sum(traced)} mixture points", sum(traced)
+    perm.check_work(*(walk if walk[1] <= tracing[1] else tracing))
     totals, points, moves = {(): (1, 0, 1)}, [], []
-    for orbit, orbit_moves in orbits.values():
-        if check_walk(r, len(orbit) << len(orbit_moves)):
+    for (orbit, orbit_moves), work in zip(orbits.values(), traced):
+        if work <= perm.DEFAULT_ENUMERATION_CAP:
             classes = _orbit_classes(orbit, alpha, beta, orbit_moves)
-            if check_walk(r, n * len(totals) * len(classes)):
+            if n * len(totals) * len(classes) <= perm.DEFAULT_ENUMERATION_CAP:
                 totals = _convolve(totals, classes)
                 continue
         points += orbit
         moves += orbit_moves
-    # with no orbit left over, the walk yields one empty mixture: T itself
-    tables = (
-        _convolve(totals, {cycle_type: (re, im, 1)})
-        for cycle_type, re, im in _orbit_mixtures(points, alpha, beta, moves)
-    )
+    if points:
+        perm.check_work(*walk)
     total = (0, 0, 0)
-    for table in tables:
-        for cycle_type, x in table.items():
-            if not (even and (n - len(cycle_type)) % 2):
-                total = _plus(total, _times(x, (chi.class_value(cycle_type), 0, 1)))
+    # with no orbit left over, the walk yields one empty mixture: T itself
+    for cycle_type, re, im in _orbit_mixtures(points, alpha, beta, moves):
+        for merged, x in _convolve(totals, {cycle_type: (re, im, 1)}).items():
+            if not (even and (n - len(merged)) % 2):
+                total = _plus(total, _times(x, (chi.class_value(merged), 0, 1)))
     return total
 
 
@@ -485,6 +524,32 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     ExactnessError from the walk.
     """
     chi.check_domain(group)
+    cycles, pre, pairs = _mixture_factors(alpha, beta, coeff_a, coeff_b, group)
+    if pre == (0, 0):
+        return ZERO, 0
+    young = group.young()
+    if young and isinstance(chi, _PARITY_CHARACTERS):
+        summed = _parity_product(alpha, cycles, pairs, young[1], chi)
+    elif young and isinstance(chi, IrreducibleCharacter):
+        summed = _class_sums(alpha, beta, cycles, pairs, young[1], chi)
+    elif isinstance(chi, _PARITY_CHARACTERS):
+        if isinstance(chi, SignCharacter):
+            # a mixture's sign is sign(alpha), flipped by each cycle of even length from beta
+            if images_sign(alpha) < 0:
+                pre = -pre[0], -pre[1]
+            pairs = [(a_c, (-b_c[0], -b_c[1]) if len(cycle) % 2 == 0 else b_c)
+                     for cycle, (a_c, b_c) in zip(cycles, pairs)]
+        summed = _weight_sum(_walk(alpha, beta, cycles, pairs, group))
+    else:
+        summed = _value_sums(chi.evaluate, _walk(alpha, beta, cycles, pairs, group))
+    re, im, terms = _times((*pre, 1), summed)
+    return from_integers(re, im, den ** len(alpha)), terms
+
+
+def _mixture_factors(alpha, beta, coeff_a, coeff_b, group: GroupSpec):
+    """The cycles of alpha^-1*beta, the prefactor and the (a_c, b_c) factors
+    of the cycles that _mixture_sum multiplies, each a Gaussian integer,
+    with the coefficients zeroed where alpha or beta leaves an orbit."""
     labels = group.orbits()
     if labels and labels.count(1) < len(alpha):  # some point lies outside the orbit of 1
         coeff_a, coeff_b = (
@@ -494,36 +559,19 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     dec = pair_cycles(alpha, beta)
     fixed = [(coeff_a[y - 1], coeff_b[y - 1]) for y in dec.fixed_points]
     pre = _product((ar + br, ai + bi) for (ar, ai), (br, bi) in fixed)
-    if pre == (0, 0):
-        return ZERO, 0
     pairs = [tuple(_product(c[y - 1] for y in cycle) for c in (coeff_a, coeff_b))
              for cycle in dec.cycles]
-    young = group.young()
-    if young and isinstance(chi, _PARITY_CHARACTERS):
-        summed = _parity_product(alpha, dec.cycles, pairs, young[1], chi)
-    elif young and isinstance(chi, IrreducibleCharacter):
-        summed = _class_sums(alpha, beta, dec.cycles, pairs, young[1], chi)
-    elif isinstance(chi, _PARITY_CHARACTERS):
-        if isinstance(chi, SignCharacter):
-            # a mixture's sign is sign(alpha), flipped by each cycle of even length from beta
-            if images_sign(alpha) < 0:
-                pre = -pre[0], -pre[1]
-            pairs = [(a_c, (-b_c[0], -b_c[1]) if len(cycle) % 2 == 0 else b_c)
-                     for cycle, (a_c, b_c) in zip(dec.cycles, pairs)]
-        summed = _weight_sum(_walk(alpha, beta, dec.cycles, pairs, group))
-    else:
-        summed = _value_sums(chi.evaluate, _walk(alpha, beta, dec.cycles, pairs, group))
-    re, im, terms = _times((*pre, 1), summed)
-    return from_integers(re, im, den ** len(alpha)), terms
+    return dec.cycles, pre, pairs
 
 
-def _linear_mixture_sum(a, b, theta, tau, group, chi):
-    """_mixture_sum for a*P_theta + b*P_tau, whose row x holds a in column
-    theta^-1(x) and b in column tau^-1(x)."""
+def _linear_coefficients(a, b, theta, tau):
+    """The (alpha, beta, coeff_a, coeff_b, den) of _mixture_sum for
+    a*P_theta + b*P_tau, whose row x holds a in column theta^-1(x) and b
+    in column tau^-1(x)."""
     n = theta.degree
     alpha, beta = images_inverse(theta.images), images_inverse(tau.images)
     (ar, br), (ai, bi), den = integer_parts([a, b])
-    return _mixture_sum(alpha, beta, [(ar, ai)] * n, [(br, bi)] * n, den, group, chi)
+    return alpha, beta, [(ar, ai)] * n, [(br, bi)] * n, den
 
 
 def gmf_linear_sum(
@@ -546,7 +594,7 @@ def gmf_linear_sum(
     n = common_degree(theta, tau)
     if group.degree != n:
         raise DegreeMismatchError(f"permutation degree {n}, group degree {group.degree}")
-    value, terms = _linear_mixture_sum(a, b, theta, tau, group, chi)
+    value, terms = _mixture_sum(*_linear_coefficients(a, b, theta, tau), group, chi)
     return GmfResult(value, Method.FORMULA, terms)
 
 
@@ -560,7 +608,7 @@ def det_linear_sum(
     mixture sum's parity product on S_n with the sign character.
     """
     group = SymmetricGroup(common_degree(theta, tau))
-    value, terms = _linear_mixture_sum(a, b, theta, tau, group, SignCharacter())
+    value, terms = _mixture_sum(*_linear_coefficients(a, b, theta, tau), group, SignCharacter())
     return GmfResult(value, Method.CLOSED_FORM, terms)
 
 
@@ -572,7 +620,7 @@ def per_linear_sum(
     The mixture sum's parity product on S_n with the trivial character.
     """
     group = SymmetricGroup(common_degree(theta, tau))
-    value, terms = _linear_mixture_sum(a, b, theta, tau, group, TrivialCharacter())
+    value, terms = _mixture_sum(*_linear_coefficients(a, b, theta, tau), group, TrivialCharacter())
     return GmfResult(value, Method.CLOSED_FORM, terms)
 
 
@@ -781,9 +829,10 @@ def check_singular_bound(
     tolerance because equality cases are common (all singular values
     equal) and the right side is floating.  A character with values
     outside Q(i) makes the exact route raise ExactnessError; the left
-    side is then the defining sum over G's members, each entry product
-    exact until it is floated.  A side past the float range raises
-    PermfuncError.
+    side is then the same sum over the in-group mixtures with a nonzero
+    weight, walked as the exact route walks them (so within the cap it
+    checked), each weight exact until it is floated.  A side past the
+    float range raises PermfuncError.
     """
     if not chi.is_linear():
         raise CharacterDomainError("the singular-value bound needs a linear character")
@@ -792,12 +841,14 @@ def check_singular_bound(
         value = gmf_linear_sum(a, b, theta, tau, group, chi).value
         lhs = _float(value.abs_squared(), "|value|^2")
     except ExactnessError:
-        # chi leaves Q(i): float the defining sum over G's members, which
-        # chi.check_domain has already enumerated
-        pre, pim, den = integer_grid(linear_sum(a, b, theta, tau))
+        # chi leaves Q(i): float the weights of the in-group mixtures, whose
+        # walk the exact route has already checked against the cap
+        alpha, beta, coeff_a, coeff_b, den = _linear_coefficients(a, b, theta, tau)
+        cycles, pre, pairs = _mixture_factors(alpha, beta, coeff_a, coeff_b, group)
         scale, total = den**n, 0j
-        for images, re, im in _nonzero_members(pre, pim, group, group.order()):
-            product = (_float(Fraction(x, scale), "an entry product") for x in (re, im))
+        for images, re, im in _walk(alpha, beta, cycles, pairs, group):
+            weight = _product([pre, (re, im)])
+            product = (_float(Fraction(x, scale), "an entry product") for x in weight)
             total += chi.evaluate_float(images) * complex(*product)
         lhs = _float(total.real * total.real + total.imag * total.imag, "|value|^2")
     spectrum = singular_values(a, b, theta, tau)
@@ -931,7 +982,6 @@ def tensor_oracle(
         raise ExactnessError("tensor oracle is restricted to real coefficients")
     if group.degree != n:
         raise DegreeMismatchError(f"permutation degree {n}, group degree {group.degree}")
-    order = checked_order(group)
     chi.check_domain(group)
     entries = linear_sum(a, b, theta, tau).entries
 
@@ -960,7 +1010,7 @@ def tensor_oracle(
         right = ty.get(key)
         if right is not None:
             pairing = pairing + left * right.conjugate()
-    return pairing / gauss(order)
+    return pairing / gauss(group.order())
 
 
 @record
@@ -979,10 +1029,8 @@ class TermCounts:
 
 def term_counts(theta: Permutation, tau: Permutation, group: GroupSpec) -> TermCounts:
     """Summand counts of the three evaluation routes for one instance."""
-    n = common_degree(theta, tau)
-    if group.degree != n:
-        raise DegreeMismatchError(f"permutation degree {n}, group degree {group.degree}")
     # unit coefficients give every mixture a nonzero entry product, so the
     # term count is the number of in-group mixtures
-    _, in_group = _linear_mixture_sum(ONE, ONE, theta, tau, group, TrivialCharacter())
+    in_group = gmf_linear_sum(ONE, ONE, theta, tau, group, TrivialCharacter()).term_count
+    n = theta.degree
     return TermCounts(group.order(), in_group, comb(2 * n, n))

@@ -14,7 +14,9 @@ class DegreeMismatchError(PermfuncError):
 
 
 class CapacityError(PermfuncError):
-    """An enumeration (a group, or the mixtures of a pair) would exceed the cap."""
+    """A route's work, counted before it starts (members, mixtures, Laplace
+    steps, matrix entries), would exceed the enumeration cap; or a class is
+    too deep for the character recursion."""
 
 
 class DisjointnessError(PermfuncError):

@@ -6,8 +6,10 @@ any (young), and labels its orbits (orbits).  None enumerates its
 elements to test membership or to find its order: a generated subgroup
 builds a base and strong generating set when it is made and reads both
 from it.
-checked_order refuses an order over the enumeration cap (10!), and
-enumerate_group lists the members only under it.
+enumerate_group lists the members only when the order is within the
+enumeration cap (10!), which it checks through perm.check_work;
+order_text names an order in such a refusal.  The engine's routes check
+their own work instead of the order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import factorial, prod
 
 from . import perm
 from ._record import record
-from .errors import CapacityError, DegreeMismatchError, ParseError
+from .errors import DegreeMismatchError, ParseError
 from .perm import (
     Permutation,
     _list_items,
@@ -452,29 +454,21 @@ def _random_members(padded, identity):
             yield acc
 
 
-def checked_order(spec: GroupSpec) -> int:
-    """The group order; raises CapacityError when it exceeds the enumeration cap.
-
-    Every variant knows its order without building an element (a
-    generated subgroup from its base and strong generating set), so the
-    cap bounds enumeration only and fails before any element is built.
-    """
-    order, cap = spec.order(), perm.DEFAULT_ENUMERATION_CAP
-    if order > cap:
-        # Python turns no integer of more than 4300 digits into text, so an
-        # order of more than 13000 bits (about 3900 digits) is named by its group
-        shown = order if order.bit_length() <= 13000 else f"of {spec}"
-        raise CapacityError(f"group order {shown} exceeds cap {cap}")
-    return order
+def order_text(spec: GroupSpec, order: int) -> str:
+    """How a refusal names the order of ``spec``: in digits, or by the group
+    past 13000 bits (about 3900 digits), as Python turns no integer of more
+    than 4300 digits into text."""
+    return f"group order {order if order.bit_length() <= 13000 else f'of {spec}'}"
 
 
 def enumerate_group(spec: GroupSpec) -> tuple[Permutation, ...]:
     """All elements of the subgroup, sorted by image sequence.
 
     Raises CapacityError when the group order exceeds the enumeration cap,
-    before any enumeration.
+    before any enumeration (perm.check_work).
     """
-    checked_order(spec)
+    order = spec.order()
+    perm.check_work(order_text(spec, order), order)
     return tuple(map(Permutation, sorted(spec._generate())))
 
 

@@ -11,12 +11,12 @@ per cycle, drives the fast evaluation of generalized matrix functions.
 from __future__ import annotations
 
 import re as _re
-from math import factorial, gcd, inf, lcm
+from math import factorial, gcd, lcm
 
 from ._record import record
 from .errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 
-# The most elements any enumeration (a group, or the mixtures of a pair) may visit.
+# The most work any route may do: members, mixtures, Laplace steps or matrix entries.
 DEFAULT_ENUMERATION_CAP = factorial(10)
 
 
@@ -292,7 +292,8 @@ def walk_mixtures(alpha, beta, cycles, factors):
     cycles whose two factors are both nonzero: the walk branches on those
     alone, so it enters at most 2^k mixtures.
     """
-    check_walk(sum(1 for a_c, b_c in factors if any(a_c) and any(b_c)))
+    k = branching(factors)
+    check_work(f"walk of 2^{k} mixtures", 1 << k)
     # beta before alpha: _depth_first pushes both, so it takes alpha first
     choices = [
         ([p - 1 for p in cycle], ((beta, b_c), (alpha, a_c)))
@@ -301,14 +302,17 @@ def walk_mixtures(alpha, beta, cycles, factors):
     return _depth_first(list(alpha), choices)
 
 
-def check_walk(r: int, work=inf) -> bool:
-    """Refuse a walk of 2^r mixtures over the enumeration cap with
-    CapacityError, unless ``work``, the cost of another way to the same
-    sum, is within the cap; return whether it is."""
-    fits = work <= DEFAULT_ENUMERATION_CAP
-    if 1 << r > DEFAULT_ENUMERATION_CAP and not fits:
-        raise CapacityError(f"walk of 2^{r} mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}")
-    return fits
+def branching(factors) -> int:
+    """The cycles a walk branches on: those whose (a_c, b_c) factors are both nonzero."""
+    return sum(1 for a_c, b_c in factors if any(a_c) and any(b_c))
+
+
+def check_work(what: str, work: int) -> None:
+    """Refuse a route whose ``work``, counted before it starts, exceeds the
+    enumeration cap (read here, at each call), with a CapacityError saying
+    that ``what``, the route and its count, exceeds it."""
+    if work > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"{what} exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
 
 def _depth_first(images, choices):
@@ -434,25 +438,25 @@ def parse_permutation(
     s = text[start:end].strip()
     if degree < 1:
         raise ParseError("degree must be positive")
-    if degree > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(f"permutation degree {degree} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    check_work(f"permutation degree {degree}", degree)
     if not s:
         raise ParseError(f"blank permutation text {text!r}; write id for the identity")
     if s in ("id", "()"):
         return Permutation.identity(degree)
     pos = start
     cycles = []
+    message = f"bad cycle in {text!r}"  # once: a long text would be copied for every cycle
     for m in _CYCLE_RE.finditer(text, start, end):
         if text[pos : m.start()].strip():
             raise ParseError(f"bad permutation text: {text!r}")
-        cycle = parse_ints(text, m.start(1), m.end(1), f"bad cycle in {text!r}", words=True)
+        cycle = parse_ints(text, m.start(1), m.end(1), message, words=True)
         if len(cycle) < 1:
             raise ParseError(f"empty cycle in {text!r}")
         cycles.append(cycle)
         pos = m.end()
     if text[pos:end].strip():
         raise ParseError(f"bad permutation text: {text!r}")
-    check_points(text, start, end, f"bad cycle in {text!r}", degree)
+    check_points(text, start, end, message, degree)
     return Permutation.from_cycles(degree, cycles)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts and exit codes."""
 
+import decimal
 import json
 import os
 import pathlib
@@ -15,7 +16,7 @@ from permfunc import characters
 from permfunc.cli import main
 from permfunc.errors import CapacityError
 from permfunc.gaussian import GaussianRational
-from permfunc.groups import SymmetricGroup, checked_order
+from permfunc.groups import SymmetricGroup, enumerate_group
 from permfunc.matrices import BlockSpec
 from support import refuse_membership
 
@@ -630,11 +631,15 @@ def test_naive_routes_refuse_before_building_the_matrix(capsys, monkeypatch, tmp
         (["per", "--n", "2000", *pair], "2000x2000 matrix exceeds cap 3628800"),
         (["gmf", "--n", "1905", *pair, "--group", "stab:1@1905", "--character", "sign"],
          "1905x1905 matrix exceeds cap 3628800"),
-        (["gmf", "--n", "11", *pair, "--group", "S11", "--character", "trivial"],
-         "group order 39916800 exceeds cap 3628800"),
     ]:
         code, out, err = run(capsys, *argv, "--method", "naive")
         assert (code, out, err) == (3, "", f"error: {message}\n")
+    # past the matrix check each naive route checks its own work: the order
+    # of S11 passes the cap, but 2*I folds in one Laplace step a row
+    monkeypatch.undo()
+    code, out, err = run(capsys, "gmf", "--n", "11", *pair, "--group", "S11",
+                         "--character", "trivial", "--method", "naive")
+    assert (code, out, err) == (0, f"{2**11}\n", "")
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "m": 1, "n": 11, "theta": "id", "tau": "id", "inner_thetas": ["id"] * 11,
@@ -642,7 +647,7 @@ def test_naive_routes_refuse_before_building_the_matrix(capsys, monkeypatch, tmp
     }))
     code, out, err = run(capsys, "block-gmf", "--spec", str(spec), "--character", "sign",
                          "--method", "naive")
-    assert (code, out, err) == (3, "", "error: group order 39916800 exceeds cap 3628800\n")
+    assert (code, out, err) == (0, f"{2**11}\n", "")
 
 
 def test_the_enumeration_cap_has_one_binding(capsys, monkeypatch):
@@ -650,7 +655,7 @@ def test_the_enumeration_cap_has_one_binding(capsys, monkeypatch):
     # and the CLI's matrix pre-check too, read when they are called
     monkeypatch.setattr(permfunc.perm, "DEFAULT_ENUMERATION_CAP", 100)
     with pytest.raises(CapacityError, match="^group order 720 exceeds cap 100$"):
-        checked_order(SymmetricGroup(6))
+        enumerate_group(SymmetricGroup(6))
     code, out, err = run(capsys, "det", "--method", "naive", "--n", "11",
                          "--theta", "id", "--tau", "id")
     assert (code, out, err) == (3, "", "error: 11x11 matrix exceeds cap 100\n")
@@ -692,10 +697,96 @@ def test_xset_json_lists_the_walk_in_order(capsys):
 
 
 def test_naive_group_cap_exit_code(capsys):
-    code, _, err = run(capsys, "gmf", "--method", "naive", "--group", "S11",
-                       "--character", "sign", "--theta", "(1 2)", "--tau", "id", "--n", "11")
-    assert code == 3
-    assert "exceeds cap" in err
+    # |S11| passes the cap, but the rows of a*P_theta + b*P_tau keep two
+    # entries each and the Young route folds them: the closed form's value
+    instance = ["--theta", "(1 2)", "--tau", "id", "--n", "11", "--a", "2", "--b", "3"]
+    code, out, err = run(capsys, "gmf", "--method", "naive", "--group", "S11",
+                         "--character", "sign", *instance)
+    a, b, theta, tau = GaussianRational(2), GaussianRational(3), *(
+        permfunc.parse_permutation(text, 11) for text in ("(1 2)", "id"))
+    assert (code, out, err) == (0, f"{permfunc.det_linear_sum(a, b, theta, tau).value}\n", "")
+    # an irr: character takes the member walk: 22 rows of two entries give
+    # 2^22 candidate tuples, fewer than |S22| but over the cap
+    pairs = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(11))
+    code, out, err = run(capsys, "gmf", "--method", "naive", "--group", "S22",
+                         "--character", "irr:[21,1]", "--n", "22", "--theta", "id", "--tau", pairs)
+    message = f"error: member walk of {2**22} candidate tuples exceeds cap 3628800\n"
+    assert (code, out, err) == (3, "", message)
+
+
+@pytest.mark.parametrize("command", ["det", "per", "gmf"])
+def test_naive_answers_past_the_order_cap(capsys, command):
+    # 2*I + 3*P_(1 2 ... 16): |S16| passes the cap, and the naive route folds
+    # rows of two entries, each set of minors within i + 1 columns
+    cycle = "(" + " ".join(map(str, range(1, 17))) + ")"
+    theta, tau = permfunc.Permutation.identity(16), permfunc.parse_permutation(cycle, 16)
+    a, b = GaussianRational(2), GaussianRational(3)
+    argv = ["--n", "16", "--theta", "id", "--tau", cycle, "--a", "2", "--b", "3"]
+    chi = "sign" if command == "det" else "trivial"
+    closed = permfunc.det_linear_sum if chi == "sign" else permfunc.per_linear_sum
+    if command == "gmf":
+        argv += ["--group", "S16", "--character", chi]
+    code, out, err = run(capsys, command, *argv, "--method", "naive", "--json")
+    expected = {"value": closed(a, b, theta, tau).value.to_json(), "method": "naive",
+                "terms": 20922789888000}
+    assert (code, json.loads(out), err) == (0, expected, "")
+
+
+def test_exact_results_past_the_digit_limit(capsys):
+    # 2^15000 has 4516 digits, more than Python turns into text by default:
+    # the printer lifts that limit while it prints, and restores it afterwards
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    pairs = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(15000))
+    instance = ["--n", "30000", "--theta", "id", "--tau", pairs, "--a", "1", "--b", "1"]
+    outputs = [
+        run(capsys, "per", *instance),
+        run(capsys, "per", *instance, "--json"),
+        run(capsys, "gmf", *instance, "--group", "S30000", "--character", "sign", "--json"),
+    ]
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit
+    big = str(decimal.Decimal(2**15000))  # decimal prints past the limit
+    assert len(big) == 4516
+    assert outputs[0] == (0, big + "\n", "")
+    per = f'{{"value": {{"re": "{big}", "im": "0"}}, "method": "closed", "terms": {big}}}\n'
+    assert outputs[1] == (0, per, "")
+    det = f'{{"value": {{"re": "0", "im": "0"}}, "method": "formula", "terms": {big}}}\n'
+    assert outputs[2] == (0, det, "")
+    # det(S_theta) of 10000 3-cycles is 2^10000, of 3011 digits; of 20000, 2^20000 of 6021
+    for count, digits in ((10000, 3011), (20000, 6021)):
+        cycles = "".join(f"({3 * k + 1} {3 * k + 2} {3 * k + 3})" for k in range(count))
+        value = str(decimal.Decimal(2**count))
+        assert len(value) == digits
+        argv = ["s-det", "--n", str(3 * count), "--theta", cycles]
+        assert run(capsys, *argv) == (0, value + "\n", "")
+        assert run(capsys, *argv, "--json") == (0, f'{{"value": {{"re": "{value}", "im": "0"}}}}\n', "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python turns integers of any length into text")
+def test_inputs_are_parsed_under_the_digit_limit(capsys, monkeypatch):
+    # only printing lifts the limit: a scalar or an integer flag past 4300
+    # digits is refused as Python refuses it, before any quadratic parse,
+    # and the printed value of a literal under the limit may pass it
+    limits = []
+    parse = GaussianRational.parse.__func__
+
+    def spy(cls, text):
+        limits.append(sys.get_int_max_str_digits())
+        return parse(cls, text)
+
+    monkeypatch.setattr(GaussianRational, "parse", classmethod(spy))
+    instance = ["--n", "2", "--theta", "id", "--tau", "id"]
+    for literal in ("9" * 5000, "1/" + "9" * 5000, "2-" + "9" * 5000 + "i"):
+        limits.clear()
+        code, out, err = run(capsys, "per", *instance, "--a", literal)
+        assert limits and all(limits), "a scalar was parsed with the limit lifted"
+        assert (code, out) == (3, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
+    code, out, err = run(capsys, "bench", *instance, "--reps", "9" * 5000)
+    assert (code, out) == (2, "") and err.startswith("parse error: bad integer")
+    # (10^4000 + 1)^2 has 8001 digits
+    code, out, err = run(capsys, "per", *instance, "--a", "1" + "0" * 4000, "--b", "1")
+    assert (code, out, err) == (0, str(decimal.Decimal((10**4000 + 1) ** 2)) + "\n", "")
 
 
 @pytest.mark.parametrize("n, pairs", [(12, 3), (60, 16)])
@@ -775,9 +866,14 @@ def test_cli_import_loads_no_code_generation_or_bench_modules():
       "--character", "sign"], "A1700"),
 ])
 def test_order_too_long_to_print_names_the_group(capsys, argv, group):
-    # 1600! and 1700!/2 have more digits than Python turns into text
+    # 1600! and 1700!/2 have more digits than Python turns into text: the
+    # naive route answers 2*I by one Laplace step a row, and enumerate_group,
+    # which still checks the order, names it by its group
+    n = int(argv[2])
     code, out, err = run(capsys, *argv, "--method", "naive")
-    assert (code, out, err) == (3, "", f"error: group order of {group} exceeds cap 3628800\n")
+    assert (code, out, err) == (0, f"{2**n}\n", "")
+    with pytest.raises(CapacityError, match=f"^group order of {group} exceeds cap 3628800$"):
+        permfunc.enumerate_group(permfunc.parse_group(group))
 
 
 def test_unknown_command_exits_two(capsys):

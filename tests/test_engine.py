@@ -354,28 +354,211 @@ class TestNaive:
             return image_compose(p, q)
 
         monkeypatch.setattr(groups, "_compose", counted)
-        # (2 5) and an 11-cycle generate S11, of order 11! over the cap
+        # (2 5) and an 11-cycle generate S11, of order 11! over the cap: the
+        # identity's determinant is a Young fold, and a dense irr: sum, whose
+        # 11^11 candidate tuples pass |G| too, is refused by the order
         group = GeneratedSubgroup(11, (P("(2 5)", 11), P("(1 2 3 4 5 6 7 8 9 10 11)", 11)))
-        with pytest.raises(CapacityError):
-            pf.gmf_naive(Matrix.identity(11), group, SignCharacter())
+        result = pf.gmf_naive(Matrix.identity(11), group, SignCharacter())
+        assert (result.value, result.term_count) == (ONE, math.factorial(11))
+        ones = Matrix([[ONE] * 11 for _ in range(11)])
+        with pytest.raises(CapacityError, match=f"^group order {math.factorial(11)} exceeds cap"):
+            pf.gmf_naive(ones, group, parse_character("irr:[10,1]", 11))
         assert len(steps) < 1000
 
-
     def test_generated_group_over_the_cap_builds_no_element(self, monkeypatch):
+        # (1 2) and the 11-cycle generate S11, a Young subgroup: the identity's
+        # rows fold in 11 Laplace steps; a dense irr: sum is refused by the
+        # group order; neither builds an element
         n = 11
         cycle = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
         group = GeneratedSubgroup(n, (P("(1 2)", n), cycle))
-        matrix = Matrix.identity(n)
+        placements = []
+        step = engine._laplace_step
+
+        def counted(table, entries):
+            placements.append(len(table) * len(entries))
+            return step(table, entries)
 
         def refuse(*args, **kwargs):
             raise AssertionError("an element was built before the cap was checked")
 
+        monkeypatch.setattr(engine, "_laplace_step", counted)
         monkeypatch.setattr(GeneratedSubgroup, "_generate", refuse)
         monkeypatch.setattr(groups._StabilizerChain, "elements", refuse)
         monkeypatch.setattr(engine, "Permutation", refuse)
+        result = pf.gmf_naive(Matrix.identity(n), group, SignCharacter())
+        assert (result.value, result.term_count, sum(placements)) == (ONE, math.factorial(n), n)
+        ones = Matrix([[ONE] * n for _ in range(n)])
         message = f"group order {math.factorial(n)} exceeds cap {math.factorial(10)}"
         with pytest.raises(CapacityError, match=message):
-            pf.gmf_naive(matrix, group, SignCharacter())
+            pf.gmf_naive(ones, group, parse_character(f"irr:[{n - 1},1]", n))
+
+    @pytest.mark.parametrize("n", [11, 14, 16])
+    def test_young_route_answers_past_the_order_cap(self, n):
+        # 2*I + 3*P_(1 2 ... n): |S_n| passes the cap, but each row keeps two
+        # entries and the fold's minors use i + 1 columns after i rows
+        theta = Permutation.identity(n)
+        tau = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+        matrix = linear_sum(gauss(2), gauss(3), theta, tau)
+        for chi, closed in ((SignCharacter(), pf.det_linear_sum), (TrivialCharacter(), pf.per_linear_sum)):
+            result = pf.gmf_naive(matrix, SymmetricGroup(n), chi)
+            assert result.value == closed(gauss(2), gauss(3), theta, tau).value
+            assert (result.method, result.term_count) == (engine.Method.NAIVE, math.factorial(n))
+
+    def test_dense_sixteen_answers_on_s16_and_two_blocks(self, monkeypatch):
+        # a dense 16x16 Gaussian-integer matrix: the sign on S16 and on the
+        # Young group of the odd and the even points is one elimination each,
+        # against the minor expansion's fold; the two-block permanent is the
+        # product of the blocks' permanents, summed here over S8 by hand
+        rng = random.Random(1616)
+        n = 16
+        rows = [[gauss(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        matrix = Matrix(rows)
+        odd, even = list(range(1, n + 1, 2)), list(range(2, n + 1, 2))
+        two_blocks = GeneratedSubgroup(n, tuple(
+            Permutation.from_cycles(n, [cycle]) for block in (odd, even) for cycle in (block[:2], block)
+        ))
+        assert two_blocks.order() == math.factorial(8) ** 2 > perm.DEFAULT_ENUMERATION_CAP
+        zero = Matrix.zero(n, n)
+        crossing_zeroed = Matrix([[rows[i - 1][j - 1] if (i - j) % 2 == 0 else ZERO
+                                   for j in range(1, n + 1)] for i in range(1, n + 1)])
+        eliminated = []
+        det = kernels.det_gaussian_int
+
+        def counted(pre, pim):
+            eliminated.append(len(pre))
+            return det(pre, pim)
+
+        monkeypatch.setattr(kernels, "det_gaussian_int", counted)
+        for group, expected in ((SymmetricGroup(n), matrix), (two_blocks, crossing_zeroed)):
+            result = pf.gmf_naive(matrix, group, SignCharacter())
+            assert result.value == pf.det_cauchy_binet_sum(expected, zero).value
+            assert result.term_count == group.order()
+        assert eliminated == [n, n]
+
+        def block_permanent(points):
+            total = ZERO
+            for images in itertools.permutations(points):
+                product = ONE
+                for i, j in zip(points, images):
+                    product = product * rows[i - 1][j - 1]
+                total = total + product
+            return total
+
+        result = pf.gmf_naive(matrix, two_blocks, TrivialCharacter())
+        assert result.value == block_permanent(odd) * block_permanent(even)
+
+
+    @staticmethod
+    def spy_checks(monkeypatch):
+        """Record every (what, work) that perm.check_work is asked about."""
+        checks = []
+        check_work = perm.check_work
+
+        def spy(what, work):
+            checks.append((what, work))
+            return check_work(what, work)
+
+        monkeypatch.setattr(perm, "check_work", spy)
+        return checks
+
+    def test_young_route_checks_its_laplace_steps(self, monkeypatch):
+        # groups past the order cap, so the Young route counts its own work:
+        # the Laplace placements of its folds (table entries times the row's
+        # entries) and n^3 for an elimination stay within the one count it checks
+        checks, work = self.spy_checks(monkeypatch), []
+        step, det = engine._laplace_step, kernels.det_gaussian_int
+
+        def placed(table, entries):
+            work.append(len(table) * len(entries))
+            return step(table, entries)
+
+        def eliminated(pre, pim):
+            work.append(len(pre) ** 3)
+            return det(pre, pim)
+
+        monkeypatch.setattr(engine, "_laplace_step", placed)
+        monkeypatch.setattr(kernels, "det_gaussian_int", eliminated)
+        rng = random.Random(1111)
+        cases = []
+        for n in range(11, 17):
+            band = linear_sum(gauss(2), gauss(3), Permutation.identity(n),
+                              Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
+            cases += [(band, SymmetricGroup(n)), (band, AlternatingGroup(n))]
+        for n in (12, 13, 14):
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            width = rng.choice([1, 2, 3])
+            sparse = Matrix([[rand_scalar(rng, 2) if j in rng.sample(range(n), width) else ZERO
+                              for j in range(n)] for _ in range(n)])
+            young = GeneratedSubgroup(n, tuple(young_generators(rng, n, "intransitive")))
+            for matrix in (linear_sum(gauss(1, 1), gauss(-2), theta, tau), sparse):
+                cases += [(matrix, SymmetricGroup(n)), (matrix, PointwiseStabilizer(n, frozenset({1})))]
+                if young.order() > perm.DEFAULT_ENUMERATION_CAP:
+                    cases.append((matrix, young))
+        dense = Matrix([[rand_scalar(rng, 2) for _ in range(12)] for _ in range(12)])
+        cases += [(dense, SymmetricGroup(12)), (dense, AlternatingGroup(12))]
+        for matrix, group in cases:
+            assert group.order() > perm.DEFAULT_ENUMERATION_CAP
+            for chi in (TrivialCharacter(), SignCharacter()):
+                checks.clear()
+                work.clear()
+                pf.gmf_naive(matrix, group, chi)
+                [(what, count)] = checks
+                assert what == f"Young parity route of {count} steps"
+                assert work and sum(work) <= count <= perm.DEFAULT_ENUMERATION_CAP
+
+    def test_member_walk_checks_its_candidates(self, monkeypatch):
+        # irr: characters and groups with no Young answer visit candidate
+        # tuples, or the group's members when those are fewer: what is built
+        # stays within the one count the member walk checks
+        checks, built = self.spy_checks(monkeypatch), []
+        product = itertools.product
+
+        def tuples(*columns):
+            for images in product(*columns):
+                built.append(images)
+                yield images
+
+        class Counted:
+            product = staticmethod(tuples)
+
+        monkeypatch.setattr(engine, "itertools", Counted)
+        for cls in (SymmetricGroup, AlternatingGroup, CyclicGroup, GeneratedSubgroup):
+            def listed(self, generate=cls._generate):
+                for images in generate(self):
+                    built.append(images)
+                    yield images
+
+            monkeypatch.setattr(cls, "_generate", listed)
+        rng = random.Random(2222)
+        cases = []
+        for n in (11, 12):
+            theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+            chi = parse_character(f"irr:[{n - 2},2]", n)
+            three = Matrix([[rand_scalar(rng, 2) if j in rng.sample(range(n), 3) else ZERO
+                             for j in range(n)] for _ in range(n)])
+            for group in (SymmetricGroup(n), AlternatingGroup(n)):
+                cases += [(linear_sum(gauss(2), gauss(1, -1), theta, tau), group, chi),
+                          (three, group, chi)]
+        dense = Matrix([[rand_scalar(rng, 2) for _ in range(7)] for _ in range(7)])
+        cases.append((dense, SymmetricGroup(7), parse_character("irr:[5,2]", 7)))
+        twelve = Permutation.from_cycles(12, [tuple(range(1, 13))])
+        ring = Matrix([[rand_scalar(rng, 2) for _ in range(12)] for _ in range(12)])
+        cases.append((ring, CyclicGroup(twelve), TrivialCharacter()))
+        apart = parse_group("gens:(1 2 3 4),(5 6 7 8)@8")
+        assert apart.young() is None and apart.orbits() is not None
+        eight = Matrix([[rand_scalar(rng, 2) for _ in range(8)] for _ in range(8)])
+        cases += [(eight, apart, SignCharacter()), (linear_sum(ONE, ONE, P("(1 2)", 8), P("(5 6)", 8)),
+                                                   apart, TrivialCharacter())]
+        for matrix, group, chi in cases:
+            checks.clear()
+            built.clear()
+            result = pf.gmf_naive(matrix, group, chi)
+            [(what, count)] = checks
+            assert what in (f"member walk of {count} candidate tuples", f"group order {count}")
+            assert len(built) <= count <= perm.DEFAULT_ENUMERATION_CAP
+            if matrix.rows <= 8:
+                assert result.value == brute_gmf(matrix, group, chi)
 
 
 class TestLinearSumFormula:
@@ -1143,6 +1326,36 @@ class TestSingularBound:
                 SymmetricGroup(3), IrreducibleCharacter(Partition((2, 1))),
             )
 
+    def test_float_fallback_walks_what_the_exact_route_walks(self, monkeypatch):
+        # g has coprime cycles of lengths 2, 3, 5 and 7, so <g> has order 210
+        # and every one of the 2^4 mixtures of id and g^-1, whose entries
+        # row x of 3/2*I + (-1+2i)*P_g holds, is a power of g.  With
+        # the cap at 50 the exact walk of 2^4 mixtures fits though |G| and the
+        # 2^17 candidate tuples do not: the float fallback walks the same 16
+        # mixtures, and equals the float sum over them built here
+        g = P("(1 2)(3 4 5)(6 7 8 9 10)(11 12 13 14 15 16 17)", 17)
+        identity, group, chi = Permutation.identity(17), CyclicGroup(g), CyclicRootCharacter(g, 1)
+        a, b = gauss(Fraction(3, 2)), gauss(-1, 2)
+        entries = linear_sum(a, b, identity, g).entries
+        cycles = perm.disjoint_cycles(g.inverse()).cycles
+        expected = 0j
+        for taken in itertools.product((False, True), repeat=len(cycles)):
+            moved = [c for c, take in zip(cycles, taken) if take]
+            sigma = Permutation.from_cycles(17, moved) if moved else identity
+            assert group.contains(sigma)
+            product = math.prod(complex(e.re, e.im) for e in (
+                entries[i][sigma.images[i] - 1] for i in range(17)))
+            expected += chi.evaluate_float(sigma.images) * product
+        unlowered = pf.check_singular_bound(a, b, identity, g, group, chi)
+        monkeypatch.setattr(perm, "DEFAULT_ENUMERATION_CAP", 50)
+        with pytest.raises(ExactnessError):
+            pf.gmf_linear_sum(a, b, identity, g, group, chi)
+        with pytest.raises(CapacityError, match="^group order 210 exceeds cap 50$"):
+            pf.gmf_naive(linear_sum(a, b, identity, g), group, chi)
+        report = pf.check_singular_bound(a, b, identity, g, group, chi)
+        assert report == unlowered
+        assert report.lhs == pytest.approx(abs(expected) ** 2, rel=1e-12)
+
     def test_inexact_linear_character_uses_floats(self):
         g = P("(1 2 3)", 3)
         chi = pf.CyclicRootCharacter(g, 1)
@@ -1782,6 +1995,42 @@ class TestWalkCap:
         assert (result.value, result.term_count) == (ZERO, 0)
 
 
+    def test_young_irreducible_counts_only_its_branching_cycles(self):
+        # theta the 44-cycle, rho 22 transpositions and tau = theta*rho: the
+        # 22 cycles of theta^-1*tau lie on one orbit of <theta, tau>, so 2^22
+        # mixtures and 44 * 2^22 traced points both pass the cap; a stabilizer
+        # zeroes the coefficients that leave its blocks, and the class sums
+        # count only the cycles that keep both factors
+        n = 44
+        theta = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+        tau = compose(theta, transpositions(22, n))
+        chi = parse_character("irr:[43,1]", n)
+        # every mixture leaves stab:1,...,40@44: zero with no term, as trivial
+        group = PointwiseStabilizer(n, frozenset(range(1, 41)))
+        for character in (chi, TrivialCharacter()):
+            result = pf.gmf_linear_sum(ONE, ONE, theta, tau, group, character)
+            assert (result.value, result.term_count) == (ZERO, 0)
+        # stab:4,8,...,44@44: 11 of the 22 cycles keep both factors.  The
+        # character is fix - 1, so the sum is, over the points j the group
+        # moves, the permanent over the members fixing j, plus (|S| - 1) times
+        # the permanent over G: Young permanents, folded by the naive route
+        stabilized = frozenset(range(4, n + 1, 4))
+        a, b = gauss(2), gauss(1, 1)
+        matrix = linear_sum(a, b, theta, tau)
+
+        def permanent(points):
+            return pf.gmf_naive(matrix, PointwiseStabilizer(n, points), TrivialCharacter()).value
+
+        moved = [j for j in range(1, n + 1) if j not in stabilized]
+        expected = sum((permanent(stabilized | {j}) for j in moved), ZERO)
+        expected = expected + gauss(len(stabilized) - 1) * permanent(stabilized)
+        group = PointwiseStabilizer(n, stabilized)
+        result = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+        assert result.value == expected != ZERO
+        assert result.term_count == 2**11
+        assert pf.gmf_linear_sum(a, b, theta, tau, group, TrivialCharacter()).term_count == 2**11
+
+
 class TestClassSums:
     """Irreducible characters on S_n, A_n and stabilizers, summed by cycle
     type over the orbits of <theta, tau>, against the brute-force sum and
@@ -1934,12 +2183,28 @@ class TestClassSums:
             monkeypatch.setattr(engine, name, spy)
         return sizes
 
+    @staticmethod
+    def branching_cycles(a, b, theta, tau, group) -> int:
+        """k: the cycles of alpha^-1*beta whose a- and b-products are both
+        nonzero once every coefficient that carries its point out of the
+        point's orbit is zeroed (alpha = theta^-1, beta = tau^-1)."""
+        alpha, beta = theta.inverse().images, tau.inverse().images
+        labels = group.orbits() or [0] * (theta.degree + 1)
+
+        def keeps(c, images, cycle):
+            return not c.is_zero() and all(labels[images[x - 1]] == labels[x] for x in cycle)
+
+        return sum(keeps(a, alpha, cycle) and keeps(b, beta, cycle)
+                   for cycle in perm.pair_cycles(alpha, beta).cycles)
+
     def test_lowered_cap_answers_whenever_the_walk_fits(self, monkeypatch):
-        # the same draws with the cap lowered: every draw whose 2^r mixtures
-        # fit the cap is answered, by the tables alone or with the orbits
-        # past the tables' bound walked; the others are refused with the
-        # walk's text only when the class sums' own work exceeds the cap
-        # too; no table outgrows the cap, and _walk never runs
+        # the same draws with the cap lowered: the class sums check the smaller
+        # of the 2^k mixtures (k the cycles that keep both factors) and the
+        # points their orbit walks trace, then tabulate each orbit and convolve
+        # while the tables fit, and check 2^k again before walking the orbits
+        # left over; every draw they do not refuse equals the unlowered
+        # call, a draw is refused only when its 2^k walk exceeds the cap,
+        # the refusal names the count over the cap, and no table outgrows it
         rng = random.Random(8383)
         cases = []
         for _ in range(60):
@@ -1956,32 +2221,91 @@ class TestClassSums:
         def refuse(*args, **kwargs):
             raise AssertionError("the class sums handed the mixtures to the walk")
 
-        checks = []
-        check_walk = engine.check_walk
+        checks = TestNaive.spy_checks(monkeypatch)
+        walks = []
+        orbit_mixtures = engine._orbit_mixtures
 
-        def spy(r, work):
-            checks.append(work)
-            return check_walk(r, work)
+        def walked(points, *args):
+            walks.append(len(points))
+            return orbit_mixtures(points, *args)
 
         monkeypatch.setattr(engine, "_walk", refuse)
-        monkeypatch.setattr(engine, "check_walk", spy)
+        monkeypatch.setattr(engine, "_orbit_mixtures", walked)
         outcomes = set()
         for cap in (0, 15, 30, 60):
             sizes = self.bounded_tables(monkeypatch, cap)
             for args, expected in cases:
                 checks.clear()
-                r = len(perm.pair_cycles(args[2].images, args[3].images).cycles)
+                walks.clear()
                 try:
                     result = pf.gmf_linear_sum(*args)
                 except CapacityError as exc:
-                    assert 1 << r > cap and checks[-1] > cap
-                    assert str(exc) == f"walk of 2^{r} mixtures exceeds cap {cap}"
+                    assert 1 << self.branching_cycles(*args[:5]) > cap
+                    what, work = checks[-1]
+                    assert work > cap and str(exc) == f"{what} exceeds cap {cap}"
+                    assert re.fullmatch(r"walk of 2\^\d+ mixtures|class sums tracing \d+ mixture points",
+                                        what)
                     outcomes.add("refused")
                     continue
                 assert_same_result(result, expected)
-                if checks:
-                    outcomes.add("walked" if max(checks) > cap else "tabulated")
+                assert all(work <= cap for _, work in checks)
+                if walks:
+                    # the last orbit walk is the one of the orbits left over
+                    outcomes.add("walked" if walks[-1] else "tabulated")
             assert all(size <= cap for size in sizes)
+        assert outcomes == {"refused", "tabulated", "walked"}
+
+    def test_checked_counts_bound_the_mixtures_walked(self, monkeypatch):
+        # theta^-1*tau fixes no point and both coefficients are nonzero, so
+        # every orbit of <theta, tau> branches on k_O >= 1 cycles and the
+        # class sums check min(2^k, sum of |O| * 2^(k_O)) first, computed here
+        # from the orbits; the mixtures every orbit walk enters, those of the
+        # orbits left over included, stay within the largest count checked
+        checks = TestNaive.spy_checks(monkeypatch)
+        entered, walks = [], []
+        orbit_mixtures = engine._orbit_mixtures
+
+        def counted(points, *args):
+            walks.append(len(points))
+            for item in orbit_mixtures(points, *args):
+                if points:  # with no orbit left over, one empty mixture stands for T
+                    entered.append(len(points))
+                yield item
+
+        monkeypatch.setattr(engine, "_orbit_mixtures", counted)
+        rng = random.Random(8484)
+        outcomes = set()
+        for _ in range(120):
+            n = rng.randint(2, 12)
+            theta, rho = rand_perm(rng, n), rand_perm(rng, n)
+            while any(rho(x) == x for x in range(1, n + 1)):
+                rho = rand_perm(rng, n)
+            tau = compose(theta, rho)
+            alpha, beta = theta.inverse().images, tau.inverse().images
+            labels = perm.orbit_labels(n, (alpha, beta))
+            cycles = perm.pair_cycles(alpha, beta).cycles
+            k = len(cycles)
+            traced = sum(labels[1:].count(o) << sum(labels[c[0]] == o for c in cycles)
+                         for o in set(labels[1:]))
+            chi = IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+            group = rng.choice([SymmetricGroup(n), AlternatingGroup(n)])
+            cap = rng.choice([4, 16, 64, 256, perm.DEFAULT_ENUMERATION_CAP])
+            monkeypatch.setattr(perm, "DEFAULT_ENUMERATION_CAP", cap)
+            checks.clear()
+            entered.clear()
+            walks.clear()
+            try:
+                pf.gmf_linear_sum(gauss(2), gauss(1, 1), theta, tau, group, chi)
+            except CapacityError:
+                assert 1 << k > cap and checks[-1][1] > cap
+                assert k == self.branching_cycles(gauss(2), gauss(1, 1), theta, tau, group)
+                outcomes.add("refused")
+                continue
+            counts = [work for _, work in checks]
+            assert counts[0] == min(1 << k, traced)
+            assert len(entered) <= max(counts) <= cap
+            # the last orbit walk is the one of the orbits left over
+            outcomes.add("walked" if walks[-1] else "tabulated")
         assert outcomes == {"refused", "tabulated", "walked"}
 
     @pytest.mark.parametrize("group", [SymmetricGroup(35), AlternatingGroup(35)], ids=str)
@@ -2541,3 +2865,44 @@ class TestCyclicRootDomain:
             expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
             assert pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value == expected
             assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected
+
+
+class TestSameAnswers:
+    """The routes that check their own work give the defining sum's value,
+    with the naive route's term count |G| and the fast route's count of the
+    in-group mixtures with a nonzero entry product."""
+
+    @given(st.sampled_from(["S", "A", "stab", "gens", "cyclic"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    @example("S", 7)
+    @example("gens", 11)
+    def test_naive_and_formula_match_brute_force(self, kind, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        if kind == "S":
+            group = SymmetricGroup(n)
+        elif kind == "A":
+            group = AlternatingGroup(n)
+        elif kind == "stab":
+            group = PointwiseStabilizer(n, frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))))
+        elif kind == "gens":
+            group = GeneratedSubgroup(n, tuple(rand_perm(rng, n) for _ in range(rng.randint(1, 2))))
+        else:
+            group = CyclicGroup(rand_perm(rng, n))
+        theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+        a, b, _ = draw_scalars(rng)
+        matrix = linear_sum(a, b, theta, tau)
+        entries = matrix.entries
+        mixtures = [
+            sigma for sigma in brute_x_set(theta.inverse(), tau.inverse())
+            if group.contains(sigma) and all(not entries[i][j - 1].is_zero()
+                                             for i, j in enumerate(sigma.images))
+        ]
+        irr = IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+        for chi in (TrivialCharacter(), SignCharacter(), irr):
+            expected = brute_gmf(matrix, group, chi)
+            naive = pf.gmf_naive(matrix, group, chi)
+            formula = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+            assert naive.value == formula.value == expected
+            assert (naive.method, naive.term_count) == (engine.Method.NAIVE, group.order())
+            assert (formula.method, formula.term_count) == (engine.Method.FORMULA, len(mixtures))

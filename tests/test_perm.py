@@ -6,11 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permfunc.perm as perm_module
 from permfunc.errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
 from permfunc.perm import (
     DEFAULT_ENUMERATION_CAP,
     Permutation,
-    check_walk,
+    check_work,
     common_degree,
     compose,
     cycle_structure,
@@ -240,14 +241,37 @@ class TestSharedHelpers:
             assert orbit_labels(n, [g.images for g in gens]) == tuple(expected)
 
     def test_walk_cap_text(self):
-        # under the cap the walk is allowed, and the answer says whether work fits
-        assert check_walk(21) is False
-        assert check_walk(21, work=DEFAULT_ENUMERATION_CAP + 1) is False
-        assert check_walk(22, work=DEFAULT_ENUMERATION_CAP) is True
-        for work in ({}, {"work": DEFAULT_ENUMERATION_CAP + 1}):
-            with pytest.raises(CapacityError) as exc:
-                check_walk(22, **work)
-            assert str(exc.value) == f"walk of 2^22 mixtures exceeds cap {DEFAULT_ENUMERATION_CAP}"
+        # work up to the cap passes and returns nothing; one step more is
+        # refused with the route's own text, and the cap is read at each call
+        cap = DEFAULT_ENUMERATION_CAP
+        assert check_work("walk of 2^21 mixtures", 1 << 21) is None
+        assert check_work("anything", cap) is None
+        with pytest.raises(CapacityError) as exc:
+            check_work("walk of 2^22 mixtures", 1 << 22)
+        assert str(exc.value) == f"walk of 2^22 mixtures exceeds cap {cap}"
+        with pytest.raises(CapacityError, match=f"^a route of {cap + 1} steps exceeds cap {cap}$"):
+            check_work(f"a route of {cap + 1} steps", cap + 1)
+
+    def test_the_walk_checks_only_its_branching_cycles(self, monkeypatch):
+        # with the cap at 8, four cycles of which one has a zero factor: the
+        # walk branches on the other three and enters their 8 mixtures; with
+        # all four branching, 2^4 is refused before any mixture is entered
+        checked = []
+
+        def spy(what, work):
+            checked.append((what, work))
+            return check_work(what, work)
+
+        monkeypatch.setattr(perm_module, "DEFAULT_ENUMERATION_CAP", 8)
+        monkeypatch.setattr(perm_module, "check_work", spy)
+        theta, tau = Permutation.identity(8), transpositions(4, 8)
+        cycles = pair_cycles(theta.images, tau.images).cycles
+        unit, zero = (1, 0), (0, 0)
+        walk = walk_mixtures(theta.images, tau.images, cycles, [(unit, unit)] * 3 + [(zero, unit)])
+        assert checked == [("walk of 2^3 mixtures", 8)]
+        assert sum(1 for _ in walk) == 8
+        with pytest.raises(CapacityError, match=r"^walk of 2\^4 mixtures exceeds cap 8$"):
+            walk_mixtures(theta.images, tau.images, cycles, [(unit, unit)] * 4)
 
     def test_degree_over_the_cap_is_refused_before_parsing(self):
         degree = DEFAULT_ENUMERATION_CAP + 1
