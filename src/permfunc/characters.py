@@ -167,7 +167,8 @@ class CharacterSpec:
         """Raise CharacterDomainError unless the character is defined on
         every member of ``group``: a trivial or sign character always is,
         an irreducible one on the degree of its partition, a table or a
-        cyclic root on the members it covers."""
+        cyclic root on the subgroup it covers, tested on the images that
+        generate ``group`` (GroupSpec.generating_images)."""
 
     def is_linear(self) -> bool:
         return self.degree() == 1
@@ -288,9 +289,10 @@ class TableCharacter(CharacterSpec):
         return self._top.re
 
     def check_domain(self, group) -> None:
-        # at most |table| lookups: a larger group cannot be covered
+        # the keys form a group, so it covers ``group`` when it holds the images
+        # generating it; a larger group cannot be covered, which bounds a listing
         values = self._values
-        if group.order() > len(values) or not all(map(values.__contains__, group._generate())):
+        if group.order() > len(values) or set(group.generating_images()) - values.keys():
             raise CharacterDomainError(f"the character's table does not cover {group}")
 
     def __str__(self):
@@ -344,10 +346,11 @@ class CyclicRootCharacter(CharacterSpec):
         return 1
 
     def check_domain(self, group) -> None:
-        # at most |<generator>| power tests: a larger group cannot be covered
+        # ``group`` lies in <generator> when the images generating it do; a
+        # larger group cannot, which bounds a listing of its members
         cycles = self._cycles
         if group.order() > self._order or any(
-            power_exponent(cycles, images) is None for images in group._generate()
+            power_exponent(cycles, images) is None for images in group.generating_images()
         ):
             raise CharacterDomainError(f"{group} is not inside <{self.generator}>")
 

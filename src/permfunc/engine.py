@@ -7,14 +7,15 @@ permanent (S_n, trivial), immanants (S_n, irreducible chi).
 
 Routes provided, all exact unless stated otherwise:
 
-* naive summation of the defining formula: for the trivial and sign
-  characters on a Young subgroup (GroupSpec.young: S_n, A_n, a
-  pointwise stabilizer, a gens: group its orbits and parity decide) as
-  a permanent folded block by block over column sets by Laplace steps,
-  and a determinant folded so or, when a row keeps more than two
-  entries, eliminated, with the entries that cross blocks dropped (the
-  even part their mean), building no permutation; otherwise visiting only
-  the members whose entry product is nonzero; the term count is |G|;
+* naive summation of the defining formula, once every entry whose row
+  and column lie in different orbits (GroupSpec.orbits), which no member
+  takes, is zeroed: for the trivial and sign characters on a Young
+  subgroup (GroupSpec.young: S_n, A_n, a pointwise stabilizer, a gens:
+  group its orbits and parity decide) as a permanent folded block by
+  block over column sets by Laplace steps, and a determinant folded so
+  or, when a row keeps more than two entries, eliminated (the even part
+  their mean), building no permutation; otherwise visiting only the
+  members whose entry product is nonzero; the term count is |G|;
 * the structured fast route for a*P_theta + b*P_tau, whose row x holds
   a in column theta^-1(x) and b in column tau^-1(x): it sums only the
   2^r permutations that agree pointwise with theta^-1 or tau^-1, each
@@ -145,16 +146,13 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
     product re + im*i, lazily.
 
     Walks the smaller of two sets: the image tuples built row by row from
-    each row's nonzero columns (in its point's orbit, outside a Young
-    subgroup), kept when injective and in the group; or the group's
+    each row's nonzero columns (gmf_naive has zeroed those outside the
+    row's orbit), kept when injective and in the group; or the group's
     elements.  A member's product stops at its first zero entry.  Raises
     CapacityError, when called, if the smaller exceeds the cap.
     """
     n = len(pre)
     columns = [[j for j in range(1, n + 1) if pre[i][j - 1] or pim[i][j - 1]] for i in range(n)]
-    labels = None if group.young() else group.orbits()
-    if labels:
-        columns = [[j for j in row if labels[j] == labels[x]] for x, row in enumerate(columns, 1)]
     candidates = math.prod(map(len, columns))
     work = min(candidates, order)
     perm.check_work(order_text(group, order) if work == order
@@ -179,6 +177,11 @@ def _nonzero_members(pre, pim, group: GroupSpec, order: int):
 def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
+    Every member keeps each point in its orbit, so the entries whose row
+    and column lie in different orbits (GroupSpec.orbits) are zeroed
+    first, once, as _mixture_factors zeroes the fast route's coefficients;
+    both routes below see only the rest.
+
     On a Young subgroup (GroupSpec.young) the trivial and sign characters
     depend only on parity, and no member is built (_parity_naive): the
     permanent sums the Gaussian-integer entry products by column set, and
@@ -201,9 +204,13 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
         raise DegreeMismatchError(f"matrix degree {a.rows}, group degree {group.degree}")
     order = group.order()
     pre, pim, den = integer_grid(a)
+    labels = group.orbits()
+    if labels:  # every member keeps each point in its orbit
+        pre, pim = ([[v if labels[j] == block else 0 for j, v in enumerate(row, 1)]
+                     for row, block in zip(part, labels[1:])] for part in (pre, pim))
     young = group.young()
     if young and isinstance(chi, _PARITY_CHARACTERS):
-        re, im = _parity_naive(pre, pim, *young, chi, group, order)
+        re, im = _parity_naive(pre, pim, *young, isinstance(chi, SignCharacter), group, order)
     else:
         # the work is checked before the domain, which a character may enumerate
         members = _nonzero_members(pre, pim, group, order)
@@ -216,37 +223,33 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
 _PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
 
 
-def _parity_naive(pre, pim, labels, even: bool, chi: CharacterSpec, group: GroupSpec, order: int):
+def _parity_naive(pre, pim, labels, even: bool, sign: bool, group: GroupSpec, order: int):
     """The naive sum, as a Gaussian integer (re, im), on the Young subgroup
     ``group`` of ``order`` members, which young() answers with (labels,
-    even), for the characters of _PARITY_CHARACTERS.
+    even), for the trivial character or, with ``sign``, the sign.
 
-    The group is S_n with the entries whose row and column lie in
-    different blocks dropped, so every permutation leaving a block weighs
-    zero.  Sign takes the determinant, trivial the permanent, and the even
-    part their mean: the even permutations count twice and the odd cancel.
+    gmf_naive has zeroed the entries whose row and column lie in different
+    blocks, so the group acts as S_n: every permutation leaving a block
+    weighs zero.  Sign takes the determinant, trivial the permanent, and
+    the even part their mean: the even permutations count twice and the
+    odd cancel.
 
-    The determinant folds _laplace_step over the rows' entries when no
-    row keeps more than two, as a*P_theta + b*P_tau; otherwise it is
-    kernels.det_gaussian_int of the n x n rows with the crossing entries
-    zeroed, block diagonal up to one relabelling, so no split is needed.
-    Two entries a row is where the costs cross: the fold took 33 against
-    82 us on two permutations at n = 9, 155 against 96 us on three at
-    n = 8, and 7.7 against 0.28 ms dense at n = 12.  The permanent folds
-    the same entries with no used column counted above any placement, so
-    no sign flips, block by block: its table then holds one block's
-    partial column sets at a time, not their product.  Before either
-    runs, the folds' Laplace steps (_fold_steps) plus n^3 for an
-    elimination, or |G| when smaller, are checked against the cap.
+    The determinant folds _laplace_step over the rows' entries, in the
+    rows' own order, when no row keeps more than two, as a*P_theta +
+    b*P_tau; otherwise it is kernels.det_gaussian_int of the n x n rows,
+    block diagonal up to one relabelling, so no split is needed.  Two
+    entries a row is where the costs cross: the fold took 33 against 82
+    us on two permutations at n = 9, 155 against 96 us on three at n = 8,
+    and 7.7 against 0.28 ms dense at n = 12.  The permanent folds the same
+    entries with no used column counted above any placement, so no sign
+    flips, block by block: its table then holds one block's partial column
+    sets at a time, not their product.  Before either runs, the folds'
+    Laplace steps (_fold_steps) plus n^3 for an elimination, or |G| when
+    smaller, are checked against the cap.
     """
     n, rows = len(pre), list(map(_row_entries, pre, pim))
-    split = labels.count(1) < n  # some point lies outside the block of 1
-    blocks = rows
-    if split:
-        rows = [[e for e in row if labels[e[0].bit_length()] == labels[x]]
-                for x, row in enumerate(rows, 1)]
-        blocks = [rows[x - 1] for x in sorted(range(1, n + 1), key=labels.__getitem__)]
-    signed = even or isinstance(chi, SignCharacter)
+    blocks = [rows[x - 1] for x in sorted(range(1, n + 1), key=labels.__getitem__)]
+    signed = even or sign
     eliminate = signed and max(map(len, rows)) > 2
     work = order
     if order > perm.DEFAULT_ENUMERATION_CAP:  # counting costs about a fifth of a small fold
@@ -255,13 +258,7 @@ def _parity_naive(pre, pim, labels, even: bool, chi: CharacterSpec, group: Group
     perm.check_work(order_text(group, order) if work == order
                     else f"Young parity route of {work} steps", work)
     if signed:
-        if eliminate:
-            if split:
-                pre, pim = ([[v if labels[j] == labels[x] else 0 for j, v in enumerate(row, 1)]
-                             for x, row in enumerate(part, 1)] for part in (pre, pim))
-            det = kernels.det_gaussian_int(pre, pim)
-        else:
-            det = _fold(rows)
+        det = kernels.det_gaussian_int(pre, pim) if eliminate else _fold(rows)
         if not even:
             return det
     per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in blocks])
@@ -551,7 +548,7 @@ def _mixture_factors(alpha, beta, coeff_a, coeff_b, group: GroupSpec):
     of the cycles that _mixture_sum multiplies, each a Gaussian integer,
     with the coefficients zeroed where alpha or beta leaves an orbit."""
     labels = group.orbits()
-    if labels and labels.count(1) < len(alpha):  # some point lies outside the orbit of 1
+    if labels:
         coeff_a, coeff_b = (
             [c if labels[y] == block else (0, 0) for c, y, block in zip(coeffs, images, labels[1:])]
             for images, coeffs in ((alpha, coeff_a), (beta, coeff_b))
@@ -869,6 +866,10 @@ class DominanceReport:
 
     def to_json(self) -> dict:
         return {"lhs": str(self.lhs), "rhs": str(self.rhs), "holds": self.holds}
+
+    def __str__(self):
+        relation, verdict = ("<=", "holds") if self.holds else (">", "VIOLATED")
+        return f"{self.lhs} {relation} {self.rhs}: {verdict}"
 
 
 def _require_psd_pair(k: RationalLike, m: RationalLike, pi: Permutation):

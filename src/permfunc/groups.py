@@ -1,11 +1,12 @@
 """Symbolic subgroups of the symmetric group on [n].
 
 Each variant answers membership of an image tuple, knows its order,
-yields its members as image tuples, says which Young subgroup it is, if
-any (young), and labels its orbits (orbits).  None enumerates its
-elements to test membership or to find its order: a generated subgroup
-builds a base and strong generating set when it is made and reads both
-from it.
+yields its members and a generating set as image tuples
+(generating_images), says which Young subgroup it is, if any (young),
+and labels its orbits when it has two or more (orbits).  None
+enumerates its elements to test membership or to find its order: a
+generated subgroup builds a base and strong generating set when it is
+made and reads both from it.
 enumerate_group lists the members only when the order is within the
 enumeration cap (10!), which it checks through perm.check_work;
 order_text names an order in such a refusal.  The engine's routes check
@@ -62,10 +63,11 @@ class GroupSpec:
         return None
 
     def orbits(self) -> tuple[int, ...] | None:
-        """Labels as young()'s, of orbits that every member keeps each point in,
-        or None, which promises nothing."""
+        """Labels as young()'s of two or more orbits that every member keeps
+        each point in; None for one orbit, or when the group promises
+        nothing.  By default the blocks of a Young subgroup."""
         young = self.young()
-        return young and young[0]
+        return young and _several(young[0])
 
     def order(self) -> int:
         return _young_order(*self.young())
@@ -73,6 +75,11 @@ class GroupSpec:
     def _generate(self):
         """The members' image tuples, lazily, in no particular order."""
         raise NotImplementedError
+
+    def generating_images(self):
+        """Image tuples that generate the group: its generators for cyclic: and
+        gens:, else all its members (_generate)."""
+        return self._generate()
 
 
 @record
@@ -128,7 +135,7 @@ class CyclicGroup(GroupSpec):
         # membership solves for the exponent on these cycles, in O(n)
         object.__setattr__(self, "_cycles", disjoint_cycles(self.generator))
         labels = orbit_labels(self.degree, [self.generator.images])
-        object.__setattr__(self, "_orbits", labels)
+        object.__setattr__(self, "_orbits", _several(labels))
         # <g> reaches the order of the Young subgroup of its orbits (of its even
         # part for an even g) only for g = id, (a b), (a b c) and (a b)(c d)
         young = None
@@ -151,6 +158,9 @@ class CyclicGroup(GroupSpec):
 
     def order(self) -> int:
         return self.generator.order()
+
+    def generating_images(self):
+        return (self.generator.images,)
 
     def _generate(self):
         step = self.generator.images
@@ -229,7 +239,7 @@ class GeneratedSubgroup(_OfDegree):
         object.__setattr__(self, "_order", chain.order())
         object.__setattr__(self, "_chain", chain)
         object.__setattr__(self, "_young", young if self._order == bound else None)
-        object.__setattr__(self, "_labels", labels if len(set(labels[1:])) > 1 else None)
+        object.__setattr__(self, "_labels", _several(labels))
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
         # a member keeps every point in its orbit
@@ -252,6 +262,9 @@ class GeneratedSubgroup(_OfDegree):
     def _generate(self):
         return self._chain.elements()
 
+    def generating_images(self):
+        return tuple(g.images for g in self.generators)
+
     def transversal_generators(self) -> tuple[tuple[int, ...], ...]:
         """The image tuples of a generating set: the chain's transversal
         elements other than the identity, at most n(n-1)/2 of them."""
@@ -263,6 +276,11 @@ class GeneratedSubgroup(_OfDegree):
     def __str__(self):
         gens = ",".join(str(g) for g in self.generators)
         return f"gens:{gens}@{self.n}"
+
+
+def _several(labels: tuple[int, ...]) -> tuple[int, ...] | None:
+    """``labels`` when some point lies outside the orbit of 1, else None (one orbit)."""
+    return labels if labels.count(1) < len(labels) - 1 else None
 
 
 def _young_order(labels: tuple[int, ...], even: bool) -> int:

@@ -759,6 +759,16 @@ def test_exact_results_past_the_digit_limit(capsys):
         argv = ["s-det", "--n", str(3 * count), "--theta", cycles]
         assert run(capsys, *argv) == (0, value + "\n", "")
         assert run(capsys, *argv, "--json") == (0, f'{{"value": {{"re": "{value}", "im": "0"}}}}\n', "")
+    # per(2*I + P_pi) for 8000 transpositions pi is 5^8000, of 5592 digits, on both sides
+    involution = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(8000))
+    argv = ["dominance", "--n", "16000", "--k", "2", "--m", "1", "--pi", involution,
+            "--character", "trivial"]
+    value = str(decimal.Decimal(5**8000))
+    assert len(value) == 5592
+    assert run(capsys, *argv) == (0, f"{value} <= {value}: holds\n", "")
+    report = f'{{"lhs": "{value}", "rhs": "{value}", "holds": true}}\n'
+    assert run(capsys, *argv, "--json") == (0, report, "")
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -82,6 +82,27 @@ def reference_instance():
     return gauss(2), gauss(0, -1), theta, tau
 
 
+def odd_and_even_blocks(n):
+    """The Young group of the odd and the even points of [n], as a gens: group."""
+    odd, even = list(range(1, n + 1, 2)), list(range(2, n + 1, 2))
+    return GeneratedSubgroup(n, tuple(
+        Permutation.from_cycles(n, [cycle]) for block in (odd, even) for cycle in (block[:2], block)
+    ))
+
+
+def three_a_row(rng, labels):
+    """Rows of nonzero Gaussian integers on the points of ``labels``: row x
+    at x and at the next point of its orbit, and at one point of another."""
+    n, rows = len(labels) - 1, []
+    for x in range(1, n + 1):
+        orbit = [j for j in range(1, n + 1) if labels[j] == labels[x]]
+        across = [j for j in range(1, n + 1) if labels[j] != labels[x]]
+        support = {x, orbit[(orbit.index(x) + 1) % len(orbit)], rng.choice(across)}
+        rows.append([gauss(rng.randint(1, 3), rng.randint(-1, 1)) if j in support else ZERO
+                     for j in range(1, n + 1)])
+    return Matrix(rows)
+
+
 class TestNaive:
     def test_identity_det(self):
         for n in (1, 2, 4):
@@ -415,9 +436,7 @@ class TestNaive:
         rows = [[gauss(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         matrix = Matrix(rows)
         odd, even = list(range(1, n + 1, 2)), list(range(2, n + 1, 2))
-        two_blocks = GeneratedSubgroup(n, tuple(
-            Permutation.from_cycles(n, [cycle]) for block in (odd, even) for cycle in (block[:2], block)
-        ))
+        two_blocks = odd_and_even_blocks(n)
         assert two_blocks.order() == math.factorial(8) ** 2 > perm.DEFAULT_ENUMERATION_CAP
         zero = Matrix.zero(n, n)
         crossing_zeroed = Matrix([[rows[i - 1][j - 1] if (i - j) % 2 == 0 else ZERO
@@ -559,6 +578,54 @@ class TestNaive:
             assert len(built) <= count <= perm.DEFAULT_ENUMERATION_CAP
             if matrix.rows <= 8:
                 assert result.value == brute_gmf(matrix, group, chi)
+
+    def test_member_walk_counts_only_the_columns_in_each_orbit(self, monkeypatch):
+        # Young groups with irr: characters: every row has two nonzero columns
+        # in its point's orbit (one when the orbit is a point) and one across,
+        # and the member walk checks the product of the in-orbit counts, below
+        # |G|, where counting the crossing column too would pass |G| or the cap
+        checks = self.spy_checks(monkeypatch)
+        rng = random.Random(3030)
+        groups = [odd_and_even_blocks(8), PointwiseStabilizer(9, frozenset({2, 5})),
+                  odd_and_even_blocks(16)]
+        for group in groups:
+            n, labels = group.degree, group.orbits()
+            matrix = three_a_row(rng, labels)
+            inside = math.prod(
+                sum(1 for j, entry in enumerate(row, 1) if labels[j] == labels[x] and not entry.is_zero())
+                for x, row in enumerate(matrix.entries, 1)
+            )
+            everywhere = math.prod(sum(not entry.is_zero() for entry in row) for row in matrix.entries)
+            assert inside < min(group.order(), everywhere)
+            checks.clear()
+            result = pf.gmf_naive(matrix, group, parse_character(f"irr:[{n - 1},1]", n))
+            assert checks == [(f"member walk of {inside} candidate tuples", inside)]
+            if n == 8:
+                assert result.value == brute_gmf(matrix, group, parse_character("irr:[7,1]", 8))
+
+    def test_two_block_irreducible_on_sixteen_points_answers(self):
+        # irr:[15,1] on the Young group of the odd and the even points, rows of
+        # three entries with one across the blocks: 2^16 candidate tuples, where
+        # the crossing columns made 3^16.  The character is fix - 1, so the sum
+        # is, over the points j, the permanent over the members fixing j (row j
+        # kept only on the diagonal), less the permanent over G: Young
+        # permanents, folded by the parity route
+        n = 16
+        group = odd_and_even_blocks(n)
+        matrix = three_a_row(random.Random(1615), group.orbits())
+        result = pf.gmf_naive(matrix, group, parse_character("irr:[15,1]", n))
+        assert (result.method, result.term_count) == (engine.Method.NAIVE, group.order())
+
+        def permanent(rows):
+            return pf.gmf_naive(Matrix(rows), group, TrivialCharacter()).value
+
+        rows = matrix.entries
+        expected = -permanent(rows)
+        for j in range(n):
+            fixing = [row if i != j else [e if k == j else ZERO for k, e in enumerate(row)]
+                      for i, row in enumerate(rows)]
+            expected = expected + permanent(fixing)
+        assert result.value == expected != ZERO
 
 
 class TestLinearSumFormula:
@@ -2521,6 +2588,45 @@ class TestYoungSubgroups:
             assert result.value == brute_gmf(matrix, group, chi)
             assert (result.method, result.term_count) == (engine.Method.NAIVE, group.order())
 
+    @given(st.sampled_from(("stab", "intransitive", "even")), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    @example("stab", True, 1)
+    @example("intransitive", False, 2)
+    @example("even", True, 3)
+    @example("even", False, 4)
+    def test_naive_on_several_blocks_matches_brute_force(self, kind, dense, seed):
+        # gmf_naive zeroes the entries that cross the blocks once, before it
+        # picks the parity route or the member walk: every character, on dense
+        # rows and on rows of two or three entries, one of them across a block
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        if kind == "stab":
+            group = PointwiseStabilizer(n, frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        else:
+            group = GeneratedSubgroup(n, tuple(young_generators(rng, n, kind)))
+        labels = group.orbits()
+        assert group.young() is not None and labels is not None
+
+        def entry():
+            return gauss(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2)), rng.randint(-2, 2))
+
+        rows = []
+        for x in range(1, n + 1):
+            orbit = [j for j in range(1, n + 1) if labels[j] == labels[x]]
+            across = [j for j in range(1, n + 1) if labels[j] != labels[x]]
+            support = range(1, n + 1) if dense else {*rng.sample(orbit, min(2, len(orbit))),
+                                                     rng.choice(across)}
+            rows.append([entry() if j in support else ZERO for j in range(1, n + 1)])
+        matrix = Matrix(rows)
+        members = [Permutation(images) for images in group._generate()]
+        irr, restricted = (IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+                           for _ in range(2))
+        table = TableCharacter(tuple((p, restricted.evaluate(p.images)) for p in members))
+        for chi in (TrivialCharacter(), SignCharacter(), irr, table):
+            result = pf.gmf_naive(matrix, group, chi)
+            assert result.value == brute_gmf(matrix, group, chi)
+            assert (result.method, result.term_count) == (engine.Method.NAIVE, group.order())
+
 
 def sifting_group(rng, n, kind, transitive):
     """A gens: or cyclic: group on n points with no young() answer, and its
@@ -2734,6 +2840,27 @@ class TestTableDomain:
     """A table character on a group its keys do not cover is refused by
     every route, whichever terms would vanish."""
 
+    def test_generated_groups_are_tested_on_their_generators(self, monkeypatch):
+        # a table over <(1 2 3 4)(5 6)> on 6 points covers a cyclic: or gens:
+        # group exactly when it holds the group's generators, and the domain
+        # check lists no member of either
+        g = P("(1 2 3 4)(5 6)", 6)
+        root = CyclicRootCharacter(g)
+        powers = [Permutation(images) for images in CyclicGroup(g)._generate()]
+        chi = TableCharacter(tuple((sigma, root.evaluate(sigma.images)) for sigma in powers))
+        a, b = gauss(2), gauss(-1, 3)
+        refuse_listing(monkeypatch, CyclicGroup, GeneratedSubgroup)
+        for text in ("cyclic:(1 3)(2 4)@6", "gens:(1 2 3 4)(5 6),(1 3)(2 4)@6"):
+            group = parse_group(text)
+            chi.check_domain(group)
+            theta, tau = g, compose(g, g)
+            expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
+            assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected != ZERO
+        for text in ("cyclic:(1 2)@6", "gens:(1 3)(2 4),(5 6)@6"):
+            group = parse_group(text)
+            with pytest.raises(CharacterDomainError, match=re.escape(f"does not cover {group}")):
+                chi.check_domain(group)
+
     @staticmethod
     def swap_table():
         # a table over {id, (1 2)} on three points
@@ -2837,6 +2964,15 @@ def test_non_real_characters_match_brute_force(instance):
     assert pf.gmf_block(spec, group, chi).value == brute_gmf(block_matrix(spec), group, chi)
 
 
+def refuse_listing(monkeypatch, *classes):
+    """Make ``_generate`` of each group class fail: no member may be listed."""
+    def refuse(self):
+        raise AssertionError(f"the members of {self} were listed")
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "_generate", refuse)
+
+
 class TestCyclicRootDomain:
     """A cyclic-root character on a group that is not inside <generator>
     is refused, whichever terms would vanish."""
@@ -2865,6 +3001,30 @@ class TestCyclicRootDomain:
             expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
             assert pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value == expected
             assert pf.gmf_linear_sum(a, b, theta, tau, group, chi).value == expected
+
+    def test_generated_groups_are_tested_on_their_generators(self, monkeypatch):
+        # g of cycle lengths 2, 3, 5, 7, 11, 13 on 41 points: <g> has 30030
+        # members, and the domain check lists none of them; the route then
+        # raises ExactnessError, as a root of unity of order 30030 leaves Q(i)
+        n, cycles = 41, []
+        for length in (2, 3, 5, 7, 11, 13):
+            start = sum(map(len, cycles)) + 1
+            cycles.append(tuple(range(start, start + length)))
+        g = Permutation.from_cycles(n, cycles)
+        square = compose(g, g)
+        chi = CyclicRootCharacter(g)
+        inside = [CyclicGroup(g), CyclicGroup(square), GeneratedSubgroup(n, (g,)),
+                  GeneratedSubgroup(n, (square, compose(square, g)))]
+        outside = [CyclicGroup(P("(1 3)", n)), GeneratedSubgroup(n, (P("(1 2)", n), P("(3 4)", n)))]
+        refuse_listing(monkeypatch, CyclicGroup, GeneratedSubgroup)
+        assert inside[0].order() == 30030
+        for group in inside:
+            chi.check_domain(group)
+            with pytest.raises(ExactnessError, match="order 30030"):
+                pf.gmf_linear_sum(ONE, ONE, Permutation.identity(n), g, group, chi)
+        for group in outside:
+            with pytest.raises(CharacterDomainError, match=re.escape(f"{group} is not inside <{g}>")):
+                pf.gmf_linear_sum(ONE, ONE, Permutation.identity(n), g, group, chi)
 
 
 class TestSameAnswers:

@@ -317,3 +317,40 @@ def test_generated_order_needs_no_element():
     assert not small.contains(parse_permutation("(1 2)", 60))
     with pytest.raises(CapacityError, match=f"group order {math.factorial(60)} exceeds cap"):
         enumerate_group(group)
+
+
+@pytest.mark.parametrize("text, labels", [
+    ("S5", None),
+    ("A5", None),
+    ("S1", None),
+    ("stab:@5", None),
+    ("cyclic:(1 2 3)@3", None),
+    ("cyclic:(1 2 3 4 5)@5", None),
+    ("gens:(1 2),(1 2 3 4 5)@5", None),
+    ("gens:(1 2 3 4 5)@5", None),
+    ("stab:2@5", (0, 1, 2, 1, 1, 1)),
+    ("stab:1,2,3,4,5@5", (0, 1, 2, 3, 4, 5)),
+    ("cyclic:(1 3)(2 4 5)@5", (0, 1, 2, 1, 2, 2)),
+    ("cyclic:(1 2)@3", (0, 1, 1, 3)),
+    ("gens:(1 3),(2 5)@5", (0, 1, 2, 1, 4, 2)),
+    ("gens:(1 3 5),(2 4)@5", (0, 1, 2, 1, 2, 1)),
+])
+def test_orbits_label_two_or_more_orbits(text, labels):
+    # one orbit, Young or not, answers None, so a caller tests `if labels:`
+    assert parse_group(text).orbits() == labels
+
+
+@pytest.mark.parametrize("text, images", [
+    ("cyclic:(1 2 3)(4 5)@6", [(2, 3, 1, 5, 4, 6)]),
+    ("gens:(1 2),(3 4 5)@5", [(2, 1, 3, 4, 5), (1, 2, 4, 5, 3)]),
+])
+def test_generated_groups_give_their_generators(monkeypatch, text, images):
+    group = parse_group(text)
+    monkeypatch.setattr(type(group), "_generate", lambda self: pytest.fail("members listed"))
+    assert list(group.generating_images()) == images
+
+
+def test_other_groups_are_generated_by_their_members():
+    for text in ("S3", "A4", "stab:2@4"):
+        group = parse_group(text)
+        assert sorted(group.generating_images()) == sorted(group._generate())
