@@ -7,15 +7,16 @@ permanent (S_n, trivial), immanants (S_n, irreducible chi).
 
 Routes provided, all exact unless stated otherwise:
 
-* naive summation of the defining formula, once every entry whose row
-  and column lie in different orbits (GroupSpec.orbits), which no member
-  takes, is zeroed: for the trivial and sign characters on a Young
-  subgroup (GroupSpec.young: S_n, A_n, a pointwise stabilizer, a gens:
-  group its orbits and parity decide) as a permanent folded block by
-  block over column sets by Laplace steps, and a determinant folded so
-  or, when a row keeps more than two entries, eliminated (the even part
-  their mean), building no permutation; otherwise visiting only the
-  members whose entry product is nonzero; the term count is |G|;
+* naive summation of the defining formula, over each row's nonzero
+  entries less those whose column lies outside the row's orbit
+  (GroupSpec.orbits), which no member takes: for the trivial and sign
+  characters on a Young subgroup (GroupSpec.young: S_n, A_n, a pointwise
+  stabilizer, a gens: group its orbits and parity decide) as a permanent
+  folded block by block over column sets by Laplace steps, and a
+  determinant folded so or, when a row keeps more than two entries,
+  eliminated (the even part their mean), building no permutation;
+  otherwise visiting only the members whose entry product is nonzero
+  (the member walk below); the term count is |G|;
 * the structured fast route for a*P_theta + b*P_tau, whose row x holds
   a in column theta^-1(x) and b in column tau^-1(x): it sums only the
   2^r permutations that agree pointwise with theta^-1 or tau^-1, each
@@ -24,11 +25,12 @@ Routes provided, all exact unless stated otherwise:
   zeroed) it multiplies that sum out as an O(r) product over the cycles
   for the trivial and sign characters, and sums it by cycle type, orbit
   by orbit of <theta, tau>, for the irreducible characters, never
-  handing them to the walk; otherwise it walks the mixtures with
-  perm.walk_mixtures, which never enters a choice of zero weight, such
-  as one that leaves an orbit (GroupSpec.orbits); every
-  case multiplies Gaussian integers over one denominator, and
-  perm.pair_cycles gives every case the cycles of theta^-1*tau;
+  handing them to the walk; otherwise it takes the member walk below,
+  whose candidates are the mixtures walked by perm.walk_mixtures, which
+  never enters a choice of zero weight, such as one that leaves an
+  orbit (GroupSpec.orbits); every case multiplies Gaussian integers
+  over one denominator, and perm.pair_cycles gives every case the
+  cycles of theta^-1*tau;
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
   the structured route's O(r) product over the cycles of theta^-1*tau
   on S_n;
@@ -47,13 +49,20 @@ Routes provided, all exact unless stated otherwise:
   characters, permanent-dominance and superadditivity checks, and a
   tensor-space symmetrizer oracle.
 
+Both routes ask, outside the Young shortcuts, which members of G lie on
+the support of A, and one member walk answers (_support_members): it
+reaches them from the smaller of two sides, the caller's candidates
+tested for membership (the naive route's injective tuples of the rows'
+columns, the fast route's 2^k mixtures) or the |G| members listed and
+weighed over the rows.
+
 Every route passes perm.check_work, before it starts, the smallest count
-it can prove of its own work: the walk its 2^k mixtures (k the cycles
-that keep both factors), the class sums the smaller of those and the
-points their orbit walks trace, the naive Young route its Laplace steps
-and eliminations and the member walk its candidate tuples, each of the
-last two only when it is smaller than |G|.  A route is refused for its
-own work, not for |G| or 2^r.
+it can prove of its own work: the member walk the smaller of its
+candidates (2^k mixtures, k the cycles that keep both factors, or
+candidate tuples) and |G|, the class sums the smaller of the 2^k
+mixtures and the points their orbit walks trace, and the naive Young
+route its Laplace steps and eliminations, when that is smaller than
+|G|.  A route is refused for its own work, not for |G| or 2^r.
 
 Permutations are objects only in the routes' arguments.  Inside every
 sum a member or mixture is its image tuple (images[i-1] = sigma(i)):
@@ -141,46 +150,43 @@ def det_exact(a: Matrix) -> GaussianRational:
     return from_integers(*kernels.det_gaussian_int(pre, pim), den**a.rows)
 
 
-def _nonzero_members(pre, pim, group: GroupSpec, order: int):
-    """The (images, re, im) of each member of ``group`` with a nonzero entry
-    product re + im*i, lazily.
+def _support_members(rows, group: GroupSpec, order: int, what: str, count: int, walk):
+    """The (images, re, im) of each member of ``group``, of ``order``
+    members, whose entry product re + im*i over ``rows`` is nonzero, lazily.
 
-    Walks the smaller of two sets: the image tuples built row by row from
-    each row's nonzero columns (gmf_naive has zeroed those outside the
-    row's orbit), kept when injective and in the group; or the group's
-    elements.  A member's product stops at its first zero entry.  Raises
-    CapacityError, when called, if the smaller exceeds the cap.
+    Row x maps each column a member may send x to onto the factor (re, im)
+    it then takes: the nonzero entries inside x's orbit on the naive route,
+    a cycle's factors on the fast route (_walk).  The members are reached
+    from the smaller of two sides, whose size is checked against the cap
+    and named by a refusal: the caller's ``count`` candidates (``what``),
+    the (images, re, im) of ``walk()``, each an image tuple on the support
+    with its product, kept when the group contains it; or the group's
+    members (group._generate), weighed over ``rows()`` (_weighed).
+    ``rows`` and ``walk`` are called only for the side taken.
     """
-    n = len(pre)
-    columns = [[j for j in range(1, n + 1) if pre[i][j - 1] or pim[i][j - 1]] for i in range(n)]
-    candidates = math.prod(map(len, columns))
-    work = min(candidates, order)
-    perm.check_work(order_text(group, order) if work == order
-                    else f"member walk of {work} candidate tuples", work)
-    injective = (images for images in itertools.product(*columns) if len(set(images)) == n)
-    members = filter(group.contains_images, injective) if candidates <= order else group._generate()
+    if count > order:
+        perm.check_work(order_text(group, order), order)
+        return _weighed(rows(), group._generate())
+    perm.check_work(what, count)
+    return (candidate for candidate in walk() if group.contains_images(candidate[0]))
 
-    def weighed():
-        for images in members:
-            re, im = 1, 0
-            for row_re, row_im, j in zip(pre, pim, images):
-                er, ei = row_re[j - 1], row_im[j - 1]
-                if not (er or ei):  # a group element may take a zero entry
-                    break
-                re, im = re * er - im * ei, re * ei + im * er
-            else:
-                yield images, re, im
 
-    return weighed()
+def _weighed(rows, tuples):
+    """Yield (images, re, im) for each image tuple that takes an entry of
+    every row (a column -> (re, im) map), re + im*i the entries' product."""
+    for images in tuples:
+        if all(map(dict.__contains__, rows, images)):
+            yield images, *_product(map(dict.__getitem__, rows, images))
 
 
 def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     """Sum chi(sigma) * prod_i A[i, sigma(i)] over the whole group.
 
-    Every member keeps each point in its orbit, so the entries whose row
-    and column lie in different orbits (GroupSpec.orbits) are zeroed
-    first, once, as _mixture_factors zeroes the fast route's coefficients;
-    both routes below see only the rest.
+    Each row's nonzero entries are listed once (_row_entries), and, as
+    every member keeps each point in its orbit, only those whose column
+    lies in the row's orbit (GroupSpec.orbits) are kept, as
+    _mixture_factors zeroes the fast route's coefficients; both routes
+    below see only these.
 
     On a Young subgroup (GroupSpec.young) the trivial and sign characters
     depend only on parity, and no member is built (_parity_naive): the
@@ -189,12 +195,13 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     a*P_theta + b*P_tau; past two a row, where fraction-free elimination
     becomes the cheaper, it eliminates (kernels.det_gaussian_int).  Other
     groups and characters visit only the members with a nonzero entry
-    product (_nonzero_members); their products are summed per character
-    value, and each distinct value is multiplied in once at the end.  The
-    term count is still |G|.  Each route raises CapacityError, before it
-    starts, when its own work exceeds the enumeration cap: the Laplace
-    steps or elimination on the Young route, the candidate tuples on the
-    member walk, or |G| when that is smaller.
+    product (_support_members), reached from the injective tuples of the
+    rows' columns or from |G|, whichever is fewer; their products are
+    summed per character value, and each distinct value is multiplied in
+    once at the end.  The term count is still |G|.  Each route raises
+    CapacityError, before it starts, when its own work exceeds the
+    enumeration cap: the Laplace steps or elimination on the Young route,
+    the candidate tuples on the member walk, or |G| when that is smaller.
     """
     if not a.is_square:
         raise DegreeMismatchError(
@@ -204,18 +211,24 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
         raise DegreeMismatchError(f"matrix degree {a.rows}, group degree {group.degree}")
     order = group.order()
     pre, pim, den = integer_grid(a)
+    rows = list(map(_row_entries, pre, pim))
     labels = group.orbits()
     if labels:  # every member keeps each point in its orbit
-        pre, pim = ([[v if labels[j] == block else 0 for j, v in enumerate(row, 1)]
-                     for row, block in zip(part, labels[1:])] for part in (pre, pim))
+        rows = [[entry for entry in row if labels[entry[0].bit_length()] == block]
+                for row, block in zip(rows, labels[1:])]
     young = group.young()
     if young and isinstance(chi, _PARITY_CHARACTERS):
-        re, im = _parity_naive(pre, pim, *young, isinstance(chi, SignCharacter), group, order)
+        re, im = _parity_naive(rows, *young, isinstance(chi, SignCharacter), group, order)
     else:
+        columns = [{bit.bit_length(): (er, ei) for bit, _, er, ei in row} for row in rows]
+        count = math.prod(map(len, columns))
+        injective = (t for t in itertools.product(*columns) if len(set(t)) == a.rows)
         # the work is checked before the domain, which a character may enumerate
-        members = _nonzero_members(pre, pim, group, order)
+        members = _support_members(lambda: columns, group, order,
+                                   f"member walk of {count} candidate tuples", count,
+                                   lambda: _weighed(columns, injective))
         chi.check_domain(group)
-        re, im, _ = _value_sums(chi.evaluate, members)
+        re, im, _ = _value_sums(chi, members)
     return GmfResult(from_integers(re, im, den**a.rows), Method.NAIVE, order)
 
 
@@ -223,12 +236,13 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
 _PARITY_CHARACTERS = (TrivialCharacter, SignCharacter)
 
 
-def _parity_naive(pre, pim, labels, even: bool, sign: bool, group: GroupSpec, order: int):
-    """The naive sum, as a Gaussian integer (re, im), on the Young subgroup
-    ``group`` of ``order`` members, which young() answers with (labels,
-    even), for the trivial character or, with ``sign``, the sign.
+def _parity_naive(rows, labels, even: bool, sign: bool, group: GroupSpec, order: int):
+    """The naive sum, as a Gaussian integer (re, im), over ``rows`` of
+    entries from _row_entries on the Young subgroup ``group`` of ``order``
+    members, which young() answers with (labels, even), for the trivial
+    character or, with ``sign``, the sign.
 
-    gmf_naive has zeroed the entries whose row and column lie in different
+    gmf_naive has dropped the entries whose row and column lie in different
     blocks, so the group acts as S_n: every permutation leaving a block
     weighs zero.  Sign takes the determinant, trivial the permanent, and
     the even part their mean: the even permutations count twice and the
@@ -236,18 +250,19 @@ def _parity_naive(pre, pim, labels, even: bool, sign: bool, group: GroupSpec, or
 
     The determinant folds _laplace_step over the rows' entries, in the
     rows' own order, when no row keeps more than two, as a*P_theta +
-    b*P_tau; otherwise it is kernels.det_gaussian_int of the n x n rows,
-    block diagonal up to one relabelling, so no split is needed.  Two
-    entries a row is where the costs cross: the fold took 33 against 82
-    us on two permutations at n = 9, 155 against 96 us on three at n = 8,
-    and 7.7 against 0.28 ms dense at n = 12.  The permanent folds the same
+    b*P_tau; otherwise it is kernels.det_gaussian_int of the rows filled
+    out to n x n with zeros (_grid), block diagonal up to one relabelling,
+    so no split is needed.  Two entries a row is where the costs cross:
+    the fold took 33 against 82 us on two permutations at n = 9, 155
+    against 96 us on three at n = 8, and 7.7 against 0.28 ms dense at
+    n = 12.  The permanent folds the same
     entries with no used column counted above any placement, so no sign
     flips, block by block: its table then holds one block's partial column
     sets at a time, not their product.  Before either runs, the folds'
     Laplace steps (_fold_steps) plus n^3 for an elimination, or |G| when
     smaller, are checked against the cap.
     """
-    n, rows = len(pre), list(map(_row_entries, pre, pim))
+    n = len(rows)
     blocks = [rows[x - 1] for x in sorted(range(1, n + 1), key=labels.__getitem__)]
     signed = even or sign
     eliminate = signed and max(map(len, rows)) > 2
@@ -258,7 +273,7 @@ def _parity_naive(pre, pim, labels, even: bool, sign: bool, group: GroupSpec, or
     perm.check_work(order_text(group, order) if work == order
                     else f"Young parity route of {work} steps", work)
     if signed:
-        det = kernels.det_gaussian_int(pre, pim) if eliminate else _fold(rows)
+        det = kernels.det_gaussian_int(*_grid(rows)) if eliminate else _fold(rows)
         if not even:
             return det
     per = _fold([[(bit, 0, er, ei) for bit, _, er, ei in row] for row in blocks])
@@ -275,6 +290,13 @@ def _row_entries(row_re, row_im) -> list:
         for j, (er, ei) in enumerate(zip(row_re, row_im))
         if er or ei
     ]
+
+
+def _grid(rows):
+    """The n x n parts (re, im) of n rows of entries from _row_entries, zero elsewhere."""
+    cells = [{bit: (er, ei) for bit, _, er, ei in row} for row in rows]
+    return ([[row.get(1 << j, (0, 0))[part] for j in range(len(rows))] for row in cells]
+            for part in (0, 1))
 
 
 def _fold(rows):
@@ -322,12 +344,17 @@ def _laplace_step(table, entries):
     return extended
 
 
-def _value_sums(value, weighted):
-    """Sum value(images) * (re + im*i) over (images, re, im) triples; returns (re, im, count).
+def _value_sums(chi: CharacterSpec, weighted):
+    """Sum chi(images) * (re + im*i) over (images, re, im) triples; returns (re, im, count).
 
     The Gaussian integers are summed per character value first, so each
-    distinct value is multiplied in once.
+    distinct value is multiplied in once.  An irreducible character's
+    values are keyed as the ints of its class_value, so no scalar is
+    built or hashed per triple.
     """
+    value = chi.evaluate
+    if isinstance(chi, IrreducibleCharacter):
+        value = lambda images: chi.class_value(images_cycle_type(images))  # noqa: E731
     sums = defaultdict(lambda: [0, 0])
     count = 0
     for images, re, im in weighted:
@@ -337,8 +364,9 @@ def _value_sums(value, weighted):
         count += 1
     total_re = total_im = 0
     for v, (re, im) in sums.items():
-        total_re += v.re * re - v.im * im
-        total_im += v.re * im + v.im * re
+        vr, vi = (v, 0) if type(v) is int else (v.re, v.im)
+        total_re += vr * re - vi * im
+        total_im += vr * im + vi * re
     return total_re, total_im, count
 
 
@@ -480,15 +508,31 @@ def _class_sums(alpha, beta, cycles, pairs, even: bool, chi: IrreducibleCharacte
 
 
 def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
-    """Yield (images, re, im) for each in-group mixture with a nonzero (re, im) weight.
+    """The (images, re, im) of each in-group mixture with a nonzero (re, im)
+    weight, lazily, by _support_members: from the 2^k mixtures walked
+    (perm.walk_mixtures) or from the |G| members, whichever is fewer.
 
     ``pairs`` holds the (a_c, b_c) factors of ``cycles`` as (re, im)
-    pairs.
+    pairs.  A member agreeing at every point with alpha or beta is a
+    mixture (it takes each cycle whole), so for the member side row x
+    holds 1 in columns alpha(x) and beta(x), except at each cycle's first
+    point, which holds a_c in column alpha(x) and b_c in column beta(x),
+    the zero ones left out: a member's product is then its mixture's
+    weight.
     """
-    for images, re, im in walk_mixtures(alpha, beta, cycles, pairs):
-        member = tuple(images)
-        if group.contains_images(member):
-            yield member, re, im
+    def rows():
+        rows = [{ya: (1, 0), yb: (1, 0)} for ya, yb in zip(alpha, beta)]
+        for cycle, (a_c, b_c) in zip(cycles, pairs):
+            x = cycle[0] - 1
+            rows[x] = {y: f for y, f in ((alpha[x], a_c), (beta[x], b_c)) if any(f)}
+        return rows
+
+    def walk():
+        for images, re, im in walk_mixtures(alpha, beta, cycles, pairs):
+            yield tuple(images), re, im
+
+    k = perm.branching(pairs)
+    return _support_members(rows, group, group.order(), f"walk of 2^{k} mixtures", 1 << k, walk)
 
 
 def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: CharacterSpec):
@@ -513,7 +557,8 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     products, and one exact route, picked once, sums the factors (re, im,
     terms): on a Young subgroup the O(r) _parity_product for a trivial or
     sign character and the _class_sums for an irreducible one; otherwise
-    the walk of the in-group mixtures with a nonzero weight, summed
+    the in-group mixtures with a nonzero weight, reached by _walk from the
+    2^k mixtures or from the |G| members, whichever is fewer, and summed
     directly for trivial and sign (the sign folded into the factors) and
     per character value (_value_sums) for the rest.  A weight has n
     coefficients, so the total is the prefactor times that sum over den^n
@@ -538,7 +583,7 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
                      for cycle, (a_c, b_c) in zip(cycles, pairs)]
         summed = _weight_sum(_walk(alpha, beta, cycles, pairs, group))
     else:
-        summed = _value_sums(chi.evaluate, _walk(alpha, beta, cycles, pairs, group))
+        summed = _value_sums(chi, _walk(alpha, beta, cycles, pairs, group))
     re, im, terms = _times((*pre, 1), summed)
     return from_integers(re, im, den ** len(alpha)), terms
 
@@ -827,8 +872,8 @@ def check_singular_bound(
     equal) and the right side is floating.  A character with values
     outside Q(i) makes the exact route raise ExactnessError; the left
     side is then the same sum over the in-group mixtures with a nonzero
-    weight, walked as the exact route walks them (so within the cap it
-    checked), each weight exact until it is floated.  A side past the
+    weight, reached from the side the exact route took (_walk, so within
+    the cap it checked), each weight exact until it is floated.  A side past the
     float range raises PermfuncError.
     """
     if not chi.is_linear():
@@ -838,8 +883,8 @@ def check_singular_bound(
         value = gmf_linear_sum(a, b, theta, tau, group, chi).value
         lhs = _float(value.abs_squared(), "|value|^2")
     except ExactnessError:
-        # chi leaves Q(i): float the weights of the in-group mixtures, whose
-        # walk the exact route has already checked against the cap
+        # chi leaves Q(i): float the weights of the in-group mixtures, from
+        # the side whose count the exact route has already checked
         alpha, beta, coeff_a, coeff_b, den = _linear_coefficients(a, b, theta, tau)
         cycles, pre, pairs = _mixture_factors(alpha, beta, coeff_a, coeff_b, group)
         scale, total = den**n, 0j

@@ -517,8 +517,22 @@ def test_cyclic_young_group_answers_past_the_walk_cap(capsys, monkeypatch):
     assert (code, out, err) == (0, f"{5**4 * (2**2 + 3**2) * (2**2) ** 27}\n", "")
 
 
+def prime_cycles(count):
+    """The group and tau of a gmf call past the cap on both sides: cyclic:g on
+    77 points, g one cycle of each prime length 2, 3, 5, ..., 19 on
+    consecutive points (order 9699690), and ``count`` disjoint transpositions
+    of neighbouring points inside g's cycles, 2^count mixtures for theta = id."""
+    cycles, pairs, start = [], [], 1
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        cycles.append("(" + " ".join(map(str, range(start, start + length))) + ")")
+        pairs += [f"({p} {p + 1})" for p in range(start, start + length - 1, 2)]
+        start += length
+    return f"cyclic:{''.join(cycles)}@77", "".join(pairs[:count])
+
+
 def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
-    # 2^28 and 2^22 mixtures exceed the cap: refused before any is built
+    # 2^28 and 2^22 mixtures exceed the cap: refused before any is built,
+    # unless the group's members are fewer and within it
     def refuse(*args, **kwargs):
         raise AssertionError("membership tested before the cap was checked")
 
@@ -526,10 +540,15 @@ def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(permfunc.engine, "_orbit_classes", refuse)
     many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
     cycle = "(" + " ".join(map(str, range(1, 61))) + ")"
+    # the 60 members are listed and weighed, none tested: only the
+    # identity lies on the support, weighed (a+b)^4 = 16
     code, out, err = run(capsys, "gmf", "--n", "60", "--theta", "id", "--tau", many,
                          "--group", f"cyclic:{cycle}@60", "--character", "trivial")
-    assert (code, out) == (3, "")
-    assert "exceeds cap" in err
+    assert (code, out, err) == (0, "16\n", "")
+    group, inside = prime_cycles(22)
+    code, out, err = run(capsys, "gmf", "--n", "77", "--theta", "id", "--tau", inside,
+                         "--group", group, "--character", "trivial")
+    assert (code, out, err) == (3, "", "error: walk of 2^22 mixtures exceeds cap 3628800\n")
     # theta is one 44-cycle, so the 22 transpositions of theta^-1*tau lie
     # on one orbit of <theta, tau>, whose 2^22 cycle choices irr: would walk
     fewer = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(22))
@@ -551,7 +570,10 @@ def test_mixture_walk_over_the_cap_exits_three(capsys, monkeypatch):
 def test_young_gens_group_answers_over_the_walk_cap(capsys):
     # (1 2) and the 60-cycle generate S_60, a Young subgroup: 2^28 mixtures
     # are summed as a product; the cyclic group and the dihedral group of
-    # order 120 on the same points sift, so their walks are still refused
+    # order 120 on the same points sift, and their members, fewer than the
+    # mixtures, are listed: only the identity lies on the support.  A
+    # cyclic group whose members and mixtures both pass the cap, in either
+    # presentation, is still refused
     many = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(28))
     cycle = "(" + " ".join(map(str, range(1, 61))) + ")"
     reflection = "".join(f"({k} {62 - k})" for k in range(2, 31))
@@ -560,8 +582,14 @@ def test_young_gens_group_answers_over_the_walk_cap(capsys):
     value = {"value": {"re": str(2**32), "im": "0"}, "method": "formula", "terms": 2**28}
     assert (code, json.loads(out), err) == (0, value, "")
     for group in (f"cyclic:{cycle}@60", f"gens:{cycle},{reflection}@60"):
-        code, out, err = run(capsys, *instance, "--group", group)
-        assert (code, out, err) == (3, "", "error: walk of 2^28 mixtures exceeds cap 3628800\n")
+        code, out, err = run(capsys, *instance, "--group", group, "--json")
+        value = {"value": {"re": "16", "im": "0"}, "method": "formula", "terms": 1}
+        assert (code, json.loads(out), err) == (0, value, "")
+    cyclic, inside = prime_cycles(22)
+    for group in (cyclic, cyclic.replace("cyclic:", "gens:")):
+        code, out, err = run(capsys, "gmf", "--n", "77", "--theta", "id", "--tau", inside,
+                             "--character", "trivial", "--group", group)
+        assert (code, out, err) == (3, "", "error: walk of 2^22 mixtures exceeds cap 3628800\n")
 
 
 def test_sifting_group_walks_only_its_orbits_past_the_cap(capsys):
@@ -578,11 +606,19 @@ def test_sifting_group_walks_only_its_orbits_past_the_cap(capsys):
     code, out, err = run(capsys, *instance, "--group", "cyclic:(1 2 3 4 5)@60",
                          "--character", "sign", "--a", "1", "--b", "1")
     assert (code, out, err) == (0, "16\n", "")
-    # the 60-cycle is transitive: no coefficient is zeroed and 2^28 is refused
+    # the 60-cycle is transitive: no coefficient is zeroed, so the walk
+    # would branch on all 28 cycles, but the 60 members are fewer
     cycle = "(" + " ".join(map(str, range(1, 61))) + ")"
     code, out, err = run(capsys, *instance, "--group", f"cyclic:{cycle}@60",
-                         "--character", "trivial", "--a", "2", "--b", "3")
-    assert (code, out, err) == (3, "", "error: walk of 2^28 mixtures exceeds cap 3628800\n")
+                         "--character", "trivial", "--a", "2", "--b", "3", "--json")
+    assert (code, json.loads(out), err) == (0, value, "")
+    # g's cycles on 77 points are its orbits, each holding some of the 22
+    # transpositions: nothing is zeroed, and the 2^22 mixtures and the
+    # 9699690 members both pass the cap
+    group, inside = prime_cycles(22)
+    code, out, err = run(capsys, "gmf", "--n", "77", "--theta", "id", "--tau", inside,
+                         "--group", group, "--character", "trivial", "--a", "2", "--b", "3")
+    assert (code, out, err) == (3, "", "error: walk of 2^22 mixtures exceeds cap 3628800\n")
 
 
 def test_irreducible_on_forty_four_points_pinned(capsys):

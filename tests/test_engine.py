@@ -245,7 +245,7 @@ class TestNaive:
         def refuse(*args, **kwargs):
             raise AssertionError("the naive route visited group members")
 
-        monkeypatch.setattr(engine, "_nonzero_members", refuse)
+        monkeypatch.setattr(engine, "_support_members", refuse)
         refuse_membership(monkeypatch, refuse)
         for cls in (SymmetricGroup, AlternatingGroup, PointwiseStabilizer):
             monkeypatch.setattr(cls, "_generate", refuse)
@@ -1698,8 +1698,9 @@ def gens_presentation(group):
 
 @record
 class Walked(GroupSpec):
-    """``group`` without a young() answer: every route walks the mixtures or
-    members and tests each for membership in ``group``, which makes it the
+    """``group`` without a young() answer or orbits: every route reaches the
+    mixtures or members by the member walk (the mixtures tested for
+    membership in ``group``, or its members listed), which makes it the
     reference the Young routes are checked against."""
 
     group: GroupSpec
@@ -1716,6 +1717,16 @@ class Walked(GroupSpec):
 
     def _generate(self):
         return self.group._generate()
+
+
+@record
+class WalkedMixtures(Walked):
+    """``group`` as Walked, but reporting the order 2^n, which no walk's
+    2^k mixtures exceed, so that the fast route walks the mixtures and tests
+    each for membership rather than list the members."""
+
+    def order(self):
+        return 2**self.group.degree
 
 
 def walk_characters(n):
@@ -1923,6 +1934,21 @@ def transpositions(count, n):
     return Permutation.from_cycles(n, [(2 * k + 1, 2 * k + 2) for k in range(count)])
 
 
+def prime_cycle_group(count):
+    """cyclic:g on 77 points, g one cycle of each prime length 2, 3, 5, ...,
+    19 on consecutive points (order 2*3*5*...*19 = 9699690), and ``count``
+    (at most 35) disjoint transpositions of neighbouring points inside g's
+    cycles, so that no coefficient of a*I + b*P_tau leaves an orbit."""
+    cycles, pairs, start = [], [], 1
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        cycles.append(tuple(range(start, start + length)))
+        pairs += [(p, p + 1) for p in range(start, start + length - 1, 2)]
+        start += length
+    group = CyclicGroup(Permutation.from_cycles(77, cycles))
+    assert group.order() == 9699690 and len(pairs) == 35
+    return group, Permutation.from_cycles(77, pairs[:count])
+
+
 class TestParityProductScale:
     """The product neither walks the mixtures nor tests membership."""
 
@@ -2011,14 +2037,23 @@ class TestWalkCap:
         reflection = Permutation.from_cycles(n, [(k, n + 2 - k) for k in range(2, n // 2 + 1)])
         dihedral = GeneratedSubgroup(n, (cycle, reflection))
         assert dihedral.order() == 120 and dihedral.young() is None
+        # the 2^28 mixtures pass the cap, but the 60 and 120 members do not:
+        # they are listed and weighed, with no membership test and no walk,
+        # and only the identity lies on the support, weighed (a+b)^4 = 16
+        for group in (CyclicGroup(cycle), dihedral):
+            result = pf.gmf_linear_sum(ONE, ONE, theta, tau, group, TrivialCharacter())
+            assert (result.value, result.term_count) == (gauss(16), 1)
+        assert pf.term_counts(theta, tau, CyclicGroup(cycle)) == pf.TermCounts(60, 1, comb(120, 60))
+        # 2^22 mixtures and 9699690 members both pass the cap
+        primes, inside = prime_cycle_group(22)
+        ident = Permutation.identity(77)
         for call in (
-            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, CyclicGroup(cycle), TrivialCharacter()),
-            lambda: pf.term_counts(theta, tau, CyclicGroup(cycle)),
-            lambda: pf.gmf_linear_sum(ONE, ONE, theta, tau, dihedral, TrivialCharacter()),
             lambda: pf.gmf_linear_sum(ONE, ONE, long_cycle, one_orbit, SymmetricGroup(44), irr),
             lambda: pf.gmf_linear_sum(ONE, ONE, long_cycle, one_orbit, AlternatingGroup(44), irr),
+            lambda: pf.gmf_linear_sum(ONE, ONE, ident, inside, primes, TrivialCharacter()),
+            lambda: pf.term_counts(ident, inside, primes),
         ):
-            with pytest.raises(CapacityError, match="exceeds cap"):
+            with pytest.raises(CapacityError, match=r"^walk of 2\^22 mixtures exceeds cap 3628800$"):
                 call()
 
     def test_class_tables_stay_under_the_cap(self, monkeypatch):
@@ -2646,14 +2681,35 @@ def sifting_group(rng, n, kind, transitive):
             return group, orbit_blocks(n, gens)
 
 
+@record
+class MemberWalk:
+    """What the member walk did on the groups of one class: the texts
+    perm.check_work was asked about, the image tuples membership was tested
+    on and the members the class listed (_generate)."""
+
+    checked: list
+    calls: list
+    listed: list
+
+    def side(self) -> str:
+        """The side engine._support_members took, "walk" or "members", read
+        from the first text it checked."""
+        return "members" if self.checked[0].startswith("group order") else "walk"
+
+
 @contextlib.contextmanager
-def membership_calls(cls):
-    """The image tuples ``cls.contains_images`` is called with, while the block runs."""
-    calls, contains = [], cls.contains_images
+def member_walk(cls):
+    """A MemberWalk of ``cls``, filled while the block runs."""
+    walk = MemberWalk([], [], [])
+    contains, generate, check_work = cls.contains_images, cls._generate, perm.check_work
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cls, "contains_images",
-                      lambda self, images: calls.append(images) or contains(self, images))
-        yield calls
+                      lambda self, images: walk.calls.append(images) or contains(self, images))
+        patch.setattr(cls, "_generate",
+                      lambda self: (walk.listed.append(m) or m for m in generate(self)))
+        patch.setattr(perm, "check_work",
+                      lambda what, work: walk.checked.append(what) or check_work(what, work))
+        yield walk
 
 
 class TestOrbitZeroing:
@@ -2697,9 +2753,15 @@ class TestOrbitZeroing:
             if all(labels[y] == labels[x] and not matrix.entries[x - 1][y - 1].is_zero()
                    for x, y in enumerate(sigma.images, 1))
         ]
-        with membership_calls(type(group)) as calls:
-            pf.gmf_linear_sum(a, b, theta, tau, group, TrivialCharacter())
-        assert sorted(calls) == sorted(sigma.images for sigma in kept)
+        with member_walk(type(group)) as walk:
+            result = pf.gmf_linear_sum(a, b, theta, tau, group, TrivialCharacter())
+        assert result.term_count == sum(map(group.contains, kept))
+        if walk.checked and walk.side() == "members":
+            # no membership is tested: the |G| members are listed and weighed
+            assert walk.calls == [] and len(walk.listed) == group.order()
+        else:  # a zero prefactor checks nothing and walks nothing
+            assert walk.listed == []
+            assert sorted(walk.calls) == sorted(sigma.images for sigma in kept)
         irr, restricted = (IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
                            for _ in range(2))
         table = TableCharacter(tuple((p, restricted.evaluate(p.images)) for p in members))
@@ -2737,12 +2799,19 @@ class TestOrbitZeroing:
         characters = [TrivialCharacter(), SignCharacter(), IrreducibleCharacter(Partition((n - 1, 1)))]
         expected = []
         for chi in characters:
-            with membership_calls(GeneratedSubgroup) as calls:
-                expected.append(pf.gmf_linear_sum(a, b, theta, tau, Walked(group), chi))
-            assert len(calls) == 2**8
-            with membership_calls(GeneratedSubgroup) as calls:
+            # unpruned, the walk tests all 2^8 mixtures
+            with member_walk(GeneratedSubgroup) as walk:
+                expected.append(pf.gmf_linear_sum(a, b, theta, tau, WalkedMixtures(group), chi))
+            assert walk.side() == "walk" and len(walk.calls) == 2**8 and walk.listed == []
+            # unpruned, the 4*5*6 = 120 members are fewer than 2^8 mixtures
+            with member_walk(GeneratedSubgroup) as walk:
+                result = pf.gmf_linear_sum(a, b, theta, tau, Walked(group), chi)
+            assert walk.side() == "members" and walk.calls == [] and len(walk.listed) == 120
+            assert_same_result(result, expected[-1])
+            with member_walk(GeneratedSubgroup) as walk:
                 result = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
-            assert len(calls) == 2**3 and result.term_count == 2**3
+            assert walk.side() == "walk" and walk.listed == []
+            assert len(walk.calls) == 2**3 and result.term_count == 2**3
             assert_same_result(result, expected[-1])
 
         # the trivial and sign characters are folded into the factors
@@ -2753,6 +2822,156 @@ class TestOrbitZeroing:
             monkeypatch.setattr(cls, "evaluate", refuse)
         for chi, result in zip(characters[:2], expected):
             assert_same_result(pf.gmf_linear_sum(a, b, theta, tau, group, chi), result)
+
+
+@contextlib.contextmanager
+def forced_side(side):
+    """Send engine._support_members to ``side``, "walk" or "members", while
+    the block runs, by the group order it is handed: the candidates' count
+    for the walk (ties go to the walk), 0 for the members.  Unlike a group
+    reporting a false order, this leaves a table character's domain check
+    its true |G|."""
+    support = engine._support_members
+
+    def forced(rows, group, order, what, count, walk):
+        return support(rows, group, count if side == "walk" else 0, what, count, walk)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_support_members", forced)
+        yield
+
+
+class TestMemberSide:
+    """The fast route reaches the members on the support from the smaller
+    side (engine._support_members): the 2^k mixtures, walked and tested for
+    membership, or the |G| members, listed and weighed.  Both sides give
+    the same values and term counts."""
+
+    @given(st.sampled_from(("gens", "cyclic")), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    @example("gens", False, 1)
+    @example("cyclic", False, 2)
+    @example("gens", True, 3)
+    @example("cyclic", True, 4)
+    def test_both_sides_match_brute_force(self, kind, transitive, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4 if transitive else 5, 7)
+        group, labels = sifting_group(rng, n, kind, transitive)
+        members = [Permutation(images) for images in group._generate()]
+        theta, tau = (
+            rng.choice(members) if rng.random() < 0.6
+            else block_member(rng, labels) if rng.random() < 0.7 else rand_perm(rng, n)
+            for _ in range(2)
+        )
+        a, b, _ = draw_scalars(rng)
+        if rng.random() < 0.3:
+            m = rng.choice([m for m in range(1, n + 1) if n % m == 0])
+            spec = random_block_spec(rng, m, n // m)
+        else:  # one point a block, a coefficient pair a row
+            one, coefficients = Permutation.identity(1), [rand_scalar(rng, 2) for _ in range(2 * n)]
+            spec = BlockSpec(1, n, theta, tau, (one,) * n, (one,) * n,
+                             tuple(coefficients[:n]), tuple(coefficients[n:]))
+        irr, restricted = (IrreducibleCharacter(Partition(rng.choice(list(partitions(n)))))
+                           for _ in range(2))
+        table = TableCharacter(tuple((p, restricted.evaluate(p.images)) for p in members))
+        routes = [
+            (lambda g, chi: pf.gmf_linear_sum(a, b, theta, tau, g, chi), linear_sum(a, b, theta, tau)),
+            (lambda g, chi: pf.gmf_block(spec, g, chi), block_matrix(spec)),
+        ]
+        for chi in (TrivialCharacter(), SignCharacter(), irr, table):
+            for route, matrix in routes:
+                result = route(group, chi)
+                assert result.value == brute_gmf(matrix, group, chi)
+                with forced_side("walk"), member_walk(type(group)) as walk:
+                    assert_same_result(route(group, chi), result)
+                if walk.checked:  # a zero prefactor checks and walks nothing
+                    assert walk.side() == "walk"
+                with forced_side("members"), member_walk(type(group)) as walk:
+                    assert_same_result(route(group, chi), result)
+                if walk.checked:
+                    assert walk.side() == "members" and walk.calls == []
+                    assert len(walk.listed) == len(members)
+                # a table over G does not cover the 2^n members WalkedMixtures reports
+                if not isinstance(chi, TableCharacter):
+                    assert_same_result(route(WalkedMixtures(group), chi), result)
+
+    def test_irreducible_values_are_summed_by_int(self, monkeypatch):
+        # an irr: character's values key the sums as ints: no scalar is hashed
+        # per member, on either side of the fast route or on the naive route
+        n = 7
+        group = GeneratedSubgroup(n, (P("(1 2 3)", n), P("(4 5 6 7)", n)))
+        assert group.young() is None
+        theta, tau = Permutation.identity(n), P("(1 2 3)(4 5 6 7)", n)
+        a, b, chi = gauss(2), gauss(1, 1), parse_character("irr:[5,2]", n)
+        expected = brute_gmf(linear_sum(a, b, theta, tau), group, chi)
+        assert expected != ZERO
+
+        def refuse(self):
+            raise AssertionError("a scalar was hashed")
+
+        monkeypatch.setattr(pf.GaussianRational, "__hash__", refuse)
+        for side in ("walk", "members"):
+            with forced_side(side):
+                result = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+            assert (result.value, result.term_count) == (expected, 4)
+        assert pf.gmf_naive(linear_sum(a, b, theta, tau), group, chi).value == expected
+
+    def test_dihedral_sixty_lists_its_members(self, monkeypatch):
+        # D60, of order 120 on the 60-gon, sifts; 16 transpositions make
+        # 2^16 mixtures, of which only the identity is a member, weighed
+        # a^2 for each transposition and (a+b)^28 for the points both fix
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mixtures were walked")
+
+        monkeypatch.setattr(perm, "_depth_first", refuse)
+        n = 60
+        cycle = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+        reflection = Permutation.from_cycles(n, [(k, n + 2 - k) for k in range(2, n // 2 + 1)])
+        dihedral = GeneratedSubgroup(n, (cycle, reflection))
+        theta, tau, a, b = Permutation.identity(n), transpositions(16, n), gauss(2), gauss(3)
+        for chi in (TrivialCharacter(), SignCharacter()):
+            result = pf.gmf_linear_sum(a, b, theta, tau, dihedral, chi)
+            assert (result.value, result.term_count) == (a**32 * (a + b) ** 28, 1)
+        assert pf.term_counts(theta, tau, dihedral).formula == 1
+
+    def test_singular_bound_fallback_on_the_member_side(self, monkeypatch):
+        # |G| = 3 < 2^2 mixtures, so the float fallback of an order-3 cyclic
+        # root character weighs the members.  With S_e the exact sum of the
+        # entry products over the members where chi = omega^e, the squared
+        # modulus of S_0 + S_1*omega + S_2*omega^2 for real a and b is the
+        # rational below
+        checked = []
+        check_work = perm.check_work
+        monkeypatch.setattr(perm, "check_work",
+                            lambda what, work: checked.append(what) or check_work(what, work))
+        n, g = 6, P("(1 2 3)(4 5 6)", 6)
+        group, tau = CyclicGroup(g), P("(1 2)(4 5)", 6)
+        powers = [Permutation.identity(n), g, g * g]
+        rng = random.Random(3636)
+        fallbacks = 0
+        for index in (1, 2):
+            chi = CyclicRootCharacter(g, index)
+            for theta in powers * 4:
+                a, b = (gauss(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+                        for _ in range(2))
+                entries = linear_sum(a, b, theta, tau).entries
+                sums = [Fraction(0)] * 3
+                for k, sigma in enumerate(powers):
+                    product = math.prod(entries[i][sigma.images[i] - 1] for i in range(n))
+                    sums[k * index % 3] += product.re
+                s0, s1, s2 = sums
+                expected = float(s0 * s0 + s1 * s1 + s2 * s2 - s0 * s1 - s1 * s2 - s2 * s0)
+                checked.clear()
+                with pytest.raises(ExactnessError) if any(sums) else contextlib.nullcontext():
+                    pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                fallbacks += any(sums)
+                report = pf.check_singular_bound(a, b, theta, tau, group, chi)
+                assert report.lhs == pytest.approx(expected, rel=1e-12, abs=0)
+                assert report.holds
+                if any(sums):  # a member weighs nonzero, so some side was checked
+                    assert checked and set(checked) == {"group order 3"}
+                assert set(checked) <= {"group order 3"}
+        assert fallbacks >= 12
 
 
 def distinct_denominator_scalars(rng, count):
