@@ -26,12 +26,10 @@ from .perm import (
     compose,
     cycle_structure,
     disjoint_cycles,
-    disjoint_union,
     format_permutation,
     inverse,
     mixtures,
     parse_permutation,
-    shift_embed,
 )
 from .groups import (
     AlternatingGroup,

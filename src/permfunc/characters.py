@@ -174,13 +174,7 @@ class CharacterSpec:
         return self.degree() == 1
 
 
-@functools.lru_cache(maxsize=4096)
-def _gauss_int(value: int) -> GaussianRational:
-    # character values recur constantly; share the scalar objects
-    return gauss(value)
-
-
-_MINUS_ONE = _gauss_int(-1)
+_MINUS_ONE = gauss(-1)
 
 
 @record
@@ -230,7 +224,7 @@ class IrreducibleCharacter(CharacterSpec):
             )
 
     def evaluate(self, images: tuple[int, ...]) -> GaussianRational:
-        return _gauss_int(self.class_value(images_cycle_type(images)))
+        return gauss(self.class_value(images_cycle_type(images)))
 
     def degree(self) -> int:
         return hook_length_degree(self.partition.parts)

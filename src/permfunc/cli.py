@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from . import engine, perm
+from . import engine
 from .characters import CharacterSpec, SignCharacter, TrivialCharacter, parse_character
 from .errors import ParseError, PermfuncError
 from .gaussian import GaussianRational
@@ -156,24 +156,18 @@ def _group_and_character(args, degree: int) -> tuple[GroupSpec, CharacterSpec]:
 def _routes(theta, tau, a, b, group: GroupSpec, chi: CharacterSpec) -> dict:
     """The evaluation calls for a*P_theta + b*P_tau by --method, built but not run.
 
-    Each call builds its own input matrix, the naive one only once its
-    n x n entries pass perm.check_work; gmf_naive then checks its own
-    work.  "closed" is the determinant for the sign character and the
-    permanent otherwise.
+    Each call builds its own input matrix, which refuses past the cap
+    before it allocates; gmf_naive then checks its own work.  "closed" is
+    the determinant for the sign character and the permanent otherwise.
     """
     closed = engine.det_linear_sum if isinstance(chi, SignCharacter) else engine.per_linear_sum
-
-    def naive():
-        perm.check_work(f"{theta.degree}x{theta.degree} matrix", theta.degree**2)
-        return engine.gmf_naive(linear_sum(a, b, theta, tau), group, chi)
-
     return {
         "closed": lambda: closed(a, b, theta, tau),
         "formula": lambda: engine.gmf_linear_sum(a, b, theta, tau, group, chi),
         "cauchy-binet": lambda: engine.det_cauchy_binet_sum(
             scalar_mul(a, perm_matrix(theta)), scalar_mul(b, perm_matrix(tau))
         ),
-        "naive": naive,
+        "naive": lambda: engine.gmf_naive(linear_sum(a, b, theta, tau), group, chi),
     }
 
 
@@ -240,7 +234,6 @@ def _cmd_block_gmf(args) -> int:
         )
     chi = parse_character(args.character, spec.size)
     if args.method == "naive":
-        perm.check_work(f"{spec.size}x{spec.size} matrix", spec.size**2)
         result = engine.gmf_naive(block_matrix(spec), group, chi)
     else:
         result = engine.gmf_block(spec, group, chi)

@@ -107,7 +107,6 @@ from .perm import (
     Permutation,
     common_degree,
     compose,
-    cycle_structure,
     images_cycle_type,
     images_inverse,
     images_sign,
@@ -752,24 +751,17 @@ def gmf_s_matrix(theta: Permutation, group: GroupSpec, chi: CharacterSpec) -> Gm
 
 
 def det_s_closed(theta: Permutation) -> GaussianRational:
-    """det(S_theta) in closed form.
-
-    Zero whenever some cycle length is divisible by 4; otherwise
-    (-1)^(s+t) * 2^(r+2s) with r odd cycles (length >= 3), s cycles of
-    length 2 mod 4 above 2, and t transpositions.
+    """det(S_theta): zero whenever some cycle length is divisible by 4;
+    otherwise (-1)^(s+t) * 2^(r+2s) with r odd cycles (length >= 3), s cycles
+    of length 2 mod 4 above 2, and t transpositions.  Computed as
+    det(P_theta + P_theta^-1) / 2^(F + 2t), the division gmf_s_matrix makes.
     """
-    lengths = cycle_structure(theta).lengths
-    if any(length % 4 == 0 for length in lengths):
-        return ZERO
-    odd = sum(length % 2 for length in lengths)
-    two_mod_four = sum(1 for length in lengths if length > 2 and length % 4 == 2)
-    sign = -1 if (two_mod_four + lengths.count(2)) % 2 else 1
-    return gauss(sign * 2 ** (odd + 2 * two_mod_four))
+    return det_perm_pair_closed(theta) * from_integers(1, 0, 2 ** _doubled_count(theta))
 
 
 def det_perm_pair_closed(theta: Permutation) -> GaussianRational:
-    """det(P_theta + P_theta^-1) in closed form: det(S_theta) times 2^(F + 2t)."""
-    return det_s_closed(theta) * gauss(2 ** _doubled_count(theta))
+    """det(P_theta + P_theta^-1) by the parity product of det_linear_sum."""
+    return det_linear_sum(ONE, ONE, theta, theta.inverse()).value
 
 
 def s_product(theta: Permutation, tau: Permutation) -> Matrix:

@@ -17,11 +17,11 @@ from .errors import DegreeMismatchError, ParseError
 from .gaussian import ONE, GaussianRational, ZERO, from_integers, gauss, integer_parts
 from .perm import (
     Permutation,
+    check_work,
     common_degree,
-    disjoint_union,
     format_permutation,
+    images_inverse,
     parse_permutation,
-    shift_embed,
 )
 
 class Matrix:
@@ -123,7 +123,12 @@ def _matrix(re, im, den: int, m: Matrix | None = None) -> Matrix:
 
 
 def _placed(size: int, placements, values) -> Matrix:
-    """The size x size matrix with values[k] added in at each 0-based (row, col, k)."""
+    """The size x size matrix with values[k] added in at each 0-based (row, col, k).
+
+    Its size^2 entries pass perm.check_work first, so perm_matrix,
+    linear_sum, s_matrix and block_matrix refuse before they allocate.
+    """
+    check_work(f"{size}x{size} matrix", size * size)
     value_re, value_im, den = integer_parts(values)
     re = [[0] * size for _ in range(size)]
     im = [[0] * size for _ in range(size)]
@@ -243,14 +248,15 @@ class BlockSpec:
         """The two permutations of [1..m*n] tracing the nonzero entries.
 
         Layer one is nonzero exactly at (alpha(y), y), layer two at
-        (beta(y), y): block (i, theta(i)) holds its 1s at rows
-        (i-1)m + inner(v) for columns (theta(i)-1)m + v.
+        (beta(y), y).  Column y = (j-1)m + v lies in block column j, whose
+        block row is i = theta^-1(j), so alpha(y) = (i-1)m + inner_i(v);
+        beta likewise with tau and its inner permutations.
         """
+        m = self.m
         return tuple(
-            disjoint_union(
-                shift_embed(inners[i - 1], (outer(i) - 1) * self.m, (i - 1) * self.m)
-                for i in range(1, self.n + 1)
-            )
+            Permutation(tuple(
+                (i - 1) * m + t for i in images_inverse(outer.images) for t in inners[i - 1].images
+            ))
             for outer, inners in ((self.theta, self.inner_thetas), (self.tau, self.inner_taus))
         )
 

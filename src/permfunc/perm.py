@@ -14,7 +14,7 @@ import re as _re
 from math import factorial, gcd, lcm
 
 from ._record import record
-from .errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
+from .errors import CapacityError, DegreeMismatchError, ParseError
 
 # The most work any route may do: members, mixtures, Laplace steps or matrix entries.
 DEFAULT_ENUMERATION_CAP = factorial(10)
@@ -329,34 +329,6 @@ def _depth_first(images, choices):
         for source, (fr, fi) in options:
             if fr or fi:
                 stack.append((j - 1, points, source, re * fr - im * fi, re * fi + im * fr))
-
-
-def shift_embed(f: Permutation, x: int, y: int) -> dict[int, int]:
-    """Partial map sending x+i to y+f(i) for i in [1..degree]."""
-    if x < 0 or y < 0:
-        raise ValueError("offsets must be nonnegative")
-    return {x + i: y + f(i) for i in range(1, f.degree + 1)}
-
-
-def disjoint_union(maps) -> Permutation:
-    """Combine partial maps with disjoint domains into one permutation.
-
-    Domains and codomains must each tile [1..N] exactly.
-    """
-    combined: dict[int, int] = {}
-    for m in maps:
-        for src, dst in m.items():
-            if src in combined:
-                raise DisjointnessError(f"domain point {src} covered twice")
-            combined[src] = dst
-    if not combined:
-        raise ValueError("no maps given")
-    n = len(combined)
-    if set(combined) != set(range(1, n + 1)):
-        raise DisjointnessError("domains do not tile [1..n]")
-    if set(combined.values()) != set(range(1, n + 1)):
-        raise DisjointnessError("codomains do not tile [1..n]")
-    return Permutation(tuple(combined[i] for i in range(1, n + 1)))
 
 
 _CYCLE_RE = _re.compile(r"\(([^()]*)\)")

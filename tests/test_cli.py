@@ -658,17 +658,26 @@ def test_naive_routes_refuse_before_building_the_matrix(capsys, monkeypatch, tmp
     def refuse(*args, **kwargs):
         raise AssertionError("the matrix was built before the cap was checked")
 
-    for module in (permfunc.cli, permfunc.matrices):
-        monkeypatch.setattr(module, "linear_sum", refuse)
-        monkeypatch.setattr(module, "block_matrix", refuse)
+    # integer_parts is the first step of every matrix builder past its cap check
+    monkeypatch.setattr(permfunc.matrices, "integer_parts", refuse)
     pair = ["--theta", "id", "--tau", "id"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "m": 1, "n": 1905, "theta": "id", "tau": "id", "inner_thetas": ["id"] * 1905,
+        "inner_taus": ["id"] * 1905, "a": ["1"] * 1905, "b": ["1"] * 1905,
+    }))
     for argv, message in [
-        (["det", "--n", "2000", *pair], "2000x2000 matrix exceeds cap 3628800"),
-        (["per", "--n", "2000", *pair], "2000x2000 matrix exceeds cap 3628800"),
-        (["gmf", "--n", "1905", *pair, "--group", "stab:1@1905", "--character", "sign"],
+        (["det", "--n", "2000", *pair, "--method", "naive"], "2000x2000 matrix exceeds cap 3628800"),
+        (["per", "--n", "2000", *pair, "--method", "naive"], "2000x2000 matrix exceeds cap 3628800"),
+        (["gmf", "--n", "1905", *pair, "--group", "stab:1@1905", "--character", "sign",
+          "--method", "naive"], "1905x1905 matrix exceeds cap 3628800"),
+        (["block-gmf", "--spec", str(spec), "--character", "sign", "--method", "naive"],
          "1905x1905 matrix exceeds cap 3628800"),
+        (["det", "--n", "2000", *pair, "--method", "cauchy-binet"],
+         "2000x2000 matrix exceeds cap 3628800"),
+        (["psd", "--n", "1905", *pair], "1905x1905 matrix exceeds cap 3628800"),
     ]:
-        code, out, err = run(capsys, *argv, "--method", "naive")
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", f"error: {message}\n")
     # past the matrix check each naive route checks its own work: the order
     # of S11 passes the cap, but 2*I folds in one Laplace step a row

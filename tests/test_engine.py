@@ -1414,11 +1414,12 @@ class TestSingularBound:
                 entries[i][sigma.images[i] - 1] for i in range(17)))
             expected += chi.evaluate_float(sigma.images) * product
         unlowered = pf.check_singular_bound(a, b, identity, g, group, chi)
+        matrix = linear_sum(a, b, identity, g)
         monkeypatch.setattr(perm, "DEFAULT_ENUMERATION_CAP", 50)
         with pytest.raises(ExactnessError):
             pf.gmf_linear_sum(a, b, identity, g, group, chi)
         with pytest.raises(CapacityError, match="^group order 210 exceeds cap 50$"):
-            pf.gmf_naive(linear_sum(a, b, identity, g), group, chi)
+            pf.gmf_naive(matrix, group, chi)
         report = pf.check_singular_bound(a, b, identity, g, group, chi)
         assert report == unlowered
         assert report.lhs == pytest.approx(abs(expected) ** 2, rel=1e-12)

@@ -9,9 +9,10 @@ from itertools import chain
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import permfunc.matrices
 from permfunc.characters import SignCharacter, TrivialCharacter, parse_character
 from permfunc.engine import det_cauchy_binet_sum, det_exact, gmf_naive
-from permfunc.errors import DegreeMismatchError, ParseError
+from permfunc.errors import CapacityError, DegreeMismatchError, ParseError
 from permfunc.gaussian import ONE, ZERO, gauss
 from permfunc.groups import parse_group
 from permfunc.matrices import (
@@ -481,6 +482,38 @@ def test_block_matrix_stores_its_grid(spec):
         for v in range(1, spec.m + 1)
     ]
     assert_stored_as(block_matrix(spec), grid_sum(spec.size, layers))
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_induced_pair_traces_each_layer_of_block_matrix(data):
+    # layer one is nonzero exactly at (alpha(y), y) and layer two at
+    # (beta(y), y), with a+b where alpha(y) = beta(y); block row i reaches
+    # block column theta(i), so a column reads its row through theta^-1
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    perm = lambda k: Permutation(tuple(data.draw(st.permutations(range(1, k + 1)))))  # noqa: E731
+    a, b = data.draw(st.lists(st.integers(-9, 9).filter(bool), min_size=2, max_size=2, unique=True))
+    spec = BlockSpec(m=m, n=n, theta=perm(n), tau=perm(n), inner_thetas=tuple(perm(m) for _ in range(n)),
+                     inner_taus=tuple(perm(m) for _ in range(n)), a=(gauss(a),) * n, b=(gauss(b),) * n)
+    alpha, beta = spec.induced_pair()
+    expected = [[0] * spec.size for _ in range(spec.size)]
+    for layer, coeff in ((alpha, a), (beta, b)):
+        for y, x in enumerate(layer.images):
+            expected[x - 1][y] += coeff
+    zeros = ((0,) * spec.size,) * spec.size
+    assert integer_grid(block_matrix(spec)) == (tuple(map(tuple, expected)), zeros, 1)
+
+
+def test_builders_refuse_past_the_cap_before_converting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a matrix was converted before the cap was checked")
+
+    monkeypatch.setattr(permfunc.matrices, "integer_parts", refuse)
+    ident = Permutation.identity(1905)
+    for build in (lambda: linear_sum(ONE, ONE, ident, ident), lambda: perm_matrix(ident),
+                  lambda: s_matrix(ident)):
+        with pytest.raises(CapacityError, match="^1905x1905 matrix exceeds cap 3628800$"):
+            build()
 
 
 def test_builders_do_no_fraction_arithmetic(monkeypatch):

@@ -1,4 +1,4 @@
-"""Permutation algebra: composition, cycles, pointwise mixtures, embeddings."""
+"""Permutation algebra: composition, cycles, pointwise mixtures."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permfunc.perm as perm_module
-from permfunc.errors import CapacityError, DegreeMismatchError, DisjointnessError, ParseError
+from permfunc.errors import CapacityError, DegreeMismatchError, ParseError
 from permfunc.perm import (
     DEFAULT_ENUMERATION_CAP,
     Permutation,
@@ -16,14 +16,12 @@ from permfunc.perm import (
     compose,
     cycle_structure,
     disjoint_cycles,
-    disjoint_union,
     format_permutation,
     mixtures,
     orbit_labels,
     pair_cycles,
     parse_permutation,
     power_exponent,
-    shift_embed,
     walk_mixtures,
 )
 from support import brute_closure, brute_x_set, rand_perm
@@ -343,54 +341,6 @@ class TestPowerExponent:
     def test_other_degree_is_no_power(self):
         dec = disjoint_cycles(P("(1 2 3)", 3))
         assert power_exponent(dec, P("(1 2 3)", 4).images) is None
-
-
-class TestEmbeddings:
-    def test_identity_shift(self):
-        ident = Permutation.identity(4)
-        assert shift_embed(ident, 0, 0) == {1: 1, 2: 2, 3: 3, 4: 4}
-
-    def test_reference_alpha(self):
-        alpha = disjoint_union(
-            [
-                shift_embed(P("(1 4 3)", 4), 0, 0),
-                shift_embed(P("(1 4)(2 3)", 4), 4, 4),
-            ]
-        )
-        assert alpha == P("(1 4 3)(5 8)(6 7)", 8)
-
-    def test_reference_beta(self):
-        beta = disjoint_union(
-            [
-                shift_embed(P("(1 3 2)", 4), 4, 0),
-                shift_embed(Permutation.identity(4), 0, 4),
-            ]
-        )
-        assert beta == P("(1 5 3 7 2 6)(4 8)", 8)
-
-    def test_identity_blocks(self):
-        parts = [
-            shift_embed(Permutation.identity(3), 3 * i, 3 * i) for i in range(3)
-        ]
-        assert disjoint_union(parts) == Permutation.identity(9)
-
-    def test_round_trip_supports(self):
-        p, q = P("(1 2)", 2), P("(1 3 2)", 3)
-        union = disjoint_union([shift_embed(p, 0, 0), shift_embed(q, 2, 2)])
-        dec = disjoint_cycles(union)
-        supports = {frozenset(c) for c in dec.cycles}
-        assert supports == {frozenset({1, 2}), frozenset({3, 5, 4})}
-
-    def test_overlap_rejected(self):
-        with pytest.raises(DisjointnessError):
-            disjoint_union(
-                [shift_embed(Permutation.identity(2), 0, 0),
-                 shift_embed(Permutation.identity(2), 1, 1)]
-            )
-
-    def test_non_tiling_rejected(self):
-        with pytest.raises(DisjointnessError):
-            disjoint_union([shift_embed(Permutation.identity(2), 3, 3)])
 
 
 class TestTextFormat:
