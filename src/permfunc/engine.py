@@ -24,8 +24,9 @@ Routes provided, all exact unless stated otherwise:
   subgroup (as S_n or A_n with the coefficients that cross blocks
   zeroed) it multiplies that sum out as an O(r) product over the cycles
   for the trivial and sign characters, and sums it by cycle type, orbit
-  by orbit of <theta, tau>, for the irreducible characters, never
-  handing them to the walk; otherwise it takes the member walk below,
+  by orbit of <theta, tau>, each orbit walked once, for the irreducible
+  characters, never handing them to the walk; otherwise it takes the
+  member walk below,
   whose candidates are the mixtures walked by perm.walk_mixtures, which
   never enters a choice of zero weight, such as one that leaves an
   orbit (GroupSpec.orbits); every case multiplies Gaussian integers
@@ -54,7 +55,9 @@ the support of A, and one member walk answers (_support_members): it
 reaches them from the smaller of two sides, the caller's candidates
 tested for membership (the naive route's injective tuples of the rows'
 columns, the fast route's 2^k mixtures) or the |G| members listed and
-weighed over the rows.
+weighed over the rows.  Every sum of weights by a key (a character
+value, a cycle type) goes through one group-by, _keyed, and each total
+by value through _valued.
 
 Every route passes perm.check_work, before it starts, the smallest count
 it can prove of its own work: the member walk the smaller of its
@@ -79,7 +82,6 @@ import functools
 import itertools
 import math
 import sys
-from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
@@ -343,10 +345,27 @@ def _laplace_step(table, entries):
     return extended
 
 
+def _keyed(items) -> dict:
+    """key -> (re, im, count), summed over (key, (re, im, count)) items: the
+    one group-by of every sum below."""
+    sums = {}
+    for key, (re, im, n) in items:
+        acc = sums.get(key)
+        sums[key] = (re, im, n) if acc is None else (acc[0] + re, acc[1] + im, acc[2] + n)
+    return sums
+
+
+def _valued(sums):
+    """Sum value * (re + im*i) over ``sums`` from _keyed, each value an int
+    or a GaussianRational; returns (re, im, count), the counts added."""
+    terms = (_times((v, 0, 1) if type(v) is int else (v.re, v.im, 1), x) for v, x in sums.items())
+    return functools.reduce(_plus, terms, (0, 0, 0))
+
+
 def _value_sums(chi: CharacterSpec, weighted):
     """Sum chi(images) * (re + im*i) over (images, re, im) triples; returns (re, im, count).
 
-    The Gaussian integers are summed per character value first, so each
+    The Gaussian integers are keyed by character value first, so each
     distinct value is multiplied in once.  An irreducible character's
     values are keyed as the ints of its class_value, so no scalar is
     built or hashed per triple.
@@ -354,29 +373,7 @@ def _value_sums(chi: CharacterSpec, weighted):
     value = chi.evaluate
     if isinstance(chi, IrreducibleCharacter):
         value = lambda images: chi.class_value(images_cycle_type(images))  # noqa: E731
-    sums = defaultdict(lambda: [0, 0])
-    count = 0
-    for images, re, im in weighted:
-        acc = sums[value(images)]
-        acc[0] += re
-        acc[1] += im
-        count += 1
-    total_re = total_im = 0
-    for v, (re, im) in sums.items():
-        vr, vi = (v, 0) if type(v) is int else (v.re, v.im)
-        total_re += vr * re - vi * im
-        total_im += vr * im + vi * re
-    return total_re, total_im, count
-
-
-def _weight_sum(weighted):
-    """Sum the weights re + im*i of (images, re, im) triples; returns (re, im, count)."""
-    total_re = total_im = count = 0
-    for _, re, im in weighted:
-        total_re += re
-        total_im += im
-        count += 1
-    return total_re, total_im, count
+    return _valued(_keyed((value(images), (re, im, 1)) for images, re, im in weighted))
 
 
 def _times(x, y):
@@ -421,35 +418,32 @@ def _parity_product(alpha, cycles, pairs, even: bool, chi: CharacterSpec):
 
 
 def _orbit_mixtures(points, alpha, beta, moves):
-    """Yield (cycle type, re, im) for each mixture on ``points``, a union of
-    orbits of <alpha, beta> whose cycles of alpha^-1*beta are ``moves``,
+    """Yield (cycle type, (re, im, 1)) for each mixture on ``points``, a union
+    of orbits of <alpha, beta> whose cycles of alpha^-1*beta are ``moves``,
     each with its (a_c, b_c) pair.  The walk, on the points renumbered
     from 1, skips every zero factor, so each mixture yielded weighs nonzero.
     """
     where = {p: i for i, p in enumerate(points, 1)}
-    from_alpha = [where[alpha[p - 1]] for p in points]
-    from_beta = [where[beta[p - 1]] for p in points]
+    from_alpha, from_beta = ([where[g[p - 1]] for p in points] for g in (alpha, beta))
     cycles = [[where[p] for p in cycle] for cycle, _ in moves]
     for images, re, im in walk_mixtures(from_alpha, from_beta, cycles, [f for _, f in moves]):
-        yield images_cycle_type(images), re, im
+        yield images_cycle_type(images), (re, im, 1)
 
 
 def _orbit_classes(points, alpha, beta, moves) -> dict:
     """Cycle type on ``points`` -> (re, im, count) over their mixtures."""
-    classes = {}
-    for cycle_type, re, im in _orbit_mixtures(points, alpha, beta, moves):
-        classes[cycle_type] = _plus(classes.get(cycle_type, (0, 0, 0)), (re, im, 1))
-    return classes
+    return _keyed(_orbit_mixtures(points, alpha, beta, moves))
+
+
+def _merged(x, y):
+    """Two classes (cycle type, (re, im, count)) of disjoint orbits as one:
+    the types merged, the weights and the counts multiplied."""
+    return tuple(sorted(x[0] + y[0], reverse=True)), _times(x[1], y[1])
 
 
 def _convolve(left: dict, right: dict) -> dict:
-    """Classes of two disjoint orbits combined: types merged, weights multiplied."""
-    out = {}
-    for t1, x in left.items():
-        for t2, y in right.items():
-            merged = tuple(sorted(t1 + t2, reverse=True))
-            out[merged] = _plus(out.get(merged, (0, 0, 0)), _times(x, y))
-    return out
+    """The table of two disjoint orbits' tables combined."""
+    return _keyed(itertools.starmap(_merged, itertools.product(left.items(), right.items())))
 
 
 def _class_sums(alpha, beta, cycles, pairs, even: bool, chi: IrreducibleCharacter):
@@ -459,26 +453,30 @@ def _class_sums(alpha, beta, cycles, pairs, even: bool, chi: IrreducibleCharacte
     A mixture agrees with alpha or beta at every point, so it maps each
     orbit of <alpha, beta> onto itself: its cycle type is the union of its
     types on the orbits, and its weight the product of its (a_c, b_c)
-    factors there.  Each orbit's 2^(r_O) cycle choices are summed by type
-    (_orbit_classes), the orbits' tables convolved, the odd types dropped
-    for A_n, and chi, an integer-valued class function, evaluated once
-    per class.  Returns the Gaussian-integer sum (re, im) and the number
-    of in-group mixtures with a nonzero weight.
+    factors there.  Each orbit's 2^(r_O) cycle choices are walked once,
+    into a table summed by type (_orbit_classes) or in the stream below;
+    the orbits that hold no cycle of alpha^-1*beta share one table of one
+    class.  The classes are combined, the odd types dropped for A_n, and
+    chi, an integer-valued class function, evaluated once per class.
+    Returns the Gaussian-integer sum (re, im) and the number of in-group
+    mixtures with a nonzero weight.
 
     The walks branch only on the cycles whose two factors are both
     nonzero, k of them in all and k_O on the orbit O, so the route first
     checks the smaller of the 2^k mixtures and the sum of |O| * 2^(k_O)
-    points its orbit walks trace.  An orbit is then tabulated if its
-    |O| * 2^(k_O) is within the cap, and convolved into the running
-    table T if n * |T| * |C| is; the other orbits are walked together,
-    each of their mixtures convolved with T and summed at once, which
-    takes at most the 2^k mixtures of the walk, checked before that walk.
+    points its orbit walks trace.  An orbit is tabulated if its
+    |O| * 2^(k_O) is within the cap, and its table C convolved into the
+    running table T if n * |T| * |C| is.  What is left over is streamed:
+    the orbits not tabulated are walked together, once, and each of their
+    mixtures is combined with each class of T and of the tables not
+    convolved, which takes at most the 2^k mixtures, checked again first.
     """
     n = len(alpha)
     labels = orbit_labels(n, (alpha, beta))
+    moving = {labels[cycle[0]] for cycle in cycles}
     orbits = {}
-    for p in range(1, n + 1):
-        orbits.setdefault(labels[p], ([], []))[0].append(p)
+    for p in range(1, n + 1):  # the orbits with no cycle share the key 0
+        orbits.setdefault(labels[p] if labels[p] in moving else 0, ([], []))[0].append(p)
     for cycle, pair in zip(cycles, pairs):
         orbits[labels[cycle[0]]][1].append((cycle, pair))
     traced = [len(o) << perm.branching(f for _, f in m) for o, m in orbits.values()]
@@ -486,24 +484,24 @@ def _class_sums(alpha, beta, cycles, pairs, even: bool, chi: IrreducibleCharacte
     walk = f"walk of 2^{k} mixtures", 1 << k
     tracing = f"class sums tracing {sum(traced)} mixture points", sum(traced)
     perm.check_work(*(walk if walk[1] <= tracing[1] else tracing))
-    totals, points, moves = {(): (1, 0, 1)}, [], []
+    totals, tables, points, moves = {(): (1, 0, 1)}, [], [], []
     for (orbit, orbit_moves), work in zip(orbits.values(), traced):
-        if work <= perm.DEFAULT_ENUMERATION_CAP:
-            classes = _orbit_classes(orbit, alpha, beta, orbit_moves)
-            if n * len(totals) * len(classes) <= perm.DEFAULT_ENUMERATION_CAP:
-                totals = _convolve(totals, classes)
-                continue
-        points += orbit
-        moves += orbit_moves
-    if points:
+        if work > perm.DEFAULT_ENUMERATION_CAP:
+            points, moves = points + orbit, moves + orbit_moves
+            continue
+        classes = _orbit_classes(orbit, alpha, beta, orbit_moves)
+        if n * len(totals) * len(classes) <= perm.DEFAULT_ENUMERATION_CAP:
+            totals = _convolve(totals, classes)
+        else:
+            tables.append(classes.items())
+    if points or tables:
         perm.check_work(*walk)
-    total = (0, 0, 0)
-    # with no orbit left over, the walk yields one empty mixture: T itself
-    for cycle_type, re, im in _orbit_mixtures(points, alpha, beta, moves):
-        for merged, x in _convolve(totals, {cycle_type: (re, im, 1)}).items():
-            if not (even and (n - len(merged)) % 2):
-                total = _plus(total, _times(x, (chi.class_value(merged), 0, 1)))
-    return total
+    # with no orbit left untabulated, the walk yields one empty mixture
+    walked = _orbit_mixtures(points, alpha, beta, moves)
+    combos = (functools.reduce(_merged, c, w)
+              for w in walked for c in itertools.product(totals.items(), *tables))
+    return _valued(_keyed((chi.class_value(t), x) for t, x in combos
+                          if not (even and (n - len(t)) % 2)))
 
 
 def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
@@ -580,7 +578,8 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
                 pre = -pre[0], -pre[1]
             pairs = [(a_c, (-b_c[0], -b_c[1]) if len(cycle) % 2 == 0 else b_c)
                      for cycle, (a_c, b_c) in zip(cycles, pairs)]
-        summed = _weight_sum(_walk(alpha, beta, cycles, pairs, group))
+        walked = _walk(alpha, beta, cycles, pairs, group)
+        summed = _valued(_keyed((1, (re, im, 1)) for _, re, im in walked))
     else:
         summed = _value_sums(chi, _walk(alpha, beta, cycles, pairs, group))
     re, im, terms = _times((*pre, 1), summed)

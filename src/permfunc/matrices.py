@@ -3,7 +3,9 @@
 Covers permutation matrices P_theta (column j carries a 1 in row
 theta(j)), linear sums a*P_theta + b*P_tau, the symmetric 0/1 companion
 S_theta, block assemblies of scaled permutation blocks, and a purely
-structural positive-semidefiniteness classification for linear sums.
+structural positive-semidefiniteness classification for linear sums,
+read off the two permutations without building the matrix.  Every
+builder checks its entries against the enumeration cap first.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import gcd, lcm
 
 from ._record import record
 from .errors import DegreeMismatchError, ParseError
-from .gaussian import ONE, GaussianRational, ZERO, from_integers, gauss, integer_parts
+from .gaussian import ONE, GaussianRational, from_integers, gauss, integer_parts
 from .perm import (
     Permutation,
     check_work,
@@ -51,11 +53,13 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        """The rows x cols zero matrix, refused past the cap before it is built."""
+        return _placed(rows, cols, (), [])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        """The n x n identity matrix, refused past the cap before it is built."""
+        return _placed(n, n, ((j, j, 0) for j in range(n)), [ONE])
 
     rows = property(lambda self: len(self.re))
     cols = property(lambda self: len(self.re[0]))
@@ -122,16 +126,19 @@ def _matrix(re, im, den: int, m: Matrix | None = None) -> Matrix:
     return m
 
 
-def _placed(size: int, placements, values) -> Matrix:
-    """The size x size matrix with values[k] added in at each 0-based (row, col, k).
+def _placed(rows: int, cols: int, placements, values) -> Matrix:
+    """The rows x cols matrix with values[k] added in at each 0-based (row, col, k).
 
-    Its size^2 entries pass perm.check_work first, so perm_matrix,
-    linear_sum, s_matrix and block_matrix refuse before they allocate.
+    Its rows * cols entries pass perm.check_work first, so every builder
+    (Matrix.zero and Matrix.identity, perm_matrix, linear_sum, s_matrix and
+    block_matrix) refuses before it allocates.
     """
-    check_work(f"{size}x{size} matrix", size * size)
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix must have positive dimensions")
+    check_work(f"{rows}x{cols} matrix", rows * cols)
     value_re, value_im, den = integer_parts(values)
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
+    re = [[0] * cols for _ in range(rows)]
+    im = [[0] * cols for _ in range(rows)]
     for r, c, k in placements:
         re[r][c] += value_re[k]
         im[r][c] += value_im[k]
@@ -187,7 +194,8 @@ def trace(a: Matrix) -> GaussianRational:
 
 def perm_matrix(theta: Permutation) -> Matrix:
     """0/1 matrix with the 1 of column j in row theta(j)."""
-    return _placed(theta.degree, ((t - 1, j, 0) for j, t in enumerate(theta.images)), [ONE])
+    n = theta.degree
+    return _placed(n, n, ((t - 1, j, 0) for j, t in enumerate(theta.images)), [ONE])
 
 
 def linear_sum(
@@ -199,14 +207,14 @@ def linear_sum(
     """a*P_theta + b*P_tau; positions where theta and tau agree get a+b."""
     n = common_degree(theta, tau)
     placements = [(t - 1, j, k) for k, p in enumerate((theta, tau)) for j, t in enumerate(p.images)]
-    return _placed(n, placements, [a, b])
+    return _placed(n, n, placements, [a, b])
 
 
 def s_matrix(theta: Permutation) -> Matrix:
     """Symmetric 0/1 matrix marking j = theta(i) or j = theta^-1(i)."""
     # a set: where theta(i) = theta^-1(i) the entry is still 1
     placements = {(i, t - 1, 0) for p in (theta, theta.inverse()) for i, t in enumerate(p.images)}
-    return _placed(theta.degree, placements, [ONE])
+    return _placed(theta.degree, theta.degree, placements, [ONE])
 
 
 @record
@@ -316,7 +324,7 @@ def block_matrix(spec: BlockSpec) -> Matrix:
         for i, inner in enumerate(inners):
             row0, col0, k = i * m, (outer(i + 1) - 1) * m, layer * n + i
             placements += [(row0 + t - 1, col0 + v, k) for v, t in enumerate(inner.images)]
-    return _placed(spec.size, placements, spec.a + spec.b)
+    return _placed(spec.size, spec.size, placements, spec.a + spec.b)
 
 
 @record
@@ -338,25 +346,26 @@ class PsdClassification:
     condition: int | None = None
 
 
-def _match_scaled_involution(matrix: Matrix):
+def _match_scaled_involution(rows, den: int):
     """Decompose as k*I + m*P_pi (pi an involution), or return None.
 
-    Pure pattern matching on the integer rows: each row holds at most one
-    off-diagonal nonzero, their columns pair the rows up (an involution
-    pi), all of them carry one real value m, matched rows carry diagonal k
-    and unmatched rows k + m.
+    ``rows`` maps each row's columns (both 0-based) to its entries as
+    Gaussian integers (re, im) over ``den``; absent and (0, 0) entries are
+    zero.  Pure pattern matching: each row holds at most one off-diagonal
+    nonzero, their columns pair the rows up (an involution pi), all of them
+    carry one real value m, matched rows carry diagonal k and unmatched
+    rows k + m.
     """
     images, off_diagonal, diagonal = [], set(), []
-    for i, (row_re, row_im) in enumerate(zip(matrix.re, matrix.im)):
-        cells = list(zip(row_re, row_im))
-        support = [j for j, cell in enumerate(cells) if j != i and cell != (0, 0)]
+    for i, cells in enumerate(rows):
+        support = [j for j, cell in cells.items() if j != i and cell != (0, 0)]
         if len(support) > 1:
             return None
         j = support[0] if support else i
         images.append(j + 1)
         if j != i:
             off_diagonal.add(cells[j])
-        diagonal.append(cells[i])
+        diagonal.append(cells.get(i, (0, 0)))
     if len(off_diagonal) > 1 or any(images[j - 1] != i for i, j in enumerate(images, 1)):
         return None
     m_re, m_im = off_diagonal.pop() if off_diagonal else (0, 0)
@@ -366,7 +375,7 @@ def _match_scaled_involution(matrix: Matrix):
     (k_re, k_im), *others = k_values
     if m_im or k_im or others:
         return None
-    return Fraction(k_re, matrix.den), Fraction(m_re, matrix.den), Permutation(tuple(images))
+    return Fraction(k_re, den), Fraction(m_re, den), Permutation(tuple(images))
 
 
 def psd_classify(
@@ -379,13 +388,20 @@ def psd_classify(
 
     Rewrites the matrix as k*I + m*P_pi by pattern matching and applies
     the k >= |m| criterion; no decomposition means not positive
-    semidefinite.  The reported condition index follows the input
-    pattern, lowest matching number first; index 5 marks the b = -a
-    cancellation family, where columns on which theta and tau agree
-    vanish and pi pairs up the surviving columns.
+    semidefinite.  The matrix is never built: row theta(j) holds a and row
+    tau(j) holds b in column j, summed where they meet, so the rows are
+    read off the two permutations in O(n).  The reported condition index
+    follows the input pattern, lowest matching number first; index 5 marks
+    the b = -a cancellation family, where columns on which theta and tau
+    agree vanish and pi pairs up the surviving columns.
     """
-    matrix = linear_sum(a, b, theta, tau)
-    decomposition = _match_scaled_involution(matrix)
+    n = common_degree(theta, tau)
+    (a_re, b_re), (a_im, b_im), den = integer_parts([a, b])
+    rows = [{} for _ in range(n)]
+    for j, (t, u) in enumerate(zip(theta.images, tau.images)):
+        rows[u - 1][j] = (b_re, b_im)
+        rows[t - 1][j] = (a_re + b_re, a_im + b_im) if t == u else (a_re, a_im)
+    decomposition = _match_scaled_involution(rows, den)
     if decomposition is None:
         return PsdClassification(False)
     k, m, pi = decomposition
@@ -404,7 +420,7 @@ def psd_classify(
         and theta.is_involution()
         and tau.is_involution()
         and theta.fixed_points() | tau.fixed_points()
-        == frozenset(range(1, matrix.rows + 1))
+        == frozenset(range(1, n + 1))
         and a.re == b.re >= 0
     ):
         condition = 4

@@ -675,13 +675,15 @@ def test_naive_routes_refuse_before_building_the_matrix(capsys, monkeypatch, tmp
          "1905x1905 matrix exceeds cap 3628800"),
         (["det", "--n", "2000", *pair, "--method", "cauchy-binet"],
          "2000x2000 matrix exceeds cap 3628800"),
-        (["psd", "--n", "1905", *pair], "1905x1905 matrix exceeds cap 3628800"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", f"error: {message}\n")
+    # psd builds no matrix: it reads the rows off the two permutations
+    monkeypatch.undo()
+    code, out, err = run(capsys, "psd", "--n", "2000", "--theta", "id", "--tau", "(1 2)")
+    assert (code, out, err) == (0, "PSD: k=1 m=1 pi=(1 2) (condition 2)\n", "")
     # past the matrix check each naive route checks its own work: the order
     # of S11 passes the cap, but 2*I folds in one Laplace step a row
-    monkeypatch.undo()
     code, out, err = run(capsys, "gmf", "--n", "11", *pair, "--group", "S11",
                          "--character", "trivial", "--method", "naive")
     assert (code, out, err) == (0, f"{2**11}\n", "")
@@ -697,7 +699,7 @@ def test_naive_routes_refuse_before_building_the_matrix(capsys, monkeypatch, tmp
 
 def test_the_enumeration_cap_has_one_binding(capsys, monkeypatch):
     # lowering the cap where perm defines it lowers it for the group order
-    # and the CLI's matrix pre-check too, read when they are called
+    # and for the matrix builders too, read when they are called
     monkeypatch.setattr(permfunc.perm, "DEFAULT_ENUMERATION_CAP", 100)
     with pytest.raises(CapacityError, match="^group order 720 exceeds cap 100$"):
         enumerate_group(SymmetricGroup(6))

@@ -2300,12 +2300,44 @@ class TestClassSums:
         return sum(keeps(a, alpha, cycle) and keeps(b, beta, cycle)
                    for cycle in perm.pair_cycles(alpha, beta).cycles)
 
+    @staticmethod
+    def spy_tables(monkeypatch):
+        """Count the orbit tables the class sums build and those they convolve
+        into T, and record how many points the last walk of mixtures covered:
+        the one that streams the orbits left untabulated."""
+        calls = {"_orbit_classes": 0, "_convolve": 0}
+        for name in calls:
+            build = getattr(engine, name)
+
+            def spy(*args, build=build, name=name):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+        walk_mixtures = engine.walk_mixtures
+
+        def walked(alpha, *args):
+            calls["walked"] = len(alpha)
+            return walk_mixtures(alpha, *args)
+
+        monkeypatch.setattr(engine, "walk_mixtures", walked)
+        return calls
+
+    @staticmethod
+    def outcome(calls) -> str:
+        """"streamed" when the call counted in ``calls``, which this clears,
+        left an orbit over (walked in the stream, or a table not convolved
+        into T), else "convolved"."""
+        streamed = calls.get("walked") or calls["_orbit_classes"] > calls["_convolve"]
+        calls.update(_orbit_classes=0, _convolve=0, walked=0)
+        return "streamed" if streamed else "convolved"
+
     def test_lowered_cap_answers_whenever_the_walk_fits(self, monkeypatch):
         # the same draws with the cap lowered: the class sums check the smaller
         # of the 2^k mixtures (k the cycles that keep both factors) and the
         # points their orbit walks trace, then tabulate each orbit and convolve
-        # while the tables fit, and check 2^k again before walking the orbits
-        # left over; every draw they do not refuse equals the unlowered
+        # while the tables fit, and check 2^k again before streaming the
+        # tables left over; every draw they do not refuse equals the unlowered
         # call, a draw is refused only when its 2^k walk exceeds the cap,
         # the refusal names the count over the cap, and no table outgrows it
         rng = random.Random(8383)
@@ -2325,21 +2357,14 @@ class TestClassSums:
             raise AssertionError("the class sums handed the mixtures to the walk")
 
         checks = TestNaive.spy_checks(monkeypatch)
-        walks = []
-        orbit_mixtures = engine._orbit_mixtures
-
-        def walked(points, *args):
-            walks.append(len(points))
-            return orbit_mixtures(points, *args)
-
+        tables = self.spy_tables(monkeypatch)
         monkeypatch.setattr(engine, "_walk", refuse)
-        monkeypatch.setattr(engine, "_orbit_mixtures", walked)
         outcomes = set()
         for cap in (0, 15, 30, 60):
             sizes = self.bounded_tables(monkeypatch, cap)
             for args, expected in cases:
                 checks.clear()
-                walks.clear()
+                self.outcome(tables)
                 try:
                     result = pf.gmf_linear_sum(*args)
                 except CapacityError as exc:
@@ -2352,30 +2377,29 @@ class TestClassSums:
                     continue
                 assert_same_result(result, expected)
                 assert all(work <= cap for _, work in checks)
-                if walks:
-                    # the last orbit walk is the one of the orbits left over
-                    outcomes.add("walked" if walks[-1] else "tabulated")
+                if checks:
+                    outcomes.add(self.outcome(tables))
             assert all(size <= cap for size in sizes)
-        assert outcomes == {"refused", "tabulated", "walked"}
+        assert outcomes == {"refused", "convolved", "streamed"}
 
     def test_checked_counts_bound_the_mixtures_walked(self, monkeypatch):
         # theta^-1*tau fixes no point and both coefficients are nonzero, so
         # every orbit of <theta, tau> branches on k_O >= 1 cycles and the
         # class sums check min(2^k, sum of |O| * 2^(k_O)) first, computed here
-        # from the orbits; the mixtures every orbit walk enters, those of the
-        # orbits left over included, stay within the largest count checked
+        # from the orbits; the mixtures every orbit walk enters stay within
+        # the largest count checked
         checks = TestNaive.spy_checks(monkeypatch)
-        entered, walks = [], []
-        orbit_mixtures = engine._orbit_mixtures
+        tables = self.spy_tables(monkeypatch)
+        entered = []
+        walk_mixtures = engine.walk_mixtures
 
-        def counted(points, *args):
-            walks.append(len(points))
-            for item in orbit_mixtures(points, *args):
-                if points:  # with no orbit left over, one empty mixture stands for T
-                    entered.append(len(points))
+        def counted(alpha, *args):
+            for item in walk_mixtures(alpha, *args):
+                if alpha:  # with no orbit left untabulated, one empty mixture stands for T
+                    entered.append(len(alpha))
                 yield item
 
-        monkeypatch.setattr(engine, "_orbit_mixtures", counted)
+        monkeypatch.setattr(engine, "walk_mixtures", counted)
         rng = random.Random(8484)
         outcomes = set()
         for _ in range(120):
@@ -2396,7 +2420,7 @@ class TestClassSums:
             monkeypatch.setattr(perm, "DEFAULT_ENUMERATION_CAP", cap)
             checks.clear()
             entered.clear()
-            walks.clear()
+            self.outcome(tables)
             try:
                 pf.gmf_linear_sum(gauss(2), gauss(1, 1), theta, tau, group, chi)
             except CapacityError:
@@ -2407,9 +2431,52 @@ class TestClassSums:
             counts = [work for _, work in checks]
             assert counts[0] == min(1 << k, traced)
             assert len(entered) <= max(counts) <= cap
-            # the last orbit walk is the one of the orbits left over
-            outcomes.add("walked" if walks[-1] else "tabulated")
-        assert outcomes == {"refused", "tabulated", "walked"}
+            outcomes.add(self.outcome(tables))
+        assert outcomes == {"refused", "convolved", "streamed"}
+
+    def test_each_point_is_walked_once(self, monkeypatch):
+        # one cycle of each length 2..16 on 135 points with theta = id: the
+        # table of the 16-point orbit would take T past the cap, so it is
+        # streamed from the table already built, not walked again
+        cycles, start = [], 1
+        for length in range(2, 17):
+            cycles.append(tuple(range(start, start + length)))
+            start += length
+        n = start - 1
+        theta, tau = Permutation.identity(n), Permutation.from_cycles(n, cycles)
+        tables = self.spy_tables(monkeypatch)
+        walked = []
+        walk_mixtures = engine.walk_mixtures
+
+        def spy(alpha, *args):
+            walked.append(len(alpha))
+            return walk_mixtures(alpha, *args)
+
+        monkeypatch.setattr(engine, "walk_mixtures", spy)
+        chi = parse_character(f"irr:[{n - 1},1]", n)
+        result = pf.gmf_linear_sum(ONE, ONE, theta, tau, SymmetricGroup(n), chi)
+        assert result.term_count == 2**15
+        assert self.outcome(tables) == "streamed"
+        assert sum(walked) == n
+
+    def test_fixed_points_make_one_table(self, monkeypatch):
+        # one cycle of each length 2..12 and 223 fixed points on 300 points
+        # with theta = id: the 11 orbits of the cycles and one table of the
+        # fixed points take at most 12 convolutions, not one per fixed point
+        cycles, start = [], 1
+        for length in range(2, 13):
+            cycles.append(tuple(range(start, start + length)))
+            start += length
+        n = 300
+        theta, tau = Permutation.identity(n), Permutation.from_cycles(n, cycles)
+        chi = parse_character(f"irr:[{n - 1},1]", n)
+        a, b = gauss(2), gauss(1, -1)
+        expected = pf.gmf_linear_sum(a, b, theta, tau, Walked(SymmetricGroup(n)), chi)
+        tables = self.spy_tables(monkeypatch)
+        result = pf.gmf_linear_sum(a, b, theta, tau, SymmetricGroup(n), chi)
+        assert_same_result(result, expected)
+        assert result.term_count == 2**11
+        assert tables["_convolve"] <= 12
 
     @pytest.mark.parametrize("group", [SymmetricGroup(35), AlternatingGroup(35)], ids=str)
     def test_tables_stay_within_the_cap_when_the_walk_fits(self, monkeypatch, group):

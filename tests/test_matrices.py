@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import permfunc.matrices
+import permfunc.perm
 from permfunc.characters import SignCharacter, TrivialCharacter, parse_character
 from permfunc.engine import det_cauchy_binet_sum, det_exact, gmf_naive
 from permfunc.errors import CapacityError, DegreeMismatchError, ParseError
@@ -18,6 +19,7 @@ from permfunc.groups import parse_group
 from permfunc.matrices import (
     BlockSpec,
     Matrix,
+    PsdClassification,
     block_matrix,
     conjugate_transpose,
     integer_grid,
@@ -514,6 +516,48 @@ def test_builders_refuse_past_the_cap_before_converting(monkeypatch):
                   lambda: s_matrix(ident)):
         with pytest.raises(CapacityError, match="^1905x1905 matrix exceeds cap 3628800$"):
             build()
+
+
+def test_zero_and_identity_refuse_past_the_cap_before_converting(monkeypatch):
+    # with the cap at 16, perm_matrix of the 5-point identity refuses its 25
+    # entries, and so do Matrix.zero and Matrix.identity, before any entry
+    # is placed; within the cap they build the same grids as before
+    def refuse(*args):
+        raise AssertionError("a matrix was converted before the cap was checked")
+
+    monkeypatch.setattr(permfunc.perm, "DEFAULT_ENUMERATION_CAP", 16)
+    monkeypatch.setattr(permfunc.matrices, "integer_parts", refuse)
+    for build, text in ((lambda: perm_matrix(Permutation.identity(5)), "5x5"),
+                        (lambda: Matrix.identity(5), "5x5"), (lambda: Matrix.zero(5, 5), "5x5"),
+                        (lambda: Matrix.zero(3, 6), "3x6")):
+        with pytest.raises(CapacityError, match=f"^{text} matrix exceeds cap 16$"):
+            build()
+    monkeypatch.undo()
+    assert Matrix.identity(4) == perm_matrix(Permutation.identity(4))
+    assert Matrix.identity(3).entries == tuple(
+        tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3))
+    assert integer_grid(Matrix.zero(2, 3)) == (((0, 0, 0),) * 2, ((0, 0, 0),) * 2, 1)
+    for rows, cols in ((0, 2), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="^matrix must have positive dimensions$"):
+            Matrix.zero(rows, cols)
+    with pytest.raises(ValueError, match="^matrix must have positive dimensions$"):
+        Matrix.identity(0)
+
+
+def test_psd_reads_the_permutations_not_a_matrix(monkeypatch):
+    # psd_classify builds no n x n matrix: at n = 2000, past the 1904x1904
+    # the cap allows, id and (1 2) with a = b = 1 is I + P_(1 2)
+    def refuse(*args):
+        raise AssertionError("psd_classify built a matrix")
+
+    monkeypatch.setattr(permfunc.matrices, "_placed", refuse)
+    n = 2000
+    verdict = psd_classify(ONE, ONE, Permutation.identity(n), P("(1 2)", n))
+    assert verdict == PsdClassification(True, Fraction(1), Fraction(1), P("(1 2)", n), 2)
+    # b = -a on theta = tau cancels every entry: k = m = 0, the scalar case
+    verdict = psd_classify(gauss(3), gauss(-3), Permutation.identity(n), Permutation.identity(n))
+    assert verdict == PsdClassification(True, Fraction(0), Fraction(0), Permutation.identity(n), 1)
+    assert not psd_classify(ONE, gauss(2), Permutation.identity(n), P("(1 2)", n)).psd
 
 
 def test_builders_do_no_fraction_arithmetic(monkeypatch):
