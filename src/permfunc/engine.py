@@ -22,19 +22,20 @@ Routes provided, all exact unless stated otherwise:
   2^r permutations that agree pointwise with theta^-1 or tau^-1, each
   weighed by its own entry product and chi at itself; on a Young
   subgroup (as S_n or A_n with the coefficients that cross blocks
-  zeroed) it multiplies that sum out as an O(r) product over the cycles
-  for the trivial and sign characters, and sums it by cycle type, orbit
-  by orbit of <theta, tau>, each orbit walked once, for the irreducible
-  characters, never handing them to the walk; otherwise it takes the
-  member walk below,
+  zeroed) it multiplies that sum out for the trivial and sign
+  characters as the paper's two O(r) products over the cycles,
+  P = prod(a_c + b_c) and Q = sign(alpha) prod(a_c + s_c*b_c) with
+  s_c = -1 on a cycle of even length (S_n takes P or Q, A_n (P + Q)/2),
+  and sums it by cycle type, orbit by orbit of <theta, tau>, each orbit
+  walked once, for the irreducible characters, never handing them to
+  the walk; otherwise it takes the member walk below,
   whose candidates are the mixtures walked by perm.walk_mixtures, which
   never enters a choice of zero weight, such as one that leaves an
   orbit (GroupSpec.orbits); every case multiplies Gaussian integers
-  over one denominator, and perm.pair_cycles gives every case the
-  cycles of theta^-1*tau;
+  over one denominator, and one trace of theta^-1*tau gives every case
+  its cycles, each with its two coefficient products (_mixture_factors);
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
-  the structured route's O(r) product over the cycles of theta^-1*tau
-  on S_n;
+  the structured route's Q and P on S_n;
 * a minor-expansion oracle for det(A+B) over all complementary index
   pairs: the pairs with |alpha| = k sum to the coefficient of t^k in
   det(tA + B), so one Laplace fold at t = 2^s, each entry b + (a << s),
@@ -197,7 +198,9 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     becomes the cheaper, it eliminates (kernels.det_gaussian_int).  Other
     groups and characters visit only the members with a nonzero entry
     product (_support_members), reached from the injective tuples of the
-    rows' columns or from |G|, whichever is fewer; their products are
+    rows' columns (_injective, which builds no other) or from |G|,
+    whichever is fewer, the tuples counted as the product of the rows'
+    column counts; their products are
     summed per character value, and each distinct value is multiplied in
     once at the end.  The term count is still |G|.  Each route raises
     CapacityError, before it starts, when its own work exceeds the
@@ -223,14 +226,35 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     else:
         columns = [{bit.bit_length(): (er, ei) for bit, _, er, ei in row} for row in rows]
         count = math.prod(map(len, columns))
-        injective = (t for t in itertools.product(*columns) if len(set(t)) == a.rows)
         # the work is checked before the domain, which a character may enumerate
         members = _support_members(lambda: columns, group, order,
                                    f"member walk of {count} candidate tuples", count,
-                                   lambda: _weighed(columns, injective))
+                                   lambda: _injective(columns))
         chi.check_domain(group)
         re, im, _ = _value_sums(chi, members)
     return GmfResult(from_integers(re, im, den**a.rows), Method.NAIVE, order)
+
+
+def _injective(columns):
+    """Yield (images, re, im) for each tuple of distinct columns, one from each
+    row (a column -> (re, im) map), re + im*i the entries' product.
+
+    The rows are walked depth first and a used column is never entered,
+    so only injective prefixes are built, each weighed as it is extended.
+    """
+    n = len(columns)
+    images = [0] * n
+    stack = [(0, 0, 0, 1, 0)]  # (rows placed, their columns as bits, the last column, re, im)
+    while stack:
+        placed, used, column, re, im = stack.pop()
+        if placed:
+            images[placed - 1] = column
+        if placed == n:
+            yield tuple(images), re, im
+            continue
+        for y, (er, ei) in columns[placed].items():
+            if not used >> y & 1:
+                stack.append((placed + 1, used | 1 << y, y, re * er - im * ei, re * ei + im * er))
 
 
 # characters whose value a permutation's parity decides, cycle by cycle or column by column
@@ -399,22 +423,32 @@ def _parity_product(alpha, cycles, pairs, even: bool, chi: CharacterSpec):
 
     On S_n, or on A_n with ``even``, for the characters of
     _PARITY_CHARACTERS.  A mixture's sign is sign(alpha) times (-1)^(l-1)
-    for each cycle of length l it takes from beta, which decides A_n and
-    the sign character.  The Gaussian-integer (a_c, b_c) ``pairs`` are
-    multiplied out into an even and an odd part, each an (re, im, count)
-    triple, the count being that of the mixtures with a nonzero weight.
+    for each cycle of length l it takes from beta, so the Gaussian-integer
+    (a_c, b_c) ``pairs`` give the paper's two products: P, the product of
+    a_c + b_c, sums every mixture's weight, and Q, sign(alpha) times the
+    product of a_c + s_c*b_c, s_c = -1 for a cycle of even length and 1
+    otherwise, sums it times the mixture's sign.  S_n takes P for the
+    trivial character and Q for the sign; A_n takes (P + Q)/2, exactly,
+    as P + Q is twice the sum over the even mixtures.  The same two
+    products over each factor's 0/1 nonzero indicator count the mixtures
+    with a nonzero weight: P's count for S_n, half the two counts' sum for
+    A_n.
     """
-    parts = [(1, 0, 1), (0, 0, 0)]  # the mixtures of alpha's sign, of the other sign
-    for cycle, (a_c, b_c) in zip(cycles, pairs):
-        a_c, b_c = (*a_c, int(any(a_c))), (*b_c, int(any(b_c)))
-        flip = 1 - len(cycle) % 2  # a cycle of even length is an odd permutation
-        parts = [_plus(_times(parts[p], a_c), _times(parts[p ^ flip], b_c)) for p in (0, 1)]
-    evens, odds = parts if images_sign(alpha) > 0 else parts[::-1]
+    pr, pi, pn, qr, qi, qn = 1, 0, 1, 1, 0, 1
+    for length, ((ar, ai), (br, bi)) in zip(map(len, cycles), pairs):
+        na, nb = 1 if ar or ai else 0, 1 if br or bi else 0
+        sr, si = ar + br, ai + bi
+        pr, pi, pn = pr * sr - pi * si, pr * si + pi * sr, pn * (na + nb)
+        if not length % 2:  # a cycle of even length is an odd permutation
+            sr, si, nb = ar - br, ai - bi, -nb
+        qr, qi, qn = qr * sr - qi * si, qr * si + qi * sr, qn * (na + nb)
+    if not (even or isinstance(chi, SignCharacter)):
+        return pr, pi, pn
+    if images_sign(alpha) < 0:
+        qr, qi, qn = -qr, -qi, -qn
     if even:
-        return evens
-    if isinstance(chi, SignCharacter):
-        odds = _times(odds, (-1, 0, 1))
-    return _plus(evens, odds)
+        return (pr + qr) // 2, (pi + qi) // 2, (pn + qn) // 2
+    return qr, qi, pn
 
 
 def _orbit_mixtures(points, alpha, beta, moves):
@@ -551,9 +585,11 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     as A_n when it is the even part.  The coefficients are Gaussian
     integers (re, im) over one ``den`` (the callers'
     gaussian.integer_parts), so the prefactor and factors are integer
-    products, and one exact route, picked once, sums the factors (re, im,
-    terms): on a Young subgroup the O(r) _parity_product for a trivial or
-    sign character and the _class_sums for an irreducible one; otherwise
+    products, taken as alpha^-1*beta is traced once (_mixture_factors),
+    and one exact route, picked once, sums the factors (re, im, terms): on
+    a Young subgroup the O(r) _parity_product for a trivial or sign
+    character, the paper's two cycle products P and Q or, on A_n, their
+    mean, and the _class_sums for an irreducible one; otherwise
     the in-group mixtures with a nonzero weight, reached by _walk from the
     2^k mixtures or from the |G| members, whichever is fewer, and summed
     directly for trivial and sign (the sign folded into the factors) and
@@ -587,21 +623,40 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
 
 
 def _mixture_factors(alpha, beta, coeff_a, coeff_b, group: GroupSpec):
-    """The cycles of alpha^-1*beta, the prefactor and the (a_c, b_c) factors
-    of the cycles that _mixture_sum multiplies, each a Gaussian integer,
-    with the coefficients zeroed where alpha or beta leaves an orbit."""
+    """The cycles of rho = alpha^-1*beta, the prefactor and the (a_c, b_c)
+    factors of the cycles that _mixture_sum multiplies, each a Gaussian
+    integer, with the coefficients zeroed where alpha or beta leaves an
+    orbit.
+
+    rho is traced once, from alpha's inverse: each cycle's coeff_a and
+    coeff_b products are taken as it is traced, and each fixed point's
+    coeff_a + coeff_b is multiplied into the prefactor.  The cycles come in
+    perm.pair_cycles' canonical order, each from its least point and
+    sorted by it, so walk_mixtures' bit order is that of perm.mixtures.
+    """
     labels = group.orbits()
     if labels:
         coeff_a, coeff_b = (
             [c if labels[y] == block else (0, 0) for c, y, block in zip(coeffs, images, labels[1:])]
             for images, coeffs in ((alpha, coeff_a), (beta, coeff_b))
         )
-    dec = pair_cycles(alpha, beta)
-    fixed = [(coeff_a[y - 1], coeff_b[y - 1]) for y in dec.fixed_points]
-    pre = _product((ar + br, ai + bi) for (ar, ai), (br, bi) in fixed)
-    pairs = [tuple(_product(c[y - 1] for y in cycle) for c in (coeff_a, coeff_b))
-             for cycle in dec.cycles]
-    return dec.cycles, pre, pairs
+    inverse = images_inverse(alpha)
+    rho = [0, *[inverse[y - 1] for y in beta]]  # rho[x] = alpha^-1(beta(x)), 0 once traced
+    cycles, pairs, pre_re, pre_im = [], [], 1, 0
+    for start in range(1, len(rho)):
+        cycle, ar, ai, br, bi, x = [], 1, 0, 1, 0, start
+        while rho[x]:
+            cycle.append(x)
+            (cr, ci), (dr, di) = coeff_a[x - 1], coeff_b[x - 1]
+            ar, ai, br, bi = ar * cr - ai * ci, ar * ci + ai * cr, br * dr - bi * di, br * di + bi * dr
+            rho[x], x = 0, rho[x]
+        if cycle[1:]:
+            cycles.append(cycle)
+            pairs.append(((ar, ai), (br, bi)))
+        elif cycle:  # a fixed point
+            ar, ai = ar + br, ai + bi
+            pre_re, pre_im = pre_re * ar - pre_im * ai, pre_re * ai + pre_im * ar
+    return cycles, (pre_re, pre_im), pairs
 
 
 def _linear_coefficients(a, b, theta, tau):
@@ -645,7 +700,7 @@ def det_linear_sum(
 
     The value is sign(theta) * (a+b)^F * prod over the cycles of
     (a^l - (-b)^l), F the fixed-point count and l the cycle length: the
-    mixture sum's parity product on S_n with the sign character.
+    parity product's Q times the prefactor (a+b)^F.
     """
     group = SymmetricGroup(common_degree(theta, tau))
     value, terms = _mixture_sum(*_linear_coefficients(a, b, theta, tau), group, SignCharacter())
@@ -657,7 +712,7 @@ def per_linear_sum(
 ) -> GmfResult:
     """per(a*P_theta + b*P_tau) = (a+b)^F * prod over the cycles of (a^l + b^l).
 
-    The mixture sum's parity product on S_n with the trivial character.
+    The parity product's P times the prefactor (a+b)^F.
     """
     group = SymmetricGroup(common_degree(theta, tau))
     value, terms = _mixture_sum(*_linear_coefficients(a, b, theta, tau), group, TrivialCharacter())
