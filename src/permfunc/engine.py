@@ -32,8 +32,9 @@ Routes provided, all exact unless stated otherwise:
   whose candidates are the mixtures walked by perm.walk_mixtures, which
   never enters a choice of zero weight, such as one that leaves an
   orbit (GroupSpec.orbits); every case multiplies Gaussian integers
-  over one denominator, and one trace of theta^-1*tau gives every case
-  its cycles, each with its two coefficient products (_mixture_factors);
+  over one denominator, and perm.pair_cycles gives every case the
+  cycles of theta^-1*tau, each with its two coefficient products
+  multiplied out inline (_mixture_factors);
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
   the structured route's Q and P on S_n;
 * a minor-expansion oracle for det(A+B) over all complementary index
@@ -240,8 +241,12 @@ def _injective(columns):
     row (a column -> (re, im) map), re + im*i the entries' product.
 
     The rows are walked depth first and a used column is never entered,
-    so only injective prefixes are built, each weighed as it is extended.
+    so only injective prefixes are built, each weighed as it is extended;
+    a row with no column ends the walk before it starts, so at most n
+    times the product of the rows' column counts prefixes are entered.
     """
+    if not all(columns):
+        return
     n = len(columns)
     images = [0] * n
     stack = [(0, 0, 0, 1, 0)]  # (rows placed, their columns as bits, the last column, re, im)
@@ -585,7 +590,7 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     as A_n when it is the even part.  The coefficients are Gaussian
     integers (re, im) over one ``den`` (the callers'
     gaussian.integer_parts), so the prefactor and factors are integer
-    products, taken as alpha^-1*beta is traced once (_mixture_factors),
+    products, taken inline over perm.pair_cycles' cycles (_mixture_factors),
     and one exact route, picked once, sums the factors (re, im, terms): on
     a Young subgroup the O(r) _parity_product for a trivial or sign
     character, the paper's two cycle products P and Q or, on A_n, their
@@ -628,11 +633,10 @@ def _mixture_factors(alpha, beta, coeff_a, coeff_b, group: GroupSpec):
     integer, with the coefficients zeroed where alpha or beta leaves an
     orbit.
 
-    rho is traced once, from alpha's inverse: each cycle's coeff_a and
-    coeff_b products are taken as it is traced, and each fixed point's
-    coeff_a + coeff_b is multiplied into the prefactor.  The cycles come in
-    perm.pair_cycles' canonical order, each from its least point and
-    sorted by it, so walk_mixtures' bit order is that of perm.mixtures.
+    The cycles are perm.pair_cycles', so walk_mixtures' bit order is that
+    of perm.mixtures; each cycle's coeff_a and coeff_b products and each
+    fixed point's coeff_a + coeff_b, multiplied into the prefactor, are
+    taken inline in Gaussian-integer arithmetic.
     """
     labels = group.orbits()
     if labels:
@@ -640,23 +644,20 @@ def _mixture_factors(alpha, beta, coeff_a, coeff_b, group: GroupSpec):
             [c if labels[y] == block else (0, 0) for c, y, block in zip(coeffs, images, labels[1:])]
             for images, coeffs in ((alpha, coeff_a), (beta, coeff_b))
         )
-    inverse = images_inverse(alpha)
-    rho = [0, *[inverse[y - 1] for y in beta]]  # rho[x] = alpha^-1(beta(x)), 0 once traced
-    cycles, pairs, pre_re, pre_im = [], [], 1, 0
-    for start in range(1, len(rho)):
-        cycle, ar, ai, br, bi, x = [], 1, 0, 1, 0, start
-        while rho[x]:
-            cycle.append(x)
-            (cr, ci), (dr, di) = coeff_a[x - 1], coeff_b[x - 1]
+    dec = pair_cycles(alpha, beta)
+    pre_re, pre_im = 1, 0
+    for y in dec.fixed_points:
+        (ar, ai), (br, bi) = coeff_a[y - 1], coeff_b[y - 1]
+        ar, ai = ar + br, ai + bi
+        pre_re, pre_im = pre_re * ar - pre_im * ai, pre_re * ai + pre_im * ar
+    pairs = []
+    for cycle in dec.cycles:
+        ar, ai, br, bi = 1, 0, 1, 0
+        for y in cycle:
+            (cr, ci), (dr, di) = coeff_a[y - 1], coeff_b[y - 1]
             ar, ai, br, bi = ar * cr - ai * ci, ar * ci + ai * cr, br * dr - bi * di, br * di + bi * dr
-            rho[x], x = 0, rho[x]
-        if cycle[1:]:
-            cycles.append(cycle)
-            pairs.append(((ar, ai), (br, bi)))
-        elif cycle:  # a fixed point
-            ar, ai = ar + br, ai + bi
-            pre_re, pre_im = pre_re * ar - pre_im * ai, pre_re * ai + pre_im * ar
-    return cycles, (pre_re, pre_im), pairs
+        pairs.append(((ar, ai), (br, bi)))
+    return dec.cycles, (pre_re, pre_im), pairs
 
 
 def _linear_coefficients(a, b, theta, tau):

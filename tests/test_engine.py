@@ -484,17 +484,30 @@ class TestNaive:
     @staticmethod
     def spy_candidates(monkeypatch):
         """Record the image tuple of every candidate the member walk's
-        candidate side builds (engine._injective)."""
-        built = []
+        candidate side builds (engine._injective), and, per walk, the
+        prefixes it enters, one per read of a row's columns.  A walk fails
+        as soon as it enters more than n times the product of the rows'
+        column counts, the count the cap checks, so a runaway walk fails
+        instead of running on."""
+        built, entered = [], []
         injective = engine._injective
 
         def spy(columns):
-            for candidate in injective(columns):
+            budget = len(columns) * math.prod(map(len, columns))
+            entered.append(0)
+
+            class Row(dict):
+                def items(self):
+                    entered[-1] += 1
+                    assert entered[-1] <= budget, f"entered more than {budget} prefixes"
+                    return super().items()
+
+            for candidate in injective([Row(row) for row in columns]):
                 built.append(candidate[0])
                 yield candidate
 
         monkeypatch.setattr(engine, "_injective", spy)
-        return built
+        return built, entered
 
     def test_candidate_side_builds_only_injective_tuples(self, monkeypatch):
         # a*P_theta + b*P_tau on S8 with theta^-1*tau one 8-cycle: every row
@@ -505,12 +518,25 @@ class TestNaive:
         theta, tau = Permutation.identity(8), P("(1 2 3 4 5 6 7 8)", 8)
         a, b, group = gauss(2), gauss(1, -1), SymmetricGroup(8)
         chi, matrix = parse_character("irr:[6,2]", 8), linear_sum(a, b, theta, tau)
-        checks, built = self.spy_checks(monkeypatch), self.spy_candidates(monkeypatch)
+        checks, (built, _) = self.spy_checks(monkeypatch), self.spy_candidates(monkeypatch)
         result = pf.gmf_naive(matrix, group, chi)
         assert checks == [("member walk of 256 candidate tuples", 256)]
         assert sorted(built) == sorted([theta.inverse().images, tau.inverse().images])
         fast = pf.gmf_linear_sum(a, b, theta, tau, group, chi)
         assert (result.value, result.term_count) == (fast.value, group.order())
+
+    def test_a_row_with_no_column_ends_the_walk(self, monkeypatch):
+        # P_id - P_tau on S81, tau the 40 transpositions (1 2)...(79 80): row
+        # 81 holds 1 - 1 = 0, so the cap checks 0 candidate tuples, and the
+        # walk must enter no prefix of the 2^40 injective ones the 80 rows
+        # above it allow before it reaches the empty row
+        theta, tau = Permutation.identity(81), transpositions(40, 81)
+        matrix, group = linear_sum(ONE, gauss(-1), theta, tau), SymmetricGroup(81)
+        checks, (built, entered) = self.spy_checks(monkeypatch), self.spy_candidates(monkeypatch)
+        result = pf.gmf_naive(matrix, group, parse_character("irr:[80,1]", 81))
+        assert checks == [("member walk of 0 candidate tuples", 0)]
+        assert (built, entered) == ([], [0])
+        assert (result.value, result.term_count) == (ZERO, group.order())
 
     def test_young_route_checks_its_laplace_steps(self, monkeypatch):
         # groups past the order cap, so the Young route counts its own work:
@@ -560,8 +586,9 @@ class TestNaive:
     def test_member_walk_checks_its_candidates(self, monkeypatch):
         # irr: characters and groups with no Young answer visit candidate
         # tuples, or the group's members when those are fewer: what is built
-        # stays within the one count the member walk checks
-        checks, built = self.spy_checks(monkeypatch), self.spy_candidates(monkeypatch)
+        # stays within the one count the member walk checks, and the
+        # prefixes the candidate side enters within n times that count
+        checks, (built, entered) = self.spy_checks(monkeypatch), self.spy_candidates(monkeypatch)
         for cls in (SymmetricGroup, AlternatingGroup, CyclicGroup, GeneratedSubgroup):
             def listed(self, generate=cls._generate):
                 for images in generate(self):
@@ -589,13 +616,22 @@ class TestNaive:
         eight = Matrix([[rand_scalar(rng, 2) for _ in range(8)] for _ in range(8)])
         cases += [(eight, apart, SignCharacter()), (linear_sum(ONE, ONE, P("(1 2)", 8), P("(5 6)", 8)),
                                                    apart, TrivialCharacter())]
+        # rows left with no column: a zero row, and a row whose entries all
+        # lie outside its orbit, after the rows above it
+        zero_row = linear_sum(ONE, gauss(-1), Permutation.identity(8), P("(1 2)(3 4)(5 6)", 8))
+        cases.append((zero_row, SymmetricGroup(8), parse_character("irr:[6,2]", 8)))
+        across = Matrix([[ZERO if i == 8 and j > 4 else rand_scalar(rng, 2) for j in range(1, 9)]
+                         for i in range(1, 9)])
+        cases.append((across, apart, SignCharacter()))
         for matrix, group, chi in cases:
             checks.clear()
             built.clear()
+            entered.clear()
             result = pf.gmf_naive(matrix, group, chi)
             [(what, count)] = checks
             assert what in (f"member walk of {count} candidate tuples", f"group order {count}")
             assert len(built) <= count <= perm.DEFAULT_ENUMERATION_CAP
+            assert sum(entered) <= matrix.rows * count
             if matrix.rows <= 8:
                 assert result.value == brute_gmf(matrix, group, chi)
 
@@ -1949,84 +1985,6 @@ class TestParityProduct:
                 assert pf.term_counts(theta, tau, group).formula == listed
                 generated = gens_presentation(group)
                 assert pf.term_counts(theta, tau, generated).formula == listed
-
-
-class TestMixtureFactors:
-    """_mixture_factors traces alpha^-1*beta once; its cycles, prefactor and
-    (a_c, b_c) factors against perm.pair_cycles and engine._product taken
-    point by point over the coefficients zeroed where alpha or beta leaves
-    an orbit, on the arguments the linear-sum and block routes pass."""
-
-    @staticmethod
-    def factor_group(rng, n):
-        """(kind, group) of degree n: S_n, A_n, stab:, or a cyclic: or gens:
-        group whose generators keep the blocks of a random partition."""
-        kind = rng.choice(["S", "A", "stab", "cyclic", "gens"])
-        if kind == "S":
-            return kind, SymmetricGroup(n)
-        if kind == "A":
-            return kind, AlternatingGroup(n)
-        if kind == "stab":
-            return kind, PointwiseStabilizer(n, frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))))
-        points, labels = rng.sample(range(1, n + 1), n), [0] * (n + 1)
-        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
-        for label, (i, j) in enumerate(zip([0, *cuts], [*cuts, n]), 1):
-            for x in points[i:j]:
-                labels[x] = label
-        gens = [block_member(rng, labels) for _ in range(1 if kind == "cyclic" else rng.randint(1, 2))]
-        return kind, CyclicGroup(gens[0]) if kind == "cyclic" else GeneratedSubgroup(n, tuple(gens))
-
-    def test_cycles_and_products_match_pair_cycles(self, monkeypatch):
-        calls = []
-        factors = engine._mixture_factors
-
-        def spy(*args):
-            calls.append((args, factors(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(engine, "_mixture_factors", spy)
-        rng = random.Random(3535)
-        kinds, routes, zeroed, zero_scalars = set(), set(), 0, 0
-        for _ in range(300):
-            n = rng.randint(1, 9)
-            kind, group = self.factor_group(rng, n)
-            kinds.add(kind)
-            if rng.random() < 0.4:
-                m = rng.choice([m for m in range(1, n + 1) if n % m == 0])
-                spec = random_block_spec(rng, m, n // m)
-                if rng.random() < 0.3:  # a zero coefficient in the first block row
-                    spec = BlockSpec(spec.m, spec.n, spec.theta, spec.tau, spec.inner_thetas,
-                                     spec.inner_taus, (ZERO, *spec.a[1:]), spec.b)
-                routes.add("block")
-                pf.gmf_block(spec, group, TrivialCharacter())
-            else:
-                a, b, _ = draw_scalars(rng)
-                routes.add("linear")
-                pf.gmf_linear_sum(a, b, rand_perm(rng, n), rand_perm(rng, n), group, TrivialCharacter())
-            (alpha, beta, coeff_a, coeff_b, _), (cycles, pre, pairs) = calls.pop()
-            labels = group.orbits()
-            kept_a, kept_b = (
-                [c if labels is None or labels[y] == labels[x] else (0, 0)
-                 for x, (c, y) in enumerate(zip(coeffs, images), 1)]
-                for coeffs, images in ((coeff_a, alpha), (coeff_b, beta))
-            )
-            zeroed += (kept_a, kept_b) != (coeff_a, coeff_b)
-            zero_scalars += (0, 0) in coeff_a + coeff_b
-            dec = perm.pair_cycles(alpha, beta)
-            assert list(map(tuple, cycles)) == list(dec.cycles)
-            assert pre == engine._product(
-                (ar + br, ai + bi)
-                for (ar, ai), (br, bi) in (
-                    (kept_a[y - 1], kept_b[y - 1]) for y in sorted(dec.fixed_points)
-                )
-            )
-            assert pairs == [
-                tuple(engine._product(kept[y - 1] for y in cycle) for kept in (kept_a, kept_b))
-                for cycle in dec.cycles
-            ]
-        assert kinds == {"S", "A", "stab", "cyclic", "gens"}
-        assert routes == {"block", "linear"}
-        assert zeroed and zero_scalars
 
 
 def transpositions(count, n):
