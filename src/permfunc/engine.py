@@ -32,9 +32,10 @@ Routes provided, all exact unless stated otherwise:
   whose candidates are the mixtures walked by perm.walk_mixtures, which
   never enters a choice of zero weight, such as one that leaves an
   orbit (GroupSpec.orbits); every case multiplies Gaussian integers
-  over one denominator, and perm.pair_cycles gives every case the
-  cycles of theta^-1*tau, each with its two coefficient products
-  multiplied out inline (_mixture_factors);
+  over one denominator, and one step (_mixture_factors), the only one
+  that turns the two layers into the rows' frame, inverts each layer
+  once and traces the cycles of alpha^-1*beta from theta itself, each
+  with its two coefficient products multiplied out inline;
 * closed forms for determinant and permanent of a*P_theta + b*P_tau:
   the structured route's Q and P on S_n;
 * a minor-expansion oracle for det(A+B) over all complementary index
@@ -64,10 +65,11 @@ by value through _valued.
 Every route passes perm.check_work, before it starts, the smallest count
 it can prove of its own work: the member walk the smaller of its
 candidates (2^k mixtures, k the cycles that keep both factors, or
-candidate tuples) and |G|, the class sums the smaller of the 2^k
-mixtures and the points their orbit walks trace, and the naive Young
-route its Laplace steps and eliminations, when that is smaller than
-|G|.  A route is refused for its own work, not for |G| or 2^r.
+candidate tuples, counted as the injective prefixes the naive walk
+enters when their product and |G| both pass the cap) and |G|, the
+class sums the smaller of the 2^k mixtures and the points their orbit
+walks trace, and the naive Young route its Laplace steps and
+eliminations, when that is smaller than |G|.  A route is refused for its own work, not for |G| or 2^r.
 
 Permutations are objects only in the routes' arguments.  Inside every
 sum a member or mixture is its image tuple (images[i-1] = sigma(i)):
@@ -207,6 +209,12 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     CapacityError, before it starts, when its own work exceeds the
     enumeration cap: the Laplace steps or elimination on the Young route,
     the candidate tuples on the member walk, or |G| when that is smaller.
+    When the product and |G| both pass the cap, and the Laplace steps of
+    a fold over the rows (_fold_steps) fit it, the walk's side
+    is instead the nonempty injective prefixes _injective enters, counted
+    exactly: folding _laplace_step over the supports with no sign flips
+    leaves, at each level, a table whose values add up to that level's
+    prefixes.  Every other call keeps the product and its text.
     """
     if not a.is_square:
         raise DegreeMismatchError(
@@ -227,9 +235,15 @@ def gmf_naive(a: Matrix, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     else:
         columns = [{bit.bit_length(): (er, ei) for bit, _, er, ei in row} for row in rows]
         count = math.prod(map(len, columns))
+        what = f"member walk of {count} candidate tuples"
+        if (min(count, order) > perm.DEFAULT_ENUMERATION_CAP
+                and _fold_steps(rows) <= perm.DEFAULT_ENUMERATION_CAP):
+            supports = [[(bit, 0, 1, 0) for bit, *_ in row] for row in rows]
+            levels = itertools.accumulate(supports, _laplace_step, initial={0: (1, 0)})
+            count = sum(re for table in levels for re, _ in table.values()) - 1
+            what = f"member walk of {count} prefixes"
         # the work is checked before the domain, which a character may enumerate
-        members = _support_members(lambda: columns, group, order,
-                                   f"member walk of {count} candidate tuples", count,
+        members = _support_members(lambda: columns, group, order, what, count,
                                    lambda: _injective(columns))
         chi.check_domain(group)
         re, im, _ = _value_sums(chi, members)
@@ -242,8 +256,10 @@ def _injective(columns):
 
     The rows are walked depth first and a used column is never entered,
     so only injective prefixes are built, each weighed as it is extended;
-    a row with no column ends the walk before it starts, so at most n
-    times the product of the rows' column counts prefixes are entered.
+    a row with no column ends the walk before it starts.  So the prefixes
+    entered, past the empty one, are exactly the nonempty injective
+    prefixes of the rows' columns, which gmf_naive may count beforehand,
+    and never more than n times the product of the rows' column counts.
     """
     if not all(columns):
         return
@@ -571,11 +587,15 @@ def _walk(alpha, beta, cycles, pairs, group: GroupSpec):
     return _support_members(rows, group, group.order(), f"walk of 2^{k} mixtures", 1 << k, walk)
 
 
-def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: CharacterSpec):
+def _mixture_sum(theta, tau, coeff_a, coeff_b, den, group: GroupSpec, chi: CharacterSpec):
     """Sum chi(pi) times the entry product over the mixtures pi of alpha and beta.
 
-    ``alpha``, ``beta`` and each mixture are image tuples.  Row x carries
-    coeff_a[x-1] in column alpha(x) and coeff_b[x-1] in column beta(x), so
+    ``theta`` and ``tau`` are the two layers' image tuples as the callers
+    hold them, in P_theta's convention: layer one is nonzero at (theta(y),
+    y), layer two at (tau(y), y).  _mixture_factors inverts each once into
+    the rows' frame, alpha = theta^-1 and beta = tau^-1, and each mixture
+    is an image tuple there.  Row x carries coeff_a[x-1] in column
+    alpha(x) and coeff_b[x-1] in column beta(x), so
     only the mixtures have a nonzero entry product.  A mixture pi takes
     each cycle of alpha^-1*beta from alpha or from beta, so its entry
     product is the prefactor, the product of coeff_a + coeff_b over the
@@ -590,7 +610,7 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     as A_n when it is the even part.  The coefficients are Gaussian
     integers (re, im) over one ``den`` (the callers'
     gaussian.integer_parts), so the prefactor and factors are integer
-    products, taken inline over perm.pair_cycles' cycles (_mixture_factors),
+    products, taken inline over the cycles _mixture_factors traces,
     and one exact route, picked once, sums the factors (re, im, terms): on
     a Young subgroup the O(r) _parity_product for a trivial or sign
     character, the paper's two cycle products P and Q or, on A_n, their
@@ -604,7 +624,7 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     ExactnessError from the walk.
     """
     chi.check_domain(group)
-    cycles, pre, pairs = _mixture_factors(alpha, beta, coeff_a, coeff_b, group)
+    alpha, beta, cycles, pre, pairs = _mixture_factors(theta, tau, coeff_a, coeff_b, group)
     if pre == (0, 0):
         return ZERO, 0
     young = group.young()
@@ -627,24 +647,31 @@ def _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group: GroupSpec, chi: Char
     return from_integers(re, im, den ** len(alpha)), terms
 
 
-def _mixture_factors(alpha, beta, coeff_a, coeff_b, group: GroupSpec):
-    """The cycles of rho = alpha^-1*beta, the prefactor and the (a_c, b_c)
-    factors of the cycles that _mixture_sum multiplies, each a Gaussian
-    integer, with the coefficients zeroed where alpha or beta leaves an
-    orbit.
+def _mixture_factors(theta, tau, coeff_a, coeff_b, group: GroupSpec):
+    """The rows' frame of the layers ``theta`` and ``tau`` (image tuples
+    in P_theta's convention), as (alpha, beta, cycles, prefactor, pairs):
+    alpha = theta^-1 and beta = tau^-1, row x's columns; the cycles of
+    rho = alpha^-1*beta; and the prefactor and the (a_c, b_c) factors of
+    the cycles that _mixture_sum multiplies, each a Gaussian integer, with
+    the coefficients zeroed where alpha or beta leaves an orbit.
 
-    The cycles are perm.pair_cycles', so walk_mixtures' bit order is that
-    of perm.mixtures; each cycle's coeff_a and coeff_b products and each
-    fixed point's coeff_a + coeff_b, multiplied into the prefactor, are
-    taken inline in Gaussian-integer arithmetic.
+    This is the only place a two-layer input is inverted, each layer
+    once.  As alpha^-1 is theta, rho(x) = theta(beta(x)) is traced
+    directly (perm.images_cycles), nothing inverted back, and its cycles
+    come in the canonical order perm.pair_cycles(alpha, beta) gives, so
+    walk_mixtures' bit order is that of perm.mixtures; each cycle's
+    coeff_a and coeff_b products and each fixed point's coeff_a +
+    coeff_b, multiplied into the prefactor, are taken inline in
+    Gaussian-integer arithmetic.
     """
+    alpha, beta = images_inverse(theta), images_inverse(tau)
     labels = group.orbits()
     if labels:
         coeff_a, coeff_b = (
             [c if labels[y] == block else (0, 0) for c, y, block in zip(coeffs, images, labels[1:])]
             for images, coeffs in ((alpha, coeff_a), (beta, coeff_b))
         )
-    dec = pair_cycles(alpha, beta)
+    dec = perm.images_cycles([theta[y - 1] for y in beta])
     pre_re, pre_im = 1, 0
     for y in dec.fixed_points:
         (ar, ai), (br, bi) = coeff_a[y - 1], coeff_b[y - 1]
@@ -657,17 +684,16 @@ def _mixture_factors(alpha, beta, coeff_a, coeff_b, group: GroupSpec):
             (cr, ci), (dr, di) = coeff_a[y - 1], coeff_b[y - 1]
             ar, ai, br, bi = ar * cr - ai * ci, ar * ci + ai * cr, br * dr - bi * di, br * di + bi * dr
         pairs.append(((ar, ai), (br, bi)))
-    return dec.cycles, (pre_re, pre_im), pairs
+    return alpha, beta, dec.cycles, (pre_re, pre_im), pairs
 
 
 def _linear_coefficients(a, b, theta, tau):
-    """The (alpha, beta, coeff_a, coeff_b, den) of _mixture_sum for
-    a*P_theta + b*P_tau, whose row x holds a in column theta^-1(x) and b
-    in column tau^-1(x)."""
+    """The (theta, tau, coeff_a, coeff_b, den) of _mixture_sum for
+    a*P_theta + b*P_tau: the layers' images as given, and a and b as
+    Gaussian integers over one den, the same in every row."""
     n = theta.degree
-    alpha, beta = images_inverse(theta.images), images_inverse(tau.images)
     (ar, br), (ai, bi), den = integer_parts([a, b])
-    return alpha, beta, [(ar, ai)] * n, [(br, bi)] * n, den
+    return theta.images, tau.images, [(ar, ai)] * n, [(br, bi)] * n, den
 
 
 def gmf_linear_sum(
@@ -773,18 +799,20 @@ def _graded_minor_sums(pre_a, pim_a, pre_b, pim_b) -> list:
 def gmf_block(spec: BlockSpec, group: GroupSpec, chi: CharacterSpec) -> GmfResult:
     """Fast route for the block assembly described by ``spec``.
 
-    With alpha, beta the induced permutations of [1..m*n], only the
-    2^r pointwise mixtures of their inverses contribute.  Row x, in block
-    row j, carries a_j in column alpha^-1(x) and b_j in column
-    beta^-1(x); agreement points contribute (a_j + b_j) factors.
+    The induced pair (BlockSpec.induced_pair) gives the two layers of
+    [1..m*n] in P_theta's convention, and _mixture_sum takes them as they
+    are, inverting each once: only the 2^r pointwise mixtures of the
+    inverses contribute.  Row x, in block row j, carries a_j in the
+    column layer one places in it and b_j in layer two's; agreement
+    points contribute (a_j + b_j) factors.
     """
     if group.degree != spec.size:
         raise DegreeMismatchError(f"group degree {group.degree} != block matrix size {spec.size}")
-    alpha, beta = (images_inverse(p.images) for p in spec.induced_pair())
+    theta, tau = (p.images for p in spec.induced_pair())
     re, im, den = integer_parts(spec.a + spec.b)
     coeffs = list(zip(re, im))  # a_1..a_n, then b_1..b_n
     coeff_a, coeff_b = ([coeffs[k + x // spec.m] for x in range(spec.size)] for k in (0, spec.n))
-    value, terms = _mixture_sum(alpha, beta, coeff_a, coeff_b, den, group, chi)
+    value, terms = _mixture_sum(theta, tau, coeff_a, coeff_b, den, group, chi)
     return GmfResult(value, Method.BLOCK, terms)
 
 
@@ -932,8 +960,8 @@ def check_singular_bound(
     except ExactnessError:
         # chi leaves Q(i): float the weights of the in-group mixtures, from
         # the side whose count the exact route has already checked
-        alpha, beta, coeff_a, coeff_b, den = _linear_coefficients(a, b, theta, tau)
-        cycles, pre, pairs = _mixture_factors(alpha, beta, coeff_a, coeff_b, group)
+        *layers, den = _linear_coefficients(a, b, theta, tau)
+        alpha, beta, cycles, pre, pairs = _mixture_factors(*layers, group)
         scale, total = den**n, 0j
         for images, re, im in _walk(alpha, beta, cycles, pairs, group):
             weight = _product([pre, (re, im)])

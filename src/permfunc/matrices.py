@@ -253,12 +253,14 @@ class BlockSpec:
         return self.m * self.n
 
     def induced_pair(self) -> tuple[Permutation, Permutation]:
-        """The two permutations of [1..m*n] tracing the nonzero entries.
+        """The two layers as permutations of [1..m*n], each sending a
+        column to the row of its nonzero entry, as P_theta's theta does.
 
-        Layer one is nonzero exactly at (alpha(y), y), layer two at
-        (beta(y), y).  Column y = (j-1)m + v lies in block column j, whose
-        block row is i = theta^-1(j), so alpha(y) = (i-1)m + inner_i(v);
-        beta likewise with tau and its inner permutations.
+        Layer one is nonzero exactly at (first(y), y), layer two at
+        (second(y), y), for the pair (first, second).  Column y = (j-1)m + v
+        lies in block column j, whose block row is i = theta^-1(j), so
+        first(y) = (i-1)m + inner_i(v); second likewise with tau and its
+        inner permutations.  Each row's column is the inverse's image.
         """
         m = self.m
         return tuple(

@@ -753,11 +753,20 @@ def test_naive_group_cap_exit_code(capsys):
         permfunc.parse_permutation(text, 11) for text in ("(1 2)", "id"))
     assert (code, out, err) == (0, f"{permfunc.det_linear_sum(a, b, theta, tau).value}\n", "")
     # an irr: character takes the member walk: 22 rows of two entries give
-    # 2^22 candidate tuples, fewer than |S22| but over the cap
+    # 2^22 candidate tuples, fewer than |S22| but over the cap, yet the walk
+    # enters only 2 * (2^12 - 2) = 8188 injective prefixes: the fast route's value
     pairs = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(11))
     code, out, err = run(capsys, "gmf", "--method", "naive", "--group", "S22",
                          "--character", "irr:[21,1]", "--n", "22", "--theta", "id", "--tau", pairs)
-    message = f"error: member walk of {2**22} candidate tuples exceeds cap 3628800\n"
+    theta, tau = permfunc.Permutation.identity(22), permfunc.parse_permutation(pairs, 22)
+    fast = permfunc.gmf_linear_sum(GaussianRational(1), GaussianRational(1), theta, tau,
+                                   SymmetricGroup(22), permfunc.parse_character("irr:[21,1]", 22))
+    assert (code, out, err) == (0, "20480\n", "") and fast.value == 20480
+    # 20 transpositions on 40 points: 2 * (2^21 - 2) prefixes pass the cap
+    pairs = "".join(f"({2 * k + 1} {2 * k + 2})" for k in range(20))
+    code, out, err = run(capsys, "gmf", "--method", "naive", "--group", "S40",
+                         "--character", "irr:[39,1]", "--n", "40", "--theta", "id", "--tau", pairs)
+    message = "error: member walk of 4194300 prefixes exceeds cap 3628800\n"
     assert (code, out, err) == (3, "", message)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import permfunc as pf
-from permfunc import engine, groups, kernels, perm
+from permfunc import engine, groups, kernels, matrices, perm
 from permfunc.characters import (
     CyclicRootCharacter,
     IrreducibleCharacter,
@@ -587,7 +587,9 @@ class TestNaive:
         # irr: characters and groups with no Young answer visit candidate
         # tuples, or the group's members when those are fewer: what is built
         # stays within the one count the member walk checks, and the
-        # prefixes the candidate side enters within n times that count
+        # prefixes the candidate side enters within n times that count; when
+        # the tuples and |G| both pass the cap, the count is the prefixes
+        # themselves, each row read but the first's and each tuple built
         checks, (built, entered) = self.spy_checks(monkeypatch), self.spy_candidates(monkeypatch)
         for cls in (SymmetricGroup, AlternatingGroup, CyclicGroup, GeneratedSubgroup):
             def listed(self, generate=cls._generate):
@@ -623,15 +625,22 @@ class TestNaive:
         across = Matrix([[ZERO if i == 8 and j > 4 else rand_scalar(rng, 2) for j in range(1, 9)]
                          for i in range(1, 9)])
         cases.append((across, apart, SignCharacter()))
+        # 2^22 tuples and |S22| past the cap: 254 prefixes, 2 tuples built
+        band = linear_sum(gauss(2), gauss(3), Permutation.identity(22),
+                          Permutation.from_cycles(22, [tuple(range(1, 23))]))
+        cases.append((band, SymmetricGroup(22), parse_character("irr:[20,2]", 22)))
         for matrix, group, chi in cases:
             checks.clear()
             built.clear()
             entered.clear()
             result = pf.gmf_naive(matrix, group, chi)
             [(what, count)] = checks
-            assert what in (f"member walk of {count} candidate tuples", f"group order {count}")
+            assert what in (f"member walk of {count} candidate tuples", f"group order {count}",
+                            f"member walk of {count} prefixes")
             assert len(built) <= count <= perm.DEFAULT_ENUMERATION_CAP
             assert sum(entered) <= matrix.rows * count
+            if what.endswith("prefixes"):
+                assert sum(entered) - 1 + len(built) == count
             if matrix.rows <= 8:
                 assert result.value == brute_gmf(matrix, group, chi)
 
@@ -1320,6 +1329,65 @@ class TestBlock:
         fast = pf.gmf_block(spec, group, TrivialCharacter())
         slow = pf.gmf_naive(block_matrix(spec), group, TrivialCharacter())
         assert fast.value == slow.value
+
+
+class TestLayerInversions:
+    """Each request inverts each of its layers once, in _mixture_factors,
+    which traces the cycles of alpha^-1*beta from theta itself."""
+
+    @staticmethod
+    def spy_inversions(monkeypatch):
+        """The degree of every images_inverse call, as engine, perm (so
+        Permutation.inverse and pair_cycles) and matrices see it."""
+        calls, inverse = [], perm.images_inverse
+
+        def spy(images):
+            calls.append(len(images))
+            return inverse(images)
+
+        for module in (engine, perm, matrices):
+            monkeypatch.setattr(module, "images_inverse", spy)
+        return calls
+
+    @staticmethod
+    def groups(rng, n):
+        return [SymmetricGroup(n), AlternatingGroup(n),
+                parse_group(f"stab:{','.join(map(str, rng.sample(range(1, n + 1), 2)))}@{n}"),
+                parse_group(f"cyclic:{rand_perm(rng, n)}@{n}"),
+                parse_group(f"gens:{rand_perm(rng, n)},{rand_perm(rng, n)}@{n}")]
+
+    def test_a_linear_sum_inverts_theta_and_tau_once(self, monkeypatch):
+        rng = random.Random(3601)
+        calls = self.spy_inversions(monkeypatch)
+        for n in (3, 5, 7):
+            chis = (TrivialCharacter(), SignCharacter(),
+                    IrreducibleCharacter(Partition(rng.choice(list(partitions(n))))))
+            for group in self.groups(rng, n):
+                theta, tau = rand_perm(rng, n), rand_perm(rng, n)
+                a, b = rand_scalar(rng), rand_scalar(rng)
+                for chi in chis:
+                    calls.clear()
+                    pf.gmf_linear_sum(a, b, theta, tau, group, chi)
+                    assert calls == [n, n]
+            for closed in (pf.det_linear_sum, pf.per_linear_sum):
+                calls.clear()
+                closed(rand_scalar(rng), rand_scalar(rng), rand_perm(rng, n), rand_perm(rng, n))
+                assert calls == [n, n]
+
+    def test_a_block_spec_inverts_each_layer_once(self, monkeypatch):
+        # induced_pair inverts the two n-point outer permutations, and
+        # _mixture_factors the two m*n-point layers they induce
+        rng = random.Random(3602)
+        calls = self.spy_inversions(monkeypatch)
+        for m, n in ((2, 2), (2, 3), (3, 2)):
+            chis = (TrivialCharacter(), SignCharacter(),
+                    IrreducibleCharacter(Partition(rng.choice(list(partitions(m * n))))))
+            for group in self.groups(rng, m * n):
+                spec = random_block_spec(rng, m, n)
+                for chi in chis:
+                    calls.clear()
+                    pf.gmf_block(spec, group, chi)
+                    assert calls == [n, n, m * n, m * n]
 
 
 class TestSMatrixRelations:
