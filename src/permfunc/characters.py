@@ -1,10 +1,10 @@
 """Evaluable class functions on subgroups of the symmetric group.
 
 Five variants: the trivial and sign characters, irreducible characters
-of S_n indexed by partitions (evaluated with the Murnaghan-Nakayama
-border-strip recursion), explicit lookup tables over the subgroup
-their keys form, and the linear characters of a cyclic group sending the
-generator to a root of unity.
+of S_n indexed by partitions (evaluated by the Murnaghan-Nakayama rule,
+in one pass of border-strip removals over the cycles), explicit lookup
+tables over the subgroup their keys form, and the linear characters of a
+cyclic group sending the generator to a root of unity.
 
 Values stay in the exact field Q(i); a cyclic-group character whose root
 of unity leaves that field raises ExactnessError from ``evaluate``, and
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import json
 import re as _re
 from math import factorial, lcm, prod
 
 from ._record import record
-from .errors import CapacityError, CharacterDomainError, ExactnessError, ParseError
+from .errors import CharacterDomainError, ExactnessError, ParseError
 from .gaussian import GaussianRational, I, ONE, gauss
 from .groups import GeneratedSubgroup
 from .perm import (
@@ -68,6 +67,15 @@ def partitions(n: int):
     yield from rec(n, n, ())
 
 
+# The bound of each memo below.  A check_dominance sweep over every
+# lambda |- 20 (8 transpositions) asks mn_value 5,643 pairs and leaves
+# 1,530 strip and 1,535 tableau entries, 4.3 MB in all; one over every
+# lambda |- 30 asks 50,436 pairs, past the bound, and the three memos then
+# hold 64,059 entries in 33 MB, about 0.5 KB each.
+_MN_CACHE_SIZE = 1 << 15
+
+
+@functools.lru_cache(maxsize=_MN_CACHE_SIZE)
 def hook_length_degree(parts: tuple[int, ...]) -> int:
     """Number of standard Young tableaux of the given shape."""
     n = sum(parts)
@@ -92,27 +100,20 @@ def _partition_from_beta(beta: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p for p in parts if p > 0)
 
 
-def _strip_removals(parts: tuple[int, ...], size: int):
-    """Yield (smaller_partition, strip_height) for each removable border strip."""
+@functools.lru_cache(maxsize=_MN_CACHE_SIZE)
+def _strip_removals(parts: tuple[int, ...], size: int) -> tuple:
+    """(smaller_partition, strip_height) for each removable border strip."""
     beta = _beta_numbers(parts)
     present = set(beta)
+    removals = []
     for b in beta:
         target = b - size
         if target < 0 or target in present:
             continue
         height = sum(1 for other in beta if target < other < b)
         new_beta = tuple(target if x == b else x for x in beta)
-        yield _partition_from_beta(new_beta), height
-
-
-# The memo's bound: a sweep over every lambda |- 20 holds 12,975 pairs and
-# one over every lambda |- 30 (8 transpositions) 128,868, about 0.4 KB each.
-_MN_CACHE_SIZE = 1 << 15
-
-# The most cycles longer than 1 that mn_value recurses through: on Python
-# 3.11 each takes two of the default limit of 1000 frames (the memo's C
-# wrapper counts too), so 400 leaves 200 to the callers.
-_MN_MAX_DEPTH = 400
+        removals.append((_partition_from_beta(new_beta), height))
+    return tuple(removals)
 
 
 @functools.lru_cache(maxsize=_MN_CACHE_SIZE)
@@ -120,37 +121,29 @@ def mn_value(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
     """Irreducible character value for shape ``parts`` at ``cycle_type``.
 
     ``cycle_type`` lists all cycle lengths including fixed points as 1s.
-    Border strips are removed for the largest cycle first, one recursion
-    level per cycle longer than 1; once only 1-cycles remain the value is
-    the number of standard tableaux of the shape left.  The recursion is
-    memoized because dominance sweeps revisit the same pairs heavily, and
-    the memo is bounded so that a long-lived process does not grow with
-    every shape it has evaluated.  Raises CapacityError, before any
-    evaluation, for a class of more than _MN_MAX_DEPTH cycles longer than 1.
+    One loop over the cycles longer than 1, largest first, carries every
+    shape left so far with its signed count of border-strip chains, and
+    removes the next cycle's strips from each; once only 1-cycles remain
+    the value is the sum of each count times the number of standard
+    tableaux of its shape.  The value, the strips of a (shape, length)
+    pair and the tableau counts are memoized, as dominance sweeps revisit
+    them heavily, and each memo is bounded so that a long-lived process
+    does not grow with every shape it has evaluated.
     """
     if sum(parts) != sum(cycle_type):
         raise ValueError(
             f"partition of {sum(parts)} evaluated at class of {sum(cycle_type)}"
         )
-    ordered = tuple(sorted(cycle_type, reverse=True))
-    if not ordered or ordered[0] == 1:
-        return hook_length_degree(parts)
-    if len(ordered) > _MN_MAX_DEPTH and ordered[_MN_MAX_DEPTH] > 1:
-        moved = sum(length > 1 for length in ordered)
-        raise CapacityError(
-            f"the class of cycle type {_type_text(ordered)} has {moved} cycles longer "
-            f"than 1; the border-strip recursion takes at most {_MN_MAX_DEPTH}"
-        )
-    largest, rest = ordered[0], ordered[1:]
-    total = 0
-    for smaller, height in _strip_removals(parts, largest):
-        total += (-1) ** height * mn_value(smaller, rest)
-    return total
-
-
-def _type_text(ordered: tuple[int, ...]) -> str:
-    """A descending cycle type as lengths to the power of their counts: 2^500 1^3."""
-    return " ".join(f"{length}^{len(list(run))}" for length, run in itertools.groupby(ordered))
+    counts = {parts: 1}
+    for length in sorted(cycle_type, reverse=True):
+        if length == 1:
+            break
+        left = {}
+        for shape, count in counts.items():
+            for smaller, height in _strip_removals(shape, length):
+                left[smaller] = left.get(smaller, 0) + (-count if height & 1 else count)
+        counts = left
+    return sum(count * hook_length_degree(shape) for shape, count in counts.items())
 
 
 class CharacterSpec:
@@ -204,7 +197,7 @@ class SignCharacter(CharacterSpec):
 @record
 class IrreducibleCharacter(CharacterSpec):
     """Irreducible character of S_n for the given shape, restrictable to
-    any subgroup; values are integers computed by border-strip recursion."""
+    any subgroup; values are integers computed by the Murnaghan-Nakayama rule (mn_value)."""
 
     partition: Partition
 

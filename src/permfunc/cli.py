@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--character", required=True)
 
-    p = sub.add_parser("tensor-check", help="tensor-symmetrizer cross-check (n <= 4)")
+    p = sub.add_parser("tensor-check", help="tensor-symmetrizer cross-check")
     add_instance_flags(p)
     p.add_argument("--group", required=True)
     p.add_argument("--character", required=True)

@@ -68,8 +68,12 @@ candidates (2^k mixtures, k the cycles that keep both factors, or
 candidate tuples, counted as the injective prefixes the naive walk
 enters when their product and |G| both pass the cap) and |G|, the
 class sums the smaller of the 2^k mixtures and the points their orbit
-walks trace, and the naive Young route its Laplace steps and
-eliminations, when that is smaller than |G|.  A route is refused for its own work, not for |G| or 2^r.
+walks trace, the naive Young route its Laplace steps and eliminations,
+when that is smaller than |G|, the minor expansion its fold's Laplace
+steps, and the tensor oracle its |G| * n^n member and slot-tuple pairs.
+A route is refused for its own work, not for |G| or 2^r.  Only
+det_exact, the tests' reference elimination, and s_product check
+nothing of their own work.
 
 Permutations are objects only in the routes' arguments.  Inside every
 sum a member or mixture is its image tuple (images[i-1] = sigma(i)):
@@ -781,6 +785,8 @@ def _graded_minor_sums(pre_a, pim_a, pre_b, pim_b) -> list:
     as unsigned ones after adding 2^(s-1) to each.  A digit is at most the
     product over the rows of the sum of |re| + |im| of the row's A and B
     entries, so s = 1 + that bound's bit length keeps it inside +-2^(s-1).
+    The fold's Laplace steps (_fold_steps) pass perm.check_work first,
+    counted only when n * 2^n, which bounds them, passes the cap.
     """
     n = len(pre_a)
     rows = [
@@ -789,8 +795,12 @@ def _graded_minor_sums(pre_a, pim_a, pre_b, pim_b) -> list:
     ]
     s = 1 + math.prod([sum([abs(xa) + abs(ya) + abs(xb) + abs(yb) for _, xa, ya, xb, yb in row])
                        for row in rows]).bit_length()
-    re, im = _fold([[(1 << j, (1 << n) - (2 << j), xb + (xa << s), yb + (ya << s))
-                     for j, xa, ya, xb, yb in row] for row in rows])
+    packed = [[(1 << j, (1 << n) - (2 << j), xb + (xa << s), yb + (ya << s))
+               for j, xa, ya, xb, yb in row] for row in rows]
+    if n << n > perm.DEFAULT_ENUMERATION_CAP:  # n rows fold in at most n * 2^n steps
+        steps = _fold_steps(packed)
+        perm.check_work(f"minor expansion of {steps} Laplace steps", steps)
+    re, im = _fold(packed)
     half, mask = 1 << (s - 1), (1 << s) - 1
     re, im = (part + half * ((1 << s * (n + 1)) - 1) // mask for part in (re, im))
     return [(((re >> s * k) & mask) - half, ((im >> s * k) & mask) - half) for k in range(n + 1)]
@@ -1071,10 +1081,6 @@ def check_superadditivity(
     return SuperadditivityReport(combined.re, left.re, right.re, combined.re >= left.re + right.re)
 
 
-# the largest degree whose n^n dimensional tensor space tensor_oracle builds
-TENSOR_MAX_DEGREE = 4
-
-
 def tensor_oracle(
     a: GaussianRational,
     b: GaussianRational,
@@ -1094,15 +1100,17 @@ def tensor_oracle(
     splits into distinct linear characters of G (so in particular for
     every linear chi); for chi irreducible on G it equals
     d_chi(A)/chi(1).  Scalars are kept real so the result does not
-    depend on a conjugation convention.
+    depend on a conjugation convention.  Its work, |G| * n^n member and
+    slot-tuple pairs, passes perm.check_work before anything is built.
     """
     n = theta.degree
-    if n > TENSOR_MAX_DEGREE:
-        raise ValueError(f"tensor space would have dimension {n}^{n}; max is {TENSOR_MAX_DEGREE}")
     if not (a.is_real() and b.is_real()):
         raise ExactnessError("tensor oracle is restricted to real coefficients")
     if group.degree != n:
         raise DegreeMismatchError(f"permutation degree {n}, group degree {group.degree}")
+    order = group.order()
+    perm.check_work(f"tensor oracle of {n}^{n} slot tuples times {order_text(group, order)}",
+                    order * n**n)
     chi.check_domain(group)
     entries = linear_sum(a, b, theta, tau).entries
 

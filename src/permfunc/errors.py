@@ -15,8 +15,7 @@ class DegreeMismatchError(PermfuncError):
 
 class CapacityError(PermfuncError):
     """A route's work, counted before it starts (members, mixtures, Laplace
-    steps, matrix entries), would exceed the enumeration cap; or a class is
-    too deep for the character recursion."""
+    steps, matrix entries), would exceed the enumeration cap."""
 
 
 class DisjointnessError(PermfuncError):

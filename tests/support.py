@@ -161,7 +161,7 @@ def _poly_mul(p: dict, q: dict) -> dict:
 def frobenius_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Irreducible character value by polynomial coefficient extraction.
 
-    Independent of the border-strip recursion: expands the Vandermonde
+    Independent of the Murnaghan-Nakayama rule: expands the Vandermonde
     product times the power sums of the class and reads off the
     coefficient of x^(lam + staircase).
     """

@@ -1,4 +1,4 @@
-"""Character values: border-strip recursion against independent oracles."""
+"""Character values: the Murnaghan-Nakayama rule against independent oracles."""
 
 import json
 import math
@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from permfunc import characters
 from permfunc.characters import (
     CyclicRootCharacter,
     IrreducibleCharacter,
@@ -21,7 +20,7 @@ from permfunc.characters import (
     parse_character,
     partitions,
 )
-from permfunc.errors import CapacityError, CharacterDomainError, ExactnessError, ParseError
+from permfunc.errors import CharacterDomainError, ExactnessError, ParseError
 from permfunc.gaussian import I, ONE, gauss
 from permfunc.groups import CyclicGroup, enumerate_group
 from permfunc.perm import Permutation, cycle_structure, parse_permutation
@@ -73,7 +72,7 @@ def test_mn_two_two_frozen():
 
 
 def test_mn_against_polynomial_oracle():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for lam in partitions(n):
             for mu in full_types(n):
                 assert mn_value(lam, mu) == frobenius_character(lam, mu)
@@ -96,17 +95,17 @@ def test_standard_character_is_fixed_points_minus_one_at_large_degree(n):
         assert chi.evaluate(sigma.images) == gauss(fixed - 1)
 
 
-def test_mn_refuses_a_class_past_the_recursion_depth():
-    limit = characters._MN_MAX_DEPTH
-    n = 2 * limit + 10
-    assert mn_value((n - 1, 1), (2,) * limit + (1,) * 10) == 9
+@pytest.mark.parametrize("count", [401, 500, 2000])
+def test_mn_answers_classes_of_many_transpositions(count):
+    # closed forms at 2^k 1^m: chi_(n-1,1) = m - 1, chi_(n-2,2) = m(m-3)/2 + k
+    for fixed in (0, 1, 3, 10):
+        n, cycle_type = 2 * count + fixed, (2,) * count + (1,) * fixed
+        assert mn_value((n - 1, 1), cycle_type) == fixed - 1
+        assert mn_value((n - 2, 2), cycle_type) == fixed * (fixed - 3) // 2 + count
+    # the memo holds only the pairs asked for, none of the shapes between
     mn_value.cache_clear()
-    for count in (limit + 1, 500):
-        n = 2 * count
-        with pytest.raises(CapacityError, match=rf"cycle type 2\^{count} has {count} cycles"):
-            mn_value((n - 1, 1), (2,) * count)
-    # refused before any evaluation: nothing entered the memo
-    assert mn_value.cache_info().currsize == 0
+    mn_value((2 * count + 1, 1), (2,) * count + (1,) * 2)
+    assert mn_value.cache_info().currsize == 1
 
 
 def test_first_orthogonality():

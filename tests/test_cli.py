@@ -178,17 +178,14 @@ def test_standard_character_at_large_degree(capsys):
 
 
 @pytest.mark.parametrize("count", [400, 500])
-def test_class_past_the_recursion_depth_exits_three(capsys, count):
+def test_class_of_many_transpositions_answers(capsys, count):
     # theta = tau = pi, pi a product of transpositions: the one mixture is
     # pi, weighed (a+b)^n = 2^1000 and chi(pi) = fix(pi) - 1
     pi = "".join(f"({2 * k - 1} {2 * k})" for k in range(1, count + 1))
     code, out, err = run(capsys, "gmf", "--n", "1000", "--theta", pi, "--tau", pi,
                          "--group", "S1000", "--character", "irr:[999,1]")
-    if count <= characters._MN_MAX_DEPTH:
-        assert code == 0 and int(out) == 2**1000 * (1000 - 2 * count - 1)
-    else:
-        assert code == 3 and out == ""
-        assert err.startswith(f"error: the class of cycle type 2^{count} has {count} cycles")
+    assert (code, err) == (0, "")
+    assert int(out) == 2**1000 * (1000 - 2 * count - 1)
 
 
 def test_tensor_check_match(capsys):
@@ -940,6 +937,15 @@ def test_order_too_long_to_print_names_the_group(capsys, argv, group):
     assert (code, out, err) == (0, f"{2**n}\n", "")
     with pytest.raises(CapacityError, match=f"^group order of {group} exceeds cap 3628800$"):
         permfunc.enumerate_group(permfunc.parse_group(group))
+
+
+def test_minor_expansion_over_the_cap_exits_three(capsys):
+    # 2*I + 3*P_tau on 64 points, tau the 32 transpositions (x x+32)
+    tau = "".join(f"({x} {x + 32})" for x in range(1, 33))
+    code, out, err = run(capsys, "det", "--method", "cauchy-binet", "--n", "64", "--theta", "id",
+                         "--tau", tau, "--a", "2", "--b", "3")
+    assert (code, out) == (3, "")
+    assert err == "error: minor expansion of 1575346933997678 Laplace steps exceeds cap 3628800\n"
 
 
 def test_unknown_command_exits_two(capsys):

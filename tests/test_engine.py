@@ -955,6 +955,21 @@ class TestCauchyBinet:
         with pytest.raises(DegreeMismatchError, match="got 3x3 and 3x4"):
             pf.det_cauchy_binet_sum(Matrix.identity(3), Matrix.zero(3, 4))
 
+    def test_refuses_its_laplace_steps_before_the_fold(self, monkeypatch):
+        # 2*I + 3*P_tau, tau the 32 transpositions (x x+32): every row holds
+        # two entries and the fold's count passes the cap before any step
+        def refuse(table, entries):
+            raise AssertionError("the minor expansion took a Laplace step")
+
+        monkeypatch.setattr(engine, "_laplace_step", refuse)
+        n = 64
+        tau = Permutation.from_cycles(n, [(x, x + 32) for x in range(1, 33)])
+        left = scalar_mul(gauss(2), perm_matrix(Permutation.identity(n)))
+        right = scalar_mul(gauss(3), perm_matrix(tau))
+        with pytest.raises(CapacityError,
+                           match="^minor expansion of 1575346933997678 Laplace steps exceeds cap 3628800$"):
+            pf.det_cauchy_binet_sum(left, right)
+
     def test_dense_n8_keeps_few_tables_alive(self):
         rng = random.Random(21)
         def dense():
@@ -1776,10 +1791,17 @@ class TestTensorOracle:
                 gauss(0, 1), ONE, Permutation.identity(2), Permutation.identity(2),
                 SymmetricGroup(2), TrivialCharacter(),
             )
-        with pytest.raises(ValueError):
+        # |G| * n^n member and slot-tuple pairs: 120 * 5^5 = 375,000 pass the
+        # cap, 720 * 6^6 = 33,592,320 do not
+        theta, tau = Permutation.identity(5), P("(1 2 3 4 5)", 5)
+        tensor = pf.tensor_oracle(gauss(2), gauss(3), theta, tau, SymmetricGroup(5), TrivialCharacter())
+        formula = pf.gmf_linear_sum(gauss(2), gauss(3), theta, tau, SymmetricGroup(5), TrivialCharacter())
+        assert tensor == formula.value == gauss(2**5 + 3**5)
+        with pytest.raises(CapacityError,
+                           match=r"^tensor oracle of 6\^6 slot tuples times group order 720 exceeds cap 3628800$"):
             pf.tensor_oracle(
-                ONE, ONE, Permutation.identity(5), Permutation.identity(5),
-                SymmetricGroup(5), TrivialCharacter(),
+                ONE, ONE, Permutation.identity(6), Permutation.identity(6),
+                SymmetricGroup(6), TrivialCharacter(),
             )
 
 
